@@ -295,16 +295,28 @@ func BenchmarkEmbedBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkXTreeDistance measures the implicit distance oracle used by
-// every dilation check.
+// BenchmarkXTreeDistance measures the closed-form distance used by every
+// dilation check, on a guest-edge-like near pair (distance 3, the most
+// Theorem 1 allows an edge), a same-level pair a few hops apart, and a far
+// pair across the root.
 func BenchmarkXTreeDistance(b *testing.B) {
 	x := xtree.New(30)
 	a := bitstr.MustParse("010110100101101001011010011011")
-	c := bitstr.MustParse("010110100101101001011010010001")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if x.Distance(a, c) <= 0 {
-			b.Fatal("bad distance")
-		}
+	pairs := []struct {
+		name string
+		c    bitstr.Addr
+	}{
+		{"near", bitstr.MustParse("0101101001011010010110100111")},
+		{"mid", bitstr.MustParse("010110100101101001011010010001")},
+		{"far", bitstr.MustParse("1101101001011010010110100110")},
+	}
+	for _, p := range pairs {
+		b.Run(p.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if x.Distance(a, p.c) <= 0 {
+					b.Fatal("bad distance")
+				}
+			}
+		})
 	}
 }

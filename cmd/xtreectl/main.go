@@ -273,7 +273,7 @@ func cmdNSet(args []string) {
 	}
 	fmt.Printf("N(%v) in X(%d):\n", a, *r)
 	for _, b := range x.NSet(a) {
-		fmt.Printf("  %-12v level=%d dist=%d\n", b, b.Level, x.DistanceWithin(a, b, 3))
+		fmt.Printf("  %-12v level=%d dist=%d\n", b, b.Level, x.Distance(a, b))
 	}
 	rev := 0
 	for _, b := range x.ReverseN(a) {

@@ -170,21 +170,13 @@ func EmbedXTreeContext(ctx context.Context, t *bintree.Tree, opts Options) (*Res
 	return res, nil
 }
 
-// xtreeHost adapts an X-tree to the metrics.Host interface via heap ids.
-type xtreeHost struct{ x *xtree.XTree }
-
-func (h xtreeHost) NumVertices() int64 { return h.x.NumVertices() }
-func (h xtreeHost) Distance(u, v int64) int {
-	return h.x.Distance(bitstr.FromID(u), bitstr.FromID(v))
-}
-
 // Embedding adapts the result for the metrics package.
 func (res *Result) Embedding() *metrics.Embedding {
 	m := make([]int64, len(res.Assignment))
 	for i, a := range res.Assignment {
 		m[i] = a.ID()
 	}
-	return &metrics.Embedding{Guest: res.Guest, Host: xtreeHost{res.Host}, Map: m}
+	return &metrics.Embedding{Guest: res.Guest, Host: metrics.XTreeHost{X: res.Host}, Map: m}
 }
 
 // Dilation measures the exact dilation of the result (sharded over the

@@ -75,7 +75,7 @@ func (res *InjectiveResult) Embedding() *metrics.Embedding {
 	for i, a := range res.Assignment {
 		m[i] = a.ID()
 	}
-	return &metrics.Embedding{Guest: res.Guest, Host: xtreeHost{res.Host}, Map: m}
+	return &metrics.Embedding{Guest: res.Guest, Host: metrics.XTreeHost{X: res.Host}, Map: m}
 }
 
 // HypercubeResult is an embedding into a hypercube (Theorem 3).
@@ -115,21 +115,13 @@ func embedHypercube(res *Result) *HypercubeResult {
 	return &HypercubeResult{Guest: res.Guest, Host: host, Assignment: out}
 }
 
-// hcHost adapts a hypercube to the metrics.Host interface.
-type hcHost struct{ h *hypercube.Hypercube }
-
-func (h hcHost) NumVertices() int64 { return h.h.NumVertices() }
-func (h hcHost) Distance(u, v int64) int {
-	return h.h.Distance(uint64(u), uint64(v))
-}
-
 // Embedding adapts the hypercube result for the metrics package.
 func (res *HypercubeResult) Embedding() *metrics.Embedding {
 	m := make([]int64, len(res.Assignment))
 	for i, a := range res.Assignment {
 		m[i] = int64(a)
 	}
-	return &metrics.Embedding{Guest: res.Guest, Host: hcHost{res.Host}, Map: m}
+	return &metrics.Embedding{Guest: res.Guest, Host: metrics.HypercubeHost{H: res.Host}, Map: m}
 }
 
 // InjectiveHypercube is the corollary after Theorem 3: compose Theorem 2's

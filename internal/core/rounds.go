@@ -576,10 +576,9 @@ func (e *embedder) findSlotFor(v int32) (bitstr.Addr, bool) {
 		if !ok {
 			continue
 		}
-		d := e.x.DistanceWithin(base, h, 3)
-		if d < 0 {
-			d = 4
-		}
+		// Candidates come from N(base) and its reverse, so d ≤ 3
+		// (Figure 2).
+		d := e.x.Distance(base, h)
 		if d < bestDist || (d == bestDist && h.Level > best.Level) {
 			best, bestDist = h, d
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -192,6 +193,7 @@ func TestDerivedTheorems(t *testing.T) {
 	defer e.Close()
 	tr := mustGen(t, bintree.FamilyCaterpillar, 496, 3)
 	items := e.EmbedBatch(context.Background(), []*bintree.Tree{tr, relabel(t, tr, 9)})
+	computed := 0
 	for i, it := range items {
 		if it.Err != nil {
 			t.Fatal(it.Err)
@@ -205,25 +207,40 @@ func TestDerivedTheorems(t *testing.T) {
 		if d := it.Hypercube.Embedding().Dilation(); d > 4 {
 			t.Errorf("item %d: hypercube dilation %d > 4", i, d)
 		}
+		if !it.CacheHit && !it.Coalesced {
+			computed++
+		}
 	}
-	if !items[1].CacheHit {
-		t.Error("isomorphic derivation did not reuse the cache")
+	// With several workers either tree may compute first, and the other
+	// is a cache hit or a coalesced wait depending on timing: pin only
+	// that the isomorphic pair cost exactly one compute.
+	s := e.Stats()
+	if computed != 1 || s.Misses != 1 || s.Hits+s.Coalesced != 1 {
+		t.Errorf("isomorphic derivation did not reuse the first compute: %d items computed, stats %+v", computed, s)
 	}
 }
 
 func TestCancellationMidBatch(t *testing.T) {
 	before := runtime.NumGoroutine()
-	e := New(Config{Workers: 1, CacheSize: -1})
+	// Cancel from inside the first compute rather than on a timer, which
+	// a fast machine loses to the whole batch: the single worker finishes
+	// the item it holds, and every later item must report ctx.Err().
 	ctx, cancel := context.WithCancel(context.Background())
+	orig := embedXTree
+	var calls atomic.Int64
+	embedXTree = func(ctx context.Context, tr *bintree.Tree, opts core.Options) (*core.Result, error) {
+		if calls.Add(1) == 1 {
+			cancel()
+		}
+		return orig(ctx, tr, opts)
+	}
+	defer func() { embedXTree = orig }()
+	e := New(Config{Workers: 1, CacheSize: -1})
 	const batch = 24
 	trees := make([]*bintree.Tree, batch)
 	for i := range trees {
 		trees[i] = mustGen(t, bintree.FamilyRandom, 1008, int64(i))
 	}
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
 	items := e.EmbedBatch(ctx, trees)
 	cancelled := 0
 	for i, it := range items {
@@ -238,8 +255,8 @@ func TestCancellationMidBatch(t *testing.T) {
 			t.Fatalf("item %d: unexpected error %v", i, it.Err)
 		}
 	}
-	if cancelled == 0 {
-		t.Error("cancellation reported no ctx.Err() items (batch finished too fast?)")
+	if items[0].Err != nil || cancelled != batch-1 {
+		t.Errorf("first item err %v, %d of the %d later items cancelled", items[0].Err, cancelled, batch-1)
 	}
 	e.Close()
 	for range e.Results() {

@@ -8,6 +8,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -23,6 +24,23 @@ func New(n int) *Graph {
 		panic("graph: negative vertex count")
 	}
 	return &Graph{adj: make([][]int32, n)}
+}
+
+// NewSized returns an empty graph with len(degree) vertices whose adjacency
+// lists have room for degree[u] neighbors, carved from one allocation.  A
+// construction that knows its final degrees then appends without regrowing;
+// a list that outgrows its room is reallocated on its own.
+func NewSized(degree []int) *Graph {
+	total := 0
+	for _, d := range degree {
+		total += d
+	}
+	g := New(len(degree))
+	buf := make([]int32, total)
+	for u, d := range degree {
+		g.adj[u], buf = buf[:0:d], buf[d:]
+	}
+	return g
 }
 
 // N returns the number of vertices.
@@ -58,6 +76,15 @@ func (g *Graph) AddEdge(u, v int) bool {
 	g.adj[v] = append(g.adj[v], int32(u))
 	g.m++
 	return true
+}
+
+// AddNewEdge inserts {u,v} without AddEdge's duplicate scan.  The caller
+// guarantees that u ≠ v and that the edge is not present yet, which lets a
+// construction that enumerates every edge once stay linear in the edges.
+func (g *Graph) AddNewEdge(u, v int) {
+	g.adj[u] = append(g.adj[u], int32(v))
+	g.adj[v] = append(g.adj[v], int32(u))
+	g.m++
 }
 
 // Neighbors returns the adjacency list of u.  The returned slice is owned by
@@ -306,9 +333,8 @@ func (g *Graph) Clone() *Graph {
 // SortAdjacency sorts every adjacency list in ascending vertex order, which
 // makes iteration deterministic for tests and DOT output.
 func (g *Graph) SortAdjacency() {
-	for u := range g.adj {
-		a := g.adj[u]
-		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
+	for _, a := range g.adj {
+		slices.Sort(a)
 	}
 }
 

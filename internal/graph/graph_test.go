@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -42,6 +43,27 @@ func TestAddEdgeDedup(t *testing.T) {
 	}
 	if g.HasEdge(0, 2) {
 		t.Error("HasEdge(0,2) true")
+	}
+}
+
+// TestNewSizedAddNewEdge builds a triangle plus a pendant vertex on lists
+// sized one short for vertex 1: the overflowing list must reallocate on
+// its own instead of writing into its neighbor's room.
+func TestNewSizedAddNewEdge(t *testing.T) {
+	g := NewSized([]int{2, 2, 2, 1})
+	g.AddNewEdge(0, 1)
+	g.AddNewEdge(1, 2)
+	g.AddNewEdge(2, 0)
+	g.AddNewEdge(1, 3)
+	g.SortAdjacency()
+	want := [][]int32{{1, 2}, {0, 2, 3}, {0, 1}, {1}}
+	for u, w := range want {
+		if got := g.Neighbors(u); !slices.Equal(got, w) {
+			t.Errorf("Neighbors(%d) = %v, want %v", u, got, w)
+		}
+	}
+	if g.M() != 4 {
+		t.Errorf("M = %d, want 4", g.M())
 	}
 }
 

@@ -58,7 +58,8 @@ type Config struct {
 	MaxCycles int     // safety cap; 0 means 1<<20
 	// NextHop, when non-nil, replaces the precomputed routing tables:
 	// it must return a neighbor of cur strictly closer to dst.  With a
-	// topology-aware router (e.g. xtree.Router) this lifts the
+	// table-free router (e.g. XTree.NextHopID, which computes each hop
+	// from the closed-form X-tree distance) this lifts the
 	// MaxHostVertices cap, which only bounds the V² table memory.
 	NextHop func(cur, dst int32) int32
 	// Faults, when non-nil and active, injects deterministic failures

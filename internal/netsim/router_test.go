@@ -23,6 +23,11 @@ func xtreePlaceAndHost(t *testing.T, tr *bintree.Tree) (*core.Result, []int32) {
 	return res, place
 }
 
+// xtreeNextHop routes on the X-tree's closed-form distance, with no tables.
+func xtreeNextHop(x *xtree.XTree) func(cur, dst int32) int32 {
+	return func(cur, dst int32) int32 { return int32(x.NextHopID(int64(cur), int64(dst))) }
+}
+
 // TestRoutedRunMatchesTableRunDeliveries checks that the topology-aware
 // router produces a complete, correct run: same deliveries and a makespan
 // within the same ballpark (paths are equal length, only tie-breaking can
@@ -36,14 +41,11 @@ func TestRoutedRunMatchesTableRunDeliveries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	router := xtree.NewRouter(res.Host)
 	wlB := NewDivideConquer(tr, 2)
 	routed, err := Run(Config{
-		Host:  hostG,
-		Place: place,
-		NextHop: func(cur, dst int32) int32 {
-			return int32(router.NextHopID(int64(cur), int64(dst)))
-		},
+		Host:    hostG,
+		Place:   place,
+		NextHop: xtreeNextHop(res.Host),
 	}, wlB)
 	if err != nil {
 		t.Fatal(err)
@@ -84,13 +86,10 @@ func TestRoutedRunBeyondTableCap(t *testing.T) {
 	if _, err := Run(Config{Host: hostG, Place: place}, NewBroadcast(tr)); err == nil {
 		t.Fatal("table-routed run beyond the cap accepted")
 	}
-	router := xtree.NewRouter(res.Host)
 	resSim, err := Run(Config{
-		Host:  hostG,
-		Place: place,
-		NextHop: func(cur, dst int32) int32 {
-			return int32(router.NextHopID(int64(cur), int64(dst)))
-		},
+		Host:    hostG,
+		Place:   place,
+		NextHop: xtreeNextHop(res.Host),
 	}, NewBroadcast(tr))
 	if err != nil {
 		t.Fatal(err)

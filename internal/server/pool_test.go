@@ -82,7 +82,9 @@ func TestSecondaryProfileCapacityBudget(t *testing.T) {
 // TestStrictBatchSingleCompute is the acceptance criterion: a strict
 // batch of 16 isomorphic trees performs exactly one compute — the other
 // 15 are answered by the strict profile's cache or coalescer, where the
-// old code recomputed all 16.
+// old code recomputed all 16.  How the 15 split between cache hits and
+// coalesced waits depends on how many workers race for the first tree,
+// so only the sum is pinned.
 func TestStrictBatchSingleCompute(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	resp, data := postJSON(t, ts.URL+"/v1/embed", EmbedRequest{
@@ -92,7 +94,7 @@ func TestStrictBatchSingleCompute(t *testing.T) {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
 	er := decodeEmbed(t, data)
-	hits := 0
+	hits := int64(0)
 	for _, it := range er.Items {
 		if it.Error != "" {
 			t.Fatalf("item %d errored: %s", it.Index, it.Error)
@@ -100,9 +102,6 @@ func TestStrictBatchSingleCompute(t *testing.T) {
 		if it.CacheHit {
 			hits++
 		}
-	}
-	if hits != 15 {
-		t.Errorf("cache answered %d of the batch, want 15 of 16", hits)
 	}
 	var strict *ProfileStat
 	for _, ps := range s.ProfileStats() {
@@ -119,6 +118,9 @@ func TestStrictBatchSingleCompute(t *testing.T) {
 	}
 	if got := strict.Stats.Hits + strict.Stats.Coalesced; got != 15 {
 		t.Errorf("strict profile hits+coalesced = %d, want 15", got)
+	}
+	if hits != strict.Stats.Hits {
+		t.Errorf("%d items carry cache_hit, the strict profile counted %d hits", hits, strict.Stats.Hits)
 	}
 }
 

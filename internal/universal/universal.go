@@ -42,26 +42,46 @@ type Graph struct {
 // n = 16·(2^(r+1)−1) slot-vertices.
 func NewForHeight(r int) *Graph {
 	x := xtree.New(r)
-	nv := x.NumVertices()
-	g := graph.New(int(nv) * SlotsPerVertex)
+	// Every slot of a is adjacent to its 15 siblings and to all 16 slots
+	// of each vertex related to a in either direction.
+	degree := make([]int, int(x.NumVertices())*SlotsPerVertex)
+	var nset, rev []bitstr.Addr
 	x.Vertices(func(a bitstr.Addr) bool {
-		aID := int(a.ID())
+		nset = x.AppendNSet(a, nset[:0])
+		rev = x.AppendReverseN(a, rev[:0])
+		related := len(nset) - 1
+		for _, b := range rev {
+			if !x.InN(a, b) {
+				related++
+			}
+		}
+		aSlot := int(a.ID()) * SlotsPerVertex
+		for s := 0; s < SlotsPerVertex; s++ {
+			degree[aSlot+s] = SlotsPerVertex - 1 + SlotsPerVertex*related
+		}
+		return true
+	})
+	g := graph.NewSized(degree)
+	x.Vertices(func(a bitstr.Addr) bool {
+		aSlot := int(a.ID()) * SlotsPerVertex
 		// Sibling slots on the same vertex form a clique (15 edges
 		// per slot).
 		for s := 0; s < SlotsPerVertex; s++ {
 			for q := s + 1; q < SlotsPerVertex; q++ {
-				g.AddEdge(aID*SlotsPerVertex+s, aID*SlotsPerVertex+q)
+				g.AddNewEdge(aSlot+s, aSlot+q)
 			}
 		}
-		// All slots of all N(a) members (a excluded: already handled).
-		for _, b := range x.NSet(a) {
-			if b == a {
+		// All slots of all N(a) members.  A pair related both ways is
+		// added once, from the side with the smaller id.
+		nset = x.AppendNSet(a, nset[:0])
+		for _, b := range nset {
+			if b == a || (x.InN(b, a) && b.ID() < a.ID()) {
 				continue
 			}
-			bID := int(b.ID())
+			bSlot := int(b.ID()) * SlotsPerVertex
 			for s := 0; s < SlotsPerVertex; s++ {
 				for q := 0; q < SlotsPerVertex; q++ {
-					g.AddEdge(aID*SlotsPerVertex+s, bID*SlotsPerVertex+q)
+					g.AddNewEdge(aSlot+s, bSlot+q)
 				}
 			}
 		}

@@ -1,11 +1,15 @@
 package universal
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"xtreesim/internal/bintree"
 	"xtreesim/internal/bitstr"
+	"xtreesim/internal/graph"
+	"xtreesim/internal/xtree"
 )
 
 func TestNewForNodes(t *testing.T) {
@@ -109,5 +113,65 @@ func TestVertexID(t *testing.T) {
 	id := u.VertexID(a, 7)
 	if id != int(a.ID())*16+7 {
 		t.Errorf("VertexID = %d", id)
+	}
+}
+
+// addEdgeConstruction builds G_n the direct way: every N-related slot pair
+// through the deduplicating graph.AddEdge.  It is quadratic in the degree
+// and serves as the oracle for NewForHeight.
+func addEdgeConstruction(r int) *graph.Graph {
+	x := xtree.New(r)
+	g := graph.New(int(x.NumVertices()) * SlotsPerVertex)
+	x.Vertices(func(a bitstr.Addr) bool {
+		aID := int(a.ID())
+		for s := 0; s < SlotsPerVertex; s++ {
+			for q := s + 1; q < SlotsPerVertex; q++ {
+				g.AddEdge(aID*SlotsPerVertex+s, aID*SlotsPerVertex+q)
+			}
+		}
+		for _, b := range x.NSet(a) {
+			bID := int(b.ID())
+			for s := 0; s < SlotsPerVertex; s++ {
+				for q := 0; q < SlotsPerVertex; q++ {
+					g.AddEdge(aID*SlotsPerVertex+s, bID*SlotsPerVertex+q)
+				}
+			}
+		}
+		return true
+	})
+	g.SortAdjacency()
+	return g
+}
+
+// TestNewForHeightMatchesAddEdge checks that the once-per-pair
+// construction yields exactly the G_r of the AddEdge construction, edge
+// for edge and in the same adjacency order.
+func TestNewForHeightMatchesAddEdge(t *testing.T) {
+	for r := 0; r <= 7; r++ {
+		got, want := NewForHeight(r).G, addEdgeConstruction(r)
+		if got.N() != want.N() || got.M() != want.M() {
+			t.Fatalf("r=%d: n=%d m=%d, AddEdge construction n=%d m=%d", r, got.N(), got.M(), want.N(), want.M())
+		}
+		for u := 0; u < want.N(); u++ {
+			nb := got.Neighbors(u)
+			if !slices.Equal(nb, want.Neighbors(u)) {
+				t.Fatalf("r=%d: adjacency of slot %d differs", r, u)
+			}
+			// The predicted degree sized the list exactly.
+			if cap(nb) != len(nb) {
+				t.Fatalf("r=%d: slot %d has degree %d but was sized for %d", r, u, len(nb), cap(nb))
+			}
+		}
+	}
+}
+
+func BenchmarkNewForHeight(b *testing.B) {
+	for _, r := range []int{5, 7} {
+		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				NewForHeight(r)
+			}
+		})
 	}
 }

@@ -1,10 +1,6 @@
 package xtree
 
-import (
-	"sync"
-
-	"xtreesim/internal/bitstr"
-)
+import "xtreesim/internal/bitstr"
 
 // NextHop returns the neighbor of cur that lies on a shortest path to dst
 // (cur must differ from dst).  Ties break deterministically by the
@@ -27,6 +23,13 @@ func (x *XTree) NextHop(cur, dst bitstr.Addr) bitstr.Addr {
 	return best
 }
 
+// NextHopID is NextHop in dense vertex ids (bitstr heap numbering), the
+// shape of a netsim next-hop function.  It keeps no state, so it is safe
+// for concurrent use.
+func (x *XTree) NextHopID(cur, dst int64) int64 {
+	return x.NextHop(bitstr.FromID(cur), bitstr.FromID(dst)).ID()
+}
+
 // Route returns a shortest path from a to b, inclusive.
 func (x *XTree) Route(a, b bitstr.Addr) []bitstr.Addr {
 	path := []bitstr.Addr{a}
@@ -35,34 +38,4 @@ func (x *XTree) Route(a, b bitstr.Addr) []bitstr.Addr {
 		path = append(path, cur)
 	}
 	return path
-}
-
-// Router is a concurrency-safe memoizing wrapper around NextHop, suitable
-// as a netsim next-hop function: repeated (cur,dst) queries — the common
-// case in a simulation — hit the cache.
-type Router struct {
-	x    *XTree
-	mu   sync.RWMutex
-	memo map[[2]int64]int64
-}
-
-// NewRouter builds a router for the X-tree.
-func NewRouter(x *XTree) *Router {
-	return &Router{x: x, memo: make(map[[2]int64]int64)}
-}
-
-// NextHopID answers in dense vertex ids (bitstr heap numbering).
-func (r *Router) NextHopID(cur, dst int64) int64 {
-	key := [2]int64{cur, dst}
-	r.mu.RLock()
-	nh, ok := r.memo[key]
-	r.mu.RUnlock()
-	if ok {
-		return nh
-	}
-	nh = r.x.NextHop(bitstr.FromID(cur), bitstr.FromID(dst)).ID()
-	r.mu.Lock()
-	r.memo[key] = nh
-	r.mu.Unlock()
-	return nh
 }

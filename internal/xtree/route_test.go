@@ -1,6 +1,7 @@
 package xtree
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -42,15 +43,16 @@ func TestRouteTrivial(t *testing.T) {
 	}
 }
 
-func TestRouterMemoization(t *testing.T) {
+func TestNextHopIDStepsCloser(t *testing.T) {
 	x := New(8)
-	r := NewRouter(x)
 	a := bitstr.MustParse("00000000").ID()
 	b := bitstr.MustParse("11111111").ID()
-	first := r.NextHopID(a, b)
-	second := r.NextHopID(a, b)
-	if first != second {
-		t.Fatal("router not deterministic")
+	first := x.NextHopID(a, b)
+	if second := x.NextHopID(a, b); first != second {
+		t.Fatal("NextHopID not deterministic")
+	}
+	if first != x.NextHop(bitstr.FromID(a), bitstr.FromID(b)).ID() {
+		t.Fatal("NextHopID disagrees with NextHop")
 	}
 	// The hop must reduce the distance.
 	da := x.Distance(bitstr.FromID(a), bitstr.FromID(b))
@@ -60,27 +62,34 @@ func TestRouterMemoization(t *testing.T) {
 	}
 }
 
+// TestRouterConcurrentUse runs the stateless NextHopID from several
+// goroutines (under -race this also proves it shares no state) and checks
+// every answer against a serial run.
 func TestRouterConcurrentUse(t *testing.T) {
 	x := New(9)
-	r := NewRouter(x)
 	n := x.NumVertices()
 	rng := rand.New(rand.NewSource(102))
 	pairs := make([][2]int64, 200)
+	want := make([]int64, len(pairs))
 	for i := range pairs {
 		pairs[i] = [2]int64{rng.Int63n(n), rng.Int63n(n)}
+		want[i] = x.NextHopID(pairs[i][0], pairs[i][1])
 	}
-	done := make(chan bool)
+	errs := make(chan error, 8)
 	for w := 0; w < 8; w++ {
 		go func() {
-			for _, p := range pairs {
-				if p[0] != p[1] {
-					r.NextHopID(p[0], p[1])
+			for i, p := range pairs {
+				if got := x.NextHopID(p[0], p[1]); got != want[i] {
+					errs <- fmt.Errorf("NextHopID(%d,%d) = %d concurrently, %d serially", p[0], p[1], got, want[i])
+					return
 				}
 			}
-			done <- true
+			errs <- nil
 		}()
 	}
 	for w := 0; w < 8; w++ {
-		<-done
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }

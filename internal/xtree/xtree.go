@@ -8,7 +8,7 @@
 // consecutive vertices on each level (Figure 1 of the paper).
 //
 // The package exposes the adjacency implicitly (so X(40) is as cheap as
-// X(4)), exact distance queries via bidirectional search, the neighborhood
+// X(4)), exact distance queries in closed form, the neighborhood
 // sets N(a) of Figure 2 that certify dilation 3, and materialization as a
 // generic graph for small heights.
 package xtree
@@ -91,98 +91,39 @@ func (x *XTree) Degree(a bitstr.Addr) int {
 	return len(x.Neighbors(a, nil))
 }
 
-// Distance returns the exact shortest-path distance between a and b, using a
-// bidirectional breadth-first search over the implicit adjacency.  X-tree
-// distances are O(log of the index gap), so the searched balls stay small.
+// Distance returns the exact shortest-path distance between a and b.  It
+// panics if either vertex lies outside the tree.
+//
+// A shortest X-tree path climbs from both endpoints to some level k, walks
+// horizontally there, and never dips below that level on the way: a valley
+// of depth m costs 2m and its lower-level gap is at least the upper one,
+// and a sideways step taken below the peak can be lifted to the peak at no
+// extra cost.  Hence, with a_k = a.Index >> (|a|−k) the ancestor of a on
+// level k,
+//
+//	d(a,b) = min over k ≤ min(|a|,|b|) of (|a|−k) + (|b|−k) + |a_k − b_k|.
+//
+// The scan starts at the shallower endpoint's level and climbs until the
+// up-moves alone reach the best total, so it takes O(log of the index gap)
+// steps and allocates nothing.
 func (x *XTree) Distance(a, b bitstr.Addr) int {
-	if a == b {
-		return 0
+	if !x.Contains(a) || !x.Contains(b) {
+		panic(fmt.Sprintf("xtree: distance %v–%v outside X(%d)", a, b, x.height))
 	}
-	distA := map[bitstr.Addr]int{a: 0}
-	distB := map[bitstr.Addr]int{b: 0}
-	frontA := []bitstr.Addr{a}
-	frontB := []bitstr.Addr{b}
-	var buf []bitstr.Addr
-	best := -1
-	for depth := 1; len(frontA) > 0 || len(frontB) > 0; depth++ {
-		// Expand the smaller frontier.
-		front, dist, other := &frontA, distA, distB
-		if len(frontB) > 0 && (len(frontA) == 0 || len(frontB) < len(frontA)) {
-			front, dist, other = &frontB, distB, distA
+	k := min(a.Level, b.Level)
+	ai, bi := a.Index>>uint(a.Level-k), b.Index>>uint(b.Level-k)
+	best := a.Level + b.Level // k = 0: up to the root, where the gap is 0
+	for up := best - 2*k; up < best; up += 2 {
+		gap := ai - bi
+		if bi > ai {
+			gap = bi - ai
 		}
-		var next []bitstr.Addr
-		for _, u := range *front {
-			du := dist[u]
-			buf = x.Neighbors(u, buf[:0])
-			for _, v := range buf {
-				if _, seen := dist[v]; seen {
-					continue
-				}
-				if dv, meet := other[v]; meet {
-					if d := du + 1 + dv; best < 0 || d < best {
-						best = d
-					}
-					continue
-				}
-				dist[v] = du + 1
-				next = append(next, v)
-			}
+		if gap < uint64(best-up) {
+			best = up + int(gap)
 		}
-		*front = next
-		if best >= 0 {
-			// The first meeting depth can overshoot by one layer;
-			// one extra expansion round settles it.  Since both
-			// dist maps only grow by one level per round, once
-			// best <= (max depth of both searches) no shorter
-			// path can appear.
-			da, db := 0, 0
-			for _, d := range distA {
-				if d > da {
-					da = d
-				}
-			}
-			for _, d := range distB {
-				if d > db {
-					db = d
-				}
-			}
-			if best <= da+db {
-				return best
-			}
-		}
+		ai, bi = ai>>1, bi>>1
 	}
 	return best
-}
-
-// DistanceWithin returns the distance between a and b when it is at most
-// radius, and -1 otherwise.  Only the radius-ball around a is explored,
-// which keeps dilation checks O(5^radius) independent of the tree height.
-func (x *XTree) DistanceWithin(a, b bitstr.Addr, radius int) int {
-	if a == b {
-		return 0
-	}
-	dist := map[bitstr.Addr]int{a: 0}
-	queue := []bitstr.Addr{a}
-	var buf []bitstr.Addr
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		du := dist[u]
-		if du >= radius {
-			continue
-		}
-		buf = x.Neighbors(u, buf[:0])
-		for _, v := range buf {
-			if _, seen := dist[v]; !seen {
-				if v == b {
-					return du + 1
-				}
-				dist[v] = du + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return -1
 }
 
 // AsGraph materializes the X-tree as a generic graph whose vertex ids are

@@ -94,38 +94,152 @@ func TestNeighborsMatchGraph(t *testing.T) {
 	})
 }
 
+// bfsDistance is the bidirectional breadth-first search that Distance used
+// before its closed form, kept as an independent oracle for the tests.
+func bfsDistance(x *XTree, a, b bitstr.Addr) int {
+	if a == b {
+		return 0
+	}
+	distA := map[bitstr.Addr]int{a: 0}
+	distB := map[bitstr.Addr]int{b: 0}
+	frontA := []bitstr.Addr{a}
+	frontB := []bitstr.Addr{b}
+	var buf []bitstr.Addr
+	best := -1
+	for len(frontA) > 0 || len(frontB) > 0 {
+		// Expand the smaller frontier.
+		front, dist, other := &frontA, distA, distB
+		if len(frontB) > 0 && (len(frontA) == 0 || len(frontB) < len(frontA)) {
+			front, dist, other = &frontB, distB, distA
+		}
+		var next []bitstr.Addr
+		for _, u := range *front {
+			du := dist[u]
+			buf = x.Neighbors(u, buf[:0])
+			for _, v := range buf {
+				if _, seen := dist[v]; seen {
+					continue
+				}
+				if dv, meet := other[v]; meet {
+					if d := du + 1 + dv; best < 0 || d < best {
+						best = d
+					}
+					continue
+				}
+				dist[v] = du + 1
+				next = append(next, v)
+			}
+		}
+		*front = next
+		if best >= 0 {
+			// The first meeting can overshoot by one layer; once best
+			// is at most the sum of both search depths no shorter path
+			// can appear.
+			da, db := 0, 0
+			for _, d := range distA {
+				da = max(da, d)
+			}
+			for _, d := range distB {
+				db = max(db, d)
+			}
+			if best <= da+db {
+				return best
+			}
+		}
+	}
+	return best
+}
+
+// TestDistanceAgainstBFS checks the closed form against breadth-first
+// search on every vertex pair of X(h) for h ≤ 10.
 func TestDistanceAgainstBFS(t *testing.T) {
-	x := New(5)
-	g := x.AsGraph()
-	n := int(x.NumVertices())
-	r := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 300; trial++ {
-		u := bitstr.FromID(int64(r.Intn(n)))
-		v := bitstr.FromID(int64(r.Intn(n)))
-		want := g.Distance(int(u.ID()), int(v.ID()))
-		if got := x.Distance(u, v); got != want {
-			t.Fatalf("Distance(%v,%v) = %d, want %d", u, v, got, want)
+	for h := 0; h <= 10; h++ {
+		x := New(h)
+		g := x.AsGraph()
+		n := int(x.NumVertices())
+		for u := 0; u < n; u++ {
+			a := bitstr.FromID(int64(u))
+			for v, want := range g.BFSFrom(u) {
+				if got := x.Distance(a, bitstr.FromID(int64(v))); got != want {
+					t.Fatalf("X(%d): Distance(%v,%v) = %d, BFS %d", h, a, bitstr.FromID(int64(v)), got, want)
+				}
+			}
 		}
 	}
 }
 
-func TestDistanceWithin(t *testing.T) {
-	x := New(6)
-	g := x.AsGraph()
-	r := rand.New(rand.NewSource(12))
-	n := int(x.NumVertices())
-	for trial := 0; trial < 200; trial++ {
-		u := bitstr.FromID(int64(r.Intn(n)))
-		v := bitstr.FromID(int64(r.Intn(n)))
-		radius := r.Intn(5)
-		want := g.Distance(int(u.ID()), int(v.ID()))
-		if want > radius {
-			want = -1
-		}
-		if got := x.DistanceWithin(u, v, radius); got != want {
-			t.Fatalf("DistanceWithin(%v,%v,%d) = %d, want %d", u, v, radius, got, want)
+// TestDistanceNearPairsDeepTrees checks pairs within a few hops of each
+// other, at every height up to bitstr.MaxLevel, against the breadth-first
+// oracle.  These are the pairs the dilation metrics and the embedder ask
+// about: Theorem 1 keeps every guest edge within distance 3.
+func TestDistanceNearPairsDeepTrees(t *testing.T) {
+	r := rand.New(rand.NewSource(15))
+	for h := 1; h <= bitstr.MaxLevel; h++ {
+		x := New(h)
+		for trial := 0; trial < 8; trial++ {
+			level := r.Intn(h + 1)
+			// Bias toward the level borders, where successors and
+			// predecessors run out.
+			var idx uint64
+			switch width := uint64(1) << uint(level); trial % 4 {
+			case 0:
+				idx = uint64(r.Intn(4)) % width
+			case 1:
+				idx = width - 1 - uint64(r.Intn(4))%width
+			default:
+				idx = r.Uint64() % width
+			}
+			a := bitstr.Addr{Level: level, Index: idx}
+			near := append(x.NSet(a), x.ReverseN(a)...)
+			// Walk a few random steps for pairs outside the N-relation.
+			b := a
+			for step := 0; step < 6; step++ {
+				nb := x.Neighbors(b, nil)
+				b = nb[r.Intn(len(nb))]
+				near = append(near, b)
+			}
+			for _, b := range near {
+				if got, want := x.Distance(a, b), bfsDistance(x, a, b); got != want {
+					t.Fatalf("X(%d): Distance(%v,%v) = %d, BFS %d", h, a, b, got, want)
+				}
+				if got := x.Distance(b, a); got != x.Distance(a, b) {
+					t.Fatalf("X(%d): Distance not symmetric on %v,%v", h, a, b)
+				}
+			}
 		}
 	}
+}
+
+// TestDistanceRandomPairs checks uniformly random, mostly far-apart pairs
+// of X(14) against the breadth-first oracle.
+func TestDistanceRandomPairs(t *testing.T) {
+	x := New(14)
+	n := x.NumVertices()
+	r := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 200; trial++ {
+		a, b := bitstr.FromID(r.Int63n(n)), bitstr.FromID(r.Int63n(n))
+		if got, want := x.Distance(a, b), bfsDistance(x, a, b); got != want {
+			t.Fatalf("Distance(%v,%v) = %d, BFS %d", a, b, got, want)
+		}
+	}
+}
+
+func TestDistanceAllocs(t *testing.T) {
+	x := New(30)
+	a := bitstr.MustParse("010110100101101001011010011011")
+	b := bitstr.MustParse("1")
+	if allocs := testing.AllocsPerRun(100, func() { x.Distance(a, b) }); allocs != 0 {
+		t.Errorf("Distance allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+func TestDistanceOutsideTreePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("Distance accepted a vertex below the deepest level")
+		}
+	}()
+	New(3).Distance(bitstr.Root(), bitstr.MustParse("0101"))
 }
 
 func TestDistanceLargeTree(t *testing.T) {
@@ -306,7 +420,7 @@ func TestPropertyInNConsistency(t *testing.T) {
 			return false
 		}
 		// And everything in N(a) is within distance 3.
-		if in && x.DistanceWithin(a, b, 3) < 0 {
+		if in && x.Distance(a, b) > 3 {
 			return false
 		}
 		return true
