@@ -71,10 +71,10 @@ audit-smoke:
 serve:
 	$(GO) run ./cmd/xtree-serve -addr :8080
 
-# The serving acceptance gate (also the CI serve job): boots real
-# servers and checks health, Theorem 1 bounds over the wire, Prometheus
-# metrics, 429 + Retry-After at queue saturation, and a graceful
-# shutdown that drains every in-flight request.
+# The serving acceptance gate (also the CI serve job): boots a real
+# server and checks health, Theorem 1 bounds over the wire and the
+# Prometheus metrics.  Shedding and the graceful drain are checked by
+# the server tests (TestAdmissionSheddingHTTP, TestGracefulShutdownDrains).
 serve-smoke:
 	$(GO) run ./cmd/xtree-serve -smoke
 
@@ -82,7 +82,7 @@ serve-smoke:
 # sampled server, fires one /v1/simulate request, and validates the
 # /debug/trace JSONL export — one trace ID from the X-Trace-Id response
 # header covering the server root, engine phases, separator spans with
-# depth attributes, and simulator hops nested under the simulate span.
+# depth attributes, and a simulate span carrying the run's counters.
 trace-smoke:
 	$(GO) run ./cmd/xtree-serve -trace-smoke
 

@@ -18,21 +18,21 @@ func TestEmbedStrictAndInto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := xtreesim.EmbedStrict(tree)
+	res, err := xtreesim.Embed(tree, xtreesim.WithStrict())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := xtreesim.Verify(res); err != nil {
 		t.Fatal(err)
 	}
-	big, err := xtreesim.EmbedInto(tree, 7)
+	big, err := xtreesim.Embed(tree, xtreesim.WithHeight(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if big.Host.Height() != 7 {
 		t.Errorf("forced height = %d", big.Host.Height())
 	}
-	if _, err := xtreesim.EmbedInto(tree, 0); err == nil {
+	if _, err := xtreesim.Embed(tree, xtreesim.WithHeight(0)); err == nil {
 		t.Error("overfull forced host accepted")
 	}
 }
@@ -89,7 +89,10 @@ func TestPublicBFSPackAndSimulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := xtreesim.BaselineBFSPack(tree)
+	base, err := xtreesim.Baseline(tree, xtreesim.MethodBFSPack)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if base.Embedding().MaxLoad() != xtreesim.LoadTarget {
 		t.Error("bfs-pack load wrong")
 	}

@@ -11,6 +11,7 @@ import (
 
 	"xtreesim"
 
+	"xtreesim/internal/baseline"
 	"xtreesim/internal/bintree"
 )
 
@@ -53,69 +54,22 @@ func relabelIso(t testing.TB, tr *xtreesim.Tree, seed int64) *xtreesim.Tree {
 	return out
 }
 
-func sameAssignment(t *testing.T, a, b *xtreesim.Result) {
-	t.Helper()
-	if len(a.Assignment) != len(b.Assignment) {
-		t.Fatalf("assignment lengths differ: %d vs %d", len(a.Assignment), len(b.Assignment))
-	}
-	for v := range a.Assignment {
-		if a.Assignment[v] != b.Assignment[v] {
-			t.Fatalf("node %d: %v vs %v", v, a.Assignment[v], b.Assignment[v])
-		}
-	}
-}
-
-// TestOptionsMatchDeprecatedWrappers pins the redesign contract: the old
-// entry points are exactly the new options spelled differently.
-func TestOptionsMatchDeprecatedWrappers(t *testing.T) {
-	tree := genTree(t, xtreesim.FamilyRandom, 496, 11)
-
-	strictNew, err := xtreesim.Embed(tree, xtreesim.WithStrict())
-	if err != nil {
-		t.Fatal(err)
-	}
-	strictOld, err := xtreesim.EmbedStrict(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameAssignment(t, strictNew, strictOld)
-
-	intoNew, err := xtreesim.Embed(tree, xtreesim.WithHeight(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	intoOld, err := xtreesim.EmbedInto(tree, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if intoNew.Host.Height() != 7 {
-		t.Errorf("WithHeight host = X(%d)", intoNew.Host.Height())
-	}
-	sameAssignment(t, intoNew, intoOld)
-
-	plain, err := xtreesim.Embed(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := xtreesim.Verify(plain); err != nil {
-		t.Error(err)
-	}
-}
-
+// TestBaselineMethods pins Baseline's method and option wiring against
+// the internal/baseline constructors it dispatches to.
 func TestBaselineMethods(t *testing.T) {
 	tree := genTree(t, xtreesim.FamilyBST, 496, 6)
 
 	for _, tc := range []struct {
 		m    xtreesim.BaselineMethod
 		opts []xtreesim.BaselineOption
-		old  *xtreesim.BaselineResult
+		want *xtreesim.BaselineResult
 	}{
-		{xtreesim.MethodDFSPack, nil, xtreesim.BaselineDFSPack(tree)},
-		{xtreesim.MethodBFSPack, nil, xtreesim.BaselineBFSPack(tree)},
+		{xtreesim.MethodDFSPack, nil, baseline.DFSPack(tree)},
+		{xtreesim.MethodBFSPack, nil, baseline.BFSPack(tree)},
 		{xtreesim.MethodNaive, []xtreesim.BaselineOption{xtreesim.WithBaselineHeight(6)},
-			xtreesim.BaselineNaive(tree, 6)},
+			baseline.NaiveTree(tree, 6)},
 		{xtreesim.MethodRandom, []xtreesim.BaselineOption{xtreesim.WithBaselineSeed(9)},
-			xtreesim.BaselineRandom(tree, 9)},
+			baseline.RandomPack(tree, rand.New(rand.NewSource(9)))},
 	} {
 		got, err := xtreesim.Baseline(tree, tc.m, tc.opts...)
 		if err != nil {
@@ -124,12 +78,12 @@ func TestBaselineMethods(t *testing.T) {
 		if got.Name != tc.m.String() {
 			t.Errorf("%v: result named %q", tc.m, got.Name)
 		}
-		if len(got.Assignment) != len(tc.old.Assignment) {
+		if len(got.Assignment) != len(tc.want.Assignment) {
 			t.Fatalf("%v: assignment sizes differ", tc.m)
 		}
 		for v := range got.Assignment {
-			if got.Assignment[v] != tc.old.Assignment[v] {
-				t.Fatalf("%v: node %d differs from deprecated wrapper", tc.m, v)
+			if got.Assignment[v] != tc.want.Assignment[v] {
+				t.Fatalf("%v: node %d differs from internal/baseline", tc.m, v)
 			}
 		}
 	}

@@ -23,7 +23,7 @@ import (
 
 var (
 	serveBenchOut  = flag.String("serve-out", "BENCH_serve.json", "e18: write the serving benchmark JSON here ('' disables)")
-	serveBenchSeed = flag.Int64("serve-seed", 0, "e18: master seed for the loadgen request streams (0 = the fixed legacy streams)")
+	serveBenchSeed = flag.Int64("serve-seed", 0, "e18: master seed for the loadgen request streams (same seed, same requests)")
 )
 
 // serveBenchPoint is one row of the sweep, as recorded in BENCH_serve.json.

@@ -5,12 +5,14 @@ package main
 // breakdown the PR 5 observability work exists to expose.  One fully
 // sampled trace per host height covers algorithm X-TREE (host build,
 // ADJUST/SPLIT rounds with their Lemma 2 separator calls, the final
-// pass) and a broadcast run on the simulated machine; shares come from
-// the tracer's per-phase histograms, which survive ring overflow.
+// pass) and a broadcast run on the simulated machine, whose simulate
+// span carries the run's counters; shares come from the tracer's
+// per-phase histograms, which survive ring overflow.
 
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"xtreesim/internal/bintree"
 	"xtreesim/internal/core"
@@ -30,12 +32,12 @@ func phaseSeconds(phases map[string]*metrics.Histogram, name string) float64 {
 func fmtPct(frac float64) string { return fmt.Sprintf("%.1f%%", 100*frac) }
 
 func e19PhaseBreakdown() {
-	header("E19: traced phase breakdown of embed+simulate (random guests, broadcast workload)",
+	header(fmt.Sprintf("E19: traced phase breakdown of embed+simulate (random guests, broadcast workload, %d cores)", runtime.NumCPU()),
 		"r", "n", "host-build %", "rounds %", "final-pass %", "simulate %",
-		"separator % (within rounds)", "separator calls", "spans")
+		"separator % (within rounds)", "separator calls", "sim hops", "spans")
 	for r := 2; r <= 5; r++ {
 		n := int(core.Capacity(r))
-		tr := trace.New(trace.Config{SampleRate: 1, RingSize: 1 << 18})
+		tr := trace.New(trace.Config{SampleRate: 1})
 		ctx, root := tr.Root(context.Background(), "e19")
 
 		tree, err := bintree.Generate(bintree.FamilyRandom, n, rng(int64(r)))
@@ -48,15 +50,26 @@ func e19PhaseBreakdown() {
 		for v, a := range res.Assignment {
 			place[v] = int32(a.ID())
 		}
-		cfg := netsim.Config{
-			Host:      res.Host.AsGraph(),
-			Place:     place,
-			Observers: []netsim.Observer{netsim.NewSpanObserver(sim)},
-		}
-		_, err = netsim.Run(cfg, netsim.NewBroadcast(tree))
+		simRes, err := netsim.Run(netsim.Config{Host: res.Host.AsGraph(), Place: place},
+			netsim.NewBroadcast(tree))
 		check(err)
-		sim.End()
+		sim.SetAttr("cycles", int64(simRes.Cycles)).
+			SetAttr("delivered", int64(simRes.Delivered)).
+			SetAttr("hops", int64(simRes.HopsTotal)).
+			End()
 		root.End()
+
+		// The hops column is read back from the exported simulate span,
+		// so the table shows what the trace itself carries.
+		var simHops int64
+		for _, sd := range tr.Spans() {
+			if sd.Name == "simulate" {
+				simHops, _ = sd.Attrs.Get("hops")
+			}
+		}
+		if simHops <= 0 {
+			check(fmt.Errorf("e19: r=%d: the simulate span carries no hop count", r))
+		}
 
 		phases := tr.PhaseHistograms()
 		hostBuild := phaseSeconds(phases, "embed.host-build")
@@ -82,6 +95,6 @@ func e19PhaseBreakdown() {
 			sepPct = fmtPct(sep / rounds)
 		}
 		row(r, n, pct(hostBuild), pct(rounds), pct(finalPass), pct(simulate),
-			sepPct, sepCalls, tr.Recorded())
+			sepPct, sepCalls, simHops, tr.Recorded())
 	}
 }

@@ -67,7 +67,7 @@ func main() {
 		treeN      = flag.Int("tree-n", 1008, "loadgen: guest tree size")
 		shapes     = flag.Int("shapes", 8, "loadgen: distinct tree shapes in the mix")
 		tagTraces  = flag.Bool("trace", false, "loadgen: tag every request with its own X-Trace-Id")
-		genSeed    = flag.Int64("seed", 0, "loadgen: master seed for the request streams (0 = the fixed legacy streams, for replaying historical runs)")
+		genSeed    = flag.Int64("seed", 0, "loadgen: master seed for the request streams (same seed, same requests)")
 		genHost    = flag.String("host", "", "loadgen: embed host type in the mix (xtree, hypercube, universal; '' = xtree)")
 		streamFrac = flag.Float64("stream-frac", 0, "loadgen: fraction of workers running drained stream=1 simulate sessions instead of embeds")
 

@@ -11,7 +11,7 @@ import (
 // `make serve-smoke` and the CI serve job use.
 func TestSmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("smoke boots three servers; skipped in -short")
+		t.Skip("smoke boots a server; skipped in -short")
 	}
 	if err := runSmoke(); err != nil {
 		t.Fatal(err)

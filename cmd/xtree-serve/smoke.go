@@ -1,11 +1,14 @@
 package main
 
 // smoke.go is the `-smoke` self-check behind `make serve-smoke` and the
-// CI serve job: it boots real servers on ephemeral ports and walks the
-// acceptance path end to end — health, a valid embed with the Theorem 1
-// bounds intact over the wire, non-empty Prometheus metrics, a saturated
-// admission queue answering 429 + Retry-After, and a graceful shutdown
-// that drains every in-flight request.  Any violation exits non-zero.
+// CI serve job: it boots a real server on an ephemeral port and walks
+// the serve path end to end — health, a valid embed with the Theorem 1
+// bounds intact over the wire, and non-empty Prometheus metrics.  Any
+// violation exits non-zero.  Load shedding and the graceful drain depend
+// on timing end to end, so the server tests check them instead:
+// TestAdmissionSheddingHTTP holds the admission slot itself and
+// TestGracefulShutdownDrains checks the drain against the server's own
+// request counter.
 
 import (
 	"bytes"
@@ -15,7 +18,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"xtreesim/internal/server"
@@ -24,12 +26,6 @@ import (
 func runSmoke() error {
 	if err := smokeServePath(); err != nil {
 		return fmt.Errorf("serve path: %w", err)
-	}
-	if err := smokeShedding(); err != nil {
-		return fmt.Errorf("load shedding: %w", err)
-	}
-	if err := smokeGracefulDrain(); err != nil {
-		return fmt.Errorf("graceful drain: %w", err)
 	}
 	return nil
 }
@@ -112,118 +108,6 @@ func smokeServePath() error {
 			return fmt.Errorf("metrics: missing %q", want)
 		}
 	}
-	return nil
-}
-
-// smokeShedding: one slot, no queue, a flood of concurrent embeds — the
-// overflow must shed with 429 and a Retry-After hint while at least one
-// request is served.
-func smokeShedding() error {
-	s := server.New(server.Config{MaxConcurrent: 1, MaxQueue: 0})
-	if err := s.Start(); err != nil {
-		return err
-	}
-	defer shutdown(s)
-	url := s.URL()
-
-	const flood = 16
-	var wg sync.WaitGroup
-	type outcome struct {
-		status     int
-		retryAfter string
-	}
-	outcomes := make(chan outcome, flood)
-	start := make(chan struct{})
-	for i := 0; i < flood; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Distinct seeds keep the requests from collapsing into one
-			// cache entry (or one coalesced compute), and the start
-			// barrier makes them hit the single admission slot together:
-			// without both, a fast embedder drains the flood one by one
-			// and nothing sheds.
-			raw, _ := json.Marshal(server.EmbedRequest{
-				Tree: &server.TreeSpec{Family: "random", N: 8000, Seed: server.Seed(int64(i) + 1)},
-			})
-			<-start
-			resp, err := http.Post(url+"/v1/embed", "application/json", bytes.NewReader(raw))
-			if err != nil {
-				outcomes <- outcome{status: -1}
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			outcomes <- outcome{resp.StatusCode, resp.Header.Get("Retry-After")}
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-	close(outcomes)
-	var ok, shed int
-	for o := range outcomes {
-		switch o.status {
-		case 200:
-			ok++
-		case 429:
-			shed++
-			if o.retryAfter == "" {
-				return fmt.Errorf("429 without Retry-After")
-			}
-		default:
-			return fmt.Errorf("unexpected status %d", o.status)
-		}
-	}
-	if ok == 0 || shed == 0 {
-		return fmt.Errorf("flood of %d: ok=%d shed=%d; want both > 0", flood, ok, shed)
-	}
-	fmt.Printf("serve-smoke: shedding ok (%d served, %d shed with Retry-After)\n", ok, shed)
-	return nil
-}
-
-// smokeGracefulDrain: in-flight requests across a Shutdown must all
-// complete with 200 — zero dropped requests.
-func smokeGracefulDrain() error {
-	s := server.New(server.Config{MaxConcurrent: 4, MaxQueue: 16})
-	if err := s.Start(); err != nil {
-		return err
-	}
-	url := s.URL()
-
-	const n = 8
-	statuses := make(chan int, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(seed int) {
-			defer wg.Done()
-			raw, _ := json.Marshal(server.EmbedRequest{
-				Tree: &server.TreeSpec{Family: "random", N: 4000, Seed: server.Seed(int64(seed))},
-			})
-			resp, err := http.Post(url+"/v1/embed", "application/json", bytes.NewReader(raw))
-			if err != nil {
-				statuses <- -1
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			statuses <- resp.StatusCode
-		}(i)
-	}
-	time.Sleep(20 * time.Millisecond) // let the flood be admitted
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	wg.Wait()
-	close(statuses)
-	for st := range statuses {
-		if st != 200 {
-			return fmt.Errorf("in-flight request finished with %d during shutdown", st)
-		}
-	}
-	fmt.Printf("serve-smoke: graceful drain ok (%d in-flight requests all completed)\n", n)
 	return nil
 }
 

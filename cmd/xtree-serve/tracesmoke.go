@@ -3,11 +3,12 @@ package main
 // tracesmoke.go is the `-trace-smoke` self-check behind `make
 // trace-smoke` and the CI trace job: it boots a fully-sampled server
 // with pprof on, fires one /v1/simulate request, and validates the
-// ISSUE's one-trace acceptance criterion against the real /debug/trace
-// export — the response's X-Trace-Id must resolve to a single trace
-// holding the server root span, the engine phases, at least one
-// separator span carrying its depth attribute, and the simulator's hop
-// spans nested under the simulate span.  Any violation exits non-zero.
+// one-trace acceptance criterion against the real /debug/trace export —
+// the response's X-Trace-Id must resolve to a single trace holding the
+// server root span, the engine phases, at least one separator span
+// carrying its depth attribute, and a simulate span carrying the run's
+// cycles, delivered and hops counters, with no per-event sim.* spans.
+// Any violation exits non-zero.
 
 import (
 	"bufio"
@@ -16,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 
 	"xtreesim/internal/server"
 	"xtreesim/internal/trace"
@@ -116,13 +118,15 @@ func fetchTraceJSONL(url string) ([]trace.SpanData, error) {
 func validateTrace(spans []trace.SpanData, traceID string) error {
 	counts := map[string]int{}
 	var rootID, simID string
+	var simAttrs trace.Attrs
 	sepDepths := 0
-	var inTrace []trace.SpanData
 	for _, sd := range spans {
 		if sd.Trace != traceID {
 			continue
 		}
-		inTrace = append(inTrace, sd)
+		if strings.HasPrefix(sd.Name, "sim.") {
+			return fmt.Errorf("trace %s carries a per-event %q span", traceID, sd.Name)
+		}
 		counts[sd.Name]++
 		switch sd.Name {
 		case "/v1/simulate":
@@ -131,19 +135,19 @@ func validateTrace(spans []trace.SpanData, traceID string) error {
 			}
 			rootID = sd.Span
 		case "simulate":
-			simID = sd.Span
+			simID, simAttrs = sd.Span, sd.Attrs
 		case "embed.separator":
 			if _, ok := sd.Attrs.Get("depth"); ok {
 				sepDepths++
 			}
 		}
 	}
-	if len(inTrace) == 0 {
+	if len(counts) == 0 {
 		return fmt.Errorf("no exported spans carry trace %s", traceID)
 	}
 	for _, name := range []string{"/v1/simulate", "simulate", "engine.queue-wait",
 		"engine.canonical-encode", "engine.cache-lookup", "engine.embed-compute",
-		"embed.host-build", "embed.separator", "sim.hop", "sim.deliver"} {
+		"embed.host-build", "embed.separator"} {
 		if counts[name] == 0 {
 			return fmt.Errorf("trace %s is missing %q spans (have %v)", traceID, name, counts)
 		}
@@ -154,9 +158,11 @@ func validateTrace(spans []trace.SpanData, traceID string) error {
 	if rootID == "" || simID == "" {
 		return fmt.Errorf("missing root or simulate span: %v", counts)
 	}
-	for _, sd := range inTrace {
-		if (sd.Name == "sim.hop" || sd.Name == "sim.deliver") && sd.Parent != simID {
-			return fmt.Errorf("%s span parents to %s, want simulate span %s", sd.Name, sd.Parent, simID)
+	// Hop-level detail belongs to the event stream; the simulate span
+	// carries the run's counters.
+	for _, key := range []string{"cycles", "delivered", "hops"} {
+		if v, _ := simAttrs.Get(key); v <= 0 {
+			return fmt.Errorf("simulate span %s = %d, want > 0 (attrs %v)", key, v, simAttrs)
 		}
 	}
 	return nil

@@ -75,13 +75,6 @@ type Config struct {
 	// partitioned config is never silently simulated on one goroutine.
 	// Use the distsim runner (or xtreesim.WithPartitions) instead.
 	Partitions int
-
-	// legacyMultiHop re-enables the pre-fix Phase 1 scheduler, which
-	// let a message forwarded onto a higher-indexed queue move again in
-	// the same cycle (several hops per cycle on ascending routes).
-	// Test-only: it exists so the audit tests can prove LinkAudit
-	// catches exactly that class of bug.
-	legacyMultiHop bool
 }
 
 // Result summarizes a run.
@@ -176,8 +169,6 @@ type sim struct {
 	obs    Observer    // nil when no observers are attached
 	faults *faultState // nil on a fault-free run
 	retx   []retx      // messages parked for retransmission
-
-	legacyMultiHop bool
 }
 
 // Run simulates the workload on the host with the given placement until
@@ -210,7 +201,7 @@ func RunContext(ctx context.Context, cfg Config, wl Workload) (Result, error) {
 		maxCycles = 1 << 20
 	}
 	s := &sim{host: cfg.Host, place: cfg.Place, wl: wl, hopFn: cfg.NextHop,
-		obs: combineObservers(cfg.Observers), legacyMultiHop: cfg.legacyMultiHop}
+		obs: combineObservers(cfg.Observers)}
 	if cfg.Faults != nil {
 		fs, err := newFaultState(cfg.Faults, cfg.Host)
 		if err != nil {
@@ -281,26 +272,15 @@ func RunContext(ctx context.Context, cfg Config, wl Workload) (Result, error) {
 		// on an ascending route would cross several links per cycle and
 		// dilation would no longer bound the slowdown.
 		var arrived []message // at-destination deliveries this cycle
-		if s.legacyMultiHop {
-			for i := range s.queues {
-				if s.queues[i].length() == 0 {
-					continue
-				}
-				if err := s.moveHead(i, &arrived); err != nil {
-					return s.res, err
-				}
+		s.active = s.active[:0]
+		for i := range s.queues {
+			if s.queues[i].length() > 0 {
+				s.active = append(s.active, i)
 			}
-		} else {
-			s.active = s.active[:0]
-			for i := range s.queues {
-				if s.queues[i].length() > 0 {
-					s.active = append(s.active, i)
-				}
-			}
-			for _, i := range s.active {
-				if err := s.moveHead(i, &arrived); err != nil {
-					return s.res, err
-				}
+		}
+		for _, i := range s.active {
+			if err := s.moveHead(i, &arrived); err != nil {
+				return s.res, err
 			}
 		}
 		for v := range s.local {

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"xtreesim/internal/trace"
 )
 
 // Observer receives callbacks as the simulation runs.  Observers are
@@ -326,6 +328,54 @@ type TraceEvent struct {
 	Parked      int `json:"parked,omitempty"`
 }
 
+// Trace returns the snapshot as a "cycle" TraceEvent.  The Trace methods
+// of the six callback arguments are the one place a simulator event
+// becomes a TraceEvent: TraceRecorder stores their results and the
+// telemetry stream embeds them, so the JSONL export and the live stream
+// share one conversion.
+func (c CycleInfo) Trace() TraceEvent {
+	return TraceEvent{SchemaVersion: TraceSchemaVersion, Type: EventCycle, Cycle: c.Cycle,
+		Inflight: c.Inflight, QueuedLinks: c.QueuedLinks, QueuedLocal: c.QueuedLocal, Parked: c.Parked}
+}
+
+// Trace returns the hop as a "hop" TraceEvent.
+func (h HopInfo) Trace() TraceEvent {
+	return TraceEvent{SchemaVersion: TraceSchemaVersion, Type: EventHop, Cycle: h.Cycle,
+		Edge: h.Edge, From: h.From, To: h.To, Seq: h.Seq,
+		EvFrom: h.Ev.From, EvTo: h.Ev.To, Kind: h.Ev.Kind, Backlog: h.Backlog}
+}
+
+// Trace returns the delivery as a "deliver" TraceEvent.
+func (d DeliverInfo) Trace() TraceEvent {
+	return TraceEvent{SchemaVersion: TraceSchemaVersion, Type: EventDeliver, Cycle: d.Cycle,
+		Host: d.Host, Seq: d.Seq, EvFrom: d.Ev.From, EvTo: d.Ev.To, Kind: d.Ev.Kind,
+		Latency: d.Latency, Local: d.Local}
+}
+
+// Trace returns the loss as a "drop" TraceEvent, its reason spelled out.
+func (d DropInfo) Trace() TraceEvent {
+	return TraceEvent{SchemaVersion: TraceSchemaVersion, Type: EventDrop, Cycle: d.Cycle,
+		Seq: d.Seq, EvFrom: d.Ev.From, EvTo: d.Ev.To, Kind: d.Ev.Kind,
+		Reason: d.Reason.String(), Attempt: d.Attempt}
+}
+
+// Trace returns the re-send as a "retransmit" TraceEvent.
+func (r RetransmitInfo) Trace() TraceEvent {
+	return TraceEvent{SchemaVersion: TraceSchemaVersion, Type: EventRetransmit, Cycle: r.Cycle,
+		Seq: r.Seq, EvFrom: r.Ev.From, EvTo: r.Ev.To, Kind: r.Ev.Kind, Attempt: r.Attempt}
+}
+
+// Trace returns the fault as a "kill" TraceEvent: Reason is "vertex" or
+// "link", and From/To carry U and V.
+func (k KillInfo) Trace() TraceEvent {
+	reason := "link"
+	if k.Vertex {
+		reason = "vertex"
+	}
+	return TraceEvent{SchemaVersion: TraceSchemaVersion, Type: EventKill, Cycle: k.Cycle,
+		From: k.U, To: k.V, Reason: reason}
+}
+
 // TraceRecorder records every simulator event in memory for offline
 // export as JSONL (one event per line) or as a Chrome-trace file
 // (chrome://tracing / Perfetto "traceEvents" JSON, one track per link).
@@ -350,44 +400,15 @@ func (t *TraceRecorder) add(e TraceEvent) {
 		t.Truncated++
 		return
 	}
-	e.SchemaVersion = TraceSchemaVersion
 	t.events = append(t.events, e)
 }
 
-func (t *TraceRecorder) OnCycleStart(c CycleInfo) {
-	t.add(TraceEvent{Type: EventCycle, Cycle: c.Cycle, Inflight: c.Inflight,
-		QueuedLinks: c.QueuedLinks, QueuedLocal: c.QueuedLocal, Parked: c.Parked})
-}
-
-func (t *TraceRecorder) OnHop(h HopInfo) {
-	t.add(TraceEvent{Type: EventHop, Cycle: h.Cycle, Edge: h.Edge, From: h.From, To: h.To,
-		Seq: h.Seq, EvFrom: h.Ev.From, EvTo: h.Ev.To, Kind: h.Ev.Kind, Backlog: h.Backlog})
-}
-
-func (t *TraceRecorder) OnDeliver(d DeliverInfo) {
-	t.add(TraceEvent{Type: EventDeliver, Cycle: d.Cycle, Host: d.Host, Seq: d.Seq,
-		EvFrom: d.Ev.From, EvTo: d.Ev.To, Kind: d.Ev.Kind, Latency: d.Latency, Local: d.Local})
-}
-
-func (t *TraceRecorder) OnDrop(d DropInfo) {
-	t.add(TraceEvent{Type: EventDrop, Cycle: d.Cycle, Seq: d.Seq, EvFrom: d.Ev.From,
-		EvTo: d.Ev.To, Kind: d.Ev.Kind, Reason: d.Reason.String(), Attempt: d.Attempt})
-}
-
-func (t *TraceRecorder) OnRetransmit(r RetransmitInfo) {
-	t.add(TraceEvent{Type: EventRetransmit, Cycle: r.Cycle, Seq: r.Seq,
-		EvFrom: r.Ev.From, EvTo: r.Ev.To, Kind: r.Ev.Kind, Attempt: r.Attempt})
-}
-
-func (t *TraceRecorder) OnKill(k KillInfo) {
-	e := TraceEvent{Type: EventKill, Cycle: k.Cycle, From: k.U, To: k.V}
-	if k.Vertex {
-		e.Reason = "vertex"
-	} else {
-		e.Reason = "link"
-	}
-	t.add(e)
-}
+func (t *TraceRecorder) OnCycleStart(c CycleInfo)      { t.add(c.Trace()) }
+func (t *TraceRecorder) OnHop(h HopInfo)               { t.add(h.Trace()) }
+func (t *TraceRecorder) OnDeliver(d DeliverInfo)       { t.add(d.Trace()) }
+func (t *TraceRecorder) OnDrop(d DropInfo)             { t.add(d.Trace()) }
+func (t *TraceRecorder) OnRetransmit(r RetransmitInfo) { t.add(r.Trace()) }
+func (t *TraceRecorder) OnKill(k KillInfo)             { t.add(k.Trace()) }
 
 // Events returns the recorded events in simulation order.
 func (t *TraceRecorder) Events() []TraceEvent { return t.events }
@@ -419,58 +440,44 @@ func (t *TraceRecorder) WriteJSONL(w io.Writer) error {
 	return nil
 }
 
-// chromeEvent is one entry of the Chrome trace-event format.  One
-// simulated cycle maps to one microsecond of trace time; each directed
-// link is a track (tid), hops are 1-cycle duration slices on their
-// link's track, deliveries are instants on per-host tracks (pid 1), and
-// the cycle counters become a counter track.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   int            `json:"ts"`
-	Dur  int            `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// WriteChromeTrace writes the recorded events in the Chrome trace-event
-// JSON format, loadable in chrome://tracing or https://ui.perfetto.dev.
+// WriteChromeTrace writes the recorded events as a Chrome trace
+// (trace.WriteChrome), loadable in chrome://tracing or
+// https://ui.perfetto.dev.  One simulated cycle maps to one microsecond
+// of trace time; each directed link is a track (tid), hops are 1-cycle
+// duration slices on their link's track, deliveries are instants on
+// per-host tracks (pid 1), faults are instants on pid 2, and the cycle
+// counters become a counter track.
 func (t *TraceRecorder) WriteChromeTrace(w io.Writer) error {
-	out := struct {
-		TraceEvents     []chromeEvent `json:"traceEvents"`
-		DisplayTimeUnit string        `json:"displayTimeUnit"`
-	}{DisplayTimeUnit: "ms"}
+	var events []trace.ChromeEvent
 	for _, e := range t.events {
+		ts := int64(e.Cycle)
 		switch e.Type {
 		case "cycle":
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: "queues", Ph: "C", Ts: e.Cycle, Pid: 0, Tid: 0,
+			events = append(events, trace.ChromeEvent{
+				Name: "queues", Ph: "C", Ts: ts, Pid: 0, Tid: 0,
 				Args: map[string]any{"inflight": e.Inflight, "links": e.QueuedLinks,
 					"local": e.QueuedLocal, "parked": e.Parked},
 			})
 		case "hop":
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
+			events = append(events, trace.ChromeEvent{
 				Name: fmt.Sprintf("seq %d: %d->%d", e.Seq, e.From, e.To),
-				Ph:   "X", Ts: e.Cycle, Dur: 1, Pid: 0, Tid: e.Edge,
+				Ph:   "X", Ts: ts, Dur: 1, Pid: 0, Tid: e.Edge,
 				Args: map[string]any{"seq": e.Seq, "backlog": e.Backlog},
 			})
 		case "deliver":
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
+			events = append(events, trace.ChromeEvent{
 				Name: fmt.Sprintf("deliver seq %d", e.Seq),
-				Ph:   "i", Ts: e.Cycle, Pid: 1, Tid: int(e.Host), S: "t",
+				Ph:   "i", Ts: ts, Pid: 1, Tid: int(e.Host), S: "t",
 				Args: map[string]any{"latency": e.Latency, "local": e.Local},
 			})
 		case "drop", "retransmit", "kill":
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: e.Type, Ph: "i", Ts: e.Cycle, Pid: 2, Tid: 0, S: "g",
+			events = append(events, trace.ChromeEvent{
+				Name: e.Type, Ph: "i", Ts: ts, Pid: 2, Tid: 0, S: "g",
 				Args: map[string]any{"seq": e.Seq, "reason": e.Reason, "attempt": e.Attempt},
 			})
 		}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&out)
+	return trace.WriteChrome(w, events)
 }
 
 // CycleSample is one per-cycle measurement recorded by TimeSeries.

@@ -66,51 +66,34 @@ func TestOneHopPerCyclePathRegression(t *testing.T) {
 }
 
 func TestLinkAuditDetectsLegacyMultiHopScheduler(t *testing.T) {
-	// Re-enable the pre-fix scheduler and prove two things: the bug is
-	// what we say it is (the whole path in one cycle), and LinkAudit
-	// catches exactly this class of violation, so a regression cannot
-	// come back silently.
-	const n = 6
+	// The pre-fix scheduler moved a message forwarded onto a
+	// higher-indexed queue again in the same cycle, so on the path
+	// 0-1-2-3-4-5 one message crossed all five links in cycle 1.  Replay
+	// that hop sequence: every link moves once, so only the per-message
+	// half of the audit can catch it, and it must, once.
 	audit := NewLinkAudit()
-	cfg := Config{Host: pathHost(n), Place: IdentityPlacement(n),
-		Observers: []Observer{audit}, legacyMultiHop: true}
-	res, err := Run(cfg, &sendOne{from: 0, to: n - 1})
-	if err != nil {
-		t.Fatal(err)
+	audit.OnCycleStart(CycleInfo{Cycle: 1, Links: 10, Inflight: 1, Emitted: 1, QueuedLinks: 1})
+	for v := int32(0); v < 5; v++ {
+		// Link v->v+1 of the path has dense edge index 2v.
+		audit.OnHop(HopInfo{Cycle: 1, Edge: int(2 * v), From: v, To: v + 1, Seq: 0})
 	}
-	if res.Cycles != 1 {
-		t.Fatalf("legacy scheduler took %d cycles; the bug this test documents gave 1", res.Cycles)
-	}
-	if audit.Err() == nil {
-		t.Fatal("LinkAudit did not flag the multi-hop scheduler")
-	}
-	found := false
-	for _, v := range audit.Violations() {
-		if strings.Contains(v, "hopped more than once") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("audit violations lack the per-message multi-hop finding: %q", audit.Violations())
+	if audit.Count() != 1 || !strings.Contains(audit.Violations()[0], "hopped more than once") {
+		t.Fatalf("audit found %d violation(s) %q, want one per-message multi-hop finding",
+			audit.Count(), audit.Violations())
 	}
 }
 
 func TestLinkAuditDetectsDoubleLinkUse(t *testing.T) {
-	// Two messages on the same queue: the legacy scheduler also moved
-	// the second head once the first was forwarded off a shorter queue.
-	// Here both heads of link (0,1) cross in the same legacy cycle, so
-	// the per-link half of the audit fires too.
+	// Two messages crossing the same directed link in one cycle break
+	// the one-message-per-link bandwidth model, though each message
+	// hopped only once.
 	audit := NewLinkAudit()
-	cfg := Config{Host: pathHost(3), Place: []int32{0, 2, 0},
-		Observers: []Observer{audit}, legacyMultiHop: true}
-	// Guests 0 and 2 sit on vertex 0, guest 1 on vertex 2: two messages
-	// head out over 0→1→2 together.
-	wl := &testStream{n: 2}
-	if _, err := Run(cfg, wl); err != nil {
-		t.Fatal(err)
-	}
-	if audit.Count() == 0 {
-		t.Fatal("audit saw no violations under the legacy scheduler")
+	audit.OnCycleStart(CycleInfo{Cycle: 1, Links: 4, Inflight: 2, Emitted: 2, QueuedLinks: 2})
+	audit.OnHop(HopInfo{Cycle: 1, Edge: 0, From: 0, To: 1, Seq: 0})
+	audit.OnHop(HopInfo{Cycle: 1, Edge: 0, From: 0, To: 1, Seq: 1})
+	if audit.Count() != 1 || !strings.Contains(audit.Violations()[0], "moved two messages") {
+		t.Fatalf("audit found %d violation(s) %q, want one double-link finding",
+			audit.Count(), audit.Violations())
 	}
 }
 

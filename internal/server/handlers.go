@@ -290,18 +290,13 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // non-nil, receives per-shard telemetry samples on partitioned runs.
 func (s *Server) runSimulate(ctx context.Context, req *SimulateRequest, tree *bintree.Tree,
 	cfg netsim.Config, embItem EmbedItem, rec *telemetry.Recorder) (SimulateResponse, error) {
-	// The simulation runs under its own child span; the observer bridge
-	// turns every hop/delivery/retransmit into grandchild spans, so one
-	// trace covers embed + simulate.  The typed bridge must only enter
-	// Observers when the span is live: a typed-nil *SpanObserver boxed in
-	// the interface would defeat the combiner's nil filter.
+	// The simulation runs under its own child span, which closes with
+	// the run's counters; hop-level detail is what the event stream is
+	// for.
 	simSpan := trace.FromContext(ctx).Child("simulate")
-	if simSpan != nil {
-		cfg.Observers = append(cfg.Observers, netsim.NewSpanObserver(simSpan))
-	}
 	// Partitioned requests run through the distributed coordinator,
 	// sharded along X-tree subtrees; the counters (and the observer event
-	// stream feeding the span bridge) are byte-identical either way.
+	// stream) are byte-identical either way.
 	var simRes netsim.Result
 	var dist *DistInfo
 	var err error
@@ -344,7 +339,15 @@ func (s *Server) runSimulate(ctx context.Context, req *SimulateRequest, tree *bi
 		// input-shaped failures: the client can fix these.
 		return SimulateResponse{}, badRequest("simulate: %v", err)
 	}
-	simSpan.SetAttr("cycles", int64(simRes.Cycles)).SetAttr("delivered", int64(simRes.Delivered)).End()
+	simSpan.SetAttr("cycles", int64(simRes.Cycles)).
+		SetAttr("delivered", int64(simRes.Delivered)).
+		SetAttr("hops", int64(simRes.HopsTotal)).
+		SetAttr("max_queue", int64(simRes.MaxQueue)).
+		SetAttr("latency_p99", int64(simRes.LatencyP99)).
+		SetAttr("drops", int64(simRes.Drops)).
+		SetAttr("retransmits", int64(simRes.Retransmits)).
+		SetAttr("unreachable", int64(simRes.Unreachable)).
+		End()
 	resp := SimulateResponse{Embed: embItem, Sim: simCounters(simRes), Dist: dist}
 
 	if req.Baseline {
@@ -353,8 +356,8 @@ func (s *Server) runSimulate(ctx context.Context, req *SimulateRequest, tree *bi
 			Place:     netsim.IdentityPlacement(tree.N()),
 			MaxCycles: req.MaxCycles,
 		}
-		// No hop bridge here: the baseline exists for the slowdown ratio,
-		// so one timing span suffices and the trace stays readable.
+		// The baseline exists for the slowdown ratio: its span carries the
+		// cycle count only.
 		baseSpan := trace.FromContext(ctx).Child("simulate-baseline")
 		ideal, err := netsim.RunContext(ctx, idealCfg, req.workload(tree))
 		if err != nil {

@@ -53,10 +53,8 @@ type LoadConfig struct {
 	// Seed is the master seed for the whole run: it derives both the
 	// per-shape tree seeds and each worker's shape-selection stream, so
 	// two runs with different seeds exercise genuinely different
-	// request mixes.  Seed 0 keeps the original fixed streams (shape
-	// seeds 1..DistinctShapes, worker w drawing from source w+1) that
-	// every run before the knob existed replayed — kept reachable so
-	// historical BENCH_serve.json numbers stay reproducible.
+	// request mixes, and two runs with the same seed send the same
+	// requests.  The zero value is a seed like any other.
 	Seed int64
 	// Host selects the embed host type for the request mix: "" or
 	// "xtree", "hypercube", "universal".  The e23 capacity sweep
@@ -82,19 +80,11 @@ func mix64(a, b uint64) int64 {
 }
 
 // shapeSeed returns the generator seed of shape i under master seed s.
-func shapeSeed(s int64, i int) int64 {
-	if s == 0 {
-		return int64(i + 1) // legacy fixed stream
-	}
-	return mix64(uint64(s), uint64(i)+1)
-}
+func shapeSeed(s int64, i int) int64 { return mix64(uint64(s), uint64(i)+1) }
 
 // workerSeed returns worker w's shape-selection rand seed under master
 // seed s.
 func workerSeed(s int64, w int) int64 {
-	if s == 0 {
-		return int64(w + 1) // legacy fixed stream
-	}
 	return mix64(uint64(s)^0xa5a5a5a5a5a5a5a5, uint64(w)+1)
 }
 

@@ -78,25 +78,12 @@ func TestResolveOmittedSeedVaries(t *testing.T) {
 // TestLoadgenSeedStreams pins the loadgen replay bug: before the Seed
 // knob every run used the fixed shape seeds 1..shapes and worker sources
 // w+1, so two "different" runs replayed byte-identical request streams.
-// Seed 0 must keep exactly that legacy stream (historical BENCH_serve
-// numbers stay reproducible); distinct nonzero seeds must produce
-// distinct shape seeds, request bodies and worker streams.
+// Distinct seeds, 0 among them, must produce distinct shape seeds,
+// request bodies and worker streams.
 func TestLoadgenSeedStreams(t *testing.T) {
-	// Legacy stream pinned under seed 0.
-	for i := 0; i < 4; i++ {
-		if got := shapeSeed(0, i); got != int64(i+1) {
-			t.Fatalf("shapeSeed(0, %d) = %d, want the legacy %d", i, got, i+1)
-		}
-	}
-	for w := 0; w < 4; w++ {
-		if got := workerSeed(0, w); got != int64(w+1) {
-			t.Fatalf("workerSeed(0, %d) = %d, want the legacy %d", w, got, w+1)
-		}
-	}
-
 	// Distinct masters → distinct derived seeds, same master → same.
 	seen := map[int64]bool{}
-	for _, master := range []int64{1, 2, 77, -5} {
+	for _, master := range []int64{0, 1, 2, 77, -5} {
 		if shapeSeed(master, 0) != shapeSeed(master, 0) {
 			t.Fatal("shapeSeed is not a pure function")
 		}

@@ -207,8 +207,7 @@ func New(cfg Config) *Server {
 	}
 	tracer := cfg.Tracer
 	if tracer == nil && cfg.TraceSample > 0 {
-		// A serving ring holds a few thousand requests' worth of spans
-		// (each /v1/simulate can emit hundreds of hop spans).
+		// A serving ring holds a few thousand requests' worth of spans.
 		tracer = trace.New(trace.Config{SampleRate: cfg.TraceSample, RingSize: 1 << 15})
 	}
 	maxStreams := cfg.MaxStreams

@@ -46,8 +46,8 @@ func fetchSpans(t *testing.T, baseURL string) []trace.SpanData {
 // fully-sampled server and asserts the response header's trace ID
 // resolves, via /debug/trace, to a single trace holding the server root,
 // the engine phases, at least one separator span with its depth
-// attribute, and the netsim hop spans — the ISSUE's one-trace acceptance
-// criterion.
+// attribute, and a simulate span carrying the run's counters — the
+// one-trace acceptance criterion.
 func TestTracePropagationEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, Config{TraceSample: 1})
 
@@ -96,7 +96,7 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	}
 	for _, name := range []string{"/v1/simulate", "simulate", "engine.queue-wait",
 		"engine.canonical-encode", "engine.cache-lookup", "engine.embed-compute",
-		"embed.host-build", "embed.separator", "sim.hop", "sim.deliver"} {
+		"embed.host-build", "embed.separator"} {
 		if counts[name] == 0 {
 			t.Errorf("trace is missing %q spans (have %v)", name, counts)
 		}
@@ -104,17 +104,27 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	if rootSpanID == "" || simSpanID == "" {
 		t.Fatalf("missing root or simulate span: %v", counts)
 	}
-	// Hop spans must nest under the simulate span, which must nest (via
+	// The simulate span carries the run's counters instead of per-hop
+	// children (hop detail is the event stream's job), and must nest (via
 	// zero or more ancestors) under the request root.
-	for _, sd := range inTrace {
-		if sd.Name != "sim.hop" && sd.Name != "sim.deliver" {
-			continue
-		}
-		if sd.Parent != simSpanID {
-			t.Fatalf("%s span parents to %s, want simulate span %s", sd.Name, sd.Parent, simSpanID)
+	for name := range counts {
+		if strings.HasPrefix(name, "sim.") {
+			t.Errorf("trace carries per-event %q spans", name)
 		}
 	}
-	for p := byID[simSpanID]; ; p = byID[p.Parent] {
+	sim := byID[simSpanID]
+	for _, key := range []string{"cycles", "delivered", "hops", "max_queue",
+		"latency_p99", "drops", "retransmits", "unreachable"} {
+		if _, ok := sim.Attrs.Get(key); !ok {
+			t.Errorf("simulate span lacks the %s counter: %v", key, sim.Attrs)
+		}
+	}
+	for _, key := range []string{"cycles", "delivered", "hops"} {
+		if v, _ := sim.Attrs.Get(key); v <= 0 {
+			t.Errorf("simulate span %s = %d, want > 0", key, v)
+		}
+	}
+	for p := sim; ; p = byID[p.Parent] {
 		if p.Span == rootSpanID {
 			break
 		}
@@ -327,7 +337,7 @@ func TestMetricsPhaseHistograms(t *testing.T) {
 	text := string(data)
 	for _, want := range []string{
 		`xtreesim_trace_phase_duration_seconds_bucket{phase="embed.separator",le="+Inf"}`,
-		`xtreesim_trace_phase_duration_seconds_sum{phase="sim.hop"}`,
+		`xtreesim_trace_phase_duration_seconds_sum{phase="simulate"}`,
 		`xtreesim_trace_phase_duration_seconds_count{phase="/v1/simulate"}`,
 		"xtreesim_trace_spans_recorded_total",
 		"xtreesim_engine_queue_depth",

@@ -11,7 +11,10 @@ package telemetry
 
 import "xtreesim/internal/netsim"
 
-// Recorder publishes simulator events into a Hub as stream Events.
+// Recorder publishes simulator events into a Hub as stream Events.  The
+// trace fields of each event come from its callback argument's Trace
+// method, the conversion netsim.TraceRecorder uses too; the Recorder
+// adds only the stream's own fields.
 //
 // Per-cycle samples are always published; individual hop events are
 // opt-in (StreamHops) because a congested run emits one per link per
@@ -42,9 +45,7 @@ func (r *Recorder) Publish(e Event) uint64 {
 
 func (r *Recorder) OnCycleStart(c netsim.CycleInfo) {
 	r.Publish(Event{
-		TraceEvent: netsim.TraceEvent{Type: EventCycle, Cycle: c.Cycle,
-			Inflight: c.Inflight, QueuedLinks: c.QueuedLinks,
-			QueuedLocal: c.QueuedLocal, Parked: c.Parked},
+		TraceEvent:  c.Trace(),
 		Delivered:   c.Delivered,
 		Unreachable: c.Unreachable,
 		Emitted:     c.Emitted,
@@ -55,37 +56,12 @@ func (r *Recorder) OnCycleStart(c netsim.CycleInfo) {
 
 func (r *Recorder) OnHop(h netsim.HopInfo) {
 	r.cycleHops++
-	if !r.StreamHops {
-		return
+	if r.StreamHops {
+		r.Publish(Event{TraceEvent: h.Trace()})
 	}
-	r.Publish(Event{TraceEvent: netsim.TraceEvent{Type: EventHop, Cycle: h.Cycle,
-		Edge: h.Edge, From: h.From, To: h.To, Seq: h.Seq,
-		EvFrom: h.Ev.From, EvTo: h.Ev.To, Kind: h.Ev.Kind, Backlog: h.Backlog}})
 }
 
-func (r *Recorder) OnDeliver(d netsim.DeliverInfo) {
-	r.Publish(Event{TraceEvent: netsim.TraceEvent{Type: EventDeliver, Cycle: d.Cycle,
-		Host: d.Host, Seq: d.Seq, EvFrom: d.Ev.From, EvTo: d.Ev.To,
-		Kind: d.Ev.Kind, Latency: d.Latency, Local: d.Local}})
-}
-
-func (r *Recorder) OnDrop(d netsim.DropInfo) {
-	r.Publish(Event{TraceEvent: netsim.TraceEvent{Type: EventDrop, Cycle: d.Cycle,
-		Seq: d.Seq, EvFrom: d.Ev.From, EvTo: d.Ev.To, Kind: d.Ev.Kind,
-		Reason: d.Reason.String(), Attempt: d.Attempt}})
-}
-
-func (r *Recorder) OnRetransmit(t netsim.RetransmitInfo) {
-	r.Publish(Event{TraceEvent: netsim.TraceEvent{Type: EventRetransmit, Cycle: t.Cycle,
-		Seq: t.Seq, EvFrom: t.Ev.From, EvTo: t.Ev.To, Kind: t.Ev.Kind, Attempt: t.Attempt}})
-}
-
-func (r *Recorder) OnKill(k netsim.KillInfo) {
-	e := Event{TraceEvent: netsim.TraceEvent{Type: EventKill, Cycle: k.Cycle, From: k.U, To: k.V}}
-	if k.Vertex {
-		e.Reason = "vertex"
-	} else {
-		e.Reason = "link"
-	}
-	r.Publish(e)
-}
+func (r *Recorder) OnDeliver(d netsim.DeliverInfo)       { r.Publish(Event{TraceEvent: d.Trace()}) }
+func (r *Recorder) OnDrop(d netsim.DropInfo)             { r.Publish(Event{TraceEvent: d.Trace()}) }
+func (r *Recorder) OnRetransmit(t netsim.RetransmitInfo) { r.Publish(Event{TraceEvent: t.Trace()}) }
+func (r *Recorder) OnKill(k netsim.KillInfo)             { r.Publish(Event{TraceEvent: k.Trace()}) }

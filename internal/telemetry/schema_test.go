@@ -1,10 +1,10 @@
 package telemetry
 
 // schema_test.go pins the wire formats.  One synthetic observer sequence
-// drives both exporters — the TraceRecorder JSONL file and the streaming
-// session NDJSON — against golden files, so any field rename, tag change
-// or schema_version bump shows up as a diff instead of silently breaking
-// downstream consumers.  Regenerate with:
+// drives every exporter — the TraceRecorder JSONL file and Chrome trace,
+// and the streaming session NDJSON — against golden files, so any field
+// rename, tag change or schema_version bump shows up as a diff instead
+// of silently breaking downstream consumers.  Regenerate with:
 //
 //	go test ./internal/telemetry/ -run TestGolden -update
 import (
@@ -81,6 +81,17 @@ func TestGoldenTraceJSONL(t *testing.T) {
 			t.Fatalf("line %d: decoded %+v != recorded %+v", i, e, rec.Events()[i])
 		}
 	}
+}
+
+// TestGoldenChromeTrace pins the recorder's Chrome export byte for byte.
+func TestGoldenChromeTrace(t *testing.T) {
+	rec := netsim.NewTraceRecorder()
+	driveObserver(rec)
+	var buf bytes.Buffer
+	if err := rec.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "trace.chrome.json", buf.Bytes())
 }
 
 func TestGoldenStreamNDJSON(t *testing.T) {

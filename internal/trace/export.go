@@ -2,9 +2,10 @@ package trace
 
 // export.go renders the completed-span ring for consumption outside the
 // process: JSONL (one SpanData object per line — the /debug/trace and
-// trace-smoke format) and the Chrome trace-event format already used by
-// netsim.TraceRecorder, loadable in chrome://tracing or
-// https://ui.perfetto.dev with one track per trace.
+// trace-smoke format) and the Chrome trace-event format, loadable in
+// chrome://tracing or https://ui.perfetto.dev with one track per trace.
+// WriteChrome is the module's one Chrome writer: netsim.TraceRecorder
+// renders its simulator events through it too.
 
 import (
 	"encoding/json"
@@ -64,17 +65,27 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 	return nil
 }
 
-// chromeEvent is one entry of the Chrome trace-event format ("X" =
-// complete event with a duration).  Mirrors netsim's exporter so both
-// trace kinds open in the same tools.
-type chromeEvent struct {
+// ChromeEvent is one entry of the Chrome trace-event format: Ph is the
+// phase ("X" complete slice with Dur, "i" instant with scope S, "C"
+// counter), Ts and Dur are microseconds, and Pid/Tid pick the track.
+type ChromeEvent struct {
 	Name string         `json:"name"`
 	Ph   string         `json:"ph"`
 	Ts   int64          `json:"ts"`
 	Dur  int64          `json:"dur,omitempty"`
 	Pid  int            `json:"pid"`
 	Tid  int            `json:"tid"`
+	S    string         `json:"s,omitempty"`
 	Args map[string]any `json:"args,omitempty"`
+}
+
+// WriteChrome writes events as one Chrome trace file:
+// {"traceEvents":[...],"displayTimeUnit":"ms"}.
+func WriteChrome(w io.Writer, events []ChromeEvent) error {
+	return json.NewEncoder(w).Encode(struct {
+		TraceEvents     []ChromeEvent `json:"traceEvents"`
+		DisplayTimeUnit string        `json:"displayTimeUnit"`
+	}{events, "ms"})
 }
 
 // WriteChromeTrace writes the ring's spans as Chrome trace events: one
@@ -83,10 +94,7 @@ type chromeEvent struct {
 // because the viewer nests "X" events by time containment.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	spans := t.Spans()
-	out := struct {
-		TraceEvents     []chromeEvent `json:"traceEvents"`
-		DisplayTimeUnit string        `json:"displayTimeUnit"`
-	}{DisplayTimeUnit: "ms"}
+	var events []ChromeEvent
 
 	var t0 int64
 	for i, sd := range spans {
@@ -112,11 +120,11 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		if dur < 1 {
 			dur = 1
 		}
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
+		events = append(events, ChromeEvent{
 			Name: sd.Name, Ph: "X",
 			Ts: (sd.Start - t0) / 1000, Dur: dur,
 			Pid: 0, Tid: tid, Args: args,
 		})
 	}
-	return json.NewEncoder(w).Encode(&out)
+	return WriteChrome(w, events)
 }

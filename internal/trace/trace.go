@@ -3,23 +3,23 @@
 // the engine adds queue-wait / canonical-encode / cache-lookup /
 // embed-compute spans per batch item, the core embedder records its
 // phases (host construction, every Lemma 2 separator call with depth and
-// slack, the final redistribution), and a netsim Observer bridge turns
-// link hops and deliveries into child spans — one trace ID covers
-// embed+simulate end to end.
+// slack, the final redistribution), and the server's simulate span
+// closes with the run's counters — one trace ID covers embed+simulate
+// end to end.
 //
 // The design goals, in order:
 //
 //  1. Free when off.  Sampling is decided once per root; an unsampled
 //     request carries a nil *Span, and every method on a nil span —
 //     Child, SetAttr, End, Record — is an allocation-free no-op, so the
-//     instrumented hot paths (one call per link hop) cost a nil check.
+//     instrumented hot paths cost a nil check.
 //  2. Bounded when on.  Completed spans land in a fixed-size ring
 //     (oldest overwritten, overwrites counted), and per-phase durations
 //     feed fixed-layout metrics.Histogram instances — memory does not
 //     grow with traffic.
 //  3. Exportable.  The ring renders as JSONL (one span per line, the
-//     /debug/trace format) or as a Chrome trace-event file (the same
-//     "traceEvents" format netsim.TraceRecorder uses), and the phase
+//     /debug/trace format) or as a Chrome trace-event file through
+//     WriteChrome, which netsim.TraceRecorder shares, and the phase
 //     histograms surface on /metrics.
 //
 // Propagation is by context.Context: ContextWithSpan/FromContext carry

@@ -3,8 +3,9 @@ package xtreesim
 // tracing.go surfaces the span tracer (internal/trace): lightweight
 // context-propagated tracing across the serving stack — server request
 // roots, engine queue/cache/compute phases, the embedder's separator and
-// host-build phases, and the simulator's per-hop spans (via
-// NewSpanObserver).  One trace covers embed + simulate end to end.
+// host-build phases, and a simulate span carrying the run's counters.
+// One trace covers embed + simulate end to end; per-event simulator
+// detail comes from the observers (WithObserver, WithTrace).
 //
 // Two entry points matter to library callers:
 //
@@ -23,7 +24,6 @@ import (
 	"io"
 
 	"xtreesim/internal/core"
-	"xtreesim/internal/netsim"
 	"xtreesim/internal/trace"
 )
 
@@ -40,9 +40,6 @@ type (
 	// SpanData is one completed span as exported by Tracer.Spans,
 	// WriteJSONL and /debug/trace.
 	SpanData = trace.SpanData
-	// SpanObserver bridges simulator callbacks (hops, deliveries,
-	// retransmissions) into child spans of an embedding trace.
-	SpanObserver = netsim.SpanObserver
 )
 
 // NewTracer returns a tracer sampling the given fraction of roots
@@ -56,18 +53,8 @@ func NewTracer(sampleRate float64) *Tracer {
 func NewTracerConfig(cfg TracerConfig) *Tracer { return trace.New(cfg) }
 
 // SpanFromContext returns the context's live span, or nil — handy for
-// attaching simulator bridges to an embedding trace by hand.
+// opening a simulate span under an embedding trace by hand.
 func SpanFromContext(ctx context.Context) *TraceSpan { return trace.FromContext(ctx) }
-
-// NewSpanObserver returns a simulator observer that records every hop,
-// delivery and retransmission as a child span of parent.  Attach with
-// WithObserver only when parent is non-nil — a typed-nil observer boxed
-// into the interface would not be filtered:
-//
-//	if span := xtreesim.SpanFromContext(ctx); span != nil {
-//		res, err = xtreesim.Simulate(cfg, wl, xtreesim.WithObserver(xtreesim.NewSpanObserver(span)))
-//	}
-func NewSpanObserver(parent *TraceSpan) *SpanObserver { return netsim.NewSpanObserver(parent) }
 
 // WithTracing hands Embed a tracer: each call opens a root span named
 // "embed" (subject to the tracer's sampling) with the construction's

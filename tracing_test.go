@@ -70,9 +70,9 @@ func TestWithTracingRecordsPhases(t *testing.T) {
 }
 
 // TestEmbedContextJoinsCallerSpan asserts EmbedContext nests the phase
-// spans under a span the caller already opened, and that the simulate
-// bridge joins the same trace — the facade route to the one-trace
-// embed+simulate story.
+// spans under a span the caller already opened, and that a simulate span
+// stamped with the run's counters joins the same trace — the facade
+// route to the one-trace embed+simulate story.
 func TestEmbedContextJoinsCallerSpan(t *testing.T) {
 	tr := NewTracer(1)
 	ctx, root := tr.Root(context.Background(), "job")
@@ -88,10 +88,11 @@ func TestEmbedContextJoinsCallerSpan(t *testing.T) {
 	if sim == nil {
 		t.Fatal("sampled context yielded nil child span")
 	}
-	if _, err := SimulateOnXTree(res, NewBroadcast(tree), WithObserver(NewSpanObserver(sim))); err != nil {
+	sr, err := SimulateOnXTree(res, NewBroadcast(tree))
+	if err != nil {
 		t.Fatal(err)
 	}
-	sim.End()
+	sim.SetAttr("cycles", int64(sr.Cycles)).SetAttr("hops", int64(sr.HopsTotal)).End()
 	root.End()
 
 	counts := map[string]int{}
@@ -100,8 +101,11 @@ func TestEmbedContextJoinsCallerSpan(t *testing.T) {
 			t.Fatalf("span %q in foreign trace %s", sd.Name, sd.Trace)
 		}
 		counts[sd.Name]++
+		if v, _ := sd.Attrs.Get("hops"); sd.Name == "simulate" && v <= 0 {
+			t.Errorf("simulate span hops = %d, want > 0", v)
+		}
 	}
-	for _, name := range []string{"job", "embed.host-build", "simulate", "sim.hop", "sim.deliver"} {
+	for _, name := range []string{"job", "embed.host-build", "simulate"} {
 		if counts[name] == 0 {
 			t.Errorf("missing %q spans: %v", name, counts)
 		}

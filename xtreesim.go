@@ -206,22 +206,6 @@ func Embed(t *Tree, opts ...EmbedOption) (*Result, error) {
 	return core.EmbedXTree(t, *NewEmbedConfig(opts...))
 }
 
-// EmbedStrict is Embed with every invariant enforced as a hard error
-// instead of a counted statistic.
-//
-// Deprecated: use Embed(t, WithStrict()).
-func EmbedStrict(t *Tree) (*Result, error) {
-	return Embed(t, WithStrict())
-}
-
-// EmbedInto embeds the guest into X(height) (which may be larger than
-// optimal).
-//
-// Deprecated: use Embed(t, WithHeight(height)).
-func EmbedInto(t *Tree, height int) (*Result, error) {
-	return Embed(t, WithHeight(height))
-}
-
 // EmbedInjective derives Theorem 2 from a Theorem 1 result: a one-to-one
 // embedding into X(r+4) with dilation ≤ 11.
 func EmbedInjective(res *Result) (*InjectiveResult, error) {
@@ -346,30 +330,6 @@ func Baseline(t *Tree, m BaselineMethod, opts ...BaselineOption) (*BaselineResul
 	default:
 		return nil, fmt.Errorf("xtreesim: unknown baseline method %d", int(m))
 	}
-}
-
-// BaselineDFSPack fills the optimal host 16-per-vertex in preorder.
-//
-// Deprecated: use Baseline(t, MethodDFSPack).
-func BaselineDFSPack(t *Tree) *BaselineResult { return baseline.DFSPack(t) }
-
-// BaselineBFSPack fills the optimal host 16-per-vertex in BFS order.
-//
-// Deprecated: use Baseline(t, MethodBFSPack).
-func BaselineBFSPack(t *Tree) *BaselineResult { return baseline.BFSPack(t) }
-
-// BaselineNaive follows the guest's own child edges down X(h).
-//
-// Deprecated: use Baseline(t, MethodNaive, WithBaselineHeight(h)).
-func BaselineNaive(t *Tree, h int) *BaselineResult {
-	return baseline.NaiveTree(t, h)
-}
-
-// BaselineRandom packs a seeded uniformly random permutation.
-//
-// Deprecated: use Baseline(t, MethodRandom, WithBaselineSeed(seed)).
-func BaselineRandom(t *Tree, seed int64) *BaselineResult {
-	return baseline.RandomPack(t, rand.New(rand.NewSource(seed)))
 }
 
 // SimOption customizes a simulator run on top of the base SimConfig.

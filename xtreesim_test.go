@@ -147,15 +147,22 @@ func TestPublicAPIBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dfs := xtreesim.BaselineDFSPack(tree).Embedding().Dilation()
+	base := func(m xtreesim.BaselineMethod) *xtreesim.BaselineResult {
+		b, err := xtreesim.Baseline(tree, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	dfs := base(xtreesim.MethodDFSPack).Embedding().Dilation()
 	if res.Dilation() > dfs {
 		t.Errorf("monien dilation %d worse than dfs-pack %d", res.Dilation(), dfs)
 	}
-	naive := xtreesim.BaselineNaive(tree, xtreesim.OptimalHeight(tree.N()))
+	naive := base(xtreesim.MethodNaive) // optimal height by default
 	if naive.Embedding().Dilation() > 1 {
 		t.Error("naive-tree dilation should be ≤ 1")
 	}
-	rnd := xtreesim.BaselineRandom(tree, 1)
+	rnd := base(xtreesim.MethodRandom) // seed 1 by default
 	if rnd.Embedding().MaxLoad() != xtreesim.LoadTarget {
 		t.Error("random pack load wrong")
 	}
