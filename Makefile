@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short test-race bench embed-bench vet fmt check lint experiments examples cover fault-sweep fuzz audit-smoke serve serve-smoke serve-bench trace-smoke phase-bench scale-smoke soak-smoke warm-bench dist-smoke dist-bench stream-smoke capacity-bench
+.PHONY: all build test test-short test-race bench embed-bench vet fmt check lint experiments examples cover fault-sweep fuzz audit-smoke serve serve-bench phase-bench warm-bench dist-bench capacity-bench
 
 all: vet test
 
@@ -70,56 +70,6 @@ audit-smoke:
 # Run the embedding service on :8080 (Ctrl-C for a graceful drain).
 serve:
 	$(GO) run ./cmd/xtree-serve -addr :8080
-
-# The serving acceptance gate (also the CI serve job): boots a real
-# server and checks health, Theorem 1 bounds over the wire and the
-# Prometheus metrics.  Shedding and the graceful drain are checked by
-# the server tests (TestAdmissionSheddingHTTP, TestGracefulShutdownDrains).
-serve-smoke:
-	$(GO) run ./cmd/xtree-serve -smoke
-
-# The tracing acceptance gate (also the CI trace job): boots a fully
-# sampled server, fires one /v1/simulate request, and validates the
-# /debug/trace JSONL export — one trace ID from the X-Trace-Id response
-# header covering the server root, engine phases, separator spans with
-# depth attributes, and a simulate span carrying the run's counters.
-trace-smoke:
-	$(GO) run ./cmd/xtree-serve -trace-smoke
-
-# The concurrency-scaling gate (also the CI scale job): the load
-# generator drives a default-config in-process server at c=1 and then
-# c=8; on a multi-core machine the concurrent run must beat the serial
-# one (2x on >= 4 CPUs, 1.2x on 2-3; skipped on 1 CPU where a closed
-# CPU-bound loop cannot scale).  This is the gate the pre-redesign
-# single-worker server engine failed by construction.
-scale-smoke:
-	$(GO) run ./cmd/xtree-serve -scale-smoke -n 600
-
-# The soak/chaos gate (also the CI soak job): closed-loop load plus
-# fault-injected simulations against a live server, a mid-run graceful
-# drain that snapshots the caches, a restart that warms from the
-# snapshot, and the same load again.  Fails on any client-visible error,
-# a shed rate over 50%, a p99 over 5s, or a warmed server that runs even
-# one compute for a previously-seen shape.
-soak-smoke:
-	$(GO) run ./cmd/xtree-serve -soak-smoke -n 300 -tree-n 600 -shapes 8
-
-# The partitioned-simulation gate (also the CI dist job): the same
-# /v1/simulate request run single-process and sharded over 4
-# epoch-barrier workers must return byte-identical counters, the
-# response must break the run down by shard, the xtreesim_dist_*
-# metric families must be live, and an over-cap partition count must
-# be a 400.
-dist-smoke:
-	$(GO) run ./cmd/xtree-serve -dist-smoke
-
-# The streaming-telemetry gate (also the CI stream job): a
-# fault-injected partitioned /v1/simulate?stream=1 run must stream
-# schema-valid per-cycle and per-shard NDJSON, an idle attach with a
-# far-future cursor must heartbeat, and the session and telemetry
-# metric families (plus the build_info gauge) must be live on /metrics.
-stream-smoke:
-	$(GO) run ./cmd/xtree-serve -stream-smoke
 
 # E23 only: rps-per-core per host type with and without attached
 # streaming observers; writes BENCH_capacity.json.

@@ -7,12 +7,6 @@
 //	xtree-serve -addr :8080                 # serve until SIGINT/SIGTERM
 //	xtree-serve -pprof -trace-sample 0.1    # serve with observability on
 //	xtree-serve -loadgen -url http://host:8080 -c 16 -n 2000
-//	xtree-serve -smoke                      # self-check: boot, drive, verify, exit
-//	xtree-serve -trace-smoke                # tracing self-check: one traced request, validated export
-//	xtree-serve -scale-smoke                # concurrency self-check: loadgen at c=1 vs c=8
-//	xtree-serve -soak-smoke                 # soak/chaos self-check: load, faults, snapshot restart, warm
-//	xtree-serve -dist-smoke                 # partitioned-simulation self-check: sharded vs single-process
-//	xtree-serve -stream-smoke               # streaming-telemetry self-check: stream=1 session, heartbeat, metrics
 //	xtree-serve -cache-snapshot cache.snap  # serve with cache persistence across restarts
 //	xtree-serve -version
 //
@@ -23,6 +17,9 @@
 // Observability: -trace-sample samples that fraction of requests into
 // /debug/trace (clients sending X-Trace-Id are always traced), -pprof
 // exposes /debug/pprof/.
+//
+// The tests of internal/server and internal/engine check the serving
+// behaviour end to end over real HTTP; `go test ./...` runs them.
 package main
 
 import (
@@ -74,54 +71,14 @@ func main() {
 		cacheSnapshot = flag.String("cache-snapshot", "", "persist the canonical-tree caches to this file: warm from it on boot, rewrite it on graceful drain")
 		maxProfiles   = flag.Int("max-profiles", 0, "max non-default option-profile engines (0 = default)")
 
-		smoke       = flag.Bool("smoke", false, "run the serve-smoke self-check and exit (0 = pass)")
-		streamSmoke = flag.Bool("stream-smoke", false, "run the streaming-telemetry self-check (stream=1 session, heartbeat, metrics) and exit (0 = pass)")
-		traceSmoke  = flag.Bool("trace-smoke", false, "run the tracing self-check and exit (0 = pass)")
-		scaleSmoke  = flag.Bool("scale-smoke", false, "run the concurrency-scaling self-check and exit (0 = pass)")
-		soakSmoke   = flag.Bool("soak-smoke", false, "run the soak/chaos self-check (load, fault-injected sims, snapshot restart, warm) and exit (0 = pass)")
-		distSmoke   = flag.Bool("dist-smoke", false, "run the partitioned-simulation self-check (sharded vs single-process counters, dist metrics) and exit (0 = pass)")
-		verFlag     = flag.Bool("version", false, "print build info and exit")
-		drainGrace  = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
+		verFlag    = flag.Bool("version", false, "print build info and exit")
+		drainGrace = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 	)
 	flag.Parse()
 
 	switch {
 	case *verFlag:
 		fmt.Println(buildinfo.Version())
-	case *smoke:
-		if err := runSmoke(); err != nil {
-			fmt.Fprintf(os.Stderr, "serve-smoke: FAIL: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("serve-smoke: PASS")
-	case *traceSmoke:
-		if err := runTraceSmoke(); err != nil {
-			fmt.Fprintf(os.Stderr, "trace-smoke: FAIL: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("trace-smoke: PASS")
-	case *scaleSmoke:
-		if err := runScaleSmoke(*requests, *treeN, *shapes); err != nil {
-			fmt.Fprintf(os.Stderr, "scale-smoke: FAIL: %v\n", err)
-			os.Exit(1)
-		}
-	case *soakSmoke:
-		if err := runSoakSmoke(*requests, *treeN, *shapes, *cacheSnapshot); err != nil {
-			fmt.Fprintf(os.Stderr, "soak-smoke: FAIL: %v\n", err)
-			os.Exit(1)
-		}
-	case *distSmoke:
-		if err := runDistSmoke(); err != nil {
-			fmt.Fprintf(os.Stderr, "dist-smoke: FAIL: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("dist-smoke: PASS")
-	case *streamSmoke:
-		if err := runStreamSmoke(); err != nil {
-			fmt.Fprintf(os.Stderr, "stream-smoke: FAIL: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("stream-smoke: PASS")
 	case *loadgen:
 		if err := runLoadgen(*url, *conc, *requests, *treeN, *shapes, *tagTraces, *genSeed, *genHost, *streamFrac); err != nil {
 			fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)

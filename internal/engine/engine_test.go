@@ -272,6 +272,46 @@ func TestCancellationMidBatch(t *testing.T) {
 	}
 }
 
+// TestZeroConfigComputesInParallel: a zero-Config engine runs one embed
+// compute per CPU at once.  Each compute waits in the seam until all of
+// them have started, so an engine that serializes computes fails at the
+// deadline whatever the machine's speed.
+func TestZeroConfigComputesInParallel(t *testing.T) {
+	n := runtime.GOMAXPROCS(0)
+	deadline, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	all := make(chan struct{})
+	var started atomic.Int64
+	orig := embedXTree
+	embedXTree = func(ctx context.Context, tr *bintree.Tree, opts core.Options) (*core.Result, error) {
+		if started.Add(1) == int64(n) {
+			close(all)
+		}
+		select {
+		case <-all:
+		case <-deadline.Done():
+		}
+		return orig(ctx, tr, opts)
+	}
+	defer func() { embedXTree = orig }()
+	e := New(Config{})
+	defer e.Close()
+
+	trees := make([]*bintree.Tree, n)
+	for i := range trees {
+		// Distinct sizes are never isomorphic, so no job coalesces.
+		trees[i] = mustGen(t, bintree.FamilyRandom, 64+i, int64(i))
+	}
+	for _, it := range e.EmbedBatch(context.Background(), trees) {
+		if it.Err != nil {
+			t.Fatalf("item %d: %v", it.Index, it.Err)
+		}
+	}
+	if deadline.Err() != nil {
+		t.Fatalf("%d computes never ran at once on %d workers", n, e.Stats().Workers)
+	}
+}
+
 func TestPreCancelledContext(t *testing.T) {
 	e := New(Config{Workers: 2})
 	defer e.Close()

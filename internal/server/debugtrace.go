@@ -3,8 +3,9 @@ package server
 // debugtrace.go serves the tracer's span ring.  The endpoint is cheap —
 // a snapshot copy of the ring — so it is safe to poll, and it renders
 // both machine formats the trace package exports: JSONL (one span per
-// line, for jq and the trace-smoke validator) and the Chrome trace-event
-// JSON that chrome://tracing and Perfetto load directly.
+// line, for jq and the span-schema checks in trace_test.go) and the
+// Chrome trace-event JSON that chrome://tracing and Perfetto load
+// directly.
 
 import (
 	"fmt"

@@ -11,9 +11,10 @@ import (
 // TestServerEngineDefaultsMatchEngineDefaults pins the server-owned
 // engine to the library's own defaults: a zero server Config and a zero
 // engine.Config must resolve to the same worker count, cache capacity,
-// shard count, and coalescing mode.  This is the drift guard for the
-// config redesign — before it, the server quietly ran a single-worker
-// engine while NewEngine(Config{}) gave one worker per CPU.
+// shard count, and coalescing mode, with one admission slot per CPU.
+// This is the drift guard for the config redesign — before it, the
+// server quietly ran a single-worker engine while NewEngine(Config{})
+// gave one worker per CPU.
 func TestServerEngineDefaultsMatchEngineDefaults(t *testing.T) {
 	direct := engine.New(engine.Config{})
 	defer direct.Close()
@@ -30,6 +31,9 @@ func TestServerEngineDefaultsMatchEngineDefaults(t *testing.T) {
 	}
 	if got.Workers != runtime.GOMAXPROCS(0) {
 		t.Errorf("default workers %d, want one per CPU (%d)", got.Workers, runtime.GOMAXPROCS(0))
+	}
+	if slots := cap(s.admit.slots); slots != runtime.GOMAXPROCS(0) {
+		t.Errorf("default admission slots %d, want one per CPU (%d)", slots, runtime.GOMAXPROCS(0))
 	}
 	if got.CacheCap != want.CacheCap {
 		t.Errorf("server engine cache capacity %d, direct engine %d", got.CacheCap, want.CacheCap)

@@ -3,10 +3,12 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"xtreesim/internal/engine"
 )
@@ -202,22 +204,55 @@ func TestPoolSnapshotRoutesProfiles(t *testing.T) {
 	}
 }
 
-// TestServerSnapshotRestartWarmHit is the end-to-end acceptance path: a
-// server with a snapshot path answers a previously-seen tree with a
-// cache hit on the first request after a restart.
+// TestServerSnapshotRestartWarmHit is the end-to-end restart path under
+// load: closed-loop embeds plus fault-injected simulations, a drain
+// that snapshots the caches, a restart that warms from the snapshot,
+// and the same traffic again.  Both phases must hold the serving SLOs,
+// and the warmed server must answer everything from cache.
 func TestServerSnapshotRestartWarmHit(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "cache.snap")
-	cfg := Config{SnapshotPath: snap}
-
-	s1 := New(cfg)
-	if err := s1.Start(); err != nil {
-		t.Fatal(err)
+	// Each closed-loop client holds at most two admission places (a slot
+	// its last answer has not yet released, and its next request), so
+	// four clients never overflow 4 slots plus a queue of 16.
+	cfg := Config{SnapshotPath: snap, MaxConcurrent: 4, MaxQueue: 16}
+	phase := func(s *Server) *LoadReport {
+		t.Helper()
+		rep, err := RunLoad(LoadConfig{BaseURL: s.URL(), Concurrency: 4, Requests: 300,
+			TreeN: 600, DistinctShapes: 8, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Errors != 0 || rep.Shed != 0 || rep.P99 > 5*time.Second {
+			t.Fatalf("SLOs are 0 errors, 0 shed and p99 <= 5s: %s", rep)
+		}
+		// Simulations over a lossy network must still complete and deliver.
+		for seed := int64(1); seed <= 4; seed++ {
+			resp, data := postJSON(t, s.URL()+"/v1/simulate", SimulateRequest{
+				Tree:     &TreeSpec{Family: "random", N: 600, Seed: Seed(seed)},
+				Workload: WorkloadBroadcast,
+				Faults:   &FaultSpec{Seed: seed, DropProb: 0.2, CorruptProb: 0.05, MaxRetries: 16, BackoffBase: 1},
+			})
+			var sr SimulateResponse
+			if resp.StatusCode != 200 || json.Unmarshal(data, &sr) != nil || sr.Sim.Delivered == 0 {
+				t.Fatalf("fault-injected simulate %d: status %d: %s", seed, resp.StatusCode, data)
+			}
+		}
+		return rep
 	}
-	resp, data := postJSON(t, s1.URL()+"/v1/embed", EmbedRequest{
-		Tree: &TreeSpec{Family: "complete", N: 63, Seed: Seed(1)},
-	})
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	start := func() *Server {
+		s := New(cfg)
+		if err := s.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Shutdown(context.Background()) })
+		return s
+	}
+
+	s1 := start()
+	phase(s1)
+	st1 := s1.Stats()
+	if st1.Misses == 0 {
+		t.Fatal("phase 1 ran no computes; the load never reached the engine")
 	}
 	if err := s1.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
@@ -226,26 +261,16 @@ func TestServerSnapshotRestartWarmHit(t *testing.T) {
 		t.Fatalf("shutdown left no snapshot: %v", err)
 	}
 
-	s2 := New(cfg)
-	if err := s2.Start(); err != nil {
-		t.Fatal(err)
+	s2 := start()
+	if st := s2.Stats(); st.WarmLoaded != int64(st1.CacheLen) {
+		t.Fatalf("restarted server warm_loaded = %d, want %d", st.WarmLoaded, st1.CacheLen)
 	}
-	defer s2.Shutdown(context.Background())
-	if st := s2.Stats(); st.WarmLoaded != 1 {
-		t.Fatalf("restarted server warm_loaded = %d, want 1", st.WarmLoaded)
-	}
-	resp, data = postJSON(t, s2.URL()+"/v1/embed", EmbedRequest{
-		Tree: &TreeSpec{Family: "complete", N: 63, Seed: Seed(2)},
-	})
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	it := decodeEmbed(t, data).Items[0]
-	if !it.CacheHit {
-		t.Error("first request after restart+warm was not a cache hit")
-	}
+	rep := phase(s2)
 	if st := s2.Stats(); st.Misses != 0 {
-		t.Errorf("restarted server ran %d computes for a warmed shape, want 0", st.Misses)
+		t.Errorf("warmed server ran %d computes, want 0", st.Misses)
+	}
+	if rep.CacheHits != rep.OK {
+		t.Errorf("warmed server answered %d of %d OKs from cache", rep.CacheHits, rep.OK)
 	}
 }
 

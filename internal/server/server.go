@@ -66,8 +66,9 @@ const (
 )
 
 // Config configures a Server.  The zero value listens on 127.0.0.1:0
-// with one admission slot per CPU, a 4×-slots wait queue, and the
-// defaults above.
+// with one admission slot per CPU, no wait queue (a request that finds
+// every slot busy is shed with 429; MaxQueue −1 queues 4× the slots),
+// and the defaults above.
 type Config struct {
 	// Addr is the listen address; "" means 127.0.0.1:0 (an ephemeral
 	// port, read back with Addr after Start).

@@ -8,6 +8,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -331,6 +332,70 @@ func TestSimulateWithBaselineAndFaults(t *testing.T) {
 	}
 }
 
+// TestSimulatePartitionedMatchesSingle runs one fault-injected request
+// single-process and sharded over 4 epoch-barrier workers: the counters
+// must be identical, the sharded response must break the run down by
+// shard, and the xtreesim_dist_* families must be live.
+func TestSimulatePartitionedMatchesSingle(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	run := func(partitions int) SimulateResponse {
+		resp, data := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{
+			Tree:       &TreeSpec{Family: "random", N: 600, Seed: Seed(7)},
+			Workload:   WorkloadDivideConquer,
+			Waves:      2,
+			Faults:     &FaultSpec{Seed: 5, DropProb: 0.02, CorruptProb: 0.02},
+			Partitions: partitions,
+		})
+		if resp.StatusCode != 200 {
+			t.Fatalf("partitions=%d: status %d: %s", partitions, resp.StatusCode, data)
+		}
+		var sr SimulateResponse
+		if err := json.Unmarshal(data, &sr); err != nil {
+			t.Fatal(err)
+		}
+		return sr
+	}
+	single, dist := run(0), run(4)
+	if single.Dist != nil {
+		t.Errorf("single-process response carries dist info: %+v", single.Dist)
+	}
+	if single.Sim != dist.Sim {
+		t.Fatalf("partitioned counters diverge:\n single: %+v\n dist:   %+v", single.Sim, dist.Sim)
+	}
+	di := dist.Dist
+	if di == nil || di.Partitions != 4 || len(di.Shards) != 4 || di.BoundaryMessages <= 0 || di.BoundaryBytes <= 0 {
+		t.Fatalf("partitioned response lacks the shard breakdown: %+v", di)
+	}
+	hops := 0
+	for i, sh := range di.Shards {
+		if sh.Vertices <= 0 || sh.Links <= 0 {
+			t.Errorf("shard %d owns nothing: %+v", i, sh)
+		}
+		hops += sh.Hops
+	}
+	if hops != dist.Sim.HopsTotal {
+		t.Errorf("shard hops sum to %d, result says %d", hops, dist.Sim.HopsTotal)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{
+		`xtreesim_dist_runs_total{partitions="4"} 1`,
+		"xtreesim_dist_boundary_messages_total",
+		"xtreesim_dist_boundary_bytes_total",
+		`xtreesim_dist_partition_hops_total{partition="0"}`,
+		`xtreesim_dist_partition_boundary_out_total{partition="0"}`,
+	} {
+		if !strings.Contains(string(text), want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
 func TestSimulateValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for name, body := range map[string]string{
@@ -338,6 +403,8 @@ func TestSimulateValidation(t *testing.T) {
 		"unknown workload": `{"tree":{"family":"path","n":15},"workload":"sort"}`,
 		"bad drop prob":    `{"tree":{"family":"path","n":15},"workload":"broadcast","faults":{"drop_prob":2}}`,
 		"bad link kill":    `{"tree":{"family":"path","n":15},"workload":"broadcast","faults":{"link_kills":[{"u":0,"v":9999,"cycle":1}]}}`,
+		"over-cap partitions": `{"tree":{"family":"path","n":15},"workload":"broadcast","partitions":` +
+			strconv.Itoa(MaxSimPartitions+1) + `}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			resp, err := http.Post(ts.URL+"/v1/simulate", "application/json", strings.NewReader(body))
@@ -538,7 +605,7 @@ func TestAdmissionSheddingHTTP(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t, Config{Version: "metrics test v1"})
 	// Generate some traffic first.
 	postJSON(t, ts.URL+"/v1/embed", EmbedRequest{Tree: &TreeSpec{Family: "random", N: 496, Seed: Seed(1)}})
 	postJSON(t, ts.URL+"/v1/embed", EmbedRequest{Tree: &TreeSpec{Family: "random", N: 496, Seed: Seed(1)}})
@@ -570,9 +637,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"xtreesim_engine_workers",
 		"xtreesim_engine_utilization",
 		"xtreesim_uptime_seconds",
-		`xtreesim_build_info{version="`,
+		`xtreesim_build_info{version="metrics test v1"} 1`,
 		"xtreesim_session_active 0",
 		"xtreesim_sessions_started_total 0",
+		"xtreesim_session_events_published_total 0",
 		"xtreesim_session_streams_active 0",
 		"xtreesim_telemetry_dropped_total 0",
 	} {

@@ -162,16 +162,23 @@ func TestSimulateStream(t *testing.T) {
 	}
 }
 
-// TestSimulateStreamPartitioned requires per-shard samples on a
+// TestSimulateStreamPartitioned requires start-to-result framing, cycle
+// and fault events, and per-shard samples on a fault-injected
 // partitioned streaming run.
 func TestSimulateStreamPartitioned(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	req := streamReq
 	req.Partitions = 4
 	_, events := streamSimulate(t, ts.URL, req)
+	if len(events) < 2 || events[0].Type != telemetry.EventStart || events[len(events)-1].Type != telemetry.EventResult {
+		t.Fatalf("partitioned stream of %d events is not framed start..result", len(events))
+	}
 	types := countTypes(events)
-	if types[telemetry.EventShard] == 0 {
-		t.Fatal("partitioned stream carried no shard events")
+	if types[telemetry.EventShard] == 0 || types[telemetry.EventCycle] == 0 {
+		t.Fatalf("partitioned stream carried %d shard and %d cycle events", types[telemetry.EventShard], types[telemetry.EventCycle])
+	}
+	if types[telemetry.EventDrop]+types[telemetry.EventRetransmit] == 0 {
+		t.Error("fault-injected partitioned run streamed no fault events")
 	}
 	var result SimulateResponse
 	if err := json.Unmarshal(events[len(events)-1].Payload, &result); err != nil {
@@ -471,8 +478,10 @@ func TestHealthzActiveSessions(t *testing.T) {
 	}
 }
 
-// TestStreamHeartbeat attaches to an idle open session and requires
-// keep-alive events until the stream deadline closes the connection.
+// TestStreamHeartbeat attaches to an idle open session, and then with a
+// far-future ?from= cursor behind one published event, and requires
+// only keep-alive events until the stream deadline closes each
+// connection.
 func TestStreamHeartbeat(t *testing.T) {
 	s, ts := newTestServer(t, Config{HeartbeatInterval: 20 * time.Millisecond,
 		StreamTimeout: 250 * time.Millisecond})
@@ -482,24 +491,29 @@ func TestStreamHeartbeat(t *testing.T) {
 		s.sessions.finish(ss, "")
 	}()
 
-	resp, err := http.Get(ts.URL + "/v1/sessions/" + ss.id + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("attach status %d", resp.StatusCode)
-	}
-	events := decodeStream(t, resp.Body) // ends when StreamTimeout fires
-	if len(events) < 2 {
-		t.Fatalf("idle stream carried %d events, want >=2 heartbeats", len(events))
-	}
-	for _, e := range events {
-		if e.Type != telemetry.EventHeartbeat {
-			t.Fatalf("idle stream carried %q, want only heartbeats", e.Type)
+	for _, query := range []string{"", "?from=1000000000000"} {
+		if query != "" {
+			ss.rec.Publish(telemetry.Event{TraceEvent: netsim.TraceEvent{Type: telemetry.EventCycle}})
 		}
-		if e.Session != ss.id {
-			t.Fatalf("heartbeat session %q, want %q", e.Session, ss.id)
+		resp, err := http.Get(ts.URL + "/v1/sessions/" + ss.id + "/events" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("attach%s status %d", query, resp.StatusCode)
+		}
+		events := decodeStream(t, resp.Body) // ends when StreamTimeout fires
+		if len(events) < 2 {
+			t.Fatalf("idle stream%s carried %d events, want >=2 heartbeats", query, len(events))
+		}
+		for _, e := range events {
+			if e.Type != telemetry.EventHeartbeat {
+				t.Fatalf("idle stream%s carried %q, want only heartbeats", query, e.Type)
+			}
+			if e.Session != ss.id {
+				t.Fatalf("heartbeat session %q, want %q", e.Session, ss.id)
+			}
 		}
 	}
 }

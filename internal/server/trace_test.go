@@ -12,7 +12,8 @@ import (
 	"xtreesim/internal/trace"
 )
 
-// fetchSpans pulls /debug/trace and parses the JSONL export.
+// fetchSpans pulls /debug/trace, parses the JSONL export and checks
+// every line's schema: well-formed IDs, a name, a start and a duration.
 func fetchSpans(t *testing.T, baseURL string) []trace.SpanData {
 	t.Helper()
 	resp, err := http.Get(baseURL + "/debug/trace")
@@ -33,6 +34,11 @@ func fetchSpans(t *testing.T, baseURL string) []trace.SpanData {
 		var sd trace.SpanData
 		if err := json.Unmarshal(sc.Bytes(), &sd); err != nil {
 			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
+		}
+		_, traceOK := trace.ParseID(sd.Trace)
+		_, spanOK := trace.ParseID(sd.Span)
+		if !traceOK || !spanOK || sd.Name == "" || sd.Start <= 0 || sd.Dur < 0 {
+			t.Fatalf("JSONL line %q breaks the span schema", sc.Text())
 		}
 		out = append(out, sd)
 	}

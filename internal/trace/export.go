@@ -1,8 +1,8 @@
 package trace
 
 // export.go renders the completed-span ring for consumption outside the
-// process: JSONL (one SpanData object per line — the /debug/trace and
-// trace-smoke format) and the Chrome trace-event format, loadable in
+// process: JSONL (one SpanData object per line — the /debug/trace
+// format) and the Chrome trace-event format, loadable in
 // chrome://tracing or https://ui.perfetto.dev with one track per trace.
 // WriteChrome is the module's one Chrome writer: netsim.TraceRecorder
 // renders its simulator events through it too.

@@ -18,7 +18,9 @@ type (
 	// Create with NewServer, boot with Start, stop with Shutdown.
 	Server = server.Server
 	// ServerConfig configures NewServer; the zero value serves on an
-	// ephemeral localhost port with one admission slot per CPU.
+	// ephemeral localhost port with one admission slot per CPU and no
+	// wait queue, so it sheds whenever every slot is busy (set MaxQueue
+	// to queue; −1 means 4× the slots).
 	ServerConfig = server.Config
 	// LoadConfig configures RunLoad.
 	LoadConfig = server.LoadConfig
