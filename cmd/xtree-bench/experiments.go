@@ -357,9 +357,7 @@ func e10Simulation() {
 	header("E10 — simulated slowdown (divide-and-conquer + parallel prefix)",
 		"family", "r", "n", "ideal cycles", "monien cycles", "dfs-pack cycles", "slow(monien)", "slow(dfs)", "scan slow", "scan ok")
 	for _, f := range []bintree.Family{bintree.FamilyComplete, bintree.FamilyRandom} {
-		// The ideal machine hosts one processor per guest node, so the
-		// sweep stops at the simulator's 4096-vertex routing cap.
-		for r := 3; r <= min(*maxR, 7); r++ {
+		for r := 3; r <= *maxR; r++ {
 			n := int(xtreesim.Capacity(r))
 			tr, err := bintree.Generate(f, n, rng(int64(r)))
 			check(err)

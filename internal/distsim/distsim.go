@@ -131,8 +131,7 @@ type coord struct {
 	parts   int
 	owner   []int32
 	ranker  *netsim.EdgeRanker
-	tables  [][]int32
-	hopFn   func(cur, dst int32) int32
+	hopFn   func(cur, dst int32) int32 // from netsim.Router, shared with every shard
 	fc      *netsim.FaultCoord
 	obs     netsim.Observer
 	sampler func(ShardSample)
@@ -172,9 +171,6 @@ func newCoord(cfg Config, wl netsim.Workload) (*coord, error) {
 	if sim.Host == nil || len(sim.Place) == 0 {
 		return nil, fmt.Errorf("distsim: empty host or placement")
 	}
-	if sim.NextHop == nil && sim.Host.N() > netsim.MaxHostVertices {
-		return nil, fmt.Errorf("distsim: host has %d vertices, limit %d (pass a NextHop router to lift it)", sim.Host.N(), netsim.MaxHostVertices)
-	}
 	for p, h := range sim.Place {
 		if h < 0 || int(h) >= sim.Host.N() {
 			return nil, fmt.Errorf("distsim: process %d placed on invalid vertex %d", p, h)
@@ -210,16 +206,17 @@ func newCoord(cfg Config, wl netsim.Workload) (*coord, error) {
 	if err != nil {
 		return nil, err
 	}
+	hop, err := netsim.Router(sim.Host, sim.NextHop)
+	if err != nil {
+		return nil, err
+	}
 	c := &coord{
 		sim: sim, host: sim.Host, place: sim.Place, wl: wl,
-		parts: parts, owner: owner, hopFn: sim.NextHop, fc: fc,
+		parts: parts, owner: owner, hopFn: hop, fc: fc,
 		sampler:     cfg.ShardSampler,
 		ranker:      netsim.NewEdgeRanker(sim.Host),
 		injNext:     make([][]netsim.Placement, parts),
 		boundaryOut: make([]int, parts),
-	}
-	if c.hopFn == nil {
-		c.tables = netsim.BuildNextHopTables(sim.Host)
 	}
 	obs := append([]netsim.Observer(nil), sim.Observers...)
 	if cfg.Audit {
@@ -244,7 +241,7 @@ func newCoord(cfg Config, wl netsim.Workload) (*coord, error) {
 		}
 		shard, err := netsim.NewShard(netsim.ShardConfig{
 			Host: sim.Host, Owner: owner, Self: int32(k), Parts: parts,
-			NextHop: sim.NextHop, Tables: c.tables, Ranker: c.ranker,
+			NextHop: hop, Ranker: c.ranker,
 			Faults: sim.Faults, Observers: shardObs,
 			ReportActive: fc != nil && fc.HasProbs(),
 			EmitHops:     c.obs != nil,
@@ -526,13 +523,10 @@ func (c *coord) scanReleases(cycle int) ([][]netsim.Placement, []relOutcome, err
 func (c *coord) placeAt(at int32, w netsim.WireMsg, ord int64) (netsim.Placement, bool, bool, error) {
 	rerouted := false
 	var nh int32
-	switch {
-	case w.Rerouted:
+	if w.Rerouted {
 		nh = c.fc.Next(c.host, at, w.DstHost)
-	case c.hopFn != nil:
+	} else {
 		nh = c.hopFn(at, w.DstHost)
-	default:
-		nh = c.tables[w.DstHost][at]
 	}
 	if c.fc != nil && !w.Rerouted && nh >= 0 && c.fc.Blocked(at, nh) {
 		nh = c.fc.Next(c.host, at, w.DstHost)

@@ -187,24 +187,28 @@ func TestCrossBoundaryKill(t *testing.T) {
 	}
 }
 
-// TestOversizedHostMirrored pins the satellite fix on both runners: a host
-// over MaxHostVertices with no NextHop router must produce a clear error
-// naming the cap and the escape hatch, not a V² allocation or a panic.
+// TestOversizedHostMirrored pins the cap on both runners: a host over
+// MaxHostVertices that is not a tree, with no NextHop router, must produce
+// a clear error naming the cap and the escape hatch, not a V² allocation
+// or a panic.  A path of the same size is a tree, which both runners
+// simulate without tables and with identical results.
 func TestOversizedHostMirrored(t *testing.T) {
 	n := netsim.MaxHostVertices + 10
-	g := graph.New(n)
+	path := graph.New(n)
 	for i := 0; i+1 < n; i++ {
-		g.AddEdge(i, i+1)
+		path.AddEdge(i, i+1)
+	}
+	g := path.Clone()
+	g.AddEdge(n-1, 0) // a ring: not a tree
+	runners := map[string]func(netsim.Config, netsim.Workload) (netsim.Result, error){
+		"netsim": netsim.Run,
+		"distsim": func(cfg netsim.Config, wl netsim.Workload) (netsim.Result, error) {
+			return Run(Config{Sim: cfg, Partitions: 2}, wl)
+		},
 	}
 	cfg := netsim.Config{Host: g, Place: []int32{0, int32(n - 1)}}
-	for name, run := range map[string]func() error{
-		"netsim": func() error { _, err := netsim.Run(cfg, netsim.NewBroadcast(bintree.CompleteN(1))); return err },
-		"distsim": func() error {
-			_, err := Run(Config{Sim: cfg, Partitions: 2}, netsim.NewBroadcast(bintree.CompleteN(1)))
-			return err
-		},
-	} {
-		err := run()
+	for name, run := range runners {
+		_, err := run(cfg, netsim.NewBroadcast(bintree.CompleteN(1)))
 		if err == nil {
 			t.Fatalf("%s: no error for oversized host", name)
 		}
@@ -213,6 +217,18 @@ func TestOversizedHostMirrored(t *testing.T) {
 				t.Errorf("%s: error %q does not mention %q", name, err, want)
 			}
 		}
+	}
+	pathCfg := netsim.Config{Host: path, Place: []int32{0, int32(n - 1)}}
+	ref, err := netsim.Run(pathCfg, netsim.NewBroadcast(bintree.CompleteN(2)))
+	if err != nil || ref.Delivered != 1 || ref.Cycles != n-1 {
+		t.Fatalf("netsim on the oversized path: %+v, %v; want 1 delivery in %d cycles", ref, err, n-1)
+	}
+	res, err := runners["distsim"](pathCfg, netsim.NewBroadcast(bintree.CompleteN(2)))
+	if err != nil {
+		t.Fatalf("distsim on the oversized path: %v", err)
+	}
+	if !reflect.DeepEqual(res, ref) {
+		t.Fatalf("oversized path diverges:\n dist: %+v\n ref:  %+v", res, ref)
 	}
 }
 

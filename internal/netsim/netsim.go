@@ -30,7 +30,9 @@ import (
 	"xtreesim/internal/graph"
 )
 
-// MaxHostVertices bounds the routing-table size (V² next-hop entries).
+// MaxHostVertices bounds the V² next-hop tables Router builds for a host
+// that is neither a tree nor given a NextHop router.  Tree hosts route
+// without a table, so the cap does not apply to them.
 const MaxHostVertices = 4096
 
 // Event is a guest-level message between two guest processes.
@@ -56,11 +58,12 @@ type Config struct {
 	Host      *graph.Graph
 	Place     []int32 // guest process -> host vertex
 	MaxCycles int     // safety cap; 0 means 1<<20
-	// NextHop, when non-nil, replaces the precomputed routing tables:
-	// it must return a neighbor of cur strictly closer to dst.  With a
-	// table-free router (e.g. XTree.NextHopID, which computes each hop
-	// from the closed-form X-tree distance) this lifts the
-	// MaxHostVertices cap, which only bounds the V² table memory.
+	// NextHop, when non-nil, replaces the built-in routing: it must
+	// return a neighbor of cur strictly closer to dst.  Without one a
+	// tree host routes table-free and any other host builds V² next-hop
+	// tables, capped at MaxHostVertices (see Router); a table-free router
+	// such as XTree.NextHopID, which computes each hop from the
+	// closed-form X-tree distance, lifts the cap.
 	NextHop func(cur, dst int32) int32
 	// Faults, when non-nil and active, injects deterministic failures
 	// (link/vertex kills, drops, corruption) and enables the
@@ -145,11 +148,10 @@ func (q *linkQueue) reset() {
 }
 
 type sim struct {
-	host    *graph.Graph
-	place   []int32
-	wl      Workload
-	nextHop [][]int32                  // nextHop[dst][cur] = neighbor of cur toward dst
-	hopFn   func(cur, dst int32) int32 // overrides the tables when non-nil
+	host  *graph.Graph
+	place []int32
+	wl    Workload
+	hopFn func(cur, dst int32) int32 // from Router
 
 	edges     [][2]int32 // directed edges in deterministic order
 	edgeIndex map[int64]int
@@ -185,9 +187,6 @@ func RunContext(ctx context.Context, cfg Config, wl Workload) (Result, error) {
 	if cfg.Host == nil || len(cfg.Place) == 0 {
 		return Result{}, fmt.Errorf("netsim: empty host or placement")
 	}
-	if cfg.NextHop == nil && cfg.Host.N() > MaxHostVertices {
-		return Result{}, fmt.Errorf("netsim: host has %d vertices, limit %d (pass a NextHop router to lift it)", cfg.Host.N(), MaxHostVertices)
-	}
 	for p, h := range cfg.Place {
 		if h < 0 || int(h) >= cfg.Host.N() {
 			return Result{}, fmt.Errorf("netsim: process %d placed on invalid vertex %d", p, h)
@@ -200,7 +199,7 @@ func RunContext(ctx context.Context, cfg Config, wl Workload) (Result, error) {
 	if maxCycles <= 0 {
 		maxCycles = 1 << 20
 	}
-	s := &sim{host: cfg.Host, place: cfg.Place, wl: wl, hopFn: cfg.NextHop,
+	s := &sim{host: cfg.Host, place: cfg.Place, wl: wl,
 		obs: combineObservers(cfg.Observers)}
 	if cfg.Faults != nil {
 		fs, err := newFaultState(cfg.Faults, cfg.Host)
@@ -209,9 +208,11 @@ func RunContext(ctx context.Context, cfg Config, wl Workload) (Result, error) {
 		}
 		s.faults = fs // nil when the plan is inert
 	}
-	if s.hopFn == nil {
-		s.buildRouting()
+	hop, err := Router(cfg.Host, cfg.NextHop)
+	if err != nil {
+		return Result{}, err
 	}
+	s.hopFn = hop
 	s.buildEdges()
 	s.local = make([][]message, cfg.Host.N())
 	if s.faults != nil {
@@ -400,16 +401,13 @@ func (s *sim) route(evs []Event) error {
 // a message with no alive route left is abandoned, not an error.
 func (s *sim) enqueue(at int32, m message) error {
 	var nh int32
-	switch {
-	case m.rerouted:
+	if m.rerouted {
 		// Once diverted, stay on alive-graph routing: mixing it with
-		// the original tables could bounce a message between a detour
+		// the preferred route could bounce a message between a detour
 		// and a route through the dead link forever.
 		nh = s.faults.next(s.host, at, m.dstHost)
-	case s.hopFn != nil:
+	} else {
 		nh = s.hopFn(at, m.dstHost)
-	default:
-		nh = s.nextHop[m.dstHost][at]
 	}
 	if s.faults != nil && !m.rerouted && nh >= 0 && s.faults.blocked(at, nh) {
 		nh = s.faults.next(s.host, at, m.dstHost)
@@ -443,42 +441,6 @@ func (s *sim) enqueue(at int32, m message) error {
 // ekey packs a directed edge into the edgeIndex key.
 func ekey(u, v int32) int64 { return int64(u)<<32 | int64(v) }
 
-// buildRouting fills the per-destination next-hop tables.
-func (s *sim) buildRouting() {
-	s.nextHop = BuildNextHopTables(s.host)
-}
-
-// BuildNextHopTables precomputes shortest-path routing for the host by one
-// BFS per destination: tables[dst][cur] is the neighbor of cur on a
-// shortest path toward dst, or -1 when unreachable.  The tables are what
-// the single-process runner builds internally; they are exported so the
-// distsim runner can build them once and share them read-only across every
-// shard instead of paying the V² memory per partition.
-func BuildNextHopTables(host *graph.Graph) [][]int32 {
-	n := host.N()
-	tables := make([][]int32, n)
-	for dst := 0; dst < n; dst++ {
-		nh := make([]int32, n)
-		for i := range nh {
-			nh[i] = -1
-		}
-		nh[dst] = int32(dst)
-		queue := []int32{int32(dst)}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range host.Neighbors(int(u)) {
-				if nh[v] < 0 {
-					nh[v] = u // next hop from v toward dst is u
-					queue = append(queue, v)
-				}
-			}
-		}
-		tables[dst] = nh
-	}
-	return tables
-}
-
 // buildEdges enumerates the directed edges deterministically.
 func (s *sim) buildEdges() {
 	s.edgeIndex = make(map[int64]int)
@@ -494,8 +456,9 @@ func (s *sim) buildEdges() {
 	s.traffic = make([]int, len(s.edges))
 }
 
-// finishStats folds per-link traffic into the result (called by Run's
-// return paths via defer-free explicit calls in tests; exposed for reuse).
+// finishStats folds the per-link traffic and the latency percentiles into
+// the result.  RunContext calls it when a run quiesces, is cancelled or
+// hits the cycle cap.
 func (s *sim) finishStats() {
 	for _, t := range s.traffic {
 		if t > s.res.MaxLinkLoad {

@@ -195,11 +195,9 @@ type ShardConfig struct {
 	Owner []int32 // vertex -> owning shard
 	Self  int32
 	Parts int
-	// NextHop overrides Tables when non-nil (same contract as
-	// Config.NextHop); otherwise Tables must be the shared result of
-	// BuildNextHopTables.
+	// NextHop is the run's hop function, built once by Router and
+	// shared read-only by every shard and the coordinator.
 	NextHop func(cur, dst int32) int32
-	Tables  [][]int32
 	// Ranker must be shared across shards and the coordinator so edge
 	// ranks agree; nil builds a private one.
 	Ranker *EdgeRanker
@@ -228,7 +226,6 @@ type Shard struct {
 	self   int32
 	parts  int
 	hopFn  func(cur, dst int32) int32
-	tables [][]int32
 	ranker *EdgeRanker
 	faults *faultState
 	obs    Observer
@@ -272,12 +269,12 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 	if cfg.Parts <= 0 || cfg.Self < 0 || int(cfg.Self) >= cfg.Parts {
 		return nil, fmt.Errorf("netsim: shard %d outside %d partitions", cfg.Self, cfg.Parts)
 	}
-	if cfg.NextHop == nil && cfg.Tables == nil {
-		return nil, fmt.Errorf("netsim: shard needs NextHop or shared routing tables")
+	if cfg.NextHop == nil {
+		return nil, fmt.Errorf("netsim: shard needs the run's NextHop router")
 	}
 	sh := &Shard{
 		host: cfg.Host, owner: cfg.Owner, self: cfg.Self, parts: cfg.Parts,
-		hopFn: cfg.NextHop, tables: cfg.Tables, ranker: cfg.Ranker,
+		hopFn: cfg.NextHop, ranker: cfg.Ranker,
 		obs:          combineObservers(cfg.Observers),
 		reportActive: cfg.ReportActive, emitHops: cfg.EmitHops,
 		slotOf:  make(map[int]int),
@@ -606,7 +603,7 @@ func (sh *Shard) Apply(cycle int, incoming []Boundary) (FireReport, error) {
 }
 
 // push routes one Phase-1 forward at its arrival vertex, mirroring the
-// single-process enqueue (preferred tables, alive-graph fallback, abandon
+// single-process enqueue (preferred route, alive-graph fallback, abandon
 // when no alive route remains).  The MaxQueue sample is corrected for the
 // pop-all-then-push execution order: if the target link was busy this
 // cycle and its own pop (which happens at its rank) comes after this push
@@ -616,13 +613,10 @@ func (sh *Shard) push(b Boundary) (lost, rerouted bool, err error) {
 	m := fromWire(b.Msg)
 	at := b.At
 	var nh int32
-	switch {
-	case m.rerouted:
+	if m.rerouted {
 		nh = sh.faults.next(sh.host, at, m.dstHost)
-	case sh.hopFn != nil:
+	} else {
 		nh = sh.hopFn(at, m.dstHost)
-	default:
-		nh = sh.tables[m.dstHost][at]
 	}
 	if sh.faults != nil && !m.rerouted && nh >= 0 && sh.faults.blocked(at, nh) {
 		nh = sh.faults.next(sh.host, at, m.dstHost)

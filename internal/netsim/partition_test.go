@@ -36,15 +36,14 @@ func TestEdgeRankerMatchesBuildEdges(t *testing.T) {
 	}
 }
 
-// TestOversizedHostError pins the satellite fix: over the cap with no
-// NextHop router the error must name the cap and the escape hatch instead
-// of allocating the V² tables.
+// TestOversizedHostError pins the cap: a host over MaxHostVertices that
+// is not a tree, with no NextHop router, must fail with an error naming
+// the cap and the escape hatch instead of allocating the V² tables.  A
+// path of the same size is a tree and routes without tables.
 func TestOversizedHostError(t *testing.T) {
 	n := MaxHostVertices + 10
-	g := graph.New(n)
-	for i := 0; i+1 < n; i++ {
-		g.AddEdge(i, i+1)
-	}
+	g := pathHost(n)
+	g.AddEdge(n-1, 0) // a ring: not a tree
 	_, err := Run(Config{Host: g, Place: []int32{0, 1}}, &testStream{n: 1})
 	if err == nil {
 		t.Fatal("no error for oversized host")
@@ -64,5 +63,14 @@ func TestOversizedHostError(t *testing.T) {
 	place := []int32{0, 42}
 	if _, err := Run(Config{Host: g, Place: place, NextHop: hop}, &testStream{n: 1}); err != nil {
 		t.Fatalf("NextHop escape hatch failed: %v", err)
+	}
+	// The path needs no escape hatch: one message end to end takes one
+	// cycle per link.
+	res, err := Run(Config{Host: pathHost(n), Place: []int32{0, int32(n - 1)}}, &testStream{n: 1})
+	if err != nil {
+		t.Fatalf("oversized tree host: %v", err)
+	}
+	if res.Delivered != 1 || res.Cycles != n-1 || res.HopsTotal != n-1 {
+		t.Errorf("oversized tree host: %+v, want 1 delivery in %d cycles and hops", res, n-1)
 	}
 }

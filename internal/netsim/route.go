@@ -1,0 +1,135 @@
+package netsim
+
+import (
+	"fmt"
+
+	"xtreesim/internal/graph"
+)
+
+// Router returns the hop function a run on host routes by: next when the
+// caller passes one; a table-free tree router when host is a tree
+// (connected, with N−1 edges); and otherwise a lookup into
+// BuildNextHopTables, the only case MaxHostVertices bounds.  A tree has one
+// path between any two vertices, so the tree router returns exactly the
+// tables' hop and a run routed either way is identical.  Both the
+// single-process runner and the distsim coordinator route through it.
+func Router(host *graph.Graph, next func(cur, dst int32) int32) (func(cur, dst int32) int32, error) {
+	if next != nil {
+		return next, nil
+	}
+	if t := newTreeRouter(host); t != nil {
+		return t.next, nil
+	}
+	if host.N() > MaxHostVertices {
+		return nil, fmt.Errorf("netsim: host has %d vertices, limit %d (pass a NextHop router to lift it)", host.N(), MaxHostVertices)
+	}
+	tables := BuildNextHopTables(host)
+	return func(cur, dst int32) int32 { return tables[dst][cur] }, nil
+}
+
+// BuildNextHopTables precomputes shortest-path routing for the host by one
+// BFS per destination: tables[dst][cur] is the neighbor of cur on a
+// shortest path toward dst, or -1 when unreachable.  Router builds them
+// once per run for a host that is not a tree and shares them read-only
+// across every distsim shard.
+func BuildNextHopTables(host *graph.Graph) [][]int32 {
+	n := host.N()
+	tables := make([][]int32, n)
+	for dst := 0; dst < n; dst++ {
+		nh := make([]int32, n)
+		for i := range nh {
+			nh[i] = -1
+		}
+		nh[dst] = int32(dst)
+		queue := []int32{int32(dst)}
+		for len(queue) > 0 {
+			u := queue[0]
+			queue = queue[1:]
+			for _, v := range host.Neighbors(int(u)) {
+				if nh[v] < 0 {
+					nh[v] = u // next hop from v toward dst is u
+					queue = append(queue, v)
+				}
+			}
+		}
+		tables[dst] = nh
+	}
+	return tables
+}
+
+// treeRouter routes on a tree in O(V) memory.  Rooted at vertex 0 and
+// numbered in preorder, the subtree of v holds exactly the numbers
+// pre[v]..last[v], so dst lies below cur iff pre[dst] falls in cur's
+// interval; the hop is then the child whose interval holds it, and
+// otherwise cur's parent.
+type treeRouter struct {
+	parent []int32 // -1 at the root
+	pre    []int32 // preorder number
+	last   []int32 // largest preorder number in the subtree
+	order  []int32 // vertex by preorder number
+}
+
+// newTreeRouter returns the router for host, or nil when host is not a
+// tree.
+func newTreeRouter(host *graph.Graph) *treeRouter {
+	n := host.N()
+	if n == 0 || host.M() != n-1 {
+		return nil
+	}
+	t := &treeRouter{parent: make([]int32, n), pre: make([]int32, n), last: make([]int32, n),
+		order: make([]int32, 0, n)}
+	for i := range t.pre {
+		t.pre[i] = -1
+	}
+	t.parent[0] = -1
+	// Popping a vertex numbers it and pushes its children, which are all
+	// numbered before anything beneath them on the stack: every subtree
+	// gets a contiguous range.  A vertex popped twice closes a cycle.
+	stack := []int32{0}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if t.pre[v] >= 0 {
+			return nil
+		}
+		t.pre[v] = int32(len(t.order))
+		t.order = append(t.order, v)
+		for _, u := range host.Neighbors(int(v)) {
+			if u != t.parent[v] {
+				t.parent[u] = v
+				stack = append(stack, u)
+			}
+		}
+	}
+	if len(t.order) < n {
+		return nil // disconnected
+	}
+	// Descendants come later in preorder, so a reverse sweep closes every
+	// subtree's interval before its parent reads it.
+	for v := range t.last {
+		t.last[v] = t.pre[v]
+	}
+	for i := n - 1; i > 0; i-- {
+		v := t.order[i]
+		p := t.parent[v]
+		t.last[p] = max(t.last[p], t.last[v])
+	}
+	return t
+}
+
+func (t *treeRouter) next(cur, dst int32) int32 {
+	if cur == dst {
+		return dst
+	}
+	p := t.pre[dst]
+	if p < t.pre[cur] || p > t.last[cur] {
+		return t.parent[cur]
+	}
+	// dst lies below cur.  The children's intervals tile cur's, the first
+	// starting right after cur: step across them until one reaches p.
+	c := t.order[t.pre[cur]+1]
+	for t.last[c] < p {
+		c = t.order[t.last[c]+1]
+	}
+	return c
+}

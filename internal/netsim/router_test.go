@@ -1,10 +1,15 @@
 package netsim
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"xtreesim/internal/bintree"
 	"xtreesim/internal/core"
+	"xtreesim/internal/graph"
 	"xtreesim/internal/xtree"
 )
 
@@ -96,5 +101,209 @@ func TestRoutedRunBeyondTableCap(t *testing.T) {
 	}
 	if resSim.Delivered != tr.N()-1 {
 		t.Errorf("delivered %d", resSim.Delivered)
+	}
+}
+
+// relabel returns g with its vertices renumbered by a random permutation,
+// so that vertex 0, where the tree router roots itself, is an arbitrary
+// vertex rather than the guest's root.
+func relabel(g *graph.Graph, rng *rand.Rand) *graph.Graph {
+	perm := rng.Perm(g.N())
+	h := graph.New(g.N())
+	for _, e := range g.Edges() {
+		h.AddEdge(perm[e[0]], perm[e[1]])
+	}
+	return h
+}
+
+// sameHopsAsTables checks hop against BuildNextHopTables on every ordered
+// pair of g's vertices, the diagonal included.
+func sameHopsAsTables(t *testing.T, name string, g *graph.Graph, hop func(cur, dst int32) int32) {
+	t.Helper()
+	tables := BuildNextHopTables(g)
+	for dst := range tables {
+		for cur, want := range tables[dst] {
+			if got := hop(int32(cur), int32(dst)); got != want {
+				t.Fatalf("%s: hop %d->%d = %d, tables say %d", name, cur, dst, got, want)
+			}
+		}
+	}
+}
+
+// TestTreeRouterMatchesTables pins the tree router to the BFS tables on
+// every ordered pair: a tree has one path between two vertices, so any
+// disagreement is a routing bug, not a tie-break.
+func TestTreeRouterMatchesTables(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	hosts := map[string]*graph.Graph{}
+	for _, f := range []bintree.Family{bintree.FamilyRandom, bintree.FamilyBST, bintree.FamilyPath,
+		bintree.FamilyComplete, bintree.FamilyZigzag} {
+		for _, n := range []int{1, 2, 3, 7, 64, 255} {
+			tr, err := bintree.Generate(f, n, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s/n=%d", f, n)
+			hosts[name] = tr.AsGraph()
+			hosts[name+"/relabelled"] = relabel(tr.AsGraph(), rng)
+		}
+	}
+	// A star and a random recursive tree: many children per vertex.
+	star, rec := graph.New(40), graph.New(200)
+	for v := 1; v < star.N(); v++ {
+		star.AddEdge(0, v)
+	}
+	for v := 1; v < rec.N(); v++ {
+		rec.AddEdge(rng.Intn(v), v)
+	}
+	hosts["star"], hosts["star/relabelled"] = star, relabel(star, rng)
+	hosts["recursive/relabelled"] = relabel(rec, rng)
+	for name, g := range hosts {
+		tr := newTreeRouter(g)
+		if tr == nil {
+			t.Fatalf("%s: tree not detected", name)
+		}
+		sameHopsAsTables(t, name, g, tr.next)
+	}
+}
+
+// TestRouterKeepsTablesOffTrees checks that the tree test admits trees
+// only: each host below fails it (a cycle, or N−1 edges without being
+// connected), so Router falls back to the tables.
+func TestRouterKeepsTablesOffTrees(t *testing.T) {
+	chord := bintree.CompleteN(31).AsGraph()
+	chord.AddEdge(7, 20)
+	disconnected := graph.New(4) // a triangle and an isolated vertex
+	disconnected.AddEdge(0, 1)
+	disconnected.AddEdge(1, 2)
+	disconnected.AddEdge(2, 0)
+	isolatedZero := graph.New(4) // the same, with vertex 0 the isolated one
+	isolatedZero.AddEdge(1, 2)
+	isolatedZero.AddEdge(2, 3)
+	isolatedZero.AddEdge(3, 1)
+	for name, g := range map[string]*graph.Graph{
+		"xtree":                  xtree.New(4).AsGraph(),
+		"ring":                   cycleHost(),
+		"tree plus chord":        chord,
+		"triangle plus isolated": disconnected,
+		"isolated zero":          isolatedZero,
+	} {
+		if newTreeRouter(g) != nil {
+			t.Errorf("%s: routed as a tree", name)
+		}
+		hop, err := Router(g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameHopsAsTables(t, name, g, hop)
+	}
+}
+
+// tableHop is the reference router: a lookup into BuildNextHopTables.
+func tableHop(g *graph.Graph) func(cur, dst int32) int32 {
+	tables := BuildNextHopTables(g)
+	return func(cur, dst int32) int32 { return tables[dst][cur] }
+}
+
+// TestTreeRoutedRunMatchesTableRun is the oracle for the table-free path:
+// on a tree host, a run without NextHop and a run whose NextHop reads the
+// BFS tables give the same Result, the same error and the same observer
+// stream, for every workload, with and without faults.  The hosts are the
+// ideal machine of the baseline (every message crosses one link) and a
+// relabelled copy, on which the same placement routes over several links.
+func TestTreeRoutedRunMatchesTableRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	tr, err := bintree.Generate(bintree.FamilyRandom, 200, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := map[string]*graph.Graph{"ideal": tr.AsGraph(), "relabelled": relabel(tr.AsGraph(), rng)}
+	workloads := map[string]func() Workload{
+		"divide":    func() Workload { return NewDivideConquer(tr, 2) },
+		"broadcast": func() Workload { return NewBroadcast(tr) },
+		"scan":      func() Workload { return NewScan(tr) },
+		"exchange":  func() Workload { return NewExchange(tr, 2) },
+	}
+	for hostName, host := range hosts {
+		plans := map[string]*FaultPlan{
+			"faultfree": nil,
+			"faults": {Seed: 21, DropProb: 0.02, CorruptProb: 0.02, MaxRetries: 30,
+				LinkKills: []LinkKill{{U: 5, V: host.Neighbors(5)[0], Cycle: 6}}},
+		}
+		for wlName, mkWL := range workloads {
+			for planName, plan := range plans {
+				name := hostName + "/" + wlName + "/" + planName
+				base := Config{Host: host, Place: IdentityPlacement(tr.N()), Faults: plan, MaxCycles: 5000}
+				refTrace, trace := NewTraceRecorder(), NewTraceRecorder()
+				refCfg, cfg := base, base
+				refCfg.NextHop, refCfg.Observers = tableHop(host), []Observer{refTrace}
+				cfg.Observers = []Observer{trace}
+				ref, refErr := Run(refCfg, mkWL())
+				res, err := Run(cfg, mkWL())
+				if fmt.Sprint(err) != fmt.Sprint(refErr) {
+					t.Fatalf("%s: error %v, table run %v", name, err, refErr)
+				}
+				if !reflect.DeepEqual(res, ref) {
+					t.Fatalf("%s: result diverges:\n tree:  %+v\n table: %+v", name, res, ref)
+				}
+				if !reflect.DeepEqual(trace.Events(), refTrace.Events()) {
+					t.Fatalf("%s: observer stream diverges (%d vs %d events)", name,
+						len(trace.Events()), len(refTrace.Events()))
+				}
+				if plan != nil && (res.Drops == 0 || res.Corruptions == 0) {
+					t.Errorf("%s: fault plan injected too little: %+v", name, res)
+				}
+			}
+		}
+	}
+}
+
+// idealRun is the ideal-tree baseline: waves of divide-and-conquer on the
+// guest's own topology, one processor per guest node.
+func idealRun(tb testing.TB, tr *bintree.Tree) {
+	cfg := Config{Host: tr.AsGraph(), Place: IdentityPlacement(tr.N())}
+	if _, err := Run(cfg, NewDivideConquer(tr, 2)); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// randomGuest is the random tree of n nodes the baseline benchmarks use.
+func randomGuest(tb testing.TB, n int) *bintree.Tree {
+	tr, err := bintree.Generate(bintree.FamilyRandom, n, rand.New(rand.NewSource(int64(n))))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr
+}
+
+func BenchmarkIdealBaseline(b *testing.B) {
+	for _, n := range []int{1008, 4080} {
+		tr := randomGuest(b, n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				idealRun(b, tr)
+			}
+		})
+	}
+}
+
+// TestIdealBaselineAllocScaling gates the baseline's memory on its growth
+// rather than on a wall clock: quadrupling the guest must not multiply the
+// bytes one run allocates by more than 6.  Linear routing state measures
+// about 4; a V² routing table measures about 15.
+func TestIdealBaselineAllocScaling(t *testing.T) {
+	bytes := func(n int) uint64 {
+		tr := randomGuest(t, n)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		idealRun(t, tr)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := bytes(1008), bytes(4080)
+	if ratio := float64(large) / float64(small); ratio > 6 {
+		t.Errorf("n=4080 allocates %d bytes, %.1f× the %d at n=1008; want ≤ 6×", large, ratio, small)
 	}
 }

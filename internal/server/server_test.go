@@ -332,6 +332,32 @@ func TestSimulateWithBaselineAndFaults(t *testing.T) {
 	}
 }
 
+// TestSimulateBaselineLargeGuest pins the baseline beyond the 4096-vertex
+// routing-table cap: the ideal machine of an 8176-node guest is a tree,
+// which routes without tables, so the request answers 200 with the
+// slowdown like any smaller one.
+func TestSimulateBaselineLargeGuest(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, data := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{
+		Tree:     &TreeSpec{Family: "random", N: 8176, Seed: Seed(1)},
+		Workload: WorkloadBroadcast,
+		Baseline: true,
+	})
+	if resp.StatusCode != 200 {
+		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	}
+	var sr SimulateResponse
+	if err := json.Unmarshal(data, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if sr.Sim.Delivered != 8175 {
+		t.Errorf("broadcast delivered %d of 8175 messages", sr.Sim.Delivered)
+	}
+	if sr.IdealCycles <= 0 || sr.Slowdown <= 0 {
+		t.Errorf("baseline not reported: ideal=%d slowdown=%v", sr.IdealCycles, sr.Slowdown)
+	}
+}
+
 // TestSimulatePartitionedMatchesSingle runs one fault-injected request
 // single-process and sharded over 4 epoch-barrier workers: the counters
 // must be identical, the sharded response must break the run down by
