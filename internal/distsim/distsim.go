@@ -22,8 +22,10 @@
 package distsim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -152,6 +154,16 @@ type coord struct {
 
 	injNext [][]netsim.Placement // per shard, for the next BeginCycle
 	pending []netsim.Event
+
+	// Per-cycle merge buffers, reused from cycle to cycle.
+	killLosses []netsim.LossRecord
+	slots      []drawSlot
+	losses     []netsim.LossRecord
+	hops       []netsim.HopRecord
+	linkArr    []netsim.ArrivalRecord
+	localArr   []netsim.LocalArrival
+	arrived    []netsim.WireMsg
+	order      netsim.DeliveryOrder[netsim.WireMsg]
 
 	maxQueue    int
 	maxLinkLoad int
@@ -357,22 +369,22 @@ func (c *coord) run(ctx context.Context) (netsim.Result, error) {
 
 		// Replay the cycle-start event order: per fired kill its OnKill
 		// and flush losses, then the retransmission releases.
-		var killLosses []netsim.LossRecord
+		killLosses := c.killLosses[:0]
 		for _, rep := range beginReps {
 			killLosses = append(killLosses, rep.KillLosses...)
 			if rep.MaxQueue > c.maxQueue {
 				c.maxQueue = rep.MaxQueue
 			}
 		}
-		sort.Slice(killLosses, func(a, b int) bool {
-			x, y := killLosses[a], killLosses[b]
+		c.killLosses = killLosses
+		slices.SortFunc(killLosses, func(x, y netsim.LossRecord) int {
 			if x.Kill != y.Kill {
-				return x.Kill < y.Kill
+				return cmp.Compare(x.Kill, y.Kill)
 			}
 			if x.Step != y.Step {
-				return x.Step < y.Step
+				return cmp.Compare(x.Step, y.Step)
 			}
-			return x.Pos < y.Pos
+			return cmp.Compare(x.Pos, y.Pos)
 		})
 		li := 0
 		for _, fk := range fired {
@@ -548,24 +560,28 @@ func (c *coord) placeAt(at int32, w netsim.WireMsg, ord int64) (netsim.Placement
 	return netsim.Placement{Ord: ord, Edge: rank, Vertex: at, Msg: w}, false, rerouted, nil
 }
 
+// drawSlot is one busy link of the merged snapshot: the shard that owns
+// it and its position in that shard's Active list.
+type drawSlot struct {
+	shard, pos int
+	ae         netsim.ActiveEdge
+}
+
 // drawDecisions consumes the RNG over the merged busy-link snapshot.
 func (c *coord) drawDecisions(reps []*netsim.BeginReport) [][]netsim.HopDecision {
 	if c.fc == nil || !c.fc.HasProbs() {
 		return make([][]netsim.HopDecision, c.parts)
 	}
-	type slot struct {
-		shard, pos int
-		ae         netsim.ActiveEdge
-	}
-	var all []slot
+	all := c.slots[:0]
 	decs := make([][]netsim.HopDecision, c.parts)
 	for k, rep := range reps {
 		decs[k] = make([]netsim.HopDecision, len(rep.Active))
 		for pos, ae := range rep.Active {
-			all = append(all, slot{shard: k, pos: pos, ae: ae})
+			all = append(all, drawSlot{shard: k, pos: pos, ae: ae})
 		}
 	}
-	sort.Slice(all, func(a, b int) bool { return all[a].ae.Edge < all[b].ae.Edge })
+	c.slots = all
+	slices.SortFunc(all, func(a, b drawSlot) int { return cmp.Compare(a.ae.Edge, b.ae.Edge) })
 	for _, s := range all {
 		d := c.fc.Decide(s.ae.HeadCorrupt)
 		if d.Corrupt {
@@ -579,10 +595,8 @@ func (c *coord) drawDecisions(reps []*netsim.BeginReport) [][]netsim.HopDecision
 // processFire merges the fire reports: the global hop stream with its
 // interleaved losses in edge order, then Phase-2 delivery and routing.
 func (c *coord) processFire(cycle int, reps []*netsim.FireReport) error {
-	var losses []netsim.LossRecord
-	var hops []netsim.HopRecord
-	var linkArr []netsim.ArrivalRecord
-	var localArr []netsim.LocalArrival
+	losses, hops := c.losses[:0], c.hops[:0]
+	linkArr, localArr := c.linkArr[:0], c.localArr[:0]
 	for _, rep := range reps {
 		losses = append(losses, rep.Losses...)
 		hops = append(hops, rep.Hops...)
@@ -597,9 +611,10 @@ func (c *coord) processFire(cycle int, reps []*netsim.FireReport) error {
 			c.maxLinkLoad = rep.MaxLinkLoad
 		}
 	}
-	sort.SliceStable(losses, func(a, b int) bool { return losses[a].Edge < losses[b].Edge })
+	c.losses, c.hops, c.linkArr, c.localArr = losses, hops, linkArr, localArr
+	slices.SortStableFunc(losses, func(a, b netsim.LossRecord) int { return cmp.Compare(a.Edge, b.Edge) })
 	if c.obs != nil {
-		sort.Slice(hops, func(a, b int) bool { return hops[a].Edge < hops[b].Edge })
+		slices.SortFunc(hops, func(a, b netsim.HopRecord) int { return cmp.Compare(a.Edge, b.Edge) })
 		li := 0
 		for _, h := range hops {
 			c.obs.OnHop(netsim.HopInfo{Cycle: cycle, Edge: h.Edge, From: h.From, To: h.To,
@@ -620,17 +635,18 @@ func (c *coord) processFire(cycle int, reps []*netsim.FireReport) error {
 
 	// Phase 2: link arrivals in edge order, then memory-queue arrivals in
 	// vertex order — the single-process arrival sequence — then the
-	// stable delivery sort.
-	sort.Slice(linkArr, func(a, b int) bool { return linkArr[a].Edge < linkArr[b].Edge })
-	sort.SliceStable(localArr, func(a, b int) bool { return localArr[a].Vertex < localArr[b].Vertex })
-	arrived := make([]netsim.WireMsg, 0, len(linkArr)+len(localArr))
+	// delivery order the single-process loop applies.
+	slices.SortFunc(linkArr, func(a, b netsim.ArrivalRecord) int { return cmp.Compare(a.Edge, b.Edge) })
+	slices.SortStableFunc(localArr, func(a, b netsim.LocalArrival) int { return cmp.Compare(a.Vertex, b.Vertex) })
+	arrived := c.arrived[:0]
 	for _, a := range linkArr {
 		arrived = append(arrived, a.Msg)
 	}
 	for _, a := range localArr {
 		arrived = append(arrived, a.Msg)
 	}
-	sort.SliceStable(arrived, func(a, b int) bool { return netsim.LessDelivery(arrived[a], arrived[b]) })
+	c.arrived = arrived
+	c.order.Sort(arrived, func(w *netsim.WireMsg) (netsim.Event, int) { return w.Ev, w.SentAt })
 	c.pending = c.pending[:0]
 	emit := func(ev netsim.Event) { c.pending = append(c.pending, ev) }
 	for _, w := range arrived {

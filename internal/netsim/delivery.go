@@ -1,0 +1,61 @@
+package netsim
+
+import (
+	"cmp"
+	"slices"
+)
+
+// DeliveryOrder puts one cycle's arrivals in the Phase-2 delivery order
+// that the single-process loop and the distsim coordinator share:
+// ascending (To, From, Kind, Payload, sent cycle), with true duplicates
+// kept in arrival order, which is itself deterministic.  Each arrival's
+// position completes the key, so the unstable sort yields exactly that
+// stable order.  The zero value is ready; a runner keeps one for the
+// whole run so its buffers are reused from cycle to cycle.
+type DeliveryOrder[M any] struct {
+	keys []deliveryKey
+	buf  []M
+}
+
+// deliveryKey is one arrival's place in the delivery order.
+type deliveryKey struct {
+	to, from, kind int32
+	pos            int32 // arrival position
+	payload        int64
+	sentAt         int
+}
+
+// Sort reorders arrived in place into delivery order; at returns an
+// arrival's guest event and the cycle it was sent.
+func (o *DeliveryOrder[M]) Sort(arrived []M, at func(*M) (Event, int)) {
+	if len(arrived) < 2 {
+		return
+	}
+	o.keys = o.keys[:0]
+	for i := range arrived {
+		ev, sentAt := at(&arrived[i])
+		o.keys = append(o.keys, deliveryKey{to: ev.To, from: ev.From, kind: ev.Kind,
+			pos: int32(i), payload: ev.Payload, sentAt: sentAt})
+	}
+	slices.SortFunc(o.keys, compareDelivery)
+	o.buf = append(o.buf[:0], arrived...)
+	for i, k := range o.keys {
+		arrived[i] = o.buf[k.pos]
+	}
+}
+
+func compareDelivery(x, y deliveryKey) int {
+	switch {
+	case x.to != y.to:
+		return cmp.Compare(x.to, y.to)
+	case x.from != y.from:
+		return cmp.Compare(x.from, y.from)
+	case x.kind != y.kind:
+		return cmp.Compare(x.kind, y.kind)
+	case x.payload != y.payload:
+		return cmp.Compare(x.payload, y.payload)
+	case x.sentAt != y.sentAt:
+		return cmp.Compare(x.sentAt, y.sentAt)
+	}
+	return cmp.Compare(x.pos, y.pos)
+}

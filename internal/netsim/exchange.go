@@ -42,9 +42,9 @@ func (e *Exchange) Init(emit func(Event)) {
 		e.done = true
 		return
 	}
-	var buf []int32
+	var arr [3]int32
 	for v := int32(0); v < int32(e.T.N()); v++ {
-		buf = e.T.Neighbors(v, buf[:0])
+		buf := e.T.Neighbors(v, arr[:0])
 		e.pending[v] = int8(len(buf))
 		for _, u := range buf {
 			emit(Event{From: v, To: u, Kind: KindExchange, Payload: 0})
@@ -77,8 +77,8 @@ func (e *Exchange) OnMessage(ev Event, emit func(Event)) {
 		}
 		return
 	}
-	var buf []int32
-	buf = e.T.Neighbors(v, buf)
+	var arr [3]int32
+	buf := e.T.Neighbors(v, arr[:0])
 	e.pending[v] = int8(len(buf)) - e.early[v]
 	e.early[v] = 0
 	for _, u := range buf {
@@ -101,8 +101,8 @@ func (e *Exchange) OnMessageRoundComplete(v int32, emit func(Event)) {
 		}
 		return
 	}
-	var buf []int32
-	buf = e.T.Neighbors(v, buf)
+	var arr [3]int32
+	buf := e.T.Neighbors(v, arr[:0])
 	e.pending[v] = int8(len(buf)) - e.early[v]
 	e.early[v] = 0
 	for _, u := range buf {

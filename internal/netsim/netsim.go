@@ -25,6 +25,7 @@ package netsim
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"xtreesim/internal/graph"
@@ -159,6 +160,8 @@ type sim struct {
 	active    []int       // scratch: links busy at the start of the cycle
 	traffic   []int       // total messages ever moved per edge
 	local     [][]message // per-vertex memory queues
+	arrived   []message   // scratch: this cycle's at-destination deliveries
+	order     DeliveryOrder[message]
 
 	inflight    int
 	emitted     int64 // guest events accepted so far; doubles as the next seq
@@ -272,7 +275,7 @@ func RunContext(ctx context.Context, cfg Config, wl Workload) (Result, error) {
 		// cycle must NOT move again until the next cycle, or a message
 		// on an ascending route would cross several links per cycle and
 		// dilation would no longer bound the slowdown.
-		var arrived []message // at-destination deliveries this cycle
+		s.arrived = s.arrived[:0]
 		s.active = s.active[:0]
 		for i := range s.queues {
 			if s.queues[i].length() > 0 {
@@ -280,29 +283,27 @@ func RunContext(ctx context.Context, cfg Config, wl Workload) (Result, error) {
 			}
 		}
 		for _, i := range s.active {
-			if err := s.moveHead(i, &arrived); err != nil {
+			if err := s.moveHead(i); err != nil {
 				return s.res, err
 			}
 		}
 		for v := range s.local {
 			if n := len(s.local[v]); n > 0 {
-				arrived = append(arrived, s.local[v]...)
+				s.arrived = append(s.arrived, s.local[v]...)
 				s.queuedLocal -= n
 				s.local[v] = s.local[v][:0]
 			}
 		}
 		// Phase 2: deliver in a deterministic order and route the
-		// responses.  The key must totally order distinct messages:
-		// (To, From, Kind) alone lets two messages differing only in
-		// Payload land in unspecified order under sort.Slice, so the
-		// tie-break continues through Payload and sentAt, and the sort
-		// is stable so true duplicates keep their arrival order (which
-		// is itself deterministic).
-		sort.SliceStable(arrived, func(a, b int) bool {
-			return deliveryLess(arrived[a].ev, arrived[a].sentAt, arrived[b].ev, arrived[b].sentAt)
-		})
+		// responses.  The order must be total over distinct messages:
+		// (To, From, Kind) alone would leave two messages differing only
+		// in Payload in unspecified order, so DeliveryOrder continues
+		// through Payload and sentAt, and true duplicates keep their
+		// arrival order (link arrivals by edge, then memory queues by
+		// vertex).
+		s.order.Sort(s.arrived, func(m *message) (Event, int) { return m.ev, m.sentAt })
 		pending = pending[:0]
-		for _, m := range arrived {
+		for _, m := range s.arrived {
 			if s.faults != nil && s.faults.deadV[m.dstHost] {
 				s.abandon(m) // destination died while the message was in flight
 				continue
@@ -330,7 +331,7 @@ func RunContext(ctx context.Context, cfg Config, wl Workload) (Result, error) {
 // moveHead crosses one message over link i: the head of its queue either
 // arrives (destination reached), is lost to the fault layer, or is
 // forwarded onto the next link of its route.
-func (s *sim) moveHead(i int, arrived *[]message) error {
+func (s *sim) moveHead(i int) error {
 	m := s.queues[i].pop()
 	s.queuedLinks--
 	here := s.edges[i][1]
@@ -357,7 +358,7 @@ func (s *sim) moveHead(i int, arrived *[]message) error {
 			s.lose(m, DropCorrupt)
 			return nil
 		}
-		*arrived = append(*arrived, m)
+		s.arrived = append(s.arrived, m)
 		return nil
 	}
 	return s.enqueue(here, m)
@@ -444,9 +445,10 @@ func ekey(u, v int32) int64 { return int64(u)<<32 | int64(v) }
 // buildEdges enumerates the directed edges deterministically.
 func (s *sim) buildEdges() {
 	s.edgeIndex = make(map[int64]int)
+	var ns []int32
 	for u := 0; u < s.host.N(); u++ {
-		ns := append([]int32(nil), s.host.Neighbors(u)...)
-		sort.Slice(ns, func(a, b int) bool { return ns[a] < ns[b] })
+		ns = append(ns[:0], s.host.Neighbors(u)...)
+		slices.Sort(ns)
 		for _, v := range ns {
 			s.edgeIndex[ekey(int32(u), v)] = len(s.edges)
 			s.edges = append(s.edges, [2]int32{int32(u), v})

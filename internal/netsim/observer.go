@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"xtreesim/internal/jsonw"
 	"xtreesim/internal/trace"
 )
 
@@ -328,6 +329,36 @@ type TraceEvent struct {
 	Parked      int `json:"parked,omitempty"`
 }
 
+// AppendJSONFields appends e's fields as encoding/json writes them: in
+// declaration order, empty omitempty fields left out, strings escaped
+// with HTML escaping off.  It leaves out the enclosing braces so that
+// telemetry.Event can continue the object with its stream fields; the
+// JSONL export and the live stream both encode through it.
+func (e *TraceEvent) AppendJSONFields(b []byte) []byte {
+	b = jsonw.Int(b, `"schema_version":`, int64(e.SchemaVersion))
+	b = jsonw.String(append(b, `,"type":`...), e.Type)
+	b = jsonw.Int(b, `,"cycle":`, int64(e.Cycle))
+	b = jsonw.OmitInt(b, `,"edge":`, int64(e.Edge))
+	b = jsonw.OmitInt(b, `,"from":`, int64(e.From))
+	b = jsonw.OmitInt(b, `,"to":`, int64(e.To))
+	b = jsonw.OmitInt(b, `,"host":`, int64(e.Host))
+	b = jsonw.OmitInt(b, `,"seq":`, e.Seq)
+	b = jsonw.OmitInt(b, `,"evFrom":`, int64(e.EvFrom))
+	b = jsonw.OmitInt(b, `,"evTo":`, int64(e.EvTo))
+	b = jsonw.OmitInt(b, `,"kind":`, int64(e.Kind))
+	b = jsonw.OmitInt(b, `,"latency":`, int64(e.Latency))
+	if e.Local {
+		b = append(b, `,"local":true`...)
+	}
+	b = jsonw.OmitString(b, `,"reason":`, e.Reason)
+	b = jsonw.OmitInt(b, `,"attempt":`, int64(e.Attempt))
+	b = jsonw.OmitInt(b, `,"backlog":`, int64(e.Backlog))
+	b = jsonw.OmitInt(b, `,"inflight":`, int64(e.Inflight))
+	b = jsonw.OmitInt(b, `,"queuedLinks":`, int64(e.QueuedLinks))
+	b = jsonw.OmitInt(b, `,"queuedLocal":`, int64(e.QueuedLocal))
+	return jsonw.OmitInt(b, `,"parked":`, int64(e.Parked))
+}
+
 // Trace returns the snapshot as a "cycle" TraceEvent.  The Trace methods
 // of the six callback arguments are the one place a simulator event
 // becomes a TraceEvent: TraceRecorder stores their results and the
@@ -429,11 +460,14 @@ func DecodeTraceEvent(line []byte) (TraceEvent, error) {
 	return e, nil
 }
 
-// WriteJSONL writes one JSON object per line per event.
+// WriteJSONL writes one JSON object per line per event, the bytes
+// json.Encoder writes for them: the recorded events come from the Trace
+// methods, whose strings hold no character that HTML escaping changes.
 func (t *TraceRecorder) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
+	var line []byte
 	for i := range t.events {
-		if err := enc.Encode(&t.events[i]); err != nil {
+		line = append(t.events[i].AppendJSONFields(append(line[:0], '{')), '}', '\n')
+		if _, err := w.Write(line); err != nil {
 			return err
 		}
 	}

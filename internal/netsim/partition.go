@@ -24,38 +24,12 @@ package netsim
 // edges in ascending index order.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"xtreesim/internal/graph"
 )
-
-// deliveryLess is the Phase-2 delivery order: a total order over distinct
-// messages (To, From, Kind, Payload, sentAt) applied with a stable sort so
-// true duplicates keep their deterministic arrival order.  Shared by the
-// single-process loop and the distsim coordinator.
-func deliveryLess(xe Event, xs int, ye Event, ys int) bool {
-	if xe.To != ye.To {
-		return xe.To < ye.To
-	}
-	if xe.From != ye.From {
-		return xe.From < ye.From
-	}
-	if xe.Kind != ye.Kind {
-		return xe.Kind < ye.Kind
-	}
-	if xe.Payload != ye.Payload {
-		return xe.Payload < ye.Payload
-	}
-	return xs < ys
-}
-
-// LessDelivery reports whether message x is delivered before message y in
-// the deterministic Phase-2 order (ties keep arrival order; callers must
-// use a stable sort).
-func LessDelivery(x, y WireMsg) bool {
-	return deliveryLess(x.Ev, x.SentAt, y.Ev, y.SentAt)
-}
 
 // CombineObservers folds a list of observers into one, dropping nils; it
 // returns nil when nothing is attached.
@@ -531,7 +505,7 @@ func (sh *Shard) Fire(cycle int, dec []HopDecision, ci CycleInfo) [][]Boundary {
 // queues drain and the report is assembled.
 func (sh *Shard) Apply(cycle int, incoming []Boundary) (FireReport, error) {
 	pushes := append(sh.selfPend, incoming...)
-	sort.Slice(pushes, func(a, b int) bool { return pushes[a].SrcEdge < pushes[b].SrcEdge })
+	slices.SortFunc(pushes, func(a, b Boundary) int { return cmp.Compare(a.SrcEdge, b.SrcEdge) })
 	for k := range sh.pushSrc {
 		delete(sh.pushSrc, k)
 	}
@@ -588,7 +562,7 @@ func (sh *Shard) Apply(cycle int, incoming []Boundary) (FireReport, error) {
 			sh.scratchVerts = append(sh.scratchVerts, v)
 		}
 	}
-	sort.Slice(sh.scratchVerts, func(a, b int) bool { return sh.scratchVerts[a] < sh.scratchVerts[b] })
+	slices.Sort(sh.scratchVerts)
 	for _, v := range sh.scratchVerts {
 		for _, m := range sh.local[v] {
 			rep.LocalArrivals = append(rep.LocalArrivals, LocalArrival{Vertex: v, Msg: toWire(m)})
@@ -596,7 +570,7 @@ func (sh *Shard) Apply(cycle int, incoming []Boundary) (FireReport, error) {
 		sh.queuedLocal -= len(sh.local[v])
 		sh.local[v] = sh.local[v][:0]
 	}
-	sort.SliceStable(rep.Losses, func(a, b int) bool { return rep.Losses[a].Edge < rep.Losses[b].Edge })
+	slices.SortStableFunc(rep.Losses, func(a, b LossRecord) int { return cmp.Compare(a.Edge, b.Edge) })
 	rep.MaxQueue = sh.maxQueue
 	rep.MaxLinkLoad = sh.maxLinkLoad
 	return rep, nil
@@ -776,7 +750,7 @@ func NewEdgeRanker(host *graph.Graph) *EdgeRanker {
 	for u := 0; u < n; u++ {
 		r.base[u] = rank
 		ns := host.Neighbors(u)
-		if !sort.SliceIsSorted(ns, func(a, b int) bool { return ns[a] < ns[b] }) {
+		if !slices.IsSorted(ns) {
 			ns = sortedNeighbors(host, u)
 		}
 		r.adj[u] = ns
@@ -793,9 +767,7 @@ func (r *EdgeRanker) Count() int { return r.m }
 // Rank returns the global rank of the directed edge u→v, or -1 when the
 // edge does not exist.
 func (r *EdgeRanker) Rank(u, v int32) int {
-	ns := r.adj[u]
-	i := sort.Search(len(ns), func(k int) bool { return ns[k] >= v })
-	if i < len(ns) && ns[i] == v {
+	if i, ok := slices.BinarySearch(r.adj[u], v); ok {
 		return r.base[u] + i
 	}
 	return -1
@@ -815,7 +787,7 @@ func (sh *Shard) Totals() (ownedLinks, ownedVertices, hops int) {
 
 // sortedNeighbors returns an ascending copy of u's neighbor list.
 func sortedNeighbors(host *graph.Graph, u int) []int32 {
-	ns := append([]int32(nil), host.Neighbors(u)...)
-	sort.Slice(ns, func(a, b int) bool { return ns[a] < ns[b] })
+	ns := slices.Clone(host.Neighbors(u))
+	slices.Sort(ns)
 	return ns
 }

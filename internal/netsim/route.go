@@ -29,22 +29,23 @@ func Router(host *graph.Graph, next func(cur, dst int32) int32) (func(cur, dst i
 
 // BuildNextHopTables precomputes shortest-path routing for the host by one
 // BFS per destination: tables[dst][cur] is the neighbor of cur on a
-// shortest path toward dst, or -1 when unreachable.  Router builds them
-// once per run for a host that is not a tree and shares them read-only
-// across every distsim shard.
+// shortest path toward dst, or -1 when unreachable.  The rows share one
+// V×V backing array.  Router builds them once per run for a host that is
+// not a tree and shares them read-only across every distsim shard.
 func BuildNextHopTables(host *graph.Graph) [][]int32 {
 	n := host.N()
+	flat := make([]int32, n*n)
 	tables := make([][]int32, n)
+	queue := make([]int32, 0, n)
 	for dst := 0; dst < n; dst++ {
-		nh := make([]int32, n)
+		nh := flat[dst*n : (dst+1)*n : (dst+1)*n]
 		for i := range nh {
 			nh[i] = -1
 		}
 		nh[dst] = int32(dst)
-		queue := []int32{int32(dst)}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
+		queue = append(queue[:0], int32(dst))
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
 			for _, v := range host.Neighbors(int(u)) {
 				if nh[v] < 0 {
 					nh[v] = u // next hop from v toward dst is u

@@ -307,3 +307,34 @@ func TestIdealBaselineAllocScaling(t *testing.T) {
 		t.Errorf("n=4080 allocates %d bytes, %.1f× the %d at n=1008; want ≤ 6×", large, ratio, small)
 	}
 }
+
+// TestRunAllocBudget gates the allocations of one routed run: two waves of
+// divide-and-conquer on a random n=2032 guest (seed 1) under the default
+// embed on X(6), 122 cycles and 5,748 hops.  It allocated 7,426 times
+// while each cycle sorted its arrivals by reflection into a fresh slice,
+// each next-hop table row was its own allocation and every workload
+// message grew its own child list; it allocates about 1,700 times now.
+func TestRunAllocBudget(t *testing.T) {
+	tr, err := bintree.Generate(bintree.FamilyRandom, 2032, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, place := xtreePlaceAndHost(t, tr)
+	cfg := Config{Host: res.Host.AsGraph(), Place: place}
+	r, err := Run(cfg, NewDivideConquer(tr, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Cycles != 122 || r.HopsTotal != 5748 {
+		t.Fatalf("reference run took %d cycles and %d hops, want 122 and 5748", r.Cycles, r.HopsTotal)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Run(cfg, NewDivideConquer(tr, 2)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2500 {
+		t.Errorf("reference run allocates %.0f times, budget 2500", allocs)
+	}
+	t.Logf("reference run: %.0f allocations", allocs)
+}

@@ -38,8 +38,8 @@ func (d *DivideConquer) Init(emit func(Event)) {
 
 func (d *DivideConquer) startWave(emit func(Event)) {
 	root := d.T.Root()
-	var buf []int32
-	buf = d.T.Children(root, buf)
+	var arr [2]int32
+	buf := d.T.Children(root, arr[:0])
 	if len(buf) == 0 {
 		// Single-node tree: the wave completes instantly.
 		d.wavesLeft--
@@ -61,8 +61,8 @@ func (d *DivideConquer) OnMessage(ev Event, emit func(Event)) {
 	at := ev.To
 	switch ev.Kind {
 	case KindTask:
-		var buf []int32
-		buf = d.T.Children(at, buf)
+		var arr [2]int32
+		buf := d.T.Children(at, arr[:0])
 		if len(buf) == 0 {
 			// Leaf: compute (one cycle, modeled as immediate) and
 			// report up.
@@ -113,8 +113,8 @@ func (b *Broadcast) Init(emit func(Event)) {
 		b.done = true
 		return
 	}
-	var buf []int32
-	for _, c := range b.T.Children(b.T.Root(), buf) {
+	var arr [2]int32
+	for _, c := range b.T.Children(b.T.Root(), arr[:0]) {
 		emit(Event{From: b.T.Root(), To: c, Kind: KindTask})
 	}
 }
@@ -125,8 +125,8 @@ func (b *Broadcast) OnMessage(ev Event, emit func(Event)) {
 	if b.received == b.T.N() {
 		b.done = true
 	}
-	var buf []int32
-	for _, c := range b.T.Children(ev.To, buf) {
+	var arr [2]int32
+	for _, c := range b.T.Children(ev.To, arr[:0]) {
 		emit(Event{From: ev.To, To: c, Kind: KindTask})
 	}
 }

@@ -384,12 +384,12 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamEvents is the shared writer loop: drain the subscriber into the
-// connection as NDJSON, flush per batch, synthesize dropped markers and
-// heartbeats, stop on end-of-stream, client departure, or deadline.
+// connection as NDJSON, one Write and one flush per batch, synthesize
+// dropped markers and heartbeats, stop on end-of-stream, client
+// departure, or deadline.
 func (s *Server) streamEvents(ctx context.Context, w http.ResponseWriter,
 	flusher http.Flusher, ss *session, sub *telemetry.Subscriber) {
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
+	var buf []byte // one batch of NDJSON lines, reused across batches
 	for {
 		waitCtx, cancel := context.WithTimeout(ctx, s.heartbeatInterval)
 		events, dropped, ok, err := sub.Next(waitCtx, 256)
@@ -403,7 +403,8 @@ func (s *Server) streamEvents(ctx context.Context, w http.ResponseWriter,
 						Type: telemetry.EventHeartbeat},
 					Session: ss.id,
 				}
-				if enc.Encode(&hb) != nil {
+				buf, _ = hb.AppendJSON(buf[:0]) // no payload: cannot fail
+				if _, err := w.Write(buf); err != nil {
 					return // client gone
 				}
 				flusher.Flush()
@@ -414,6 +415,7 @@ func (s *Server) streamEvents(ctx context.Context, w http.ResponseWriter,
 		if !ok {
 			return // stream complete and fully drained
 		}
+		buf = buf[:0]
 		if dropped > 0 {
 			// Synthesized per-subscriber, deliberately not published to
 			// the ring: other subscribers may not have fallen behind.
@@ -423,14 +425,16 @@ func (s *Server) streamEvents(ctx context.Context, w http.ResponseWriter,
 				Session: ss.id,
 				Dropped: dropped,
 			}
-			if enc.Encode(&dm) != nil {
-				return
+			buf, _ = dm.AppendJSON(buf) // no payload: cannot fail
+		}
+		var encErr error
+		for i := range events {
+			if buf, encErr = events[i].AppendJSON(buf); encErr != nil {
+				break // an unencodable event ends the stream after the ones before it
 			}
 		}
-		for i := range events {
-			if enc.Encode(&events[i]) != nil {
-				return
-			}
+		if _, err := w.Write(buf); err != nil || encErr != nil {
+			return
 		}
 		flusher.Flush()
 	}

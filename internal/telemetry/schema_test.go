@@ -10,10 +10,13 @@ package telemetry
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -111,16 +114,17 @@ func TestGoldenStreamNDJSON(t *testing.T) {
 	if err != nil || !ok || dropped != 0 {
 		t.Fatalf("Next: ok=%v dropped=%d err=%v", ok, dropped, err)
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
+	// Encode through the stream writer's encoder, so the golden file
+	// pins what the server writes.
+	var buf []byte
 	for i := range evs {
-		if err := enc.Encode(&evs[i]); err != nil {
+		if buf, err = evs[i].AppendJSON(buf); err != nil {
 			t.Fatal(err)
 		}
 	}
-	checkGolden(t, "stream.ndjson", buf.Bytes())
+	checkGolden(t, "stream.ndjson", buf)
 
-	for i, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+	for i, line := range bytes.Split(bytes.TrimSpace(buf), []byte("\n")) {
 		e, err := DecodeEvent(line)
 		if err != nil {
 			t.Fatalf("line %d: %v", i, err)
@@ -171,4 +175,98 @@ func TestDecodersShareSchema(t *testing.T) {
 			t.Errorf("stream decoder accepted %s (err=%v)", bad, err)
 		}
 	}
+}
+
+// checkAppendJSON requires AppendJSON to write exactly what json.Encoder
+// writes with SetEscapeHTML(false), after whatever dst already held, and
+// to fail, leaving dst as it was, exactly when json.Encoder fails.
+func checkAppendJSON(t *testing.T, e *Event) {
+	t.Helper()
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetEscapeHTML(false)
+	wantErr := enc.Encode(e)
+
+	prefix := []byte("prior line\n")
+	got, err := e.AppendJSON(prefix)
+	switch {
+	case (err != nil) != (wantErr != nil):
+		t.Fatalf("AppendJSON error %v, json.Encoder error %v", err, wantErr)
+	case err != nil:
+		if !bytes.Equal(got, prefix) {
+			t.Fatalf("failed AppendJSON changed dst to %q", got)
+		}
+	case !bytes.HasPrefix(got, prefix):
+		t.Fatalf("AppendJSON overwrote dst: %q", got)
+	case !bytes.Equal(got[len(prefix):], want.Bytes()):
+		t.Fatalf("AppendJSON wrote\n%s\njson.Encoder wrote\n%s", got[len(prefix):], want.Bytes())
+	}
+}
+
+// TestAppendJSONWritesEveryField sets every field of an Event, found by
+// reflection, so that a field added to Event or netsim.TraceEvent
+// without its line in the append encoder fails here.
+func TestAppendJSONWritesEveryField(t *testing.T) {
+	var setAll func(v reflect.Value)
+	setAll = func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Struct:
+				setAll(f)
+			case reflect.Int, reflect.Int32, reflect.Int64:
+				f.SetInt(int64(-i - 1))
+			case reflect.Uint64:
+				f.SetUint(uint64(i + 1))
+			case reflect.Bool:
+				f.SetBool(true)
+			case reflect.String:
+				f.SetString(fmt.Sprintf("field %d", i))
+			case reflect.Slice:
+				f.SetBytes([]byte(`{"k": [1, 2]}`))
+			default:
+				t.Fatalf("field %s has kind %s, which this test cannot set", v.Type().Field(i).Name, f.Kind())
+			}
+		}
+	}
+	var e Event
+	setAll(reflect.ValueOf(&e).Elem())
+	checkAppendJSON(t, &e)
+}
+
+// FuzzEventNDJSON holds the stream encoder to json.Encoder on arbitrary
+// events: every numeric field, zero or not, is read from nums; strings
+// may carry escapes, control characters, invalid UTF-8 and U+2028; the
+// payload may be any bytes, valid JSON or not.
+func FuzzEventNDJSON(f *testing.F) {
+	f.Add("deliver", "", "s-1", []byte{2, 14, 0, 3, 1}, false, []byte(nil))
+	f.Add("drop", "random", "s-golden", []byte{2, 4, 9, 1, 0, 0, 7, 8}, true, []byte(`{"delivered": 3}`))
+	f.Add("<\"a&b\">", "\\\b\f\n\r\t\x00\x1f\x7f", "\u2028\u2029\xff\xfe\xc3", []byte{0x80, 0x80, 1}, true,
+		[]byte(" [ \"<\\u00e9>\", \"\xff\", 1e3 , null ] \n"))
+	f.Add("result", "", "", []byte{}, false, []byte(`{"a":`))
+	f.Fuzz(func(t *testing.T, typ, reason, session string, nums []byte, local bool, payload []byte) {
+		next := func() int64 {
+			v, n := binary.Varint(nums)
+			if n <= 0 {
+				nums = nil
+				return 0
+			}
+			nums = nums[n:]
+			return v
+		}
+		e := Event{
+			TraceEvent: netsim.TraceEvent{
+				SchemaVersion: int(next()), Type: typ, Cycle: int(next()), Edge: int(next()),
+				From: int32(next()), To: int32(next()), Host: int32(next()), Seq: next(),
+				EvFrom: int32(next()), EvTo: int32(next()), Kind: int32(next()),
+				Latency: int(next()), Local: local, Reason: reason, Attempt: int(next()),
+				Backlog: int(next()), Inflight: int(next()), QueuedLinks: int(next()),
+				QueuedLocal: int(next()), Parked: int(next()),
+			},
+			StreamSeq: uint64(next()), Session: session,
+			Delivered: int(next()), Unreachable: int(next()), Emitted: next(), Hops: int(next()),
+			Shard: int(next()), BoundaryOut: int(next()), BarrierWaitNanos: next(),
+			Dropped: uint64(next()), Payload: payload,
+		}
+		checkAppendJSON(t, &e)
+	})
 }

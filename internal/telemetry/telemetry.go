@@ -24,7 +24,9 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 
+	"xtreesim/internal/jsonw"
 	"xtreesim/internal/netsim"
 )
 
@@ -96,6 +98,33 @@ type Event struct {
 
 	// Payload carries the structured envelope of start/result events.
 	Payload json.RawMessage `json:"payload,omitempty"`
+}
+
+// AppendJSON appends e as one NDJSON line: the bytes json.Encoder writes
+// for it with SetEscapeHTML(false), without reflection.  The stream
+// writer encodes every event through it.  An invalid Payload is an
+// error, as it is for json.Encoder, and dst comes back unchanged.
+func (e *Event) AppendJSON(dst []byte) ([]byte, error) {
+	b := e.TraceEvent.AppendJSONFields(append(dst, '{'))
+	b = strconv.AppendUint(append(b, `,"stream_seq":`...), e.StreamSeq, 10)
+	b = jsonw.OmitString(b, `,"session":`, e.Session)
+	b = jsonw.OmitInt(b, `,"delivered":`, int64(e.Delivered))
+	b = jsonw.OmitInt(b, `,"unreachable":`, int64(e.Unreachable))
+	b = jsonw.OmitInt(b, `,"emitted":`, e.Emitted)
+	b = jsonw.OmitInt(b, `,"hops":`, int64(e.Hops))
+	b = jsonw.OmitInt(b, `,"shard":`, int64(e.Shard))
+	b = jsonw.OmitInt(b, `,"boundary_out":`, int64(e.BoundaryOut))
+	b = jsonw.OmitInt(b, `,"barrier_wait_ns":`, e.BarrierWaitNanos)
+	if e.Dropped != 0 {
+		b = strconv.AppendUint(append(b, `,"dropped":`...), e.Dropped, 10)
+	}
+	if len(e.Payload) > 0 {
+		var err error
+		if b, err = jsonw.Compact(append(b, `,"payload":`...), e.Payload); err != nil {
+			return dst, fmt.Errorf("telemetry: encode event payload: %w", err)
+		}
+	}
+	return append(b, '}', '\n'), nil
 }
 
 // DecodeEvent parses one NDJSON line of a session stream, rejecting
