@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short test-race bench embed-bench vet fmt check lint experiments examples cover fault-sweep fuzz audit-smoke serve serve-bench phase-bench warm-bench dist-bench capacity-bench
+.PHONY: all build test test-short test-race bench embed-bench vet fmt check lint experiments examples cover fault-sweep fuzz audit-smoke serve phase-bench warm-bench dist-bench capacity-bench
 
 all: vet test
 
@@ -90,10 +90,6 @@ warm-bench:
 # E19 only: traced phase breakdown (separator vs host-build vs simulate).
 phase-bench:
 	$(GO) run ./cmd/xtree-bench -exp e19
-
-# E18 only: serving latency/throughput sweep; writes BENCH_serve.json.
-serve-bench:
-	$(GO) run ./cmd/xtree-bench -exp e18
 
 # E20 + the perf gate (also the CI perf job): the exact AllocsPerRun
 # budget on the default-option embed, then the E20 sweep diffed against

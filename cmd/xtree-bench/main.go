@@ -28,7 +28,7 @@ var (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (e1..e23) or 'all'")
+	exp := flag.String("exp", "all", "experiment id (e1..e23; e18 is retired) or 'all'")
 	version := flag.Bool("version", false, "print build info and exit")
 	flag.Parse()
 	if *version {
@@ -41,12 +41,12 @@ func main() {
 		"e7": e7Figures, "e8": e8Imbalance, "e9": e9Baselines,
 		"e10": e10Simulation, "e11": e11Ablation, "e12": e12Congestion,
 		"e13": e13Scaling, "e14": e14Butterfly, "e15": e15Fibonacci,
-		"e16": e16FaultSweep, "e17": e17Observability, "e18": e18Serving,
-		"e19": e19PhaseBreakdown, "e20": e20EmbedPerf, "e21": e21WarmRestart,
-		"e22": e22DistScaling, "e23": e23Capacity,
+		"e16": e16FaultSweep, "e17": e17Observability, "e19": e19PhaseBreakdown,
+		"e20": e20EmbedPerf, "e21": e21WarmRestart, "e22": e22DistScaling,
+		"e23": e23Capacity,
 	}
 	if *exp == "all" {
-		for _, id := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15", "e16", "e17", "e18", "e19", "e20", "e21", "e22", "e23"} {
+		for _, id := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15", "e16", "e17", "e19", "e20", "e21", "e22", "e23"} {
 			runners[id]()
 		}
 		return

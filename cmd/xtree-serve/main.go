@@ -6,7 +6,6 @@
 //
 //	xtree-serve -addr :8080                 # serve until SIGINT/SIGTERM
 //	xtree-serve -pprof -trace-sample 0.1    # serve with observability on
-//	xtree-serve -loadgen -url http://host:8080 -c 16 -n 2000
 //	xtree-serve -cache-snapshot cache.snap  # serve with cache persistence across restarts
 //	xtree-serve -version
 //
@@ -19,7 +18,9 @@
 // exposes /debug/pprof/.
 //
 // The tests of internal/server and internal/engine check the serving
-// behaviour end to end over real HTTP; `go test ./...` runs them.
+// behaviour end to end over real HTTP; `go test ./...` runs them.  To
+// put load on a running server, use the benchmark driver:
+// `bash xbench/run.sh --workload embed-hot`.
 package main
 
 import (
@@ -57,64 +58,45 @@ func main() {
 		traceSample = flag.Float64("trace-sample", 0, "fraction of requests traced into /debug/trace (0 = off, 1 = all)")
 		enablePprof = flag.Bool("pprof", false, "expose /debug/pprof/ profile endpoints")
 
-		loadgen    = flag.Bool("loadgen", false, "run the load generator instead of serving")
-		url        = flag.String("url", "", "loadgen: target base URL (default: boot an in-process server)")
-		conc       = flag.Int("c", 8, "loadgen: concurrent workers")
-		requests   = flag.Int("n", 500, "loadgen: total requests")
-		treeN      = flag.Int("tree-n", 1008, "loadgen: guest tree size")
-		shapes     = flag.Int("shapes", 8, "loadgen: distinct tree shapes in the mix")
-		tagTraces  = flag.Bool("trace", false, "loadgen: tag every request with its own X-Trace-Id")
-		genSeed    = flag.Int64("seed", 0, "loadgen: master seed for the request streams (same seed, same requests)")
-		genHost    = flag.String("host", "", "loadgen: embed host type in the mix (xtree, hypercube, universal; '' = xtree)")
-		streamFrac = flag.Float64("stream-frac", 0, "loadgen: fraction of workers running drained stream=1 simulate sessions instead of embeds")
-
-		cacheSnapshot = flag.String("cache-snapshot", "", "persist the canonical-tree caches to this file: warm from it on boot, rewrite it on graceful drain")
-		maxProfiles   = flag.Int("max-profiles", 0, "max non-default option-profile engines (0 = default)")
+		cacheSnapshot = flag.String("cache-snapshot", "", "persist the canonical-tree cache to this file: warm from it on boot, rewrite it on graceful drain")
 
 		verFlag    = flag.Bool("version", false, "print build info and exit")
 		drainGrace = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 	)
 	flag.Parse()
 
-	switch {
-	case *verFlag:
+	if *verFlag {
 		fmt.Println(buildinfo.Version())
-	case *loadgen:
-		if err := runLoadgen(*url, *conc, *requests, *treeN, *shapes, *tagTraces, *genSeed, *genHost, *streamFrac); err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-			os.Exit(1)
-		}
-	default:
-		coalesceMode := engine.CoalesceOn
-		if !*coalesce {
-			coalesceMode = engine.CoalesceOff
-		}
-		cfg := server.Config{
-			Addr: *addr,
-			EngineConfig: engine.Config{
-				Workers:     *workers,
-				CacheSize:   *cache,
-				CacheShards: *cacheShards,
-				Coalesce:    coalesceMode,
-				Parallel:    *parallel,
-			},
-			MaxConcurrent:  *maxConcurrent,
-			MaxQueue:       *maxQueue,
-			MaxProfiles:    *maxProfiles,
-			SnapshotPath:   *cacheSnapshot,
-			RequestTimeout: *timeout,
-			MaxBodyBytes:   *maxBody,
-			MaxBatch:       *maxBatch,
-			MaxTreeNodes:   *maxTree,
-			AccessLog:      !*quiet,
-			TraceSample:    *traceSample,
-			EnablePprof:    *enablePprof,
-			Version:        buildinfo.Version(),
-		}
-		if err := serve(cfg, *drainGrace); err != nil {
-			fmt.Fprintf(os.Stderr, "xtree-serve: %v\n", err)
-			os.Exit(1)
-		}
+		return
+	}
+	coalesceMode := engine.CoalesceOn
+	if !*coalesce {
+		coalesceMode = engine.CoalesceOff
+	}
+	cfg := server.Config{
+		Addr: *addr,
+		EngineConfig: engine.Config{
+			Workers:     *workers,
+			CacheSize:   *cache,
+			CacheShards: *cacheShards,
+			Coalesce:    coalesceMode,
+			Parallel:    *parallel,
+		},
+		MaxConcurrent:  *maxConcurrent,
+		MaxQueue:       *maxQueue,
+		SnapshotPath:   *cacheSnapshot,
+		RequestTimeout: *timeout,
+		MaxBodyBytes:   *maxBody,
+		MaxBatch:       *maxBatch,
+		MaxTreeNodes:   *maxTree,
+		AccessLog:      !*quiet,
+		TraceSample:    *traceSample,
+		EnablePprof:    *enablePprof,
+		Version:        buildinfo.Version(),
+	}
+	if err := serve(cfg, *drainGrace); err != nil {
+		fmt.Fprintf(os.Stderr, "xtree-serve: %v\n", err)
+		os.Exit(1)
 	}
 }
 
@@ -138,47 +120,5 @@ func serve(cfg server.Config, grace time.Duration) error {
 		return fmt.Errorf("shutdown: %w", err)
 	}
 	log.Printf("xtree-serve: drained, bye")
-	return nil
-}
-
-// runLoadgen drives url (or a freshly booted local server when url is
-// empty) and prints the client-side report plus the server's engine
-// counters when it owns the server.
-func runLoadgen(url string, conc, requests, treeN, shapes int, tagTraces bool, seed int64, host string, streamFrac float64) error {
-	var s *server.Server
-	if url == "" {
-		s = server.New(server.Config{})
-		if err := s.Start(); err != nil {
-			return err
-		}
-		url = s.URL()
-		fmt.Printf("loadgen: booted in-process server at %s\n", url)
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			s.Shutdown(ctx)
-		}()
-	}
-	rep, err := server.RunLoad(server.LoadConfig{
-		BaseURL:        url,
-		Concurrency:    conc,
-		Requests:       requests,
-		TreeN:          treeN,
-		DistinctShapes: shapes,
-		Trace:          tagTraces,
-		Seed:           seed,
-		Host:           host,
-		StreamFrac:     streamFrac,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Println(rep)
-	if s != nil {
-		st := s.Stats()
-		fmt.Printf("engine: hits=%d misses=%d coalesced=%d evictions=%d hit_rate=%.2f workers=%d shards=%d utilization=%.2f avg_queue_wait=%s\n",
-			st.Hits, st.Misses, st.Coalesced, st.Evictions, st.HitRate(), st.Workers, st.Shards,
-			st.Utilization(), st.AvgQueueWait().Round(time.Microsecond))
-	}
 	return nil
 }

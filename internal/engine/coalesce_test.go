@@ -248,11 +248,9 @@ func TestCoalesceOffComputesIndependently(t *testing.T) {
 	}
 }
 
-// TestThunderingHerdStrictProfile proves coalescing applies to engines
-// running non-default option profiles — the profile-pool engines the
-// server now routes strict and height-pinned traffic through.  Before
-// the pool, that traffic bypassed the engine entirely and a herd of N
-// isomorphic strict requests cost N embeds; here it costs exactly one.
+// TestThunderingHerdStrictProfile proves coalescing applies to
+// non-default option profiles: a herd of N isomorphic strict jobs on a
+// default-configured engine costs exactly one strict embed.
 func TestThunderingHerdStrictProfile(t *testing.T) {
 	const n = 16
 	var sawStrict atomic.Bool
@@ -264,9 +262,7 @@ func TestThunderingHerdStrictProfile(t *testing.T) {
 	})
 	defer restore()
 
-	strictOpts := core.DefaultOptions()
-	strictOpts.Strict = true
-	e := New(Config{Workers: n, CacheSize: 64, Options: &strictOpts})
+	e := New(Config{Workers: n, CacheSize: 64})
 	defer e.Close()
 
 	base := mustGen(t, bintree.FamilyRandom, 256, 43)
@@ -277,7 +273,7 @@ func TestThunderingHerdStrictProfile(t *testing.T) {
 	}
 
 	done := make(chan []BatchItem)
-	go func() { done <- e.EmbedBatch(context.Background(), trees) }()
+	go func() { done <- e.EmbedBatchProfile(context.Background(), Profile{Strict: true}, trees) }()
 	waitCounter(t, n-1, func() int64 { return e.Stats().Coalesced })
 	close(gate)
 	items := <-done
@@ -291,7 +287,7 @@ func TestThunderingHerdStrictProfile(t *testing.T) {
 		t.Fatalf("strict herd ran %d computes, want exactly 1", got)
 	}
 	if !sawStrict.Load() {
-		t.Fatal("the strict engine's compute did not carry Strict options")
+		t.Fatal("the strict profile's compute did not carry Strict options")
 	}
 	s := e.Stats()
 	if s.Misses != 1 || s.Coalesced != n-1 {

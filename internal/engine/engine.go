@@ -21,6 +21,14 @@
 // — a thundering herd of identical trees costs one embedding, with the
 // waiters counted in Stats.Coalesced.
 //
+// One engine serves every option profile.  Theorem 1's construction is
+// deterministic once the guest's shape, the host height and strict mode
+// are fixed, so a job carries a Profile (strict mode, pinned height) and
+// the cache and the coalescer key on the job's effective options plus
+// the canonical code.  Under the engine's configured options the key is
+// the bare canonical code, so the default-profile path builds nothing
+// extra.
+//
 // Batch calls take a context.Context: cancelling it stops unstarted work
 // immediately (those items report ctx.Err()); embeddings already on a
 // worker run to completion, bounding the cancellation latency by one
@@ -32,6 +40,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,9 +102,9 @@ type Config struct {
 	// Stats.Coalesced.
 	Coalesce CoalesceMode
 	// Options overrides the embedding options (host height, strict
-	// mode); nil means core.DefaultOptions().  One option set per
-	// engine keeps the cache sound: a cached result is only reused
-	// under the options it was computed with.
+	// mode); nil means core.DefaultOptions().  These are the options of
+	// the zero Profile; a job's Profile can turn strict mode on or pin
+	// the height on top of them.
 	Options *core.Options
 	// Parallel, when > 0, overrides Options.Parallel: the number of
 	// goroutines each embed fans its ADJUST/SPLIT phases over.  The
@@ -263,9 +273,19 @@ func (s Stats) QueueDepth() int64 {
 	return d
 }
 
+// Profile names the embedding options one job may vary.  The zero
+// Profile embeds with the engine's configured options; Strict turns
+// strict mode on, and Height > 0 pins the host to X(Height).  Jobs whose
+// effective options differ never share a cache entry or a flight.
+type Profile struct {
+	Strict bool
+	Height int
+}
+
 type job struct {
 	ctx      context.Context
 	tree     *bintree.Tree
+	prof     Profile
 	index    int
 	queuedAt time.Time
 	deliver  func(BatchItem)
@@ -372,11 +392,18 @@ func (e *Engine) send(ctx context.Context, jb job) error {
 	}
 }
 
-// EmbedBatch embeds every tree and returns one BatchItem per input, in
-// input order.  Cancelling ctx marks every not-yet-started item with
-// ctx.Err(); items already on a worker complete normally.  The call
-// always returns a fully populated slice and never leaks goroutines.
+// EmbedBatch embeds every tree with the engine's configured options; it
+// is EmbedBatchProfile with the zero Profile.
 func (e *Engine) EmbedBatch(ctx context.Context, trees []*bintree.Tree) []BatchItem {
+	return e.EmbedBatchProfile(ctx, Profile{}, trees)
+}
+
+// EmbedBatchProfile embeds every tree under profile p and returns one
+// BatchItem per input, in input order.  Cancelling ctx marks every
+// not-yet-started item with ctx.Err(); items already on a worker
+// complete normally.  The call always returns a fully populated slice
+// and never leaks goroutines.
+func (e *Engine) EmbedBatchProfile(ctx context.Context, p Profile, trees []*bintree.Tree) []BatchItem {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -390,7 +417,7 @@ func (e *Engine) EmbedBatch(ctx context.Context, trees []*bintree.Tree) []BatchI
 	var stopErr error
 	for ; i < len(trees); i++ {
 		wg.Add(1)
-		err := e.send(ctx, job{ctx: ctx, tree: trees[i], index: i, deliver: deliver})
+		err := e.send(ctx, job{ctx: ctx, tree: trees[i], prof: p, index: i, deliver: deliver})
 		if err != nil {
 			wg.Done()
 			stopErr = err
@@ -515,24 +542,28 @@ func (e *Engine) process(jb job) BatchItem {
 		return item
 	}
 	parent := trace.FromContext(jb.ctx)
+	opts := e.options(jb.prof)
 	var (
-		code  string
+		key   string
 		order []int32
 		hash  uint64
 	)
-	// Both the cache and the coalescer key on the canonical code; with
-	// both disabled the encode is skipped entirely.
+	// Both the cache and the coalescer key on the canonical code under
+	// the job's options; with both disabled the encode is skipped
+	// entirely.
 	keyed := e.cache != nil || e.flights != nil
 	if keyed {
 		encStart := time.Now()
+		var code string
 		code, order = jb.tree.CanonicalCode()
-		hash = bintree.HashCode(code)
+		key = e.cacheKey(opts, code)
+		hash = bintree.HashCode(key)
 		parent.Record("engine.canonical-encode", encStart, time.Now(),
 			trace.Int("n", int64(jb.tree.N())))
 	}
 	if e.cache != nil {
 		lookStart := time.Now()
-		ent, ok := e.cache.get(hash, code)
+		ent, ok := e.cache.get(hash, key)
 		parent.Record("engine.cache-lookup", lookStart, time.Now(),
 			trace.Int("hit", b2i(ok)))
 		if ok {
@@ -546,7 +577,7 @@ func (e *Engine) process(jb job) BatchItem {
 		if keyed {
 			e.misses.Add(1)
 		}
-		ent, err := e.compute(jb.ctx, jb.tree, code, hash, order)
+		ent, err := e.compute(jb.ctx, jb.tree, opts, key, hash, order)
 		if err != nil {
 			item.Err = err
 			return item
@@ -554,7 +585,7 @@ func (e *Engine) process(jb job) BatchItem {
 		item.Result = ent.res
 		return e.derive(jb.ctx, item)
 	}
-	fl, leader := e.flights.lead(code)
+	fl, leader := e.flights.lead(key)
 	if !leader {
 		e.coalesced.Add(1)
 		waitStart := time.Now()
@@ -576,8 +607,8 @@ func (e *Engine) process(jb job) BatchItem {
 	// Leader: double-check the cache — an earlier flight may have
 	// filled it between this job's lookup and winning leadership.
 	if e.cache != nil {
-		if ent, ok := e.cache.get(hash, code); ok {
-			e.flights.finish(code, fl, ent, nil)
+		if ent, ok := e.cache.get(hash, key); ok {
+			e.flights.finish(key, fl, ent, nil)
 			e.hits.Add(1)
 			item.Result = remap(jb.tree, order, ent)
 			item.CacheHit = true
@@ -588,8 +619,8 @@ func (e *Engine) process(jb job) BatchItem {
 	// The compute is owed to every waiter on the flight, so it runs
 	// detached from the leader's own cancellation; the leader's trace
 	// span still parents the embed phases (values survive the detach).
-	ent, err := e.compute(context.WithoutCancel(jb.ctx), jb.tree, code, hash, order)
-	e.flights.finish(code, fl, ent, err)
+	ent, err := e.compute(context.WithoutCancel(jb.ctx), jb.tree, opts, key, hash, order)
+	e.flights.finish(key, fl, ent, err)
 	if err != nil {
 		item.Err = err
 		return item
@@ -598,22 +629,52 @@ func (e *Engine) process(jb job) BatchItem {
 	return e.derive(jb.ctx, item)
 }
 
-// compute runs the embedder and publishes the produced entry to the
-// cache.  order is the guest's own canonical pre-order, so ent.res pairs
-// with it for later remapping onto isomorphic trees.
-func (e *Engine) compute(ctx context.Context, t *bintree.Tree, code string, hash uint64, order []int32) (*cacheEntry, error) {
+// options returns the embedding options of profile p: the configured
+// options, with strict mode turned on by p.Strict and the host pinned
+// by p.Height > 0.
+func (e *Engine) options(p Profile) core.Options {
+	opts := e.opts
+	if p.Strict {
+		opts.Strict = true
+	}
+	if p.Height > 0 {
+		opts.Height = p.Height
+	}
+	return opts
+}
+
+// cacheKey returns the cache and coalescer key of a canonical code
+// embedded under opts.  Under the engine's configured options it is
+// the bare code, so the default-profile path builds no string; any
+// other options put a "strict/height|" prefix in front.  Canonical
+// codes hold only '(', ')' and '.', so a prefixed key never equals a
+// bare one and codeOf recovers the code from either.
+func (e *Engine) cacheKey(opts core.Options, code string) string {
+	if opts.Strict == e.opts.Strict && opts.Height == e.opts.Height {
+		return code
+	}
+	return strconv.FormatBool(opts.Strict) + "/" + strconv.Itoa(opts.Height) + "|" + code
+}
+
+// codeOf returns the canonical code inside a cache key.
+func codeOf(key string) string { return key[strings.IndexByte(key, '|')+1:] }
+
+// compute runs the embedder under opts and publishes the produced entry
+// to the cache.  order is the guest's own canonical pre-order, so
+// ent.res pairs with it for later remapping onto isomorphic trees.
+func (e *Engine) compute(ctx context.Context, t *bintree.Tree, opts core.Options, key string, hash uint64, order []int32) (*cacheEntry, error) {
 	parent := trace.FromContext(ctx)
 	start := time.Now()
 	csp := parent.Child("engine.embed-compute")
-	res, err := embedXTree(trace.ContextWithSpan(ctx, csp), t, e.opts)
+	res, err := embedXTree(trace.ContextWithSpan(ctx, csp), t, opts)
 	csp.End()
 	e.embedNanos.Add(time.Since(start).Nanoseconds())
 	if err != nil {
 		return nil, err
 	}
-	ent := &cacheEntry{res: res, order: order}
+	ent := newCacheEntry(res, order, opts)
 	if e.cache != nil {
-		e.cache.put(hash, code, ent)
+		e.cache.put(hash, key, ent)
 	}
 	return ent, nil
 }

@@ -1,17 +1,18 @@
 package engine
 
-// shard.go is the sharded canonical-tree cache.  The PR 1 cache was one
-// mutex-guarded LRU: correct, but every lookup — even a 100%-hit-rate
-// stream of already-cached shapes — serialized on that mutex, which is
-// exactly the ceiling BENCH_serve.json showed under concurrent load.
+// shard.go is the sharded canonical-tree cache.  A single
+// mutex-guarded LRU is correct, but every lookup — even a 100%-hit-rate
+// stream of already-cached shapes — serializes on that mutex, which
+// caps serving throughput under concurrent load.
 //
 // The cache is now striped across a power-of-two number of independent
-// shards selected by bintree.HashCode of the canonical code (the same
-// hash CanonicalHash returns).  Isomorphic trees share a canonical code,
-// hence a hash, hence a shard — they still collapse to one cached
-// embedding — while unrelated shapes land on different shards and stop
-// contending on one lock.  Within a shard, keys are the full canonical
-// codes, so a hash collision can never surface a wrong embedding.
+// shards selected by bintree.HashCode of the cache key: the canonical
+// code, behind a profile prefix for non-default options (cacheKey in
+// engine.go).  Isomorphic trees under one profile share a key, hence a
+// hash, hence a shard — they still collapse to one cached embedding —
+// while unrelated shapes land on different shards and stop contending
+// on one lock.  Within a shard, keys are the full keys, so a hash
+// collision can never surface a wrong embedding.
 //
 // The hit path is lock-light: a get takes only the shard's read lock for
 // the map lookup and publishes recency by storing a globally increasing
@@ -35,10 +36,17 @@ import (
 // cacheEntry memoizes one embedding: the Theorem 1 result computed for
 // some guest together with that guest's canonical pre-order, which is
 // everything needed to transfer the assignment onto any isomorphic
-// newcomer (see remap in engine.go).
+// newcomer (see remap in engine.go), and the strict mode and height it
+// was embedded with, which Snapshot writes as the record's profile.
 type cacheEntry struct {
-	res   *core.Result
-	order []int32
+	res    *core.Result
+	order  []int32
+	strict bool
+	height int
+}
+
+func newCacheEntry(res *core.Result, order []int32, opts core.Options) *cacheEntry {
+	return &cacheEntry{res: res, order: order, strict: opts.Strict, height: opts.Height}
 }
 
 // ShardStat is a point-in-time snapshot of one cache shard, surfaced by

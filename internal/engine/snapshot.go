@@ -9,7 +9,10 @@ package engine
 //
 // The format is line-oriented, versioned, and built from parts that
 // already exist: the canonical code (the cache key) and the
-// core.WriteResult / core.ReadResult embedding serialization.
+// core.WriteResult / core.ReadResult embedding serialization.  A
+// snapshot is one or more sections; each opens with the magic line and
+// a profile line naming the strict mode and height its records were
+// embedded with:
 //
 //	xtreesim-cache v1
 //	profile strict=<bool> height=<h>
@@ -17,18 +20,21 @@ package engine
 //	<core.WriteResult body, ending with assign lines>
 //	end
 //	entry ...
+//	xtreesim-cache v1
+//	profile ...
 //
 // Records are written in least-recently-used-first order, so warming
-// replays the accesses and reproduces the LRU recency the snapshot saw.
+// replays the accesses and reproduces the LRU recency the snapshot saw;
+// a new section opens wherever the profile changes along that order.
 //
 // Warm trusts nothing: a record whose embedding fails core.ReadResult's
 // re-validation, whose guest no longer canonicalizes to the recorded
-// code, or whose host height contradicts the engine's pinned profile is
+// code, or whose host height contradicts its section's pinned height is
 // counted in WarmStats.Skipped and dropped — never fatal, because a
 // stale or truncated snapshot must degrade to a cold start, not a
-// crashed boot.  A profile mismatch (snapshot taken under different
-// embedding options) skips every record: a cached result is only sound
-// under the options it was computed with.
+// crashed boot.  A section with no profile line, or with one naming
+// options no Profile of this engine produces, skips all its records: a
+// cached result is only sound under the options it was computed with.
 import (
 	"bufio"
 	"fmt"
@@ -44,6 +50,7 @@ const snapshotMagic = "xtreesim-cache v1"
 
 // WarmStats reports what one Warm call did: Loaded records entered the
 // cache, Skipped records were corrupt, stale, or profile-mismatched.
+// Every record in the snapshot is counted exactly once.
 type WarmStats struct {
 	Loaded  int
 	Skipped int
@@ -53,40 +60,50 @@ type WarmStats struct {
 // is disabled (Config.CacheSize < 0): there is nothing to persist.
 var errNoCache = fmt.Errorf("engine: caching disabled")
 
-// SnapshotProfile renders the profile line an engine with the given
-// options writes, exported so the pool layer can route snapshot sections
-// back to the engine that owns them.
-func SnapshotProfile(strict bool, height int) string {
+// profileLine renders the profile line of a section whose records were
+// embedded with the given strict mode and height.
+func profileLine(strict bool, height int) string {
 	return fmt.Sprintf("profile strict=%t height=%d", strict, height)
 }
 
 // Snapshot writes every cached embedding to w in the v1 snapshot format
 // and returns the number of records written.  The engine stays fully
 // serviceable during the snapshot; entries cached after their shard was
-// copied are simply not included.
+// copied are simply not included.  An empty cache still writes one
+// (empty) section, so the file stays a valid snapshot.
 func (e *Engine) Snapshot(w io.Writer) (int, error) {
 	if e.cache == nil {
 		return 0, errNoCache
 	}
 	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, snapshotMagic)
-	fmt.Fprintln(bw, SnapshotProfile(e.opts.Strict, e.opts.Height))
-	n := 0
-	for _, se := range e.cache.snapshotEntries() {
-		fmt.Fprintf(bw, "entry %s\n", se.key)
+	cur := ""
+	section := func(prof string) {
+		fmt.Fprintln(bw, snapshotMagic)
+		fmt.Fprintln(bw, prof)
+		cur = prof
+	}
+	entries := e.cache.snapshotEntries()
+	if len(entries) == 0 {
+		section(profileLine(e.opts.Strict, e.opts.Height))
+	}
+	for n, se := range entries {
+		if prof := profileLine(se.ent.strict, se.ent.height); prof != cur {
+			section(prof)
+		}
+		fmt.Fprintf(bw, "entry %s\n", codeOf(se.key))
 		if err := core.WriteResult(bw, se.ent.res); err != nil {
 			return n, err
 		}
 		fmt.Fprintln(bw, "end")
-		n++
 	}
-	return n, bw.Flush()
+	return len(entries), bw.Flush()
 }
 
-// Warm reads one v1 snapshot section from r and fills the cache with
-// every record that survives validation.  Individual bad records are
-// skipped and counted, never fatal; only a missing/foreign header — a
-// file that is not a snapshot at all — is an error.
+// Warm reads a v1 snapshot of one or more sections from r and fills the
+// cache with every record that survives validation, each under its own
+// section's profile.  Individual bad records are skipped and counted,
+// never fatal; only a missing/foreign header — a file that is not a
+// snapshot at all — is an error.
 func (e *Engine) Warm(r io.Reader) (WarmStats, error) {
 	if e.cache == nil {
 		return WarmStats{}, errNoCache
@@ -96,24 +113,9 @@ func (e *Engine) Warm(r io.Reader) (WarmStats, error) {
 	if !sc.Scan() || sc.Text() != snapshotMagic {
 		return WarmStats{}, fmt.Errorf("engine: bad or missing snapshot header")
 	}
-	profileOK := true
-	if sc.Scan() {
-		if sc.Text() != SnapshotProfile(e.opts.Strict, e.opts.Height) {
-			// Records from a different option profile are unusable here,
-			// but the file itself is fine: count them all as skipped.
-			profileOK = false
-		}
-	}
 	var ws WarmStats
-	var code string
-	var body strings.Builder
-	inRecord := false
-	flush := func() {
-		if !inRecord {
-			return
-		}
-		inRecord = false
-		if profileOK && e.warmRecord(code, body.String()) {
+	count := func(loaded bool) {
+		if loaded {
 			ws.Loaded++
 			e.warmLoaded.Add(1)
 		} else {
@@ -121,29 +123,50 @@ func (e *Engine) Warm(r io.Reader) (WarmStats, error) {
 			e.warmSkipped.Add(1)
 		}
 	}
+	var (
+		opts     core.Options // the current section's embedding options
+		usable   bool         // whether this engine serves those options
+		header   = true       // the next line may be the profile line
+		code     string
+		body     strings.Builder
+		inRecord bool
+	)
 	for sc.Scan() {
 		line := sc.Text()
+		if header {
+			header = false
+			if opts, usable = e.sectionOptions(line); usable {
+				continue
+			}
+		}
 		switch {
-		case strings.HasPrefix(line, "entry "):
-			// A new entry while one is open means the previous record
+		case line == snapshotMagic:
+			// A new section while a record is open means that record
 			// lost its "end" line (truncated write): count it skipped.
 			if inRecord {
 				inRecord = false
-				ws.Skipped++
-				e.warmSkipped.Add(1)
+				count(false)
+			}
+			header, usable = true, false
+		case strings.HasPrefix(line, "entry "):
+			// Likewise for a new entry while one is open.
+			if inRecord {
+				count(false)
 			}
 			code = strings.TrimPrefix(line, "entry ")
 			body.Reset()
 			inRecord = true
 		case line == "end":
-			flush()
+			if inRecord {
+				inRecord = false
+				count(usable && e.warmRecord(opts, code, body.String()))
+			}
 		case inRecord:
 			body.WriteString(line)
 			body.WriteByte('\n')
-		case strings.TrimSpace(line) == "":
 		default:
-			// Garbage between records: tolerated, the next "entry" line
-			// resynchronizes the parse.
+			// Blank lines and garbage between records are tolerated: the
+			// next "entry" line resynchronizes the parse.
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -151,15 +174,30 @@ func (e *Engine) Warm(r io.Reader) (WarmStats, error) {
 	}
 	// A record still open at EOF was truncated mid-write.
 	if inRecord {
-		ws.Skipped++
-		e.warmSkipped.Add(1)
+		count(false)
 	}
 	return ws, nil
 }
 
-// warmRecord validates one snapshot record and, when sound, inserts it
-// into the cache.  It reports whether the record was loaded.
-func (e *Engine) warmRecord(code, body string) bool {
+// sectionOptions parses a section's profile line into the options its
+// records were embedded with.  It reports false when the line is not
+// exactly a profile line, or names options that no Profile of this
+// engine resolves to: those records could never answer a lookup.
+func (e *Engine) sectionOptions(line string) (core.Options, bool) {
+	var strict bool
+	var height int
+	if _, err := fmt.Sscanf(line, "profile strict=%t height=%d", &strict, &height); err != nil ||
+		line != profileLine(strict, height) {
+		return core.Options{}, false
+	}
+	opts := e.options(Profile{Strict: strict, Height: height})
+	return opts, opts.Strict == strict && opts.Height == height
+}
+
+// warmRecord validates one snapshot record embedded under opts and,
+// when sound, inserts it into the cache under that profile's key.  It
+// reports whether the record was loaded.
+func (e *Engine) warmRecord(opts core.Options, code, body string) bool {
 	if code == "" {
 		return false
 	}
@@ -176,10 +214,11 @@ func (e *Engine) warmRecord(code, body string) bool {
 	if gotCode != code {
 		return false
 	}
-	// A height-pinned engine only caches embeddings into that host.
-	if e.opts.Height > 0 && res.Host.Height() != e.opts.Height {
+	// A height-pinned profile only caches embeddings into that host.
+	if opts.Height > 0 && res.Host.Height() != opts.Height {
 		return false
 	}
-	e.cache.put(bintree.HashCode(code), code, &cacheEntry{res: res, order: order})
+	key := e.cacheKey(opts, code)
+	e.cache.put(bintree.HashCode(key), key, newCacheEntry(res, order, opts))
 	return true
 }

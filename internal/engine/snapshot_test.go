@@ -141,27 +141,100 @@ func TestWarmSkipsStaleCode(t *testing.T) {
 	}
 }
 
-// TestWarmProfileMismatch: a snapshot taken under one option profile must
-// not warm an engine running another — every record is skipped.
+// TestWarmProfileMismatch: a section's records answer only their own
+// profile.  A snapshot holding default, strict and height-pinned
+// sections warms every record into a fresh engine, and each record
+// answers a lookup under its own profile and no other.
 func TestWarmProfileMismatch(t *testing.T) {
 	hot := New(Config{Workers: 1, CacheSize: 64})
 	defer hot.Close()
-	fillCache(t, hot, 2, 60)
-
+	ctx := context.Background()
+	trees := []*bintree.Tree{
+		mustGen(t, bintree.FamilyRandom, 60, 1),
+		mustGen(t, bintree.FamilyRandom, 60, 2),
+		mustGen(t, bintree.FamilyRandom, 60, 3),
+	}
+	profiles := []Profile{{}, {Strict: true}, {Height: 4}}
+	for i, p := range profiles {
+		if it := hot.EmbedBatchProfile(ctx, p, trees[i:i+1])[0]; it.Err != nil {
+			t.Fatal(it.Err)
+		}
+	}
 	var buf bytes.Buffer
 	if _, err := hot.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	strictOpts := core.DefaultOptions()
-	strictOpts.Strict = true
-	cold := New(Config{Workers: 1, CacheSize: 64, Options: &strictOpts})
+	cold := New(Config{Workers: 1, CacheSize: 64})
 	defer cold.Close()
 	ws, err := cold.Warm(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ws.Loaded != 0 || ws.Skipped != 2 {
-		t.Fatalf("warm across profiles loaded=%d skipped=%d, want 0 and 2", ws.Loaded, ws.Skipped)
+	if ws.Loaded != 3 || ws.Skipped != 0 {
+		t.Fatalf("warm loaded=%d skipped=%d, want 3 and 0", ws.Loaded, ws.Skipped)
+	}
+	for i, p := range profiles {
+		for j, q := range profiles {
+			it := cold.EmbedBatchProfile(ctx, q, []*bintree.Tree{relabel(t, trees[i], 7)})[0]
+			if it.Err != nil {
+				t.Fatal(it.Err)
+			}
+			if it.CacheHit != (i == j) {
+				t.Errorf("record warmed under %+v, looked up under %+v: hit=%v", p, q, it.CacheHit)
+			}
+		}
+	}
+
+	// An engine configured strict has no non-strict profile, so the
+	// default section's record is skipped there.
+	strictOpts := core.DefaultOptions()
+	strictOpts.Strict = true
+	strict := New(Config{Workers: 1, CacheSize: 64, Options: &strictOpts})
+	defer strict.Close()
+	ws, err = strict.Warm(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws.Loaded != 1 || ws.Skipped != 2 {
+		t.Fatalf("strict engine warm loaded=%d skipped=%d, want 1 and 2", ws.Loaded, ws.Skipped)
+	}
+}
+
+// TestWarmCountsEveryRecord: every record lands in Loaded or Skipped,
+// also in a section with no profile line, whose records are skipped
+// because their options are unknown.
+func TestWarmCountsEveryRecord(t *testing.T) {
+	hot := New(Config{Workers: 1, CacheSize: 64})
+	defer hot.Close()
+	fillCache(t, hot, 2, 40)
+	var buf bytes.Buffer
+	if _, err := hot.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	section := buf.String()
+	noProfile := strings.Replace(section, profileLine(false, -1)+"\n", "", 1)
+	for _, tc := range []struct {
+		name                 string
+		text                 string
+		wantLoaded, wantSkip int
+	}{
+		{"no profile line", noProfile, 0, 2},
+		{"profile-less second section", section + noProfile, 2, 2},
+		{"unknown profile", strings.Replace(section, "height=-1", "height=0", 1), 0, 2},
+	} {
+		e := New(Config{Workers: 1, CacheSize: 64})
+		ws, err := e.Warm(strings.NewReader(tc.text))
+		st := e.Stats()
+		e.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if ws.Loaded != tc.wantLoaded || ws.Skipped != tc.wantSkip {
+			t.Errorf("%s: loaded=%d skipped=%d, want %d and %d", tc.name, ws.Loaded, ws.Skipped, tc.wantLoaded, tc.wantSkip)
+		}
+		if st.WarmLoaded != int64(ws.Loaded) || st.WarmSkipped != int64(ws.Skipped) {
+			t.Errorf("%s: counters loaded=%d skipped=%d disagree with %+v", tc.name, st.WarmLoaded, st.WarmSkipped, ws)
+		}
 	}
 }
 
@@ -248,8 +321,8 @@ func TestSnapshotPreservesLRUOrder(t *testing.T) {
 }
 
 // FuzzWarm feeds arbitrary bytes to the snapshot parser: Warm must never
-// panic, never corrupt the engine, and anything it loaded must survive a
-// re-snapshot/re-warm round trip.
+// panic, never corrupt the engine, must count every record exactly once,
+// and anything it loaded must survive a re-snapshot/re-warm round trip.
 func FuzzWarm(f *testing.F) {
 	seedEngine := New(Config{Workers: 1, CacheSize: 16})
 	seedTree := mustGen(f, bintree.FamilyRandom, 40, 1)
@@ -260,11 +333,23 @@ func FuzzWarm(f *testing.F) {
 	if _, err := seedEngine.Snapshot(&seed); err != nil {
 		f.Fatal(err)
 	}
-	seedEngine.Close()
 	f.Add(seed.String())
 	f.Add(snapshotMagic + "\nprofile strict=false height=-1\nentry ((.)(.))\nend\n")
 	f.Add(snapshotMagic + "\nentry")
 	f.Add("")
+	// A multi-section snapshot: default, strict and height-pinned.
+	for i, p := range []Profile{{Strict: true}, {Height: 3}} {
+		tr := mustGen(f, bintree.FamilyRandom, 40, int64(2+i))
+		if it := seedEngine.EmbedBatchProfile(context.Background(), p, []*bintree.Tree{tr})[0]; it.Err != nil {
+			f.Fatal(it.Err)
+		}
+	}
+	seed.Reset()
+	if _, err := seedEngine.Snapshot(&seed); err != nil {
+		f.Fatal(err)
+	}
+	seedEngine.Close()
+	f.Add(seed.String())
 
 	f.Fuzz(func(t *testing.T, data string) {
 		e := New(Config{Workers: 1, CacheSize: 16})
@@ -274,6 +359,18 @@ func FuzzWarm(f *testing.F) {
 			return // rejected outright; fine
 		}
 		st := e.Stats()
+		records := 0
+		for _, line := range strings.Split(data, "\n") {
+			if strings.HasPrefix(line, "entry ") {
+				records++
+			}
+		}
+		if ws.Loaded+ws.Skipped != records {
+			t.Fatalf("loaded %d + skipped %d records, the input holds %d", ws.Loaded, ws.Skipped, records)
+		}
+		if int64(ws.Skipped) != st.WarmSkipped || int64(ws.Loaded) != st.WarmLoaded {
+			t.Fatalf("WarmStats %+v, engine counters loaded=%d skipped=%d", ws, st.WarmLoaded, st.WarmSkipped)
+		}
 		// Duplicate records collapse onto one cache key, so Loaded bounds
 		// CacheLen from above; it can never undercount.
 		if ws.Loaded < st.CacheLen {

@@ -15,6 +15,7 @@ import (
 
 	"xtreesim/internal/bintree"
 	"xtreesim/internal/distsim"
+	"xtreesim/internal/engine"
 	"xtreesim/internal/netsim"
 )
 
@@ -197,6 +198,11 @@ func (req *EmbedRequest) validate() error {
 		return badRequest("negative height %d", req.Height)
 	}
 	return nil
+}
+
+// profile returns the engine profile of the request's xtree options.
+func (req *EmbedRequest) profile() engine.Profile {
+	return engine.Profile{Strict: req.Strict, Height: req.Height}
 }
 
 // hostName returns the normalized host, defaulting to xtree.

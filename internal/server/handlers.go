@@ -100,34 +100,17 @@ func (s *Server) embedTrees(ctx context.Context, req *EmbedRequest, trees []*bin
 		return s.embedUniversal(ctx, trees)
 	}
 	items := make([]EmbedItem, len(trees))
-	// Every option profile has (or lazily gets) its own engine, so
-	// strict and height-pinned traffic caches and coalesces like the
-	// default profile does.  engineFor only returns nil when more
-	// distinct profiles are live than the pool budget allows; that
-	// overflow traffic falls back to a direct, uncached compute.
-	if eng := s.pool.engineFor(profileOf(req)); eng != nil {
-		for _, bi := range eng.EmbedBatch(ctx, trees) {
-			// The deadline is request-scoped: when the context killed
-			// the batch, the whole request is a 504, not a 200 with
-			// every item errored.
-			if bi.Err != nil && errors.Is(bi.Err, ctx.Err()) && ctx.Err() != nil {
-				return nil, ctxError(ctx.Err())
-			}
-			items[bi.Index] = s.embedItem(ctx, req, bi)
+	// Strict and height-pinned requests ride the one engine as a
+	// profile: they cache and coalesce like the default options do,
+	// under keys of their own.
+	for _, bi := range s.eng.EmbedBatchProfile(ctx, req.profile(), trees) {
+		// The deadline is request-scoped: when the context killed the
+		// batch, the whole request is a 504, not a 200 with every item
+		// errored.
+		if bi.Err != nil && errors.Is(bi.Err, ctx.Err()) && ctx.Err() != nil {
+			return nil, ctxError(ctx.Err())
 		}
-		return items, nil
-	}
-	opts := core.DefaultOptions()
-	opts.Strict = req.Strict
-	if req.Height > 0 {
-		opts.Height = req.Height
-	}
-	for i, t := range trees {
-		if err := ctx.Err(); err != nil {
-			return nil, ctxError(err)
-		}
-		res, err := core.EmbedXTreeContext(ctx, t, opts)
-		items[i] = s.embedItem(ctx, req, engine.BatchItem{Index: i, Tree: t, Result: res, Err: err})
+		items[bi.Index] = s.embedItem(ctx, req, bi)
 	}
 	return items, nil
 }
@@ -247,9 +230,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx := r.Context()
 
-	// Embed through the default-profile engine: simulate requests of
-	// isomorphic trees reuse the cached embedding like embed requests do.
-	bi := s.pool.engineFor(profile{}).EmbedBatch(ctx, []*bintree.Tree{tree})[0]
+	// Embed with the default options: simulate requests of isomorphic
+	// trees reuse the cached embedding like embed requests do.
+	bi := s.eng.EmbedBatch(ctx, []*bintree.Tree{tree})[0]
 	if bi.Err != nil {
 		if errors.Is(bi.Err, context.DeadlineExceeded) || errors.Is(bi.Err, context.Canceled) {
 			writeAPIError(w, ctxError(bi.Err))

@@ -1,9 +1,9 @@
 package server
 
-// loadgen.go is the closed-loop load generator behind `xtree-serve
-// -loadgen` and experiment E18: N workers fire POST /v1/embed requests
-// back-to-back against a live server and measure what a client actually
-// sees — end-to-end latency percentiles (per-worker histograms merged
+// loadgen.go is the closed-loop load generator behind the façade's
+// RunLoad and experiments E21 and E23: N workers fire POST /v1/embed
+// requests back-to-back against a live server and measure what a client
+// actually sees — end-to-end latency percentiles (per-worker histograms merged
 // afterwards, exercising Histogram.Merge for real), throughput, and how
 // many requests the admission layer shed.  The request mix cycles
 // through a configurable number of distinct shapes so the server-side
@@ -45,11 +45,6 @@ type LoadConfig struct {
 	DistinctShapes int
 	// Timeout is the per-request client timeout (≤ 0 means 30s).
 	Timeout time.Duration
-	// Trace tags every request with a distinct X-Trace-Id header.  A
-	// valid header forces server-side sampling, so a traced load run
-	// exports one joinable trace per request regardless of the server's
-	// sample rate — useful for phase-profiling under load.
-	Trace bool
 	// Seed is the master seed for the whole run: it derives both the
 	// per-shape tree seeds and each worker's shape-selection stream, so
 	// two runs with different seeds exercise genuinely different
@@ -179,10 +174,8 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	if _, ok := familyByName(family); !ok {
 		return nil, fmt.Errorf("loadgen: unknown family %q", family)
 	}
-	switch cfg.Host {
-	case "", HostXTree, HostHypercube, HostUniversal:
-	default:
-		return nil, fmt.Errorf("loadgen: unknown host %q", cfg.Host)
+	if err := (&EmbedRequest{Host: cfg.Host}).validate(); err != nil {
+		return nil, fmt.Errorf("loadgen: %w", err)
 	}
 	if cfg.StreamFrac < 0 || cfg.StreamFrac > 1 {
 		return nil, fmt.Errorf("loadgen: stream-frac %v outside [0,1]", cfg.StreamFrac)
@@ -284,11 +277,6 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 					continue
 				}
 				req.Header.Set("Content-Type", "application/json")
-				if cfg.Trace {
-					// Deterministic, distinct, nonzero: request index in
-					// the low bits, a fixed tag in the high bits.
-					req.Header.Set(TraceHeader, fmt.Sprintf("%016x", (uint64(i)+1)|(1<<48)))
-				}
 				t0 := time.Now()
 				resp, err := client.Do(req)
 				if err != nil {

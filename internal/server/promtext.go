@@ -112,7 +112,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "xtreesim_http_request_duration_quantile_seconds{quantile=\"%s\"} %s\n", q.label, formatFloat(q.v))
 	}
 
-	es := s.pool.aggregateStats()
+	es := s.eng.Stats()
 	writeHelp(&b, "xtreesim_engine_cache_hits_total", "counter", "Batch-engine canonical-tree cache hits.")
 	fmt.Fprintf(&b, "xtreesim_engine_cache_hits_total %d\n", es.Hits)
 	writeHelp(&b, "xtreesim_engine_cache_misses_total", "counter", "Batch-engine cache misses (full embeddings run).")
@@ -127,11 +127,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "xtreesim_engine_cache_capacity %d\n", es.CacheCap)
 	writeHelp(&b, "xtreesim_engine_cache_shards", "gauge", "Lock shards striping the canonical-tree cache.")
 	fmt.Fprintf(&b, "xtreesim_engine_cache_shards %d\n", es.Shards)
-	writeHelp(&b, "xtreesim_engine_cache_shard_entries", "gauge", "Embeddings cached per shard (default-profile engine).")
-	for i, sh := range s.pool.def.ShardStats() {
+	writeHelp(&b, "xtreesim_engine_cache_shard_entries", "gauge", "Embeddings cached per shard.")
+	for i, sh := range s.eng.ShardStats() {
 		fmt.Fprintf(&b, "xtreesim_engine_cache_shard_entries{shard=\"%d\"} %d\n", i, sh.Len)
 	}
-	writeHelp(&b, "xtreesim_engine_warm_loaded_total", "counter", "Snapshot records loaded into the caches at warm.")
+	writeHelp(&b, "xtreesim_engine_warm_loaded_total", "counter", "Snapshot records loaded into the cache at warm.")
 	fmt.Fprintf(&b, "xtreesim_engine_warm_loaded_total %d\n", es.WarmLoaded)
 	writeHelp(&b, "xtreesim_engine_warm_skipped_total", "counter", "Snapshot records rejected at warm as corrupt, stale, or mismatched.")
 	fmt.Fprintf(&b, "xtreesim_engine_warm_skipped_total %d\n", es.WarmSkipped)
@@ -151,33 +151,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "xtreesim_engine_avg_queue_wait_seconds %s\n", formatFloat(es.AvgQueueWait().Seconds()))
 	writeHelp(&b, "xtreesim_engine_queue_depth", "gauge", "Jobs accepted but not yet on a worker.")
 	fmt.Fprintf(&b, "xtreesim_engine_queue_depth %d\n", es.QueueDepth())
-
-	// Per-profile engine series: the aggregate families above answer "is
-	// the serving front healthy", these answer "which option profile is
-	// (not) getting cache leverage".
-	profiles := s.pool.profileStats()
-	writeHelp(&b, "xtreesim_profile_cache_hits_total", "counter", "Cache hits by option-profile engine.")
-	for _, ps := range profiles {
-		fmt.Fprintf(&b, "xtreesim_profile_cache_hits_total{profile=\"%s\"} %d\n", escapeLabelValue(ps.Profile), ps.Stats.Hits)
-	}
-	writeHelp(&b, "xtreesim_profile_cache_misses_total", "counter", "Cache misses by option-profile engine.")
-	for _, ps := range profiles {
-		fmt.Fprintf(&b, "xtreesim_profile_cache_misses_total{profile=\"%s\"} %d\n", escapeLabelValue(ps.Profile), ps.Stats.Misses)
-	}
-	writeHelp(&b, "xtreesim_profile_coalesced_total", "counter", "Coalesced jobs by option-profile engine.")
-	for _, ps := range profiles {
-		fmt.Fprintf(&b, "xtreesim_profile_coalesced_total{profile=\"%s\"} %d\n", escapeLabelValue(ps.Profile), ps.Stats.Coalesced)
-	}
-	writeHelp(&b, "xtreesim_profile_cache_entries", "gauge", "Cached embeddings by option-profile engine.")
-	for _, ps := range profiles {
-		fmt.Fprintf(&b, "xtreesim_profile_cache_entries{profile=\"%s\"} %d\n", escapeLabelValue(ps.Profile), ps.Stats.CacheLen)
-	}
-	writeHelp(&b, "xtreesim_profile_cache_capacity", "gauge", "Cache capacity by option-profile engine.")
-	for _, ps := range profiles {
-		fmt.Fprintf(&b, "xtreesim_profile_cache_capacity{profile=\"%s\"} %d\n", escapeLabelValue(ps.Profile), ps.Stats.CacheCap)
-	}
-	writeHelp(&b, "xtreesim_profile_overflow_total", "counter", "Requests served uncached because every profile-engine slot was taken.")
-	fmt.Fprintf(&b, "xtreesim_profile_overflow_total %d\n", s.pool.overflow.Load())
 
 	// Partitioned-simulation series: how often /v1/simulate runs through
 	// the distsim coordinator, and how the work and the cross-shard

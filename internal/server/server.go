@@ -18,7 +18,9 @@
 //
 // All embedding requests share one engine, so concurrent clients asking
 // for isomorphic guests — the common case in tree-shaped workloads — hit
-// the canonical-tree cache instead of re-running algorithm X-TREE.
+// the canonical-tree cache instead of re-running algorithm X-TREE.  A
+// request's strict and height options travel with its jobs as an
+// engine.Profile, so they cache and coalesce in that same engine.
 //
 // Routes:
 //
@@ -75,23 +77,15 @@ type Config struct {
 	Addr string
 
 	// Engine, when non-nil, is a caller-owned engine the server uses
-	// as the default-profile engine without closing.  When nil the
-	// server creates one from EngineConfig and closes it on Shutdown.
-	// Either way EngineConfig is the template non-default option
-	// profiles (strict mode, pinned heights) derive their engines from.
+	// without closing.  When nil the server creates one from
+	// EngineConfig and closes it on Shutdown.
 	Engine       *engine.Engine
 	EngineConfig engine.Config
 
-	// MaxProfiles bounds how many non-default option-profile engines
-	// the server materializes (≤ 0 means DefaultMaxProfiles).  Requests
-	// beyond the cap are still served, just without caching.
-	MaxProfiles int
-
-	// SnapshotPath, when non-empty, persists the canonical-tree caches
-	// across restarts: New warms every profile engine from the file if
-	// it exists, and Shutdown writes a fresh snapshot after the drain.
-	// A corrupt or stale file degrades to a cold start, never a failed
-	// boot.
+	// SnapshotPath, when non-empty, persists the canonical-tree cache
+	// across restarts: New warms the engine from the file if it exists,
+	// and Shutdown writes a fresh snapshot after the drain.  A corrupt
+	// or stale file degrades to a cold start, never a failed boot.
 	SnapshotPath string
 
 	// MaxConcurrent bounds the API requests processed at once (≤ 0
@@ -159,7 +153,8 @@ type Config struct {
 // Server is one serving process.  Create with New, boot with Start, stop
 // with Shutdown.
 type Server struct {
-	pool         *enginePool
+	eng          *engine.Engine
+	ownsEng      bool
 	snapshotPath string
 	admit        *admission
 	metrics      *serverMetrics
@@ -201,7 +196,10 @@ func New(cfg Config) *Server {
 	if maxQueue < 0 {
 		maxQueue = 4 * maxConc
 	}
-	pool := newEnginePool(cfg.EngineConfig, cfg.Engine, cfg.MaxProfiles)
+	eng, ownsEng := cfg.Engine, false
+	if eng == nil {
+		eng, ownsEng = engine.New(cfg.EngineConfig), true
+	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = log.New(os.Stderr, "xtree-serve ", log.LstdFlags|log.Lmsgprefix)
@@ -220,7 +218,8 @@ func New(cfg Config) *Server {
 		version = buildinfo.Version()
 	}
 	s := &Server{
-		pool:              pool,
+		eng:               eng,
+		ownsEng:           ownsEng,
 		snapshotPath:      cfg.SnapshotPath,
 		admit:             newAdmission(maxConc, maxQueue),
 		metrics:           newServerMetrics(),
@@ -276,7 +275,7 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// warmFromSnapshot fills the engine caches from the configured snapshot
+// warmFromSnapshot fills the engine cache from the configured snapshot
 // file.  Any failure — missing file, foreign content, truncated records
 // — degrades to a cold start; boot never fails on cache state.
 func (s *Server) warmFromSnapshot() {
@@ -288,7 +287,7 @@ func (s *Server) warmFromSnapshot() {
 		return
 	}
 	defer f.Close()
-	ws, err := s.pool.warm(f)
+	ws, err := s.eng.Warm(f)
 	if err != nil {
 		s.logger.Printf("cache warm: %s: %v (loaded %d, skipped %d)", s.snapshotPath, err, ws.Loaded, ws.Skipped)
 		return
@@ -296,9 +295,9 @@ func (s *Server) warmFromSnapshot() {
 	s.logger.Printf("cache warm: %s: loaded %d records, skipped %d", s.snapshotPath, ws.Loaded, ws.Skipped)
 }
 
-// writeSnapshot persists every profile engine's cache to the configured
-// path via a temp-file rename, so a crash mid-write can never clobber
-// the previous good snapshot with a torn one.
+// writeSnapshot persists the engine cache to the configured path via a
+// temp-file rename, so a crash mid-write can never clobber the previous
+// good snapshot with a torn one.
 func (s *Server) writeSnapshot() {
 	tmp := s.snapshotPath + ".tmp"
 	f, err := os.Create(tmp)
@@ -306,7 +305,7 @@ func (s *Server) writeSnapshot() {
 		s.logger.Printf("cache snapshot: create %s: %v", tmp, err)
 		return
 	}
-	n, err := s.pool.snapshot(f)
+	n, err := s.eng.Snapshot(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -417,11 +416,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	err := s.httpServer.Shutdown(ctx)
 	serveErr := <-s.serveErr
 	// Snapshot after the drain — every in-flight request has finished,
-	// so the caches are quiescent — and before closing the engines.
+	// so the cache is quiescent — and before closing the engine.
 	if s.snapshotPath != "" {
 		s.writeSnapshot()
 	}
-	s.pool.close()
+	s.closeEngine()
 	if err == nil {
 		err = serveErr
 	}
@@ -464,12 +463,18 @@ func (s *Server) retryAfter() string {
 	return strconv.Itoa(secs)
 }
 
-// Stats exposes the engine counters aggregated across every profile
-// engine (for the load generator's report).  Sizing fields (Workers,
-// Shards, Uptime) report the default-profile engine; work and cache
-// counters sum over all profiles.
-func (s *Server) Stats() engine.Stats { return s.pool.aggregateStats() }
+// closeEngine closes a server-owned engine and drains its results
+// channel so no worker can block on delivery.  A caller-owned engine is
+// left running.  Safe to call more than once.
+func (s *Server) closeEngine() {
+	if !s.ownsEng {
+		return
+	}
+	s.eng.Close()
+	for range s.eng.Results() {
+	}
+}
 
-// ProfileStats snapshots every materialized profile engine, default
-// profile first — the per-profile view behind /metrics.
-func (s *Server) ProfileStats() []ProfileStat { return s.pool.profileStats() }
+// Stats snapshots the engine counters (E21's warm-restart table reads
+// them).
+func (s *Server) Stats() engine.Stats { return s.eng.Stats() }

@@ -26,7 +26,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		s.pool.close()
+		s.closeEngine()
 	})
 	return s, ts
 }
@@ -126,7 +126,7 @@ func TestEmbedBatchCacheHitsAndEncodedTrees(t *testing.T) {
 	// The two complete-255 trees are isomorphic: they cost one compute,
 	// and the other is a cache hit or, when both race onto workers, a
 	// coalesced wait.
-	if st := s.ProfileStats()[0].Stats; st.Misses != 2 || st.Hits+st.Coalesced != 1 {
+	if st := s.Stats(); st.Misses != 2 || st.Hits+st.Coalesced != 1 {
 		t.Errorf("3 items over 2 shapes: misses=%d hits=%d coalesced=%d, want 2 computes and 1 reuse",
 			st.Misses, st.Hits, st.Coalesced)
 	}
@@ -174,6 +174,10 @@ func TestEmbedHostsHypercubeUniversalInjective(t *testing.T) {
 	}
 }
 
+// TestEmbedWithHeightUsesProfileEngine: a height-pinned request runs
+// under its own profile key in the one engine — it is cached, its
+// entry never answers the default options, and an isomorphic repeat is
+// a cache hit.
 func TestEmbedWithHeightUsesProfileEngine(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	resp, data := postJSON(t, ts.URL+"/v1/embed", EmbedRequest{
@@ -186,24 +190,28 @@ func TestEmbedWithHeightUsesProfileEngine(t *testing.T) {
 	if it.Height != 8 {
 		t.Errorf("forced height not honored: %+v", it)
 	}
-	// The request must run on the height=8 profile engine — never leak
-	// into the default engine's cache, never bypass caching entirely.
-	profiles := s.ProfileStats()
-	if profiles[0].Profile != "default" || profiles[0].Stats.Submitted != 0 {
-		t.Errorf("height-pinned request leaked into the default engine: %+v", profiles[0])
+	if st := s.Stats(); st.Submitted != 1 || st.Misses != 1 || st.CacheLen != 1 {
+		t.Fatalf("height-pinned request bypassed the engine cache: %+v", st)
 	}
-	if len(profiles) != 2 || profiles[1].Profile != "height=8" || profiles[1].Stats.Submitted != 1 {
-		t.Fatalf("height-pinned request not routed to a profile engine: %+v", profiles)
-	}
-	// An isomorphic repeat is answered from that profile's cache.
+	// An isomorphic repeat is answered from that profile's entry.
 	resp, data = postJSON(t, ts.URL+"/v1/embed", EmbedRequest{
 		Tree: &TreeSpec{Family: "path", N: 100, Seed: Seed(9)}, Height: 8,
 	})
 	if resp.StatusCode != 200 {
 		t.Fatalf("repeat status %d: %s", resp.StatusCode, data)
 	}
-	if it := decodeEmbed(t, data).Items[0]; !it.CacheHit {
-		t.Error("isomorphic height-pinned repeat was not a cache hit")
+	if it := decodeEmbed(t, data).Items[0]; !it.CacheHit || it.Height != 8 {
+		t.Errorf("isomorphic height-pinned repeat: %+v, want a cache hit on X(8)", it)
+	}
+	// The default options never see the height=8 entry.
+	resp, data = postJSON(t, ts.URL+"/v1/embed", EmbedRequest{
+		Tree: &TreeSpec{Family: "path", N: 100, Seed: Seed(1)},
+	})
+	if resp.StatusCode != 200 {
+		t.Fatalf("default status %d: %s", resp.StatusCode, data)
+	}
+	if it := decodeEmbed(t, data).Items[0]; it.CacheHit || it.Height == 8 {
+		t.Errorf("default request answered from the height=8 entry: %+v", it)
 	}
 }
 
@@ -502,7 +510,7 @@ func TestTimeoutAndCancelCarryDistinctCodes(t *testing.T) {
 // not deadline_exceeded.
 func TestQueuedClientGoneCode(t *testing.T) {
 	s := New(Config{MaxConcurrent: 1, MaxQueue: 1, Logger: log.New(io.Discard, "", 0)})
-	defer s.pool.close()
+	defer s.closeEngine()
 	// Occupy the only slot so the request must queue.
 	if err := s.admit.acquire(context.Background()); err != nil {
 		t.Fatal(err)
@@ -773,7 +781,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		t.Error("no request was served before the shutdown; the test raced itself")
 	}
 	// Post-shutdown: the engine is closed; submits fail cleanly.
-	if _, err := s.pool.def.Submit(context.Background(), bintree.Path(3)); err != engine.ErrClosed {
+	if _, err := s.eng.Submit(context.Background(), bintree.Path(3)); err != engine.ErrClosed {
 		t.Errorf("engine after shutdown: %v, want ErrClosed", err)
 	}
 	// Second shutdown is a no-op.
@@ -808,7 +816,7 @@ func TestSharedEngineAcrossServers(t *testing.T) {
 
 func TestPanicRecoveryMiddleware(t *testing.T) {
 	s := New(Config{Logger: log.New(io.Discard, "", 0)})
-	defer s.pool.close()
+	defer s.closeEngine()
 	h := s.instrument("boom", func(w http.ResponseWriter, r *http.Request) {
 		panic("kaboom")
 	})

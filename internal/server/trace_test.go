@@ -188,35 +188,6 @@ func TestTraceHeaderJoinsCallerTrace(t *testing.T) {
 	}
 }
 
-// TestLoadgenTraceTagging asserts LoadConfig.Trace gives every generated
-// request its own trace: with a rate-0 tracer only the tagged requests
-// sample, so the export must hold exactly one trace ID per request.
-func TestLoadgenTraceTagging(t *testing.T) {
-	tr := trace.New(trace.Config{SampleRate: 0, RingSize: 1 << 12})
-	// Generous admission limits: shedding any of the 8 requests (easy to
-	// provoke under -race timing) would break the one-trace-per-request
-	// count this test is about.
-	_, ts := newTestServer(t, Config{Tracer: tr, MaxConcurrent: 8, MaxQueue: 64})
-	const n = 8
-	rep, err := RunLoad(LoadConfig{
-		BaseURL: ts.URL, Concurrency: 2, Requests: n,
-		TreeN: 63, DistinctShapes: 2, Trace: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OK != n {
-		t.Fatalf("load report %s: want %d ok", rep, n)
-	}
-	traces := map[string]bool{}
-	for _, sd := range tr.Spans() {
-		traces[sd.Trace] = true
-	}
-	if len(traces) != n {
-		t.Fatalf("exported %d distinct traces, want %d (one per tagged request)", len(traces), n)
-	}
-}
-
 // TestSimulateSpanOnError: a simulation that dies (here the cycle cap
 // is far too small for the workload) must still close its span — marked
 // with the error attr — and must NOT stamp the zero-value cycles and
