@@ -16,12 +16,14 @@ test-short:
 test-race:
 	$(GO) test -race ./...
 
-# Everything CI gates on: formatting, vet, build, tests.
+# Formatting, vet, build and tests, plus the benchmark module (xbench/),
+# which ./... skips but which compiles against the server and engine.
 check:
 	gofmt -l .
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
+	cd xbench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -20,30 +20,20 @@ type (
 	// with Close.
 	Engine = engine.Engine
 	// EngineConfig configures NewEngine; the zero value means one
-	// worker per CPU, a default-sized cache striped over several lock
-	// shards, and coalescing of concurrent isomorphic requests.  See
-	// the Workers, CacheSize, CacheShards and Coalesce fields.
+	// worker per CPU and a default-sized cache striped over several
+	// lock shards.  Concurrent isomorphic requests always share one
+	// embedding.  See the Workers, CacheSize, CacheShards and Options
+	// fields.
 	EngineConfig = engine.Config
 	// EngineStats is a snapshot of the engine counters (cache hits,
 	// misses, coalesced waits, evictions, in-flight jobs, cumulative
 	// embed nanoseconds).
 	EngineStats = engine.Stats
-	// BatchItem is the per-tree outcome of EmbedBatch or Submit.
+	// BatchItem is the per-tree outcome of EmbedBatch.
 	BatchItem = engine.BatchItem
-	// CoalesceMode selects whether concurrent requests for isomorphic
-	// trees share one embedding computation (EngineConfig.Coalesce).
-	CoalesceMode = engine.CoalesceMode
 	// ShardStat is one cache shard's occupancy and counters, from
 	// Engine.ShardStats.
 	ShardStat = engine.ShardStat
-)
-
-// Coalesce modes for EngineConfig.Coalesce.  The zero value
-// (CoalesceDefault) means on.
-const (
-	CoalesceDefault = engine.CoalesceDefault
-	CoalesceOn      = engine.CoalesceOn
-	CoalesceOff     = engine.CoalesceOff
 )
 
 // MaxCacheShards is the upper bound EngineConfig.CacheShards is clamped
@@ -60,8 +50,8 @@ var ErrEngineClosed = engine.ErrClosed
 //	items := eng.EmbedBatch(ctx, trees)
 //
 // Use EngineConfig.Options (via NewEmbedConfig) for non-default embedding
-// options, and DeriveInjective/DeriveHypercube to also compute the
-// Theorem 2/3 results per tree.
+// options.  Theorems 2 and 3 derive from each item's Result with
+// EmbedInjective and EmbedHypercube.
 func NewEngine(cfg EngineConfig) *Engine { return engine.New(cfg) }
 
 var (

@@ -10,7 +10,7 @@
 //	xtree-serve -version
 //
 // Serving flags tune the production knobs: -workers, -cache,
-// -cache-shards and -coalesce size the engine, -max-concurrent and
+// -cache-shards and -parallel size the engine, -max-concurrent and
 // -queue bound admission, -timeout is the per-request deadline,
 // -max-body/-max-batch/-max-tree cap inputs.
 // Observability: -trace-sample samples that fraction of requests into
@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"xtreesim/internal/buildinfo"
+	"xtreesim/internal/core"
 	"xtreesim/internal/engine"
 	"xtreesim/internal/server"
 )
@@ -44,7 +45,6 @@ func main() {
 		workers     = flag.Int("workers", 0, "engine workers (0 = one per CPU)")
 		cache       = flag.Int("cache", 0, "engine cache entries (0 = default, negative = disabled)")
 		cacheShards = flag.Int("cache-shards", 0, "cache lock shards (0 = auto: ~4x workers, rounded to a power of two)")
-		coalesce    = flag.Bool("coalesce", true, "coalesce concurrent requests for isomorphic trees into one embedding")
 		parallel    = flag.Int("parallel", 0, "goroutines per embed for the ADJUST/SPLIT fan-out (0 = serial; results are identical for every value)")
 
 		maxConcurrent = flag.Int("max-concurrent", 0, "API requests processed at once (0 = one per CPU)")
@@ -69,18 +69,15 @@ func main() {
 		fmt.Println(buildinfo.Version())
 		return
 	}
-	coalesceMode := engine.CoalesceOn
-	if !*coalesce {
-		coalesceMode = engine.CoalesceOff
-	}
+	opts := core.DefaultOptions()
+	opts.Parallel = *parallel
 	cfg := server.Config{
 		Addr: *addr,
 		EngineConfig: engine.Config{
 			Workers:     *workers,
 			CacheSize:   *cache,
 			CacheShards: *cacheShards,
-			Coalesce:    coalesceMode,
-			Parallel:    *parallel,
+			Options:     &opts,
 		},
 		MaxConcurrent:  *maxConcurrent,
 		MaxQueue:       *maxQueue,

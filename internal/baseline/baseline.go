@@ -33,11 +33,7 @@ type Result struct {
 
 // Embedding adapts the result for the metrics package.
 func (r *Result) Embedding() *metrics.Embedding {
-	m := make([]int64, len(r.Assignment))
-	for i, a := range r.Assignment {
-		m[i] = a.ID()
-	}
-	return &metrics.Embedding{Guest: r.Guest, Host: metrics.XTreeHost{X: r.Host}, Map: m}
+	return metrics.XTreeEmbedding(r.Guest, r.Host, r.Assignment)
 }
 
 // NaiveTree maps the guest root to ε and every child one level deeper

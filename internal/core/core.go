@@ -172,11 +172,7 @@ func EmbedXTreeContext(ctx context.Context, t *bintree.Tree, opts Options) (*Res
 
 // Embedding adapts the result for the metrics package.
 func (res *Result) Embedding() *metrics.Embedding {
-	m := make([]int64, len(res.Assignment))
-	for i, a := range res.Assignment {
-		m[i] = a.ID()
-	}
-	return &metrics.Embedding{Guest: res.Guest, Host: metrics.XTreeHost{X: res.Host}, Map: m}
+	return metrics.XTreeEmbedding(res.Guest, res.Host, res.Assignment)
 }
 
 // Dilation measures the exact dilation of the result (sharded over the

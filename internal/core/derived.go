@@ -71,11 +71,7 @@ func embedInjective(res *Result) (*InjectiveResult, error) {
 
 // Embedding adapts the injective result for the metrics package.
 func (res *InjectiveResult) Embedding() *metrics.Embedding {
-	m := make([]int64, len(res.Assignment))
-	for i, a := range res.Assignment {
-		m[i] = a.ID()
-	}
-	return &metrics.Embedding{Guest: res.Guest, Host: metrics.XTreeHost{X: res.Host}, Map: m}
+	return metrics.XTreeEmbedding(res.Guest, res.Host, res.Assignment)
 }
 
 // HypercubeResult is an embedding into a hypercube (Theorem 3).

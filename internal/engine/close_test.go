@@ -2,9 +2,10 @@ package engine
 
 // close_test.go is the shutdown-safety regression suite: the serving
 // layer closes its owned engine while HTTP handlers may still be inside
-// Submit or EmbedBatch, so Close racing live submitters must never
-// panic, deadlock, or lose a result without an error.  These tests run
-// under the CI race job alongside the rest of the engine suite.
+// EmbedBatch, so Close racing live callers must never panic, deadlock,
+// or lose a result without an error, and it returns only once the
+// accepted work is done.  These tests run under the CI race job
+// alongside the rest of the engine suite.
 
 import (
 	"context"
@@ -15,69 +16,6 @@ import (
 
 	"xtreesim/internal/bintree"
 )
-
-// TestCloseDuringConcurrentSubmit hammers Submit from many goroutines
-// while Close fires midway: every call must either succeed (and its
-// result eventually arrive on Results) or fail with ErrClosed — no
-// panics, no hangs, and no index consumed by a rejected call.
-func TestCloseDuringConcurrentSubmit(t *testing.T) {
-	eng := New(Config{Workers: 2, CacheSize: 8})
-	tr := mustGen(t, "random", 255, 1)
-
-	const goroutines = 16
-	const perG = 50
-	var accepted, rejected int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				_, err := eng.Submit(context.Background(), tr)
-				mu.Lock()
-				if err == nil {
-					accepted++
-				} else {
-					if !errors.Is(err, ErrClosed) {
-						t.Errorf("Submit: %v, want ErrClosed", err)
-					}
-					rejected++
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-
-	// Drain Results concurrently so accepted submissions can complete,
-	// and count them: accepted work must not vanish.
-	done := make(chan int64)
-	go func() {
-		var got int64
-		for range eng.Results() {
-			got++
-		}
-		done <- got
-	}()
-
-	time.Sleep(2 * time.Millisecond) // let the flood start
-	eng.Close()
-	wg.Wait()
-
-	select {
-	case got := <-done:
-		mu.Lock()
-		defer mu.Unlock()
-		if got != accepted {
-			t.Errorf("results delivered = %d, accepted = %d", got, accepted)
-		}
-		if accepted+rejected != goroutines*perG {
-			t.Errorf("accounted %d of %d calls", accepted+rejected, goroutines*perG)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("Results never closed after Close")
-	}
-}
 
 // TestCloseDuringConcurrentEmbedBatch races Close against in-flight
 // EmbedBatch callers: each batch item must carry either a valid
@@ -118,9 +56,6 @@ func TestSubmitAfterCloseReturnsErrClosed(t *testing.T) {
 	eng := New(Config{Workers: 1})
 	tr := mustGen(t, "random", 63, 1)
 	eng.Close()
-	if _, err := eng.Submit(context.Background(), tr); !errors.Is(err, ErrClosed) {
-		t.Errorf("Submit after Close: %v, want ErrClosed", err)
-	}
 	for _, it := range eng.EmbedBatch(context.Background(), []*bintree.Tree{tr}) {
 		if !errors.Is(it.Err, ErrClosed) {
 			t.Errorf("EmbedBatch after Close: %v, want ErrClosed", it.Err)
@@ -128,4 +63,51 @@ func TestSubmitAfterCloseReturnsErrClosed(t *testing.T) {
 	}
 	// Close must be idempotent.
 	eng.Close()
+}
+
+// TestCloseWaitsForAcceptedJobs: Close blocks while an accepted job is
+// held inside the embed seam, returns once that job has finished, and
+// work submitted afterwards reports ErrClosed.
+func TestCloseWaitsForAcceptedJobs(t *testing.T) {
+	gate, _, restore := gateEmbeds(t, nil)
+	defer restore()
+	eng := New(Config{Workers: 1})
+	tr := mustGen(t, "random", 63, 1)
+
+	batch := make(chan []BatchItem)
+	go func() { batch <- eng.EmbedBatch(context.Background(), []*bintree.Tree{tr}) }()
+	waitCounter(t, 1, func() int64 { return eng.Stats().InFlight })
+
+	closed := make(chan struct{})
+	go func() {
+		eng.Close()
+		close(closed)
+	}()
+	// Once Close has refused new work, it must still wait on the job.
+	waitCounter(t, 1, func() int64 {
+		eng.mu.RLock()
+		defer eng.mu.RUnlock()
+		return b2i(eng.closed)
+	})
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an accepted job was still embedding")
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	close(gate)
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return after the held job finished")
+	}
+	if s := eng.Stats(); s.Completed != 1 || s.InFlight != 0 {
+		t.Errorf("Close returned before the held job finished: %+v", s)
+	}
+	if it := (<-batch)[0]; it.Err != nil || it.Result == nil {
+		t.Errorf("held job: err %v, result %v", it.Err, it.Result)
+	}
+	if it := eng.EmbedBatch(context.Background(), []*bintree.Tree{tr})[0]; !errors.Is(it.Err, ErrClosed) {
+		t.Errorf("EmbedBatch after Close: %v, want ErrClosed", it.Err)
+	}
 }

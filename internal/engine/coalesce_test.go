@@ -211,43 +211,6 @@ func TestCoalesceLeaderDetached(t *testing.T) {
 	}
 }
 
-// TestCoalesceOffComputesIndependently: with coalescing disabled every
-// concurrent miss runs its own compute (the pre-redesign behavior).
-func TestCoalesceOffComputesIndependently(t *testing.T) {
-	const n = 4
-	// No gate here — all computes must proceed; gateEmbeds would park
-	// the first forever with nobody to release it mid-batch.
-	var calls atomic.Int64
-	orig := embedXTree
-	embedXTree = func(ctx context.Context, tr *bintree.Tree, opts core.Options) (*core.Result, error) {
-		calls.Add(1)
-		return orig(ctx, tr, opts)
-	}
-	defer func() { embedXTree = orig }()
-
-	// A cold cache per batch: size 1 with 4 distinct shapes cycling
-	// would still cache-hit identical ones, so disable the cache — the
-	// point is only that no singleflight dedups the concurrent misses.
-	e := New(Config{Workers: n, CacheSize: -1, Coalesce: CoalesceOff})
-	defer e.Close()
-	base := mustGen(t, bintree.FamilyRandom, 128, 17)
-	trees := make([]*bintree.Tree, n)
-	for i := range trees {
-		trees[i] = relabel(t, base, int64(i+1))
-	}
-	for _, it := range e.EmbedBatch(context.Background(), trees) {
-		if it.Err != nil || it.Coalesced || it.CacheHit {
-			t.Fatalf("item %d: %+v, want independent compute", it.Index, it)
-		}
-	}
-	if got := calls.Load(); got != n {
-		t.Fatalf("computes %d, want %d (no coalescing)", got, n)
-	}
-	if s := e.Stats(); s.Coalesced != 0 {
-		t.Fatalf("coalesced %d with coalescing off", s.Coalesced)
-	}
-}
-
 // TestThunderingHerdStrictProfile proves coalescing applies to
 // non-default option profiles: a herd of N isomorphic strict jobs on a
 // default-configured engine costs exactly one strict embed.

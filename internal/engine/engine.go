@@ -1,7 +1,9 @@
-// Package engine runs Theorem 1/2/3 embeddings through a bounded worker
-// pool fronted by a canonical-tree cache: the batching layer that turns
-// the single-threaded, from-scratch xtreesim.Embed into a service-shaped
-// primitive.
+// Package engine runs Theorem 1 embeddings through a bounded worker pool
+// fronted by a canonical-tree cache: the batching layer that turns the
+// single-threaded, from-scratch xtreesim.Embed into a service-shaped
+// primitive.  EmbedBatchProfile is the one way in (EmbedBatch is its
+// zero-profile shorthand).  Theorems 2 and 3 are cheap derivations of a
+// Theorem 1 result, so callers derive them from the returned items.
 //
 // Two facts make the design pay off.  First, algorithm X-TREE is pure
 // CPU with no shared state, so independent guests embed in parallel with
@@ -12,7 +14,7 @@
 // child order, one embedding serves both after relabeling the
 // assignment.  The engine therefore keys an LRU cache on
 // bintree.CanonicalCode and answers cache hits with a remapped copy of
-// the stored result instead of re-running the construction.
+// the stored embedding instead of re-running the construction.
 //
 // The cache is sharded by bintree.HashCode of the canonical code
 // (shard.go) so unrelated shapes stop contending on one mutex while
@@ -63,25 +65,12 @@ const MaxCacheShards = 256
 // ErrClosed is returned for work submitted after Close.
 var ErrClosed = errors.New("engine: closed")
 
-// CoalesceMode selects whether concurrent identical embeds are
-// coalesced into one compute (a singleflight on the canonical code).
-type CoalesceMode int
-
-const (
-	// CoalesceDefault means CoalesceOn: coalescing is the default.
-	CoalesceDefault CoalesceMode = iota
-	// CoalesceOn coalesces concurrent isomorphic misses into one embed.
-	CoalesceOn
-	// CoalesceOff computes every miss independently.
-	CoalesceOff
-)
-
 // Config configures a new Engine.  The zero value is usable: one worker
 // per CPU, a DefaultCacheSize-entry cache striped over an automatic
-// shard count, coalescing on, and the theorem-default embedding
-// options.  Every field is validated and clamped in one place,
-// Config.normalize(), so the engine, the server's owned engine and the
-// xtree-serve flags all resolve identical defaults.
+// shard count, and the theorem-default embedding options.  Every field
+// is validated and clamped in one place, Config.normalize(), so the
+// engine, the server's owned engine and the xtree-serve flags all
+// resolve identical defaults.
 type Config struct {
 	// Workers is the number of concurrent embedders; ≤ 0 means
 	// runtime.GOMAXPROCS(0).
@@ -91,40 +80,24 @@ type Config struct {
 	// caching entirely.
 	CacheSize int
 	// CacheShards is the number of independent cache shards the LRU is
-	// striped across, selected by bintree.HashCode of the canonical
-	// code so isomorphic trees still collapse to one shard.  0 means
-	// an automatic per-worker default; values are rounded up to a
-	// power of two and clamped to [1, min(CacheSize, MaxCacheShards)].
+	// striped across, selected by the top bits of bintree.HashCode of
+	// the cache key so isomorphic trees still collapse to one shard.
+	// 0 means an automatic per-worker default; values are rounded up to
+	// a power of two and clamped to [1, min(CacheSize, MaxCacheShards)].
 	CacheShards int
-	// Coalesce controls request coalescing (CoalesceDefault = on): a
-	// thundering herd of concurrent isomorphic misses costs exactly
-	// one embed compute, with the other jobs counted in
-	// Stats.Coalesced.
-	Coalesce CoalesceMode
 	// Options overrides the embedding options (host height, strict
-	// mode); nil means core.DefaultOptions().  These are the options of
-	// the zero Profile; a job's Profile can turn strict mode on or pin
-	// the height on top of them.
+	// mode, the Parallel fan-out of each embed); nil means
+	// core.DefaultOptions().  These are the options of the zero
+	// Profile; a job's Profile can turn strict mode on or pin the
+	// height on top of them.
 	Options *core.Options
-	// Parallel, when > 0, overrides Options.Parallel: the number of
-	// goroutines each embed fans its ADJUST/SPLIT phases over.  The
-	// embedding is byte-identical for every value, so it composes
-	// safely with the canonical cache.  0 keeps whatever Options
-	// carries; negative values are clamped to 0.
-	Parallel int
-	// DeriveInjective additionally derives Theorem 2 (injective,
-	// dilation ≤ 11) for every item.
-	DeriveInjective bool
-	// DeriveHypercube additionally derives Theorem 3 (hypercube,
-	// load 16, dilation ≤ 4) for every item.
-	DeriveHypercube bool
 }
 
 // normalize resolves every default and clamp in one place and returns
 // the fully resolved configuration New runs with: Workers > 0,
 // CacheSize > 0 (or exactly -1 when caching is disabled), CacheShards a
 // power of two in [1, min(CacheSize, MaxCacheShards)] (or 0 when
-// caching is disabled), and Coalesce either CoalesceOn or CoalesceOff.
+// caching is disabled).
 func (c Config) normalize() Config {
 	out := c
 	if out.Workers <= 0 {
@@ -134,16 +107,7 @@ func (c Config) normalize() Config {
 	case out.CacheSize == 0:
 		out.CacheSize = DefaultCacheSize
 	case out.CacheSize < 0:
-		out.CacheSize = -1
-	}
-	if out.Coalesce == CoalesceDefault {
-		out.Coalesce = CoalesceOn
-	}
-	if out.Parallel < 0 {
-		out.Parallel = 0
-	}
-	if out.CacheSize < 0 {
-		out.CacheShards = 0
+		out.CacheSize, out.CacheShards = -1, 0
 		return out
 	}
 	shards := out.CacheShards
@@ -170,17 +134,14 @@ func (c Config) normalize() Config {
 }
 
 // BatchItem is the outcome of one guest tree.  Exactly one of Result and
-// Err is set.  For EmbedBatch, Index is the position in the input slice;
-// for Submit it is the submission number returned by Submit.  CacheHit
-// marks results remapped from the canonical-tree cache; Coalesced marks
-// results remapped from a concurrent leader's compute (a singleflight
-// wait, not a cache lookup).
+// Err is set, and Index is the tree's position in the input slice.
+// CacheHit marks results remapped from the canonical-tree cache;
+// Coalesced marks results remapped from a concurrent leader's compute (a
+// singleflight wait, not a cache lookup).
 type BatchItem struct {
 	Index     int
 	Tree      *bintree.Tree
 	Result    *core.Result
-	Injective *core.InjectiveResult
-	Hypercube *core.HypercubeResult
 	CacheHit  bool
 	Coalesced bool
 	Err       error
@@ -196,7 +157,7 @@ type Stats struct {
 	Coalesced int64 // jobs that waited on a concurrent identical compute instead of running one
 	Evictions int64 // cache entries evicted across all shards
 	InFlight  int64 // jobs on a worker right now
-	Submitted int64 // jobs accepted (batch + streaming)
+	Submitted int64 // jobs accepted
 	Completed int64 // jobs finished, including errors
 	Errors    int64 // jobs finished with a non-nil Err
 
@@ -216,7 +177,7 @@ type Stats struct {
 // HitRate returns the fraction of lookups answered without running the
 // embedder — cache hits plus coalesced waits — or 0 before any lookup.
 func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses + s.Coalesced
+	total := s.Lookups()
 	if total == 0 {
 		return 0
 	}
@@ -246,19 +207,9 @@ func (s Stats) AvgQueueWait() time.Duration {
 	return time.Duration(s.QueueWaitNanos / s.Completed)
 }
 
-// CacheHits returns the cache hits answered by remapping.
-func (s Stats) CacheHits() int64 { return s.Hits }
-
-// CacheMisses returns the lookups that ran the full embedder.
-func (s Stats) CacheMisses() int64 { return s.Misses }
-
-// CoalescedWaits returns the jobs answered by waiting on a concurrent
-// identical compute (singleflight) instead of running their own.
-func (s Stats) CoalescedWaits() int64 { return s.Coalesced }
-
 // Lookups returns the total cache lookups.  By construction every lookup
-// is exactly a hit, a miss that computed, or a coalesced wait:
-// Lookups() == CacheHits() + CacheMisses() + CoalescedWaits().
+// is exactly a hit, a miss that computed, or a coalesced wait, whether
+// or not caching is enabled.
 func (s Stats) Lookups() int64 { return s.Hits + s.Misses + s.Coalesced }
 
 // QueueDepth returns the jobs accepted but not yet on a worker: queued
@@ -295,22 +246,16 @@ type job struct {
 // concurrent use.
 type Engine struct {
 	opts     core.Options
-	derInj   bool
-	derHc    bool
 	workers  int
 	shards   int
 	cacheCap int
 	cache    *shardedLRU // nil when caching is disabled
-	flights  *coalescer  // nil when coalescing is disabled
+	flights  *coalescer
 
 	mu     sync.RWMutex // guards closed and sends on jobs
 	closed bool
 	jobs   chan job
-
-	results   chan BatchItem
-	wg        sync.WaitGroup
-	subMu     sync.Mutex // serializes Submit so indexes stay gapless
-	nextIndex atomic.Int64
+	wg     sync.WaitGroup // the workers
 
 	hits, misses, coalesced      atomic.Int64
 	warmLoaded, warmSkipped      atomic.Int64
@@ -330,49 +275,36 @@ func New(cfg Config) *Engine {
 	if cfg.Options != nil {
 		opts = *cfg.Options
 	}
-	if cfg.Parallel > 0 {
-		opts.Parallel = cfg.Parallel
-	}
 	e := &Engine{
 		opts:     opts,
-		derInj:   cfg.DeriveInjective,
-		derHc:    cfg.DeriveHypercube,
 		workers:  cfg.Workers,
 		shards:   cfg.CacheShards,
 		cacheCap: cfg.CacheSize,
+		flights:  newCoalescer(),
 		jobs:     make(chan job, 4*cfg.Workers),
-		results:  make(chan BatchItem, 4*cfg.Workers),
 		started:  time.Now(),
 	}
 	if cfg.CacheSize > 0 {
 		e.cache = newShardedLRU(cfg.CacheSize, cfg.CacheShards)
 	}
-	if cfg.Coalesce == CoalesceOn {
-		e.flights = newCoalescer()
-	}
 	e.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go e.worker()
 	}
-	go func() {
-		e.wg.Wait()
-		close(e.results)
-	}()
 	return e
 }
 
-// Close stops accepting work, lets the already-queued jobs finish, and
-// then closes the Results channel.  Streaming callers must keep draining
-// Results until it closes, or a worker blocked on delivery will hold
-// Close's queued jobs up.
+// Close stops accepting work and returns once every accepted job has
+// finished and the workers have exited; work submitted afterwards
+// reports ErrClosed.  Safe to call more than once.
 func (e *Engine) Close() {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return
+	if !e.closed {
+		e.closed = true
+		close(e.jobs)
 	}
-	e.closed = true
-	close(e.jobs)
+	e.mu.Unlock()
+	e.wg.Wait()
 }
 
 // send enqueues a job unless the engine is closed or ctx is done.
@@ -433,31 +365,6 @@ func (e *Engine) EmbedBatchProfile(ctx context.Context, p Profile, trees []*bint
 	return items
 }
 
-// Submit queues one tree for streaming embedding and returns its
-// submission number, which the matching BatchItem on Results carries as
-// Index.  It blocks only while the job queue is full.  Accepted
-// submissions number 0, 1, 2, … with no gaps: a Submit rejected with
-// ErrClosed or a context error consumes no index.
-func (e *Engine) Submit(ctx context.Context, t *bintree.Tree) (int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	e.subMu.Lock()
-	defer e.subMu.Unlock()
-	index := int(e.nextIndex.Load())
-	if err := e.send(ctx, job{ctx: ctx, tree: t, index: index, deliver: e.emit}); err != nil {
-		return 0, err
-	}
-	e.nextIndex.Add(1)
-	return index, nil
-}
-
-// Results returns the streaming result channel.  It is closed after
-// Close once every queued job has drained.
-func (e *Engine) Results() <-chan BatchItem { return e.results }
-
-func (e *Engine) emit(it BatchItem) { e.results <- it }
-
 // Stats snapshots the engine counters.  Workers, Shards and CacheCap
 // report the resolved configuration (after Config.normalize), so two
 // engines built from equal configs report equal sizing.
@@ -490,10 +397,8 @@ func (e *Engine) Stats() Stats {
 }
 
 // ShardStats snapshots every cache shard in index order: per-shard
-// length, capacity and hit/miss/eviction counters.  It returns nil when
-// caching is disabled.  The shard counters are lookup-level — a
-// coalesced waiter's initial miss counts against its shard even though
-// the engine-level Stats records it as Coalesced, not as a Miss.
+// length, capacity and evictions.  It returns nil when caching is
+// disabled.
 func (e *Engine) ShardStats() []ShardStat {
 	if e.cache == nil {
 		return nil
@@ -528,7 +433,8 @@ func (e *Engine) worker() {
 var embedXTree = core.EmbedXTreeContext
 
 // process runs one job: context check, canonical encode, sharded cache
-// lookup, coalesced or direct embedding, cache fill, derived theorems.
+// lookup, then a coalesced wait or the flight's one compute and cache
+// fill.
 func (e *Engine) process(jb job) BatchItem {
 	item := BatchItem{Index: jb.index, Tree: jb.tree}
 	select {
@@ -543,24 +449,14 @@ func (e *Engine) process(jb job) BatchItem {
 	}
 	parent := trace.FromContext(jb.ctx)
 	opts := e.options(jb.prof)
-	var (
-		key   string
-		order []int32
-		hash  uint64
-	)
 	// Both the cache and the coalescer key on the canonical code under
-	// the job's options; with both disabled the encode is skipped
-	// entirely.
-	keyed := e.cache != nil || e.flights != nil
-	if keyed {
-		encStart := time.Now()
-		var code string
-		code, order = jb.tree.CanonicalCode()
-		key = e.cacheKey(opts, code)
-		hash = bintree.HashCode(key)
-		parent.Record("engine.canonical-encode", encStart, time.Now(),
-			trace.Int("n", int64(jb.tree.N())))
-	}
+	// the job's options.
+	encStart := time.Now()
+	code, order := jb.tree.CanonicalCode()
+	key := e.cacheKey(opts, code)
+	hash := bintree.HashCode(key)
+	parent.Record("engine.canonical-encode", encStart, time.Now(),
+		trace.Int("n", int64(jb.tree.N())))
 	if e.cache != nil {
 		lookStart := time.Now()
 		ent, ok := e.cache.get(hash, key)
@@ -570,20 +466,8 @@ func (e *Engine) process(jb job) BatchItem {
 			e.hits.Add(1)
 			item.Result = remap(jb.tree, order, ent)
 			item.CacheHit = true
-			return e.derive(jb.ctx, item)
-		}
-	}
-	if e.flights == nil {
-		if keyed {
-			e.misses.Add(1)
-		}
-		ent, err := e.compute(jb.ctx, jb.tree, opts, key, hash, order)
-		if err != nil {
-			item.Err = err
 			return item
 		}
-		item.Result = ent.res
-		return e.derive(jb.ctx, item)
 	}
 	fl, leader := e.flights.lead(key)
 	if !leader {
@@ -602,7 +486,7 @@ func (e *Engine) process(jb job) BatchItem {
 		}
 		item.Result = remap(jb.tree, order, fl.ent)
 		item.Coalesced = true
-		return e.derive(jb.ctx, item)
+		return item
 	}
 	// Leader: double-check the cache — an earlier flight may have
 	// filled it between this job's lookup and winning leadership.
@@ -612,21 +496,21 @@ func (e *Engine) process(jb job) BatchItem {
 			e.hits.Add(1)
 			item.Result = remap(jb.tree, order, ent)
 			item.CacheHit = true
-			return e.derive(jb.ctx, item)
+			return item
 		}
 	}
 	e.misses.Add(1)
 	// The compute is owed to every waiter on the flight, so it runs
 	// detached from the leader's own cancellation; the leader's trace
 	// span still parents the embed phases (values survive the detach).
-	ent, err := e.compute(context.WithoutCancel(jb.ctx), jb.tree, opts, key, hash, order)
+	res, ent, err := e.compute(context.WithoutCancel(jb.ctx), jb.tree, opts, key, hash, order)
 	e.flights.finish(key, fl, ent, err)
 	if err != nil {
 		item.Err = err
 		return item
 	}
-	item.Result = ent.res
-	return e.derive(jb.ctx, item)
+	item.Result = res
+	return item
 }
 
 // options returns the embedding options of profile p: the configured
@@ -659,10 +543,10 @@ func (e *Engine) cacheKey(opts core.Options, code string) string {
 // codeOf returns the canonical code inside a cache key.
 func codeOf(key string) string { return key[strings.IndexByte(key, '|')+1:] }
 
-// compute runs the embedder under opts and publishes the produced entry
-// to the cache.  order is the guest's own canonical pre-order, so
-// ent.res pairs with it for later remapping onto isomorphic trees.
-func (e *Engine) compute(ctx context.Context, t *bintree.Tree, opts core.Options, key string, hash uint64, order []int32) (*cacheEntry, error) {
+// compute runs the embedder under opts and publishes the result's entry
+// to the cache.  order is the guest's own canonical pre-order, which
+// puts the entry in canonical form for later remapping.
+func (e *Engine) compute(ctx context.Context, t *bintree.Tree, opts core.Options, key string, hash uint64, order []int32) (*core.Result, *cacheEntry, error) {
 	parent := trace.FromContext(ctx)
 	start := time.Now()
 	csp := parent.Child("engine.embed-compute")
@@ -670,13 +554,13 @@ func (e *Engine) compute(ctx context.Context, t *bintree.Tree, opts core.Options
 	csp.End()
 	e.embedNanos.Add(time.Since(start).Nanoseconds())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ent := newCacheEntry(res, order, opts)
 	if e.cache != nil {
 		e.cache.put(hash, key, ent)
 	}
-	return ent, nil
+	return res, ent, nil
 }
 
 func b2i(b bool) int64 {
@@ -686,41 +570,22 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// derive attaches the Theorem 2/3 results when configured.  Both derive
-// from the (possibly remapped) Theorem 1 result, so they are correct on
-// cache hits too.
-func (e *Engine) derive(ctx context.Context, item BatchItem) BatchItem {
-	if e.derInj {
-		inj, err := core.EmbedInjectiveContext(ctx, item.Result)
-		if err != nil {
-			item.Err = err
-			item.Result = nil
-			return item
-		}
-		item.Injective = inj
-	}
-	if e.derHc {
-		item.Hypercube = core.EmbedHypercubeContext(ctx, item.Result)
-	}
-	return item
-}
-
 // remap transfers a cached embedding onto an isomorphic guest: position i
 // of the newcomer's canonical order corresponds to position i of the
 // cached guest's, so the newcomer's node order[i] inherits the host
 // vertex of the cached node ent.order[i].  Isomorphism preserves
 // adjacency, hence dilation, load and condition (3′) transfer verbatim.
-// The host and the Stats slices are shared with the cached result and
-// must be treated as read-only.
+// The host and the Stats slices are shared with the cache entry and must
+// be treated as read-only.
 func remap(t *bintree.Tree, order []int32, ent *cacheEntry) *core.Result {
 	assign := make([]bitstr.Addr, t.N())
 	for i, v := range order {
-		assign[v] = ent.res.Assignment[ent.order[i]]
+		assign[v] = ent.assign[ent.order[i]]
 	}
 	return &core.Result{
 		Guest:      t,
-		Host:       ent.res.Host,
+		Host:       ent.host,
 		Assignment: assign,
-		Stats:      ent.res.Stats,
+		Stats:      ent.stats,
 	}
 }

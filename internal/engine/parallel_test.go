@@ -8,26 +8,17 @@ import (
 	"xtreesim/internal/core"
 )
 
-// TestConfigParallelNormalize pins the clamp: negative values resolve to
-// 0 (inherit Options), positive values pass through.
-func TestConfigParallelNormalize(t *testing.T) {
-	if got := (Config{Parallel: -3}).normalize().Parallel; got != 0 {
-		t.Errorf("normalize(Parallel: -3) = %d, want 0", got)
-	}
-	if got := (Config{Parallel: 4}).normalize().Parallel; got != 4 {
-		t.Errorf("normalize(Parallel: 4) = %d, want 4", got)
-	}
-}
-
-// TestEngineParallelIdentical checks the Config.Parallel override end to
-// end: an engine fanning each embed over 4 goroutines must return the
+// TestEngineParallelIdentical checks Options.Parallel end to end: an
+// engine fanning each embed over 4 goroutines must return the
 // byte-identical assignment a serial engine computes, so the knob
 // composes safely with the canonical cache.
 func TestEngineParallelIdentical(t *testing.T) {
 	tr := mustGen(t, bintree.FamilyRandom, 2000, 9)
-	serial := New(Config{Workers: 1, CacheSize: -1, Coalesce: CoalesceOff})
+	serial := New(Config{Workers: 1, CacheSize: -1})
 	defer serial.Close()
-	par := New(Config{Workers: 1, CacheSize: -1, Coalesce: CoalesceOff, Parallel: 4})
+	opts := core.DefaultOptions()
+	opts.Parallel = 4
+	par := New(Config{Workers: 1, CacheSize: -1, Options: &opts})
 	defer par.Close()
 
 	a := serial.EmbedBatch(context.Background(), []*bintree.Tree{tr})[0]
@@ -43,8 +34,8 @@ func TestEngineParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestEngineParallelKeepsOptions: Parallel 0 must not clobber an
-// explicit Options.Parallel.
+// TestEngineParallelKeepsOptions: the engine embeds with the
+// Options.Parallel it was configured with.
 func TestEngineParallelKeepsOptions(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.Parallel = 2
@@ -52,10 +43,5 @@ func TestEngineParallelKeepsOptions(t *testing.T) {
 	defer e.Close()
 	if e.opts.Parallel != 2 {
 		t.Errorf("engine opts.Parallel = %d, want the Options value 2", e.opts.Parallel)
-	}
-	o := New(Config{Workers: 1, Options: &opts, Parallel: 8})
-	defer o.Close()
-	if o.opts.Parallel != 8 {
-		t.Errorf("engine opts.Parallel = %d, want the Config override 8", o.opts.Parallel)
 	}
 }

@@ -6,13 +6,13 @@ package engine
 // caps serving throughput under concurrent load.
 //
 // The cache is now striped across a power-of-two number of independent
-// shards selected by bintree.HashCode of the cache key: the canonical
-// code, behind a profile prefix for non-default options (cacheKey in
-// engine.go).  Isomorphic trees under one profile share a key, hence a
-// hash, hence a shard — they still collapse to one cached embedding —
-// while unrelated shapes land on different shards and stop contending
-// on one lock.  Within a shard, keys are the full keys, so a hash
-// collision can never surface a wrong embedding.
+// shards selected by the top bits of bintree.HashCode of the cache key:
+// the canonical code, behind a profile prefix for non-default options
+// (cacheKey in engine.go).  Isomorphic trees under one profile share a
+// key, hence a hash, hence a shard — they still collapse to one cached
+// embedding — while unrelated shapes land on different shards and stop
+// contending on one lock.  Within a shard, keys are the full keys, so a
+// hash collision can never surface a wrong embedding.
 //
 // The hit path is lock-light: a get takes only the shard's read lock for
 // the map lookup and publishes recency by storing a globally increasing
@@ -26,27 +26,36 @@ package engine
 // shard, never on hits.
 
 import (
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
 
+	"xtreesim/internal/bitstr"
 	"xtreesim/internal/core"
+	"xtreesim/internal/xtree"
 )
 
-// cacheEntry memoizes one embedding: the Theorem 1 result computed for
-// some guest together with that guest's canonical pre-order, which is
-// everything needed to transfer the assignment onto any isomorphic
-// newcomer (see remap in engine.go), and the strict mode and height it
-// was embedded with, which Snapshot writes as the record's profile.
+// cacheEntry memoizes one embedding: the host vertex of each node of the
+// guest it was computed for and that guest's canonical pre-order, which
+// together transfer the assignment onto any isomorphic newcomer (see
+// remap in engine.go), the host and the construction's stats, and the
+// strict mode and height it was embedded with, which Snapshot writes as
+// the record's profile.  The guest itself is not kept: the cache key
+// encodes its shape.
 type cacheEntry struct {
-	res    *core.Result
-	order  []int32
+	host   *xtree.XTree
+	assign []bitstr.Addr // host vertex of guest node v
+	order  []int32       // the guest's canonical pre-order
+	stats  core.Stats
 	strict bool
 	height int
 }
 
+// newCacheEntry records res, whose guest has canonical pre-order order.
 func newCacheEntry(res *core.Result, order []int32, opts core.Options) *cacheEntry {
-	return &cacheEntry{res: res, order: order, strict: opts.Strict, height: opts.Height}
+	return &cacheEntry{host: res.Host, assign: res.Assignment, order: order, stats: res.Stats,
+		strict: opts.Strict, height: opts.Height}
 }
 
 // ShardStat is a point-in-time snapshot of one cache shard, surfaced by
@@ -54,20 +63,18 @@ func newCacheEntry(res *core.Result, order []int32, opts core.Options) *cacheEnt
 type ShardStat struct {
 	Len       int   // embeddings currently cached in this shard
 	Cap       int   // shard capacity (the Σ over shards is CacheSize)
-	Hits      int64 // lookups answered by this shard
-	Misses    int64 // lookups that found nothing here (incl. coalesced waiters)
 	Evictions int64 // entries evicted to stay within Cap
 }
 
 // shardedLRU stripes an exact-LRU map across power-of-two shards.
 type shardedLRU struct {
 	clock  atomic.Int64 // global logical access clock; larger = more recent
-	mask   uint64       // len(shards) - 1
+	shift  uint         // 64 - log2(len(shards))
 	shards []*lruShard
 }
 
 type lruShard struct {
-	hits, misses, evictions atomic.Int64
+	evictions atomic.Int64
 
 	mu  sync.RWMutex
 	cap int
@@ -86,7 +93,7 @@ type shardEntry struct {
 // exactly — the memory bound the configuration promises.
 func newShardedLRU(capacity, nshards int) *shardedLRU {
 	c := &shardedLRU{
-		mask:   uint64(nshards - 1),
+		shift:  uint(64 - bits.TrailingZeros(uint(nshards))),
 		shards: make([]*lruShard, nshards),
 	}
 	base, extra := capacity/nshards, capacity%nshards
@@ -100,7 +107,13 @@ func newShardedLRU(capacity, nshards int) *shardedLRU {
 	return c
 }
 
-func (c *shardedLRU) shard(hash uint64) *lruShard { return c.shards[hash&c.mask] }
+// shardIndex selects a shard from the hash's top bits.  The low bits
+// of FNV-1a are poorly mixed: its multiply keeps bit 0, and ')' is the
+// only odd byte in a canonical code, so bit 0 is the guest's size
+// parity.  One shard's shift is 64, which Go defines to give 0.
+func (c *shardedLRU) shardIndex(hash uint64) int { return int(hash >> c.shift) }
+
+func (c *shardedLRU) shard(hash uint64) *lruShard { return c.shards[c.shardIndex(hash)] }
 
 // get returns the entry for key, refreshing its recency.  hash must be
 // bintree.HashCode(key).
@@ -114,13 +127,11 @@ func (c *shardedLRU) get(hash uint64, key string) (*cacheEntry, bool) {
 	}
 	s.mu.RUnlock()
 	if !ok {
-		s.misses.Add(1)
 		return nil, false
 	}
 	// The stamp store races only with other atomic stamp accesses; a
 	// stamp written to a just-evicted entry is harmless.
 	se.stamp.Store(c.clock.Add(1))
-	s.hits.Add(1)
 	return ent, true
 }
 
@@ -206,13 +217,7 @@ func (c *shardedLRU) stats() []ShardStat {
 		s.mu.RLock()
 		n := len(s.m)
 		s.mu.RUnlock()
-		out[i] = ShardStat{
-			Len:       n,
-			Cap:       s.cap,
-			Hits:      s.hits.Load(),
-			Misses:    s.misses.Load(),
-			Evictions: s.evictions.Load(),
-		}
+		out[i] = ShardStat{Len: n, Cap: s.cap, Evictions: s.evictions.Load()}
 	}
 	return out
 }

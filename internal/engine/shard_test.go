@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -10,8 +11,8 @@ import (
 	"xtreesim/internal/bintree"
 )
 
-// keysForShard generates n distinct keys that all hash into the given
-// shard of c, using the same bintree.HashCode the engine shards by.
+// keysForShard generates n distinct keys that all land in the given
+// shard of c, through the same HashCode and shardIndex the engine uses.
 func keysForShard(t *testing.T, c *shardedLRU, shard, n int) []string {
 	t.Helper()
 	var out []string
@@ -20,7 +21,7 @@ func keysForShard(t *testing.T, c *shardedLRU, shard, n int) []string {
 			t.Fatalf("could not find %d keys for shard %d", n, shard)
 		}
 		k := fmt.Sprintf("key-%d", i)
-		if bintree.HashCode(k)&c.mask == uint64(shard) {
+		if c.shardIndex(bintree.HashCode(k)) == shard {
 			out = append(out, k)
 		}
 	}
@@ -199,6 +200,39 @@ func TestEngineConcurrentAcrossShards(t *testing.T) {
 	}
 }
 
+// TestShardsReachedByOneParity: trees of one size parity spread over
+// every shard.  With the shard taken from the hash's low bits, bit 0 is
+// the parity of n, and shapes of one parity reach only half the shards.
+func TestShardsReachedByOneParity(t *testing.T) {
+	const shapes, shards = 64, 8
+	for _, n := range []int{256, 257} {
+		e := New(Config{Workers: 2, CacheSize: shapes * shards, CacheShards: shards})
+		seen := map[string]bool{}
+		var trees []*bintree.Tree
+		for seed := int64(1); len(trees) < shapes; seed++ {
+			tr := mustGen(t, bintree.FamilyRandom, n, seed)
+			if code, _ := tr.CanonicalCode(); !seen[code] {
+				seen[code] = true
+				trees = append(trees, tr)
+			}
+		}
+		for _, it := range e.EmbedBatch(context.Background(), trees) {
+			if it.Err != nil {
+				t.Fatalf("n=%d item %d: %v", n, it.Index, it.Err)
+			}
+		}
+		for i, st := range e.ShardStats() {
+			if st.Len == 0 {
+				t.Errorf("n=%d: %d distinct shapes left shard %d of %d empty", n, shapes, i, shards)
+			}
+		}
+		if s := e.Stats(); s.CacheLen != shapes || s.Evictions != 0 {
+			t.Errorf("n=%d: cached %d of %d shapes with %d evictions", n, s.CacheLen, shapes, s.Evictions)
+		}
+		e.Close()
+	}
+}
+
 func TestConfigNormalize(t *testing.T) {
 	ncpu := runtime.GOMAXPROCS(0)
 	isPow2 := func(n int) bool { return n > 0 && n&(n-1) == 0 }
@@ -209,9 +243,6 @@ func TestConfigNormalize(t *testing.T) {
 	}
 	if def.CacheSize != DefaultCacheSize {
 		t.Errorf("zero CacheSize resolved to %d", def.CacheSize)
-	}
-	if def.Coalesce != CoalesceOn {
-		t.Errorf("zero Coalesce resolved to %v, want CoalesceOn", def.Coalesce)
 	}
 	if !isPow2(def.CacheShards) || def.CacheShards > MaxCacheShards || def.CacheShards > def.CacheSize {
 		t.Errorf("default CacheShards %d not a clamped power of two", def.CacheShards)
@@ -232,8 +263,8 @@ func TestConfigNormalize(t *testing.T) {
 			Config{CacheShards: MaxCacheShards, CacheSize: 1 << 20}},
 		{"disabled cache clears shards", Config{CacheSize: -5, CacheShards: 8},
 			Config{CacheShards: 0, CacheSize: -1}},
-		{"explicit values kept", Config{Workers: 3, CacheSize: 16, CacheShards: 4, Coalesce: CoalesceOff},
-			Config{Workers: 3, CacheSize: 16, CacheShards: 4, Coalesce: CoalesceOff}},
+		{"explicit values kept", Config{Workers: 3, CacheSize: 16, CacheShards: 4},
+			Config{Workers: 3, CacheSize: 16, CacheShards: 4}},
 	} {
 		got := tc.in.normalize()
 		if got.CacheShards != tc.want.CacheShards || got.CacheSize != tc.want.CacheSize {
@@ -242,9 +273,6 @@ func TestConfigNormalize(t *testing.T) {
 		}
 		if tc.want.Workers != 0 && got.Workers != tc.want.Workers {
 			t.Errorf("%s: workers %d, want %d", tc.name, got.Workers, tc.want.Workers)
-		}
-		if tc.want.Coalesce != CoalesceDefault && got.Coalesce != tc.want.Coalesce {
-			t.Errorf("%s: coalesce %v, want %v", tc.name, got.Coalesce, tc.want.Coalesce)
 		}
 	}
 

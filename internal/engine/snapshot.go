@@ -42,6 +42,7 @@ import (
 	"strings"
 
 	"xtreesim/internal/bintree"
+	"xtreesim/internal/bitstr"
 	"xtreesim/internal/core"
 )
 
@@ -90,8 +91,20 @@ func (e *Engine) Snapshot(w io.Writer) (int, error) {
 		if prof := profileLine(se.ent.strict, se.ent.height); prof != cur {
 			section(prof)
 		}
-		fmt.Fprintf(bw, "entry %s\n", codeOf(se.key))
-		if err := core.WriteResult(bw, se.ent.res); err != nil {
+		// A canonical code is the bintree encoding of the reordered
+		// guest, so it decodes to a tree numbered in canonical
+		// pre-order: its node i is the cached guest's node order[i].
+		code := codeOf(se.key)
+		guest, err := bintree.Decode(code)
+		if err != nil {
+			return n, err
+		}
+		res := &core.Result{Guest: guest, Host: se.ent.host, Assignment: make([]bitstr.Addr, len(se.ent.order))}
+		for i, v := range se.ent.order {
+			res.Assignment[i] = se.ent.assign[v]
+		}
+		fmt.Fprintf(bw, "entry %s\n", code)
+		if err := core.WriteResult(bw, res); err != nil {
 			return n, err
 		}
 		fmt.Fprintln(bw, "end")

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"xtreesim/internal/bintree"
 	"xtreesim/internal/bitstr"
 	"xtreesim/internal/hypercube"
 	"xtreesim/internal/xtree"
@@ -8,6 +9,17 @@ import (
 
 // XTreeHost adapts an X-tree to the Host interface via bitstr heap ids.
 type XTreeHost struct{ X *xtree.XTree }
+
+// XTreeEmbedding adapts an assignment of guest nodes to X-tree addresses
+// for measurement: every X-tree result (Theorems 1 and 2, the
+// baselines) goes through it.
+func XTreeEmbedding(guest *bintree.Tree, x *xtree.XTree, assign []bitstr.Addr) *Embedding {
+	m := make([]int64, len(assign))
+	for i, a := range assign {
+		m[i] = a.ID()
+	}
+	return &Embedding{Guest: guest, Host: XTreeHost{X: x}, Map: m}
+}
 
 // NumVertices implements Host.
 func (h XTreeHost) NumVertices() int64 { return h.X.NumVertices() }

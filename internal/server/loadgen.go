@@ -33,7 +33,8 @@ type LoadConfig struct {
 	// Concurrency is the closed-loop worker count (≤ 0 means 1).
 	Concurrency int
 	// Requests is the total request budget across workers (≤ 0 means
-	// 100).
+	// 100).  Streaming and embed workers each spend their own share, in
+	// proportion to their worker counts.
 	Requests int
 	// TreeN is the guest size per request (≤ 0 means 1008) and Family
 	// the generator family ("" means random).
@@ -184,6 +185,16 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	if cfg.StreamFrac > 0 && streamWorkers == 0 {
 		streamWorkers = 1 // a nonzero fraction always attaches at least one
 	}
+	// Each worker kind gets its own share of the budget, at least one
+	// request each when both kinds run, so the split between streams and
+	// embeds does not depend on which workers the scheduler runs first.
+	streams := 0
+	switch {
+	case streamWorkers == conc:
+		streams = total
+	case streamWorkers > 0:
+		streams = min(max(total*streamWorkers/conc, 1), total-1)
+	}
 
 	// Pre-encode the request bodies: the generator must not spend its
 	// own time budget building JSON inside the measured loop.
@@ -206,7 +217,9 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	}
 	defer client.CloseIdleConnections()
 
-	var next atomic.Int64
+	var streamsLeft, embedsLeft atomic.Int64
+	streamsLeft.Store(int64(streams))
+	embedsLeft.Store(int64(total - streams))
 	var ok, shed, errs, hits atomic.Int64
 	var streamSessions, streamEvents, streamDropped atomic.Int64
 	hists := make([]*metrics.Histogram, conc)
@@ -216,16 +229,12 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		hists[w] = metrics.NewLatencyHistogram()
 		wg.Add(1)
 		// The first streamWorkers workers run streaming simulate sessions
-		// against the shared request budget; the rest post embeds.
+		// against the streams' share of the budget; the rest post embeds.
 		if w < streamWorkers {
 			go func(w int) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(workerSeed(cfg.Seed, w)))
-				for {
-					i := next.Add(1) - 1
-					if i >= int64(total) {
-						return
-					}
+				for streamsLeft.Add(-1) >= 0 {
 					body := streamBodies[rng.Intn(shapes)]
 					t0 := time.Now()
 					resp, err := client.Post(cfg.BaseURL+"/v1/simulate?stream=1",
@@ -265,11 +274,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(workerSeed(cfg.Seed, w)))
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(total) {
-					return
-				}
+			for embedsLeft.Add(-1) >= 0 {
 				body := bodies[rng.Intn(shapes)]
 				req, err := http.NewRequest(http.MethodPost, cfg.BaseURL+"/v1/embed", bytes.NewReader(body))
 				if err != nil {

@@ -463,15 +463,12 @@ func (s *Server) retryAfter() string {
 	return strconv.Itoa(secs)
 }
 
-// closeEngine closes a server-owned engine and drains its results
-// channel so no worker can block on delivery.  A caller-owned engine is
-// left running.  Safe to call more than once.
+// closeEngine closes a server-owned engine, returning once its accepted
+// jobs have finished.  A caller-owned engine is left running.  Safe to
+// call more than once.
 func (s *Server) closeEngine() {
-	if !s.ownsEng {
-		return
-	}
-	s.eng.Close()
-	for range s.eng.Results() {
+	if s.ownsEng {
+		s.eng.Close()
 	}
 }
 

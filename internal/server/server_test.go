@@ -780,9 +780,9 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if served == 0 {
 		t.Error("no request was served before the shutdown; the test raced itself")
 	}
-	// Post-shutdown: the engine is closed; submits fail cleanly.
-	if _, err := s.eng.Submit(context.Background(), bintree.Path(3)); err != engine.ErrClosed {
-		t.Errorf("engine after shutdown: %v, want ErrClosed", err)
+	// Post-shutdown: the engine is closed; new work fails cleanly.
+	if it := s.eng.EmbedBatch(context.Background(), []*bintree.Tree{bintree.Path(3)})[0]; it.Err != engine.ErrClosed {
+		t.Errorf("engine after shutdown: %v, want ErrClosed", it.Err)
 	}
 	// Second shutdown is a no-op.
 	if err := s.Shutdown(context.Background()); err != nil {
@@ -793,11 +793,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 func TestSharedEngineAcrossServers(t *testing.T) {
 	// A caller-owned engine is used but not closed by Shutdown.
 	eng := engine.New(engine.Config{Workers: 2})
-	defer func() {
-		eng.Close()
-		for range eng.Results() {
-		}
-	}()
+	defer eng.Close()
 	s := New(Config{Engine: eng})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -809,8 +805,8 @@ func TestSharedEngineAcrossServers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Engine still alive after server shutdown.
-	if _, err := eng.Submit(context.Background(), bintree.Path(3)); err != nil {
-		t.Errorf("caller-owned engine closed by server shutdown: %v", err)
+	if it := eng.EmbedBatch(context.Background(), []*bintree.Tree{bintree.Path(3)})[0]; it.Err != nil {
+		t.Errorf("caller-owned engine closed by server shutdown: %v", it.Err)
 	}
 }
 

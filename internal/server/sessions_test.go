@@ -560,7 +560,8 @@ func TestStreamInvalidRequest(t *testing.T) {
 
 // TestRunLoadStreamFrac drives the loadgen with streaming workers
 // attached: the stream sessions must drain to a result and be counted
-// apart from the embed traffic.
+// apart from the embed traffic, and each worker kind spends exactly its
+// own share of the budget.
 func TestRunLoadStreamFrac(t *testing.T) {
 	// Streaming sessions hold their admission slot for the whole stream,
 	// so give the gate explicit headroom over the 2 workers.
@@ -575,11 +576,8 @@ func TestRunLoadStreamFrac(t *testing.T) {
 	if rep.OK != 10 || rep.Errors != 0 {
 		t.Fatalf("ok=%d errors=%d, want 10/0: %s", rep.OK, rep.Errors, rep)
 	}
-	if rep.StreamSessions == 0 || rep.StreamEvents == 0 {
-		t.Fatalf("no streaming work recorded: %s", rep)
-	}
-	if rep.StreamSessions >= rep.OK {
-		t.Fatalf("all %d OK responses were streams at frac 0.5", rep.OK)
+	if rep.StreamSessions != 5 || rep.OK-rep.StreamSessions != 5 || rep.StreamEvents == 0 {
+		t.Fatalf("want 5 streams and 5 embeds at frac 0.5 on 2 workers: %s", rep)
 	}
 
 	// Host validation and the per-host mix.
