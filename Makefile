@@ -55,13 +55,11 @@ fault-sweep:
 	$(GO) run ./cmd/xtree-bench -exp e16
 
 # Short fuzz of the netsim fault layer (determinism + counter invariants),
-# the cache-snapshot parser, the distsim exchange codec (arbitrary bytes
-# must never panic; accepted frames must re-encode identically), and the
-# stream event encoder (output must equal encoding/json's).
+# the cache-snapshot parser, and the stream event encoder (output must
+# equal encoding/json's).
 fuzz:
 	$(GO) test -run Fuzz -fuzz=FuzzNetsimFaults -fuzztime=10s ./internal/netsim
 	$(GO) test -run Fuzz -fuzz=FuzzWarm -fuzztime=10s ./internal/engine
-	$(GO) test -run Fuzz -fuzz=FuzzExchange -fuzztime=10s ./internal/distsim
 	$(GO) test -run Fuzz -fuzz=FuzzEventNDJSON -fuzztime=10s ./internal/telemetry
 
 # E1 + the simulator experiments with the LinkAudit invariant checker

@@ -8,8 +8,8 @@
 // replayed, busy links snapshotted —, (3) replays the fault RNG over the
 // merged busy-link snapshot in global edge order and hands each shard its
 // verdicts, (4) barriers the workers through Fire/Apply, during which the
-// workers exchange boundary messages directly over the serialized codec,
-// and (5) merges the arrival reports, delivers to the workload in the
+// workers hand boundary records directly to each other as Go values, and
+// (5) merges the arrival reports, delivers to the workload in the
 // deterministic Phase-2 order, and routes the responses.  The two barriers
 // are what keep the one-hop-per-cycle invariant global: no worker starts
 // cycle k+1 until every worker has finished the hops of cycle k.
@@ -34,14 +34,13 @@ import (
 	"xtreesim/internal/netsim"
 )
 
-// MaxPartitions bounds the shard count (the exchange matrix is P²
-// channels, and the codec addresses shards with 16 bits).
+// MaxPartitions bounds the shard count: every shard is a goroutine, and
+// the exchange matrix holds P² channels.
 const MaxPartitions = 256
 
 // Config describes one partitioned run.
 type Config struct {
-	// Sim is the underlying simulation config.  Sim.Partitions, when set,
-	// supplies the shard count unless Partitions overrides it.
+	// Sim is the underlying simulation config.
 	Sim netsim.Config
 	// Partitions is the number of shards; values ≤ 1 still run the full
 	// coordinator/worker machinery with a single shard.
@@ -82,8 +81,10 @@ type PartitionStats struct {
 // Stats describes the distribution of one run.
 type Stats struct {
 	Partitions       []PartitionStats
-	BoundaryMessages int   // total cross-shard messages
-	BoundaryBytes    int64 // total encoded frame bytes (empty frames included)
+	BoundaryMessages int // total cross-shard messages
+	// Deprecated: always 0.  Shards hand boundary records over as Go
+	// values, so no bytes are encoded.
+	BoundaryBytes int64
 }
 
 // Run simulates the workload across partitions until quiescence, exactly
@@ -115,12 +116,12 @@ func RunStats(ctx context.Context, cfg Config, wl netsim.Workload) (netsim.Resul
 }
 
 type poolEntry struct {
-	msg     netsim.WireMsg
+	msg     netsim.Message
 	readyAt int
 }
 
 type relOutcome struct {
-	msg     netsim.WireMsg
+	msg     netsim.Message
 	deadSrc bool
 	lost    bool
 }
@@ -162,20 +163,13 @@ type coord struct {
 	hops       []netsim.HopRecord
 	linkArr    []netsim.ArrivalRecord
 	localArr   []netsim.LocalArrival
-	arrived    []netsim.WireMsg
-	order      netsim.DeliveryOrder[netsim.WireMsg]
+	arrived    []netsim.Message
+	order      netsim.DeliveryOrder
 
 	maxQueue    int
 	maxLinkLoad int
 
-	boundaryOut  []int // cumulative per shard
-	boundaryMsgs int
-	boundaryByte int64
-}
-
-func errFrameMismatch(wantCycle, wantFrom, gotCycle, gotFrom int) error {
-	return fmt.Errorf("distsim: exchange frame from shard %d cycle %d, want shard %d cycle %d",
-		gotFrom, gotCycle, wantFrom, wantCycle)
+	boundaryOut []int // cumulative per shard
 }
 
 func newCoord(cfg Config, wl netsim.Workload) (*coord, error) {
@@ -189,9 +183,6 @@ func newCoord(cfg Config, wl netsim.Workload) (*coord, error) {
 		}
 	}
 	parts := cfg.Partitions
-	if parts == 0 {
-		parts = sim.Partitions
-	}
 	if parts < 1 {
 		parts = 1
 	}
@@ -237,11 +228,11 @@ func newCoord(cfg Config, wl netsim.Workload) (*coord, error) {
 	}
 	c.obs = netsim.CombineObservers(obs)
 
-	xch := make([][]chan []byte, parts)
+	xch := make([][]chan handoff, parts)
 	for i := range xch {
-		xch[i] = make([]chan []byte, parts)
+		xch[i] = make([]chan handoff, parts)
 		for j := range xch[i] {
-			xch[i][j] = make(chan []byte, 1)
+			xch[i][j] = make(chan handoff, 1)
 		}
 	}
 	for k := 0; k < parts; k++ {
@@ -284,12 +275,13 @@ func (c *coord) stop() {
 
 func (c *coord) stats() Stats {
 	c.stop() // workers must be quiesced before touching shard state
-	st := Stats{BoundaryMessages: c.boundaryMsgs, BoundaryBytes: c.boundaryByte}
+	var st Stats
 	for k, w := range c.workers {
 		links, verts, hops := w.shard.Totals()
 		st.Partitions = append(st.Partitions, PartitionStats{
 			Vertices: verts, Links: links, Hops: hops, BoundaryOut: c.boundaryOut[k],
 		})
+		st.BoundaryMessages += c.boundaryOut[k]
 	}
 	return st
 }
@@ -443,7 +435,7 @@ func (c *coord) run(ctx context.Context) (netsim.Result, error) {
 		// single-process moveHead loop consumes it.
 		decs := c.drawDecisions(beginReps)
 
-		// Barrier 2: heads move, boundary frames cross, pushes land.
+		// Barrier 2: heads move, boundary records cross, pushes land.
 		for k, w := range c.workers {
 			w.in <- workerCmd{fire: &fireCmd{cycle: cycle, dec: decs[k], ci: ci}}
 		}
@@ -459,9 +451,7 @@ func (c *coord) run(ctx context.Context) (netsim.Result, error) {
 				return c.res, rep.err
 			}
 			fireReps[k] = rep.fire
-			c.boundaryOut[k] += rep.boundaryOut
-			c.boundaryMsgs += rep.boundaryOut
-			c.boundaryByte += int64(rep.bytesOut)
+			c.boundaryOut[k] += rep.fire.BoundaryOut
 			if c.sampler != nil {
 				doneAt[k] = rep.doneAt
 				if rep.doneAt.After(lastDone) {
@@ -532,7 +522,7 @@ func (c *coord) scanReleases(cycle int) ([][]netsim.Placement, []relOutcome, err
 // placement carries the queue's tail vertex in Vertex (for owner lookup)
 // and the global edge rank in Edge; memory-queue placements are built by
 // the caller.
-func (c *coord) placeAt(at int32, w netsim.WireMsg, ord int64) (netsim.Placement, bool, bool, error) {
+func (c *coord) placeAt(at int32, w netsim.Message, ord int64) (netsim.Placement, bool, bool, error) {
 	rerouted := false
 	var nh int32
 	if w.Rerouted {
@@ -646,7 +636,7 @@ func (c *coord) processFire(cycle int, reps []*netsim.FireReport) error {
 		arrived = append(arrived, a.Msg)
 	}
 	c.arrived = arrived
-	c.order.Sort(arrived, func(w *netsim.WireMsg) (netsim.Event, int) { return w.Ev, w.SentAt })
+	c.order.Sort(arrived)
 	c.pending = c.pending[:0]
 	emit := func(ev netsim.Event) { c.pending = append(c.pending, ev) }
 	for _, w := range arrived {
@@ -686,7 +676,7 @@ func (c *coord) route(evs []netsim.Event, cycle int) error {
 			continue
 		}
 		c.inflight++
-		w := netsim.WireMsg{Ev: ev, Seq: seq, SrcHost: src, DstHost: dst, SentAt: cycle}
+		w := netsim.Message{Ev: ev, Seq: seq, SrcHost: src, DstHost: dst, SentAt: cycle}
 		if src == dst {
 			c.injNext[c.owner[src]] = append(c.injNext[c.owner[src]],
 				netsim.Placement{Ord: seq, Edge: -1, Vertex: src, Msg: w})
@@ -738,7 +728,7 @@ func (c *coord) processLoss(rec netsim.LossRecord) {
 }
 
 // abandonMsg gives up on a message for good.
-func (c *coord) abandonMsg(w netsim.WireMsg, cycle int) {
+func (c *coord) abandonMsg(w netsim.Message, cycle int) {
 	c.res.Unreachable++
 	c.inflight--
 	if c.obs != nil {

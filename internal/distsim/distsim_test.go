@@ -1,12 +1,15 @@
 package distsim
 
 import (
+	"context"
+	"math/rand"
 	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"xtreesim/internal/bintree"
+	"xtreesim/internal/core"
 	"xtreesim/internal/graph"
 	"xtreesim/internal/netsim"
 	"xtreesim/internal/telemetry"
@@ -303,5 +306,86 @@ func TestXTreeSubtreesPartitioner(t *testing.T) {
 	g := graph.New(10)
 	if got := XTreeSubtrees(g, 2); !reflect.DeepEqual(got, Blocks(g, 2)) {
 		t.Fatalf("fallback mismatch: %v", got)
+	}
+}
+
+// TestPartitionedRunAllocBudget gates the allocations of netsim's
+// TestRunAllocBudget reference run (two waves of divide-and-conquer on a
+// random n=2032 guest, seed 1, under the default embed on X(6)) sharded
+// over 8 workers along X-tree subtrees.  Encoding every handoff into a
+// frame and decoding it again cost 21,622 allocations; handing the
+// records over as Go values costs about 14,700.
+func TestPartitionedRunAllocBudget(t *testing.T) {
+	tr, err := bintree.Generate(bintree.FamilyRandom, 2032, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.EmbedXTree(tr, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	place := make([]int32, tr.N())
+	for v, a := range res.Assignment {
+		place[v] = int32(a.ID())
+	}
+	cfg := Config{Sim: netsim.Config{Host: res.Host.AsGraph(), Place: place},
+		Partitions: 8, Partition: XTreeSubtrees}
+	r, err := Run(cfg, netsim.NewDivideConquer(tr, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Cycles != 122 || r.HopsTotal != 5748 {
+		t.Fatalf("reference run took %d cycles and %d hops, want 122 and 5748", r.Cycles, r.HopsTotal)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Run(cfg, netsim.NewDivideConquer(tr, 2)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 16500 {
+		t.Errorf("reference run at 8 shards allocates %.0f times, budget 16500", allocs)
+	}
+	t.Logf("reference run at 8 shards: %.0f allocations", allocs)
+}
+
+// TestBoundaryCountersReconcile pins the one boundary count on a faulted
+// run: each shard's end-of-run BoundaryOut is the sum of its per-cycle
+// samples, the shards' totals sum to Stats.BoundaryMessages, and the
+// shards' hops sum to the Result's.
+func TestBoundaryCountersReconcile(t *testing.T) {
+	xt := xtree.New(6)
+	host := xt.AsGraph()
+	tr := bintree.CompleteN(63)
+	sim := netsim.Config{Host: host, Place: scatter(tr.N(), host.N()),
+		Faults: &netsim.FaultPlan{Seed: 42, DropProb: 0.05, CorruptProb: 0.05, MaxRetries: 20}, MaxCycles: 4000}
+	for _, parts := range []int{2, 4, 8} {
+		sampled := make([]int, parts)
+		res, st, err := RunStats(context.Background(), Config{Sim: sim, Partitions: parts,
+			Partition:    XTreeSubtrees,
+			ShardSampler: func(s ShardSample) { sampled[s.Shard] += s.BoundaryOut },
+		}, netsim.NewDivideConquer(tr, 2))
+		if err != nil {
+			t.Fatalf("p=%d: %v", parts, err)
+		}
+		if res.Drops == 0 || st.BoundaryMessages == 0 {
+			t.Fatalf("p=%d: %d drops and %d boundary messages, want both > 0", parts, res.Drops, st.BoundaryMessages)
+		}
+		if len(st.Partitions) != parts {
+			t.Fatalf("p=%d: stats for %d partitions", parts, len(st.Partitions))
+		}
+		boundary, hops := 0, 0
+		for k, ps := range st.Partitions {
+			if ps.BoundaryOut != sampled[k] {
+				t.Errorf("p=%d shard %d: BoundaryOut %d, samples sum to %d", parts, k, ps.BoundaryOut, sampled[k])
+			}
+			boundary += ps.BoundaryOut
+			hops += ps.Hops
+		}
+		if boundary != st.BoundaryMessages {
+			t.Errorf("p=%d: shards ship %d boundary messages, Stats says %d", parts, boundary, st.BoundaryMessages)
+		}
+		if hops != res.HopsTotal {
+			t.Errorf("p=%d: shard hops sum to %d, HopsTotal %d", parts, hops, res.HopsTotal)
+		}
 	}
 }

@@ -2,13 +2,14 @@ package distsim
 
 // One worker goroutine per shard.  The coordinator drives the two-phase
 // epoch barrier over command/report channels; within the fire phase the
-// workers exchange boundary frames directly with each other over a P×P
+// workers hand their boundary records directly to each other over a P×P
 // matrix of buffered channels (the coordinator never sees boundary
-// traffic).  Every worker sends all of its P-1 frames — empty ones
+// traffic).  Every worker sends all of its P-1 handoffs — empty ones
 // included — before receiving any, and each directed pair has one buffer
 // slot, so the exchange cannot deadlock regardless of scheduling.
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -33,12 +34,18 @@ type workerCmd struct {
 }
 
 type workerRep struct {
-	begin       *netsim.BeginReport
-	fire        *netsim.FireReport
-	boundaryOut int       // messages shipped to other shards this fire
-	bytesOut    int       // encoded frame bytes shipped this fire
-	doneAt      time.Time // when the fire phase finished on the worker
-	err         error
+	begin  *netsim.BeginReport
+	fire   *netsim.FireReport
+	doneAt time.Time // when the fire phase finished on the worker
+	err    error
+}
+
+// handoff is one cycle's boundary records from one shard to another.  The
+// sender gives up msgs with the send: Shard.Fire builds a fresh outbox
+// every cycle, so the receiver reads the slice without a copy.
+type handoff struct {
+	cycle int
+	msgs  []netsim.Boundary
 }
 
 type worker struct {
@@ -47,11 +54,11 @@ type worker struct {
 	shard *netsim.Shard
 	in    chan workerCmd
 	out   chan workerRep
-	// xch[i][j] carries frames from shard i to shard j.
-	xch [][]chan []byte
+	// xch[i][j] carries handoffs from shard i to shard j.
+	xch [][]chan handoff
 }
 
-func newWorker(self, parts int, shard *netsim.Shard, xch [][]chan []byte) *worker {
+func newWorker(self, parts int, shard *netsim.Shard, xch [][]chan handoff) *worker {
 	return &worker{
 		self: self, parts: parts, shard: shard, xch: xch,
 		in:  make(chan workerCmd, 1),
@@ -67,30 +74,27 @@ func (w *worker) run(wg *sync.WaitGroup) {
 			rep, err := w.shard.BeginCycle(cmd.begin.cycle, cmd.begin.inj, cmd.begin.rel)
 			w.out <- workerRep{begin: &rep, err: err}
 		case cmd.fire != nil:
-			rep, nOut, bytes, err := w.fire(cmd.fire)
+			rep, err := w.fire(cmd.fire)
 			// Stamped on the worker, not at the coordinator's sequential
 			// reads: the spread of these stamps is the true straggler skew.
-			w.out <- workerRep{fire: rep, boundaryOut: nOut, bytesOut: bytes,
-				doneAt: time.Now(), err: err}
+			w.out <- workerRep{fire: rep, doneAt: time.Now(), err: err}
 		}
 	}
 }
 
-func (w *worker) fire(cmd *fireCmd) (*netsim.FireReport, int, int, error) {
+func (w *worker) fire(cmd *fireCmd) (*netsim.FireReport, error) {
 	outbox := w.shard.Fire(cmd.cycle, cmd.dec, cmd.ci)
-	nOut, bytes := 0, 0
-	// Send every frame before receiving any: with one buffer slot per
+	nOut := 0
+	// Send every handoff before receiving any: with one buffer slot per
 	// directed pair this is deadlock-free even if peers interleave
-	// arbitrarily.  Empty frames are sent too — a receiver must hear
+	// arbitrarily.  Empty handoffs are sent too — a receiver must hear
 	// from every peer to know the cycle's exchange is complete.
 	for j := 0; j < w.parts; j++ {
 		if j == w.self {
 			continue
 		}
-		frame := EncodeFrame(cmd.cycle, int32(w.self), outbox[j])
 		nOut += len(outbox[j])
-		bytes += len(frame)
-		w.xch[w.self][j] <- frame
+		w.xch[w.self][j] <- handoff{cycle: cmd.cycle, msgs: outbox[j]}
 	}
 	var incoming []netsim.Boundary
 	var firstErr error
@@ -98,23 +102,20 @@ func (w *worker) fire(cmd *fireCmd) (*netsim.FireReport, int, int, error) {
 		if j == w.self {
 			continue
 		}
-		frame := <-w.xch[j][w.self]
-		cycle, from, msgs, err := DecodeFrame(frame)
-		switch {
-		case err != nil:
-			firstErr = err
-		case cycle != cmd.cycle || int(from) != j:
+		h := <-w.xch[j][w.self]
+		if h.cycle != cmd.cycle {
 			if firstErr == nil {
-				firstErr = errFrameMismatch(cmd.cycle, j, cycle, int(from))
+				firstErr = fmt.Errorf("distsim: handoff from shard %d is for cycle %d, want cycle %d",
+					j, h.cycle, cmd.cycle)
 			}
-		default:
-			incoming = append(incoming, msgs...)
+			continue
 		}
+		incoming = append(incoming, h.msgs...)
 	}
 	if firstErr != nil {
-		return nil, nOut, bytes, firstErr
+		return nil, firstErr
 	}
 	rep, err := w.shard.Apply(cmd.cycle, incoming)
 	rep.BoundaryOut = nOut
-	return &rep, nOut, bytes, err
+	return &rep, err
 }

@@ -12,9 +12,9 @@ import (
 // position completes the key, so the unstable sort yields exactly that
 // stable order.  The zero value is ready; a runner keeps one for the
 // whole run so its buffers are reused from cycle to cycle.
-type DeliveryOrder[M any] struct {
+type DeliveryOrder struct {
 	keys []deliveryKey
-	buf  []M
+	buf  []Message
 }
 
 // deliveryKey is one arrival's place in the delivery order.
@@ -25,17 +25,15 @@ type deliveryKey struct {
 	sentAt         int
 }
 
-// Sort reorders arrived in place into delivery order; at returns an
-// arrival's guest event and the cycle it was sent.
-func (o *DeliveryOrder[M]) Sort(arrived []M, at func(*M) (Event, int)) {
+// Sort reorders arrived in place into delivery order.
+func (o *DeliveryOrder) Sort(arrived []Message) {
 	if len(arrived) < 2 {
 		return
 	}
 	o.keys = o.keys[:0]
-	for i := range arrived {
-		ev, sentAt := at(&arrived[i])
-		o.keys = append(o.keys, deliveryKey{to: ev.To, from: ev.From, kind: ev.Kind,
-			pos: int32(i), payload: ev.Payload, sentAt: sentAt})
+	for i, m := range arrived {
+		o.keys = append(o.keys, deliveryKey{to: m.Ev.To, from: m.Ev.From, kind: m.Ev.Kind,
+			pos: int32(i), payload: m.Ev.Payload, sentAt: m.SentAt})
 	}
 	slices.SortFunc(o.keys, compareDelivery)
 	o.buf = append(o.buf[:0], arrived...)

@@ -102,17 +102,20 @@ type Result struct {
 	Unreachable int // messages abandoned: retries exhausted, or no alive route
 }
 
-type message struct {
-	ev      Event
-	seq     int64 // emission number; identifies the message across hops and retries
-	srcHost int32 // retransmissions restart here
-	dstHost int32
-	sentAt  int
+// Message is one in-flight guest message with all of its per-message
+// simulator state.  It holds no pointers, so the distsim shards hand it to
+// each other as a plain value.
+type Message struct {
+	Ev      Event
+	Seq     int64 // emission number; identifies the message across hops and retries
+	SrcHost int32 // retransmissions restart here
+	DstHost int32
+	SentAt  int
 
 	// Fault-layer state; all zero on a fault-free run.
-	attempts int  // retransmissions so far
-	corrupt  bool // payload mangled in flight, fails the delivery checksum
-	rerouted bool // left its preferred route; stays on alive-graph routing
+	Attempts int  // retransmissions so far
+	Corrupt  bool // payload mangled in flight, fails the delivery checksum
+	Rerouted bool // left its preferred route; stays on alive-graph routing
 }
 
 // linkQueue is a FIFO of messages on one directed link.  Popping advances
@@ -120,15 +123,15 @@ type message struct {
 // the dead prefix dominates, so the backing array is bounded by the peak
 // backlog instead of growing with the link's total lifetime traffic.
 type linkQueue struct {
-	buf  []message
+	buf  []Message
 	head int
 }
 
 func (q *linkQueue) length() int { return len(q.buf) - q.head }
 
-func (q *linkQueue) push(m message) { q.buf = append(q.buf, m) }
+func (q *linkQueue) push(m Message) { q.buf = append(q.buf, m) }
 
-func (q *linkQueue) pop() message {
+func (q *linkQueue) pop() Message {
 	m := q.buf[q.head]
 	q.head++
 	if q.head >= 16 && q.head*2 >= len(q.buf) {
@@ -141,7 +144,7 @@ func (q *linkQueue) pop() message {
 
 // live returns the queued messages in FIFO order; reset empties the queue
 // keeping the backing array.
-func (q *linkQueue) live() []message { return q.buf[q.head:] }
+func (q *linkQueue) live() []Message { return q.buf[q.head:] }
 
 func (q *linkQueue) reset() {
 	q.buf = q.buf[:0]
@@ -159,9 +162,9 @@ type sim struct {
 	queues    []linkQueue // per directed edge, FIFO
 	active    []int       // scratch: links busy at the start of the cycle
 	traffic   []int       // total messages ever moved per edge
-	local     [][]message // per-vertex memory queues
-	arrived   []message   // scratch: this cycle's at-destination deliveries
-	order     DeliveryOrder[message]
+	local     [][]Message // per-vertex memory queues
+	arrived   []Message   // scratch: this cycle's at-destination deliveries
+	order     DeliveryOrder
 
 	inflight    int
 	emitted     int64 // guest events accepted so far; doubles as the next seq
@@ -217,7 +220,7 @@ func RunContext(ctx context.Context, cfg Config, wl Workload) (Result, error) {
 	}
 	s.hopFn = hop
 	s.buildEdges()
-	s.local = make([][]message, cfg.Host.N())
+	s.local = make([][]Message, cfg.Host.N())
 	if s.faults != nil {
 		s.applyKills() // kills scheduled at cycle ≤ 0 are dead from the start
 	}
@@ -298,25 +301,25 @@ func RunContext(ctx context.Context, cfg Config, wl Workload) (Result, error) {
 		// responses.  The order must be total over distinct messages:
 		// (To, From, Kind) alone would leave two messages differing only
 		// in Payload in unspecified order, so DeliveryOrder continues
-		// through Payload and sentAt, and true duplicates keep their
+		// through Payload and SentAt, and true duplicates keep their
 		// arrival order (link arrivals by edge, then memory queues by
 		// vertex).
-		s.order.Sort(s.arrived, func(m *message) (Event, int) { return m.ev, m.sentAt })
+		s.order.Sort(s.arrived)
 		pending = pending[:0]
 		for _, m := range s.arrived {
-			if s.faults != nil && s.faults.deadV[m.dstHost] {
+			if s.faults != nil && s.faults.deadV[m.DstHost] {
 				s.abandon(m) // destination died while the message was in flight
 				continue
 			}
 			s.inflight--
 			s.res.Delivered++
-			lat := cycle - m.sentAt
+			lat := cycle - m.SentAt
 			s.latencies = append(s.latencies, lat)
 			if s.obs != nil {
-				s.obs.OnDeliver(DeliverInfo{Cycle: cycle, Host: m.dstHost, Seq: m.seq,
-					Ev: m.ev, Latency: lat, Local: m.srcHost == m.dstHost})
+				s.obs.OnDeliver(DeliverInfo{Cycle: cycle, Host: m.DstHost, Seq: m.Seq,
+					Ev: m.Ev, Latency: lat, Local: m.SrcHost == m.DstHost})
 			}
-			s.wl.OnMessage(m.ev, emit)
+			s.wl.OnMessage(m.Ev, emit)
 		}
 		if err := s.route(pending); err != nil {
 			return s.res, err
@@ -339,20 +342,20 @@ func (s *sim) moveHead(i int) error {
 	s.traffic[i]++
 	if s.obs != nil {
 		s.obs.OnHop(HopInfo{Cycle: s.now, Edge: i, From: s.edges[i][0], To: here,
-			Seq: m.seq, Ev: m.ev, Backlog: s.queues[i].length()})
+			Seq: m.Seq, Ev: m.Ev, Backlog: s.queues[i].length()})
 	}
 	if f := s.faults; f != nil {
 		if f.plan.DropProb > 0 && f.rng.Float64() < f.plan.DropProb {
 			s.lose(m, DropRandom)
 			return nil
 		}
-		if f.plan.CorruptProb > 0 && !m.corrupt && f.rng.Float64() < f.plan.CorruptProb {
-			m.corrupt = true
+		if f.plan.CorruptProb > 0 && !m.Corrupt && f.rng.Float64() < f.plan.CorruptProb {
+			m.Corrupt = true
 			s.res.Corruptions++
 		}
 	}
-	if m.dstHost == here {
-		if m.corrupt {
+	if m.DstHost == here {
+		if m.Corrupt {
 			// Checksum failure at delivery: the receiver discards
 			// and nacks; the source retransmits.
 			s.lose(m, DropCorrupt)
@@ -383,7 +386,7 @@ func (s *sim) route(evs []Event) error {
 			continue
 		}
 		s.inflight++
-		m := message{ev: ev, seq: seq, srcHost: src, dstHost: dst, sentAt: s.now}
+		m := Message{Ev: ev, Seq: seq, SrcHost: src, DstHost: dst, SentAt: s.now}
 		if src == dst {
 			s.local[src] = append(s.local[src], m)
 			s.queuedLocal++
@@ -400,21 +403,21 @@ func (s *sim) route(evs []Event) error {
 // Under an active fault plan a preferred next hop that crosses a dead link
 // (or enters a dead vertex) falls back to BFS routing on the alive graph;
 // a message with no alive route left is abandoned, not an error.
-func (s *sim) enqueue(at int32, m message) error {
+func (s *sim) enqueue(at int32, m Message) error {
 	var nh int32
-	if m.rerouted {
+	if m.Rerouted {
 		// Once diverted, stay on alive-graph routing: mixing it with
 		// the preferred route could bounce a message between a detour
 		// and a route through the dead link forever.
-		nh = s.faults.next(s.host, at, m.dstHost)
+		nh = s.faults.next(s.host, at, m.DstHost)
 	} else {
-		nh = s.hopFn(at, m.dstHost)
+		nh = s.hopFn(at, m.DstHost)
 	}
-	if s.faults != nil && !m.rerouted && nh >= 0 && s.faults.blocked(at, nh) {
-		nh = s.faults.next(s.host, at, m.dstHost)
+	if s.faults != nil && !m.Rerouted && nh >= 0 && s.faults.blocked(at, nh) {
+		nh = s.faults.next(s.host, at, m.DstHost)
 		if nh >= 0 {
 			s.res.Reroutes++
-			m.rerouted = true
+			m.Rerouted = true
 		}
 	}
 	if nh < 0 {
@@ -422,7 +425,7 @@ func (s *sim) enqueue(at int32, m message) error {
 			s.abandon(m)
 			return nil
 		}
-		return fmt.Errorf("netsim: no route from %d to %d", at, m.dstHost)
+		return fmt.Errorf("netsim: no route from %d to %d", at, m.DstHost)
 	}
 	idx, ok := s.edgeIndex[ekey(at, nh)]
 	if !ok {

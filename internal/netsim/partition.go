@@ -17,8 +17,8 @@ package netsim
 //     at owned vertices (alive-graph rerouting replays deterministically
 //     from the shared kill schedule, so shards never touch the RNG).
 //
-// Messages crossing a partition boundary travel as Boundary records; the
-// distsim package serializes them through its exchange codec.  Apply
+// Messages crossing a partition boundary travel as Boundary records,
+// which the distsim workers hand to each other as Go values.  Apply
 // sorts all incoming pushes by their source-edge rank, which reproduces
 // the FIFO order the single-process loop produces by scanning active
 // edges in ascending index order.
@@ -35,30 +35,6 @@ import (
 // returns nil when nothing is attached.
 func CombineObservers(obs []Observer) Observer { return combineObservers(obs) }
 
-// WireMsg is the codec-portable form of an in-flight message: exactly the
-// internal per-message state, with no simulator pointers, so it can cross
-// a partition boundary (or, in a later PR, a TCP connection).
-type WireMsg struct {
-	Ev       Event
-	Seq      int64 // emission number; stable across hops and retries
-	SrcHost  int32 // retransmissions restart here
-	DstHost  int32
-	SentAt   int
-	Attempts int
-	Corrupt  bool
-	Rerouted bool
-}
-
-func toWire(m message) WireMsg {
-	return WireMsg{Ev: m.ev, Seq: m.seq, SrcHost: m.srcHost, DstHost: m.dstHost,
-		SentAt: m.sentAt, Attempts: m.attempts, Corrupt: m.corrupt, Rerouted: m.rerouted}
-}
-
-func fromWire(w WireMsg) message {
-	return message{ev: w.Ev, seq: w.Seq, srcHost: w.SrcHost, dstHost: w.DstHost,
-		sentAt: w.SentAt, attempts: w.Attempts, corrupt: w.Corrupt, rerouted: w.Rerouted}
-}
-
 // Placement is a routing decision made by the coordinator: put Msg on the
 // link queue with global rank Edge, or (Edge < 0) on the memory queue of
 // Vertex.  Injections and retransmission releases arrive as placements so
@@ -67,7 +43,7 @@ type Placement struct {
 	Ord    int64 // deterministic order key (seq, or retx-pool position)
 	Edge   int   // global directed-edge rank; -1 for a memory-queue placement
 	Vertex int32 // destination vertex for memory-queue placements
-	Msg    WireMsg
+	Msg    Message
 }
 
 // Boundary is one Phase-1 forward: the head of source edge SrcEdge moved
@@ -76,7 +52,7 @@ type Placement struct {
 type Boundary struct {
 	SrcEdge int   // global rank of the edge the message just crossed
 	At      int32 // vertex the message now sits on (owned by the receiver)
-	Msg     WireMsg
+	Msg     Message
 }
 
 // ActiveEdge is one busy link in a shard's cycle-start snapshot, reported
@@ -110,7 +86,7 @@ type LossRecord struct {
 	Edge int
 	// Placement losses sort by Ord.
 	Ord     int64
-	Msg     WireMsg
+	Msg     Message
 	Reason  DropReason
 	Abandon bool // direct abandon (no nack/park), e.g. no alive route left
 }
@@ -129,14 +105,14 @@ type HopRecord struct {
 // link hop this cycle, keyed by the edge it arrived on.
 type ArrivalRecord struct {
 	Edge int
-	Msg  WireMsg
+	Msg  Message
 }
 
 // LocalArrival is a message delivered through a same-vertex memory queue
 // this cycle, keyed by the vertex (FIFO within one vertex).
 type LocalArrival struct {
 	Vertex int32
-	Msg    WireMsg
+	Msg    Message
 }
 
 // BeginReport is a shard's answer to the first barrier of a cycle, after
@@ -214,7 +190,7 @@ type Shard struct {
 	slotOf   map[int]int // global rank -> owned slot
 	queues   []linkQueue
 	traffic  []int
-	local    map[int32][]message
+	local    map[int32][]Message
 
 	queuedLinks int
 	queuedLocal int
@@ -252,7 +228,7 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 		obs:          combineObservers(cfg.Observers),
 		reportActive: cfg.ReportActive, emitHops: cfg.EmitHops,
 		slotOf:  make(map[int]int),
-		local:   make(map[int32][]message),
+		local:   make(map[int32][]Message),
 		pushSrc: make(map[int][]int),
 	}
 	sh.needHops = sh.emitHops || sh.obs != nil
@@ -325,7 +301,7 @@ func (sh *Shard) BeginCycle(cycle int, inj, rel []Placement) (BeginReport, error
 		if sh.reportActive {
 			rep.Active = append(rep.Active, ActiveEdge{
 				Edge:        sh.edges[slot],
-				HeadCorrupt: sh.queues[slot].live()[0].corrupt,
+				HeadCorrupt: sh.queues[slot].live()[0].Corrupt,
 			})
 		}
 	}
@@ -337,12 +313,11 @@ func (sh *Shard) BeginCycle(cycle int, inj, rel []Placement) (BeginReport, error
 
 // place puts one coordinator-routed message on its queue.
 func (sh *Shard) place(p Placement) error {
-	m := fromWire(p.Msg)
 	if p.Edge < 0 {
 		if sh.owner[p.Vertex] != sh.self {
 			return fmt.Errorf("netsim: shard %d asked to hold memory queue of vertex %d owned by %d", sh.self, p.Vertex, sh.owner[p.Vertex])
 		}
-		sh.local[p.Vertex] = append(sh.local[p.Vertex], m)
+		sh.local[p.Vertex] = append(sh.local[p.Vertex], p.Msg)
 		sh.queuedLocal++
 		return nil
 	}
@@ -350,7 +325,7 @@ func (sh *Shard) place(p Placement) error {
 	if !ok {
 		return fmt.Errorf("netsim: shard %d asked to fill unowned edge rank %d", sh.self, p.Edge)
 	}
-	sh.queues[slot].push(m)
+	sh.queues[slot].push(p.Msg)
 	sh.queuedLinks++
 	if l := sh.queues[slot].length(); l > sh.maxQueue {
 		sh.maxQueue = l
@@ -387,7 +362,7 @@ func (sh *Shard) replayKills(cycle int, rep *BeginReport) {
 					for pos, m := range q {
 						rep.KillLosses = append(rep.KillLosses, LossRecord{
 							Cycle: cycle, Kill: idx, Step: KillLocalStep, Pos: pos,
-							Msg: toWire(m), Reason: DropUnreachable, Abandon: true,
+							Msg: m, Reason: DropUnreachable, Abandon: true,
 						})
 					}
 					sh.queuedLocal -= len(q)
@@ -429,7 +404,7 @@ func (sh *Shard) flushOwned(u, v int32, cycle, kill, step int, rep *BeginReport)
 	for pos, m := range q.live() {
 		rep.KillLosses = append(rep.KillLosses, LossRecord{
 			Cycle: cycle, Kill: kill, Step: step, Pos: pos,
-			Msg: toWire(m), Reason: DropKilled,
+			Msg: m, Reason: DropKilled,
 		})
 	}
 	q.reset()
@@ -464,31 +439,31 @@ func (sh *Shard) Fire(cycle int, dec []HopDecision, ci CycleInfo) [][]Boundary {
 		if sh.needHops {
 			sh.hopRecs = append(sh.hopRecs, HopRecord{
 				Edge: rank, From: sh.edgeFrom[slot], To: here,
-				Seq: m.seq, Ev: m.ev, Backlog: sh.queues[slot].length(),
+				Seq: m.Seq, Ev: m.Ev, Backlog: sh.queues[slot].length(),
 			})
 		}
 		if dec != nil {
 			d := dec[i]
 			if d.Drop {
 				sh.fireLosses = append(sh.fireLosses, LossRecord{
-					Cycle: cycle, Edge: rank, Msg: toWire(m), Reason: DropRandom})
+					Cycle: cycle, Edge: rank, Msg: m, Reason: DropRandom})
 				continue
 			}
 			if d.Corrupt {
-				m.corrupt = true
+				m.Corrupt = true
 			}
 		}
-		if m.dstHost == here {
-			if m.corrupt {
+		if m.DstHost == here {
+			if m.Corrupt {
 				// Checksum failure at delivery: discard and nack.
 				sh.fireLosses = append(sh.fireLosses, LossRecord{
-					Cycle: cycle, Edge: rank, Msg: toWire(m), Reason: DropCorrupt})
+					Cycle: cycle, Edge: rank, Msg: m, Reason: DropCorrupt})
 				continue
 			}
-			sh.linkArr = append(sh.linkArr, ArrivalRecord{Edge: rank, Msg: toWire(m)})
+			sh.linkArr = append(sh.linkArr, ArrivalRecord{Edge: rank, Msg: m})
 			continue
 		}
-		b := Boundary{SrcEdge: rank, At: here, Msg: toWire(m)}
+		b := Boundary{SrcEdge: rank, At: here, Msg: m}
 		if owner := sh.owner[here]; owner == sh.self {
 			sh.selfPend = append(sh.selfPend, b)
 		} else {
@@ -565,7 +540,7 @@ func (sh *Shard) Apply(cycle int, incoming []Boundary) (FireReport, error) {
 	slices.Sort(sh.scratchVerts)
 	for _, v := range sh.scratchVerts {
 		for _, m := range sh.local[v] {
-			rep.LocalArrivals = append(rep.LocalArrivals, LocalArrival{Vertex: v, Msg: toWire(m)})
+			rep.LocalArrivals = append(rep.LocalArrivals, LocalArrival{Vertex: v, Msg: m})
 		}
 		sh.queuedLocal -= len(sh.local[v])
 		sh.local[v] = sh.local[v][:0]
@@ -584,26 +559,26 @@ func (sh *Shard) Apply(cycle int, incoming []Boundary) (FireReport, error) {
 // (which happens at the source rank), the single-process loop would have
 // seen one more message on the queue.
 func (sh *Shard) push(b Boundary) (lost, rerouted bool, err error) {
-	m := fromWire(b.Msg)
+	m := b.Msg
 	at := b.At
 	var nh int32
-	if m.rerouted {
-		nh = sh.faults.next(sh.host, at, m.dstHost)
+	if m.Rerouted {
+		nh = sh.faults.next(sh.host, at, m.DstHost)
 	} else {
-		nh = sh.hopFn(at, m.dstHost)
+		nh = sh.hopFn(at, m.DstHost)
 	}
-	if sh.faults != nil && !m.rerouted && nh >= 0 && sh.faults.blocked(at, nh) {
-		nh = sh.faults.next(sh.host, at, m.dstHost)
+	if sh.faults != nil && !m.Rerouted && nh >= 0 && sh.faults.blocked(at, nh) {
+		nh = sh.faults.next(sh.host, at, m.DstHost)
 		if nh >= 0 {
 			rerouted = true
-			m.rerouted = true
+			m.Rerouted = true
 		}
 	}
 	if nh < 0 {
 		if sh.faults != nil {
 			return true, rerouted, nil
 		}
-		return false, false, fmt.Errorf("netsim: no route from %d to %d", at, m.dstHost)
+		return false, false, fmt.Errorf("netsim: no route from %d to %d", at, m.DstHost)
 	}
 	rank := sh.ranker.Rank(at, nh)
 	if rank < 0 {

@@ -5,14 +5,14 @@ import "testing"
 func TestLinkQueueFIFO(t *testing.T) {
 	var q linkQueue
 	for i := 0; i < 100; i++ {
-		q.push(message{seq: int64(i)})
+		q.push(Message{Seq: int64(i)})
 	}
 	if q.length() != 100 {
 		t.Fatalf("length %d after 100 pushes", q.length())
 	}
 	for i := 0; i < 100; i++ {
-		if m := q.pop(); m.seq != int64(i) {
-			t.Fatalf("pop %d returned seq %d", i, m.seq)
+		if m := q.pop(); m.Seq != int64(i) {
+			t.Fatalf("pop %d returned seq %d", i, m.Seq)
 		}
 	}
 	if q.length() != 0 {
@@ -25,18 +25,18 @@ func TestLinkQueueInterleavedFIFO(t *testing.T) {
 	var q linkQueue
 	next, want := int64(0), int64(0)
 	for round := 0; round < 5000; round++ {
-		q.push(message{seq: next})
+		q.push(Message{Seq: next})
 		next++
 		if q.length() > 7 {
-			if m := q.pop(); m.seq != want {
-				t.Fatalf("round %d: popped seq %d, want %d", round, m.seq, want)
+			if m := q.pop(); m.Seq != want {
+				t.Fatalf("round %d: popped seq %d, want %d", round, m.Seq, want)
 			}
 			want++
 		}
 	}
 	for q.length() > 0 {
-		if m := q.pop(); m.seq != want {
-			t.Fatalf("drain: popped seq %d, want %d", m.seq, want)
+		if m := q.pop(); m.Seq != want {
+			t.Fatalf("drain: popped seq %d, want %d", m.Seq, want)
 		}
 		want++
 	}
@@ -52,7 +52,7 @@ func TestLinkQueueMemoryBounded(t *testing.T) {
 	// backing array proportional to the live count.
 	var q linkQueue
 	for i := 0; i < 200000; i++ {
-		q.push(message{seq: int64(i)})
+		q.push(Message{Seq: int64(i)})
 		if q.length() > 8 {
 			q.pop()
 		}
@@ -67,12 +67,12 @@ func BenchmarkLinkQueueSteadyState(b *testing.B) {
 	// must not allocate once the queue is warm.
 	var q linkQueue
 	for i := 0; i < 32; i++ {
-		q.push(message{})
+		q.push(Message{})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.push(message{})
+		q.push(Message{})
 		q.pop()
 	}
 }

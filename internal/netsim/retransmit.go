@@ -2,7 +2,7 @@ package netsim
 
 // retx is a lost message parked until its retransmission cycle.
 type retx struct {
-	m       message
+	m       Message
 	readyAt int
 }
 
@@ -12,20 +12,20 @@ type retx struct {
 // losses (random drops, kill casualties), which count as Drops, from
 // corruption discards, which were already counted when the payload was
 // mangled.
-func (s *sim) lose(m message, reason DropReason) {
+func (s *sim) lose(m Message, reason DropReason) {
 	if reason != DropCorrupt {
 		s.res.Drops++
 	}
 	if s.obs != nil {
-		s.obs.OnDrop(DropInfo{Cycle: s.now, Seq: m.seq, Ev: m.ev, Reason: reason, Attempt: m.attempts})
+		s.obs.OnDrop(DropInfo{Cycle: s.now, Seq: m.Seq, Ev: m.Ev, Reason: reason, Attempt: m.Attempts})
 	}
-	m.corrupt = false
-	m.attempts++
-	if m.attempts > s.faults.plan.MaxRetries {
+	m.Corrupt = false
+	m.Attempts++
+	if m.Attempts > s.faults.plan.MaxRetries {
 		s.abandon(m)
 		return
 	}
-	shift := m.attempts - 1
+	shift := m.Attempts - 1
 	if shift > 20 {
 		shift = 20 // backoff saturates; the retry bound does the limiting
 	}
@@ -34,11 +34,11 @@ func (s *sim) lose(m message, reason DropReason) {
 
 // abandon gives up on a message for good.  It stays counted in inflight
 // until here, so quiescence still waits for every parked retransmission.
-func (s *sim) abandon(m message) {
+func (s *sim) abandon(m Message) {
 	s.res.Unreachable++
 	s.inflight--
 	if s.obs != nil {
-		s.obs.OnDrop(DropInfo{Cycle: s.now, Seq: m.seq, Ev: m.ev, Reason: DropUnreachable, Attempt: m.attempts})
+		s.obs.OnDrop(DropInfo{Cycle: s.now, Seq: m.Seq, Ev: m.Ev, Reason: DropUnreachable, Attempt: m.Attempts})
 	}
 }
 
@@ -54,15 +54,15 @@ func (s *sim) releaseRetx() error {
 			keep = append(keep, r)
 			continue
 		}
-		if s.faults.deadV[r.m.srcHost] {
+		if s.faults.deadV[r.m.SrcHost] {
 			s.abandon(r.m) // the retransmitting source died meanwhile
 			continue
 		}
 		s.res.Retransmits++
 		if s.obs != nil {
-			s.obs.OnRetransmit(RetransmitInfo{Cycle: s.now, Seq: r.m.seq, Ev: r.m.ev, Attempt: r.m.attempts})
+			s.obs.OnRetransmit(RetransmitInfo{Cycle: s.now, Seq: r.m.Seq, Ev: r.m.Ev, Attempt: r.m.Attempts})
 		}
-		if err := s.enqueue(r.m.srcHost, r.m); err != nil {
+		if err := s.enqueue(r.m.SrcHost, r.m); err != nil {
 			return err
 		}
 	}

@@ -418,8 +418,10 @@ type SimulateResponse struct {
 type DistInfo struct {
 	Partitions       int             `json:"partitions"`
 	BoundaryMessages int             `json:"boundary_messages"`
-	BoundaryBytes    int64           `json:"boundary_bytes"`
 	Shards           []DistShardInfo `json:"shards"`
+	// Deprecated: always 0 and never encoded.  Shards hand boundary
+	// records over as Go values, so no bytes cross between them.
+	BoundaryBytes int64 `json:"-"`
 }
 
 // DistShardInfo is one shard's share of a partitioned run.
@@ -434,7 +436,6 @@ func distInfo(parts int, st distsim.Stats) *DistInfo {
 	di := &DistInfo{
 		Partitions:       parts,
 		BoundaryMessages: st.BoundaryMessages,
-		BoundaryBytes:    st.BoundaryBytes,
 	}
 	for _, ps := range st.Partitions {
 		di.Shards = append(di.Shards, DistShardInfo{

@@ -18,7 +18,6 @@ type distMetrics struct {
 	mu            sync.Mutex
 	runs          map[int]int64 // partitioned runs, by shard count
 	boundaryMsgs  int64
-	boundaryBytes int64
 	shardHops     map[int]int64 // link traversals, by shard index
 	shardBoundary map[int]int64 // messages shipped cross-shard, by shard index
 }
@@ -37,7 +36,6 @@ func (m *distMetrics) record(parts int, st distsim.Stats) {
 	defer m.mu.Unlock()
 	m.runs[parts]++
 	m.boundaryMsgs += int64(st.BoundaryMessages)
-	m.boundaryBytes += st.BoundaryBytes
 	for i, ps := range st.Partitions {
 		m.shardHops[i] += int64(ps.Hops)
 		m.shardBoundary[i] += int64(ps.BoundaryOut)
@@ -48,7 +46,6 @@ func (m *distMetrics) record(parts int, st distsim.Stats) {
 type distSnapshot struct {
 	runs          []distCount // by shard count
 	boundaryMsgs  int64
-	boundaryBytes int64
 	shardHops     []distCount // by shard index
 	shardBoundary []distCount // by shard index
 }
@@ -64,7 +61,6 @@ func (m *distMetrics) snapshot() distSnapshot {
 	return distSnapshot{
 		runs:          sortedCounts(m.runs),
 		boundaryMsgs:  m.boundaryMsgs,
-		boundaryBytes: m.boundaryBytes,
 		shardHops:     sortedCounts(m.shardHops),
 		shardBoundary: sortedCounts(m.shardBoundary),
 	}

@@ -162,8 +162,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	writeHelp(&b, "xtreesim_dist_boundary_messages_total", "counter", "Messages exchanged across shard boundaries in partitioned simulations.")
 	fmt.Fprintf(&b, "xtreesim_dist_boundary_messages_total %d\n", ds.boundaryMsgs)
-	writeHelp(&b, "xtreesim_dist_boundary_bytes_total", "counter", "Encoded exchange-frame bytes shipped between shards (empty frames included).")
-	fmt.Fprintf(&b, "xtreesim_dist_boundary_bytes_total %d\n", ds.boundaryBytes)
 	writeHelp(&b, "xtreesim_dist_partition_hops_total", "counter", "Link traversals executed, by shard index, across partitioned simulations.")
 	for _, c := range ds.shardHops {
 		fmt.Fprintf(&b, "xtreesim_dist_partition_hops_total{partition=\"%d\"} %d\n", c.key, c.count)

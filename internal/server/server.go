@@ -129,25 +129,6 @@ type Config struct {
 	// Version is reported by /healthz and the xtreesim_build_info metric;
 	// "" means buildinfo.Version().
 	Version string
-
-	// MaxStreams bounds concurrently attached session event streams
-	// (GET /v1/sessions/{id}/events); ≤ 0 means 2×MaxConcurrent.
-	// Streaming simulate requests are not counted here — they hold an
-	// admission slot for the whole stream instead.
-	MaxStreams int
-	// HeartbeatInterval paces keep-alive events on idle streams (≤ 0
-	// means DefaultHeartbeatInterval).
-	HeartbeatInterval time.Duration
-	// StreamTimeout bounds one attach connection (≤ 0 means
-	// DefaultStreamTimeout).
-	StreamTimeout time.Duration
-	// TelemetryRing sets the per-session event ring size (≤ 0 means
-	// telemetry.DefaultRingSize).  Subscribers further behind than the
-	// ring lose events, visibly, instead of stalling the simulator.
-	TelemetryRing int
-	// RecentSessions is how many finished sessions stay listable and
-	// attachable (≤ 0 means DefaultRecentSessions).
-	RecentSessions int
 }
 
 // Server is one serving process.  Create with New, boot with Start, stop
@@ -170,11 +151,20 @@ type Server struct {
 	maxBatch       int
 	maxTreeNodes   int
 
-	sessions          *sessionRegistry
-	streams           *streamGate
+	sessions *sessionRegistry
+	// streams bounds concurrently attached session event streams (GET
+	// /v1/sessions/{id}/events) to 2×MaxConcurrent.  Streaming simulate
+	// requests are not counted here — they hold an admission slot for
+	// the whole stream instead.
+	streams *streamGate
+	// heartbeatInterval paces keep-alive events on idle streams, and
+	// streamTimeout bounds one attach connection.
 	heartbeatInterval time.Duration
 	streamTimeout     time.Duration
-	telemetryRing     int
+	// telemetryRing is the per-session event ring size (0 means
+	// telemetry.DefaultRingSize).  Subscribers further behind than the
+	// ring lose events, visibly, instead of stalling the simulator.
+	telemetryRing int
 
 	httpServer *http.Server
 	listener   net.Listener
@@ -209,10 +199,6 @@ func New(cfg Config) *Server {
 		// A serving ring holds a few thousand requests' worth of spans.
 		tracer = trace.New(trace.Config{SampleRate: cfg.TraceSample, RingSize: 1 << 15})
 	}
-	maxStreams := cfg.MaxStreams
-	if maxStreams <= 0 {
-		maxStreams = 2 * maxConc
-	}
 	version := cfg.Version
 	if version == "" {
 		version = buildinfo.Version()
@@ -233,22 +219,15 @@ func New(cfg Config) *Server {
 		maxBodyBytes:      cfg.MaxBodyBytes,
 		maxBatch:          cfg.MaxBatch,
 		maxTreeNodes:      cfg.MaxTreeNodes,
-		sessions:          newSessionRegistry(cfg.RecentSessions),
-		streams:           &streamGate{max: int64(maxStreams)},
-		heartbeatInterval: cfg.HeartbeatInterval,
-		streamTimeout:     cfg.StreamTimeout,
-		telemetryRing:     cfg.TelemetryRing,
+		sessions:          newSessionRegistry(),
+		streams:           &streamGate{max: int64(2 * maxConc)},
+		heartbeatInterval: DefaultHeartbeatInterval,
+		streamTimeout:     DefaultStreamTimeout,
 		started:           time.Now(),
 		serveErr:          make(chan error, 1),
 	}
 	if s.requestTimeout <= 0 {
 		s.requestTimeout = DefaultRequestTimeout
-	}
-	if s.heartbeatInterval <= 0 {
-		s.heartbeatInterval = DefaultHeartbeatInterval
-	}
-	if s.streamTimeout <= 0 {
-		s.streamTimeout = DefaultStreamTimeout
 	}
 	if s.maxBodyBytes <= 0 {
 		s.maxBodyBytes = DefaultMaxBodyBytes
@@ -326,9 +305,9 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("/v1/embed", s.guarded("/v1/embed", s.handleEmbed))
 	mux.Handle("/v1/simulate", s.guarded("/v1/simulate", s.handleSimulate))
 	// The session routes stay outside the admission gate: listing is
-	// cheap, and attach streams are bounded by their own MaxStreams
-	// budget (a queued-then-admitted stream would hold an API slot for
-	// minutes and starve embed traffic).
+	// cheap, and attach streams are bounded by their own stream gate
+	// (a queued-then-admitted stream would hold an API slot for minutes
+	// and starve embed traffic).
 	mux.Handle("/v1/sessions", s.instrument("/v1/sessions", s.handleSessions))
 	mux.Handle("/v1/sessions/{id}/events", s.instrument("/v1/sessions/events", s.handleSessionEvents))
 	mux.Handle("/healthz", s.instrument("/healthz", s.handleHealthz))

@@ -8,6 +8,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,10 +20,14 @@ import (
 )
 
 // newTestServer builds a Server (not listening) with tight limits and
-// returns it with an httptest front end.
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+// returns it with an httptest front end.  Each tweak adjusts the server
+// before the front end starts, for settings Config does not expose.
+func newTestServer(t *testing.T, cfg Config, tweaks ...func(*Server)) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
+	for _, tweak := range tweaks {
+		tweak(s)
+	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -369,10 +374,12 @@ func TestSimulateBaselineLargeGuest(t *testing.T) {
 // TestSimulatePartitionedMatchesSingle runs one fault-injected request
 // single-process and sharded over 4 epoch-barrier workers: the counters
 // must be identical, the sharded response must break the run down by
-// shard, and the xtreesim_dist_* families must be live.
+// shard, and the xtreesim_dist_* families must be live.  Shards hand
+// boundary records over as Go values, so neither the response nor
+// /metrics reports a byte count.
 func TestSimulatePartitionedMatchesSingle(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	run := func(partitions int) SimulateResponse {
+	run := func(partitions int) (SimulateResponse, []byte) {
 		resp, data := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{
 			Tree:       &TreeSpec{Family: "random", N: 600, Seed: Seed(7)},
 			Workload:   WorkloadDivideConquer,
@@ -387,9 +394,19 @@ func TestSimulatePartitionedMatchesSingle(t *testing.T) {
 		if err := json.Unmarshal(data, &sr); err != nil {
 			t.Fatal(err)
 		}
-		return sr
+		return sr, data
 	}
-	single, dist := run(0), run(4)
+	single, _ := run(0)
+	dist, distBody := run(4)
+	var raw struct {
+		Dist map[string]json.RawMessage `json:"dist"`
+	}
+	if err := json.Unmarshal(distBody, &raw); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := raw.Dist["boundary_bytes"]; ok {
+		t.Errorf("dist reports boundary_bytes: %s", distBody)
+	}
 	if single.Dist != nil {
 		t.Errorf("single-process response carries dist info: %+v", single.Dist)
 	}
@@ -397,7 +414,7 @@ func TestSimulatePartitionedMatchesSingle(t *testing.T) {
 		t.Fatalf("partitioned counters diverge:\n single: %+v\n dist:   %+v", single.Sim, dist.Sim)
 	}
 	di := dist.Dist
-	if di == nil || di.Partitions != 4 || len(di.Shards) != 4 || di.BoundaryMessages <= 0 || di.BoundaryBytes <= 0 {
+	if di == nil || di.Partitions != 4 || len(di.Shards) != 4 || di.BoundaryMessages <= 0 {
 		t.Fatalf("partitioned response lacks the shard breakdown: %+v", di)
 	}
 	hops := 0
@@ -420,13 +437,23 @@ func TestSimulatePartitionedMatchesSingle(t *testing.T) {
 	for _, want := range []string{
 		`xtreesim_dist_runs_total{partitions="4"} 1`,
 		"xtreesim_dist_boundary_messages_total",
-		"xtreesim_dist_boundary_bytes_total",
 		`xtreesim_dist_partition_hops_total{partition="0"}`,
 		`xtreesim_dist_partition_boundary_out_total{partition="0"}`,
 	} {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+	// The dist families are exactly these four: no byte count.
+	var families []string
+	for _, line := range strings.Split(string(text), "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE xtreesim_dist_"); ok {
+			families = append(families, strings.Fields(name)[0])
+		}
+	}
+	if want := []string{"runs_total", "boundary_messages_total", "partition_hops_total",
+		"partition_boundary_out_total"}; !slices.Equal(families, want) {
+		t.Errorf("xtreesim_dist_* families %v, want %v", families, want)
 	}
 }
 

@@ -17,9 +17,9 @@ package server
 //
 // Capacity: a streaming simulate holds its admission slot for the whole
 // stream, so streams count against MaxConcurrent like any other request.
-// Attach connections are bounded separately by MaxStreams (they cost a
-// goroutine and a subscriber cursor, not a simulator), answering 429
-// when the budget is spent.
+// Attach connections are bounded separately, to 2×MaxConcurrent (they
+// cost a goroutine and a subscriber cursor, not a simulator), answering
+// 429 when the budget is spent.
 
 import (
 	"context"
@@ -119,13 +119,10 @@ type sessionRegistry struct {
 	droppedRetired atomic.Uint64
 }
 
-func newSessionRegistry(keep int) *sessionRegistry {
-	if keep <= 0 {
-		keep = DefaultRecentSessions
-	}
+func newSessionRegistry() *sessionRegistry {
 	return &sessionRegistry{
 		live: make(map[string]*session),
-		keep: keep,
+		keep: DefaultRecentSessions,
 		// The process start time salts the IDs so two server lifetimes
 		// never hand out the same session ID to a confused client.
 		salt: uint64(time.Now().UnixNano()),
@@ -246,7 +243,7 @@ type progressObserver struct {
 func (p progressObserver) OnCycleStart(c netsim.CycleInfo) { p.cycles.Store(int64(c.Cycle)) }
 
 // wantsStream reports whether the simulate request asked for NDJSON
-// (?stream=1 or an Accept for ndjson).
+// with ?stream=1 (or true, or yes); the Accept header is not consulted.
 func wantsStream(r *http.Request) bool {
 	switch r.URL.Query().Get("stream") {
 	case "1", "true", "yes":

@@ -247,9 +247,13 @@ func TestSessionAttachAndResume(t *testing.T) {
 }
 
 // TestStreamCapacityGate pins the stream budget: attach connections
-// beyond MaxStreams shed with 429 + Retry-After, and release on close.
+// beyond the gate's limit shed with 429 + Retry-After, and release on
+// close.
 func TestStreamCapacityGate(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxStreams: 1, HeartbeatInterval: 20 * time.Millisecond})
+	s, ts := newTestServer(t, Config{}, func(s *Server) {
+		s.streams.max = 1
+		s.heartbeatInterval = 20 * time.Millisecond
+	})
 	header, _ := streamSimulate(t, ts.URL, streamReq)
 	id := header.Get("X-Session-Id")
 
@@ -403,7 +407,7 @@ func TestStreamEventsSlowWriter(t *testing.T) {
 // one-shot response (drops permitting, the result event is always the
 // newest ring entry).
 func TestStreamSlowClientResult(t *testing.T) {
-	_, ts := newTestServer(t, Config{TelemetryRing: 16})
+	_, ts := newTestServer(t, Config{}, func(s *Server) { s.telemetryRing = 16 })
 	req := SimulateRequest{
 		Tree:     &TreeSpec{Family: "random", N: 496, Seed: Seed(11)},
 		Workload: WorkloadExchange,
@@ -483,8 +487,10 @@ func TestHealthzActiveSessions(t *testing.T) {
 // only keep-alive events until the stream deadline closes each
 // connection.
 func TestStreamHeartbeat(t *testing.T) {
-	s, ts := newTestServer(t, Config{HeartbeatInterval: 20 * time.Millisecond,
-		StreamTimeout: 250 * time.Millisecond})
+	s, ts := newTestServer(t, Config{}, func(s *Server) {
+		s.heartbeatInterval = 20 * time.Millisecond
+		s.streamTimeout = 250 * time.Millisecond
+	})
 	ss := s.sessions.open("idle", 0, 0, 0)
 	defer func() {
 		ss.hub.Close()
@@ -503,7 +509,7 @@ func TestStreamHeartbeat(t *testing.T) {
 		if resp.StatusCode != 200 {
 			t.Fatalf("attach%s status %d", query, resp.StatusCode)
 		}
-		events := decodeStream(t, resp.Body) // ends when StreamTimeout fires
+		events := decodeStream(t, resp.Body) // ends when streamTimeout fires
 		if len(events) < 2 {
 			t.Fatalf("idle stream%s carried %d events, want >=2 heartbeats", query, len(events))
 		}
@@ -520,7 +526,7 @@ func TestStreamHeartbeat(t *testing.T) {
 
 // TestSessionListOrder checks newest-first listing and the recent ring.
 func TestSessionListOrder(t *testing.T) {
-	_, ts := newTestServer(t, Config{RecentSessions: 2})
+	_, ts := newTestServer(t, Config{}, func(s *Server) { s.sessions.keep = 2 })
 	var ids []string
 	for i := 0; i < 3; i++ {
 		header, _ := streamSimulate(t, ts.URL, streamReq)

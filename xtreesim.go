@@ -388,7 +388,7 @@ func applySimOptions(cfg SimConfig, opts []SimOption) SimConfig {
 // shard — the distributed coordinator with the given partitioner.
 func runSim(ctx context.Context, cfg SimConfig, wl Workload, part distsim.Partitioner) (SimResult, error) {
 	if cfg.Partitions > 1 {
-		return distsim.RunContext(ctx, distsim.Config{Sim: cfg, Partition: part}, wl)
+		return distsim.RunContext(ctx, distsim.Config{Sim: cfg, Partitions: cfg.Partitions, Partition: part}, wl)
 	}
 	cfg.Partitions = 0
 	return netsim.RunContext(ctx, cfg, wl)
