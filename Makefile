@@ -55,11 +55,15 @@ fault-sweep:
 	$(GO) run ./cmd/xtree-bench -exp e16
 
 # Short fuzz of the netsim fault layer (determinism + counter invariants),
-# the cache-snapshot parser, and the stream event encoder (output must
-# equal encoding/json's).
+# the cache-snapshot parser, its record bodies (core.ReadResult), the
+# tree encoding that /v1/embed, /v1/simulate and snapshot codes carry
+# (bintree.Decode), and the stream event encoder (output must equal
+# encoding/json's).
 fuzz:
 	$(GO) test -run Fuzz -fuzz=FuzzNetsimFaults -fuzztime=10s ./internal/netsim
 	$(GO) test -run Fuzz -fuzz=FuzzWarm -fuzztime=10s ./internal/engine
+	$(GO) test -run Fuzz -fuzz=FuzzReadResult -fuzztime=10s ./internal/core
+	$(GO) test -run Fuzz -fuzz=FuzzDecode -fuzztime=10s ./internal/bintree
 	$(GO) test -run Fuzz -fuzz=FuzzEventNDJSON -fuzztime=10s ./internal/telemetry
 
 # E1 + the simulator experiments with the LinkAudit invariant checker

@@ -22,9 +22,14 @@ type (
 	// EngineConfig configures NewEngine; the zero value means one
 	// worker per CPU and a default-sized cache striped over several
 	// lock shards.  Concurrent isomorphic requests always share one
-	// embedding.  See the Workers, CacheSize, CacheShards and Options
-	// fields.
+	// embedding.  See the Workers, CacheSize and CacheShards fields;
+	// embedding options travel per batch as an EngineProfile.
 	EngineConfig = engine.Config
+	// EngineProfile names the embedding options one batch may vary:
+	// Strict turns strict mode on, and Height > 0 pins the host to
+	// X(Height).  The zero value embeds with the theorem defaults, as
+	// Embed does without options.  Pass it to Engine.EmbedBatchProfile.
+	EngineProfile = engine.Profile
 	// EngineStats is a snapshot of the engine counters (cache hits,
 	// misses, coalesced waits, evictions, in-flight jobs, cumulative
 	// embed nanoseconds).
@@ -49,8 +54,9 @@ var ErrEngineClosed = engine.ErrClosed
 //	defer eng.Close()
 //	items := eng.EmbedBatch(ctx, trees)
 //
-// Use EngineConfig.Options (via NewEmbedConfig) for non-default embedding
-// options.  Theorems 2 and 3 derive from each item's Result with
+// For strict or height-pinned embeddings, pass an EngineProfile to
+// eng.EmbedBatchProfile instead; every profile shares the one cache under
+// keys of its own.  Theorems 2 and 3 derive from each item's Result with
 // EmbedInjective and EmbedHypercube.
 func NewEngine(cfg EngineConfig) *Engine { return engine.New(cfg) }
 

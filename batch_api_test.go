@@ -131,17 +131,15 @@ func TestSimulateContextCancel(t *testing.T) {
 }
 
 func TestFacadeEngine(t *testing.T) {
-	eng := xtreesim.NewEngine(xtreesim.EngineConfig{
-		Workers: 2,
-		Options: xtreesim.NewEmbedConfig(xtreesim.WithStrict()),
-	})
+	eng := xtreesim.NewEngine(xtreesim.EngineConfig{Workers: 2})
 	defer eng.Close()
+	strict := xtreesim.EngineProfile{Strict: true}
 
 	trees := []*xtreesim.Tree{
 		genTree(t, xtreesim.FamilyRandom, 496, 1),
 		genTree(t, xtreesim.FamilyCaterpillar, 496, 2),
 	}
-	items := eng.EmbedBatch(context.Background(), trees)
+	items := eng.EmbedBatchProfile(context.Background(), strict, trees)
 	for i, it := range items {
 		if it.Err != nil {
 			t.Fatalf("item %d: %v", i, it.Err)
@@ -153,7 +151,7 @@ func TestFacadeEngine(t *testing.T) {
 	// An isomorphic second pass hits the cache and the remapped result
 	// still satisfies every invariant.
 	iso := []*xtreesim.Tree{relabelIso(t, trees[0], 5), relabelIso(t, trees[1], 6)}
-	for i, it := range eng.EmbedBatch(context.Background(), iso) {
+	for i, it := range eng.EmbedBatchProfile(context.Background(), strict, iso) {
 		if it.Err != nil {
 			t.Fatalf("iso %d: %v", i, it.Err)
 		}

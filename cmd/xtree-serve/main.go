@@ -9,10 +9,11 @@
 //	xtree-serve -cache-snapshot cache.snap  # serve with cache persistence across restarts
 //	xtree-serve -version
 //
-// Serving flags tune the production knobs: -workers, -cache,
-// -cache-shards and -parallel size the engine, -max-concurrent and
-// -queue bound admission, -timeout is the per-request deadline,
-// -max-body/-max-batch/-max-tree cap inputs.
+// Serving flags tune the production knobs: -workers, -cache and
+// -cache-shards size the engine (one serial embed per worker),
+// -max-concurrent and -queue bound admission, -timeout is the
+// per-request deadline, -max-body/-max-batch/-max-tree cap inputs
+// (-max-tree also bounds the host height a request may pin).
 // Observability: -trace-sample samples that fraction of requests into
 // /debug/trace (clients sending X-Trace-Id are always traced), -pprof
 // exposes /debug/pprof/.
@@ -34,7 +35,6 @@ import (
 	"time"
 
 	"xtreesim/internal/buildinfo"
-	"xtreesim/internal/core"
 	"xtreesim/internal/engine"
 	"xtreesim/internal/server"
 )
@@ -45,7 +45,6 @@ func main() {
 		workers     = flag.Int("workers", 0, "engine workers (0 = one per CPU)")
 		cache       = flag.Int("cache", 0, "engine cache entries (0 = default, negative = disabled)")
 		cacheShards = flag.Int("cache-shards", 0, "cache lock shards (0 = auto: ~4x workers, rounded to a power of two)")
-		parallel    = flag.Int("parallel", 0, "goroutines per embed for the ADJUST/SPLIT fan-out (0 = serial; results are identical for every value)")
 
 		maxConcurrent = flag.Int("max-concurrent", 0, "API requests processed at once (0 = one per CPU)")
 		maxQueue      = flag.Int("queue", -1, "admission wait-queue length (-1 = 4x max-concurrent, 0 = shed when busy)")
@@ -69,15 +68,12 @@ func main() {
 		fmt.Println(buildinfo.Version())
 		return
 	}
-	opts := core.DefaultOptions()
-	opts.Parallel = *parallel
 	cfg := server.Config{
 		Addr: *addr,
 		EngineConfig: engine.Config{
 			Workers:     *workers,
 			CacheSize:   *cache,
 			CacheShards: *cacheShards,
-			Options:     &opts,
 		},
 		MaxConcurrent:  *maxConcurrent,
 		MaxQueue:       *maxQueue,

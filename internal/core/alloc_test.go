@@ -32,21 +32,6 @@ func BenchmarkEmbed(b *testing.B) {
 	}
 }
 
-// BenchmarkEmbedParallel is BenchmarkEmbed with the round fan-out on,
-// for comparing the knob's overhead and speedup on one machine.
-func BenchmarkEmbedParallel(b *testing.B) {
-	tr := mustBenchTree(b, bintree.FamilyRandom, int(Capacity(7)), 1)
-	opts := DefaultOptions()
-	opts.Parallel = 4
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := EmbedXTree(tr, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestEmbedAllocBudget gates the zero-alloc work with testing.AllocsPerRun
 // instead of a benchmark diff: the count is exact (no timer noise), runs
 // in the ordinary test suite, and fails the build the moment the hot
@@ -62,7 +47,7 @@ func TestEmbedAllocBudget(t *testing.T) {
 		}
 	})
 	if allocs > embedAllocBudget {
-		t.Errorf("default-option embed costs %.0f allocs, budget %d — the scratch arena is leaking churn",
+		t.Errorf("default-option embed costs %.0f allocs, budget %d — the embedder's buffers are leaking churn",
 			allocs, embedAllocBudget)
 	}
 	t.Logf("embed allocs/run: %.0f (budget %d)", allocs, embedAllocBudget)

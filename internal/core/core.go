@@ -64,16 +64,6 @@ type Options struct {
 	// measuring the matrix costs one extra full weight pass per round,
 	// which the serving hot path should not pay.
 	ImbalanceStats bool
-	// Parallel is the number of goroutines the ADJUST and SPLIT phases
-	// fan out over within a round (the per-level alpha tasks own
-	// disjoint subtrees).  Values below 2 run serially.  The embedding
-	// produced is byte-identical for every Parallel value.
-	Parallel int
-	// Tracer, when non-nil, opens a root span per EmbedXTree call that
-	// arrives without one on its context (the facade WithTracing path).
-	// Calls that already carry a span — e.g. from the engine — record
-	// their phase spans under it and ignore this field.
-	Tracer *trace.Tracer
 }
 
 // DefaultOptions returns the options used by the theorem statements.
@@ -126,8 +116,7 @@ func EmbedXTree(t *bintree.Tree, opts Options) (*Result, error) {
 }
 
 // EmbedXTreeContext is EmbedXTree with span tracing: when ctx carries a
-// sampled trace span (or Options.Tracer starts one), the construction
-// records its phases — host build, every Lemma 2 separator call with
+// sampled trace span, the construction records its phases — host build, every Lemma 2 separator call with
 // depth and slack, per-round ADJUST+SPLIT, the final redistribution —
 // as child spans.  Without a span the calls cost nil checks only.
 func EmbedXTreeContext(ctx context.Context, t *bintree.Tree, opts Options) (*Result, error) {
@@ -143,14 +132,6 @@ func EmbedXTreeContext(ctx context.Context, t *bintree.Tree, opts Options) (*Res
 		return nil, fmt.Errorf("core: X(%d) capacity %d < guest size %d", r, Capacity(r), n)
 	}
 	span := trace.FromContext(ctx)
-	var root *trace.Span
-	if span == nil && opts.Tracer != nil {
-		_, root = opts.Tracer.Root(ctx, "embed")
-		span = root
-	}
-	if root != nil {
-		defer root.End()
-	}
 	hb := span.Child("embed.host-build")
 	x := xtree.New(r)
 	hb.SetAttr("height", int64(r)).SetAttr("vertices", x.NumVertices()).End()

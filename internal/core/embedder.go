@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"xtreesim/internal/bintree"
 	"xtreesim/internal/bitstr"
@@ -20,119 +19,12 @@ import (
 // characteristic address char.  attach is the leaf of the current X-tree
 // level the component is attached to (ρ_i in the paper).
 type comp struct {
-	id      int32 // unique flood marker (the value written into compOf)
-	ord     int64 // creation rank: (phase, task, seq) packed, see ordBase
+	id      int32 // flood marker (the value written into compOf) and creation rank
 	size    int32
 	anchors []int32
 	char    bitstr.Addr
 	attach  bitstr.Addr
 	alive   bool
-}
-
-// ord packs a component's creation coordinates so that sorting by ord
-// reproduces the serial creation order regardless of how many goroutines
-// ran the phase: phases are strictly ordered, tasks (ADJUST/SPLIT alpha
-// indices) within a phase are strictly ordered, and creations within a
-// task are strictly ordered.  This is what makes Parallel > 1 embeddings
-// byte-identical to the serial ones — every tie-break that used to read
-// the global id counter reads ord instead.
-const (
-	ordSeqBits   = 22 // creations per task
-	ordAlphaBits = 32 // tasks per phase (alpha indices on one level)
-)
-
-func packOrd(phase int64, alphaIdx uint64) int64 {
-	return ((phase << ordAlphaBits) | int64(alphaIdx)) << ordSeqBits
-}
-
-// scratch is one worker's reusable arena.  Every buffer the per-round
-// procedures need lives here, so a warm embedder allocates (almost)
-// nothing per round, and the ADJUST/SPLIT fan-out can hand each
-// goroutine its own arena with no sharing.
-//
-// Ownership rules (see DESIGN.md):
-//   - a task owns the alpha subtree it was dispatched for; every comp it
-//     touches is attached inside that subtree, and every vertex it lays
-//     on is inside it too, so the shared laid/hostOf/compOf/loads arrays
-//     see disjoint writes;
-//   - killed comps go to the task's graveyard and are only recycled at
-//     task boundaries (drainGraveyard), so a caller may still read
-//     c.size after killing c;
-//   - stats are accumulated per scratch and merged at the end of the
-//     run, keeping the hot path free of shared counters.
-type scratch struct {
-	e *embedder
-
-	stats Stats       // merged into embedder.stats by mergeStats
-	span  *trace.Span // non-nil only on the serial path (scratch 0)
-	err   error       // first error of this worker's chunk
-
-	ordBase int64 // high bits of ord for comps created by the current task
-	ordSeq  int64 // per-task creation counter
-
-	// pref1/pref2 are the host vertices the current action lays nodes
-	// on.  floodNewComp prefers them on depth ties when picking a
-	// stretched remnant's characteristic address, which guarantees the
-	// remnant re-attaches inside the task's own subtree (every remnant
-	// is adjacent to a just-laid node, and nothing anywhere is laid
-	// deeper than the current round's leaves).
-	pref1, pref2 bitstr.Addr
-
-	nbuf    []int32 // guest adjacency
-	snap    []*comp // attachedAt snapshot
-	assign  []*comp // split's sorted assignment list
-	laidBuf []int32 // nodes laid by the current action
-	starts  []int32 // rebuild's remnant seeds
-	flood   []int32 // floodNewComp's DFS stack
-	charSet []bitstr.Addr
-
-	free      []*comp // recycled comp structs
-	graveyard []*comp // killed comps awaiting recycling
-	slab      []comp  // block-allocated backing for fresh comps
-
-	sep      separator.Builder
-	memberID int32            // component filter for memberFn
-	memberFn func(int32) bool // preallocated closure over memberID
-}
-
-func (sc *scratch) beginTask(phase int64, alphaIdx uint64) {
-	sc.ordBase = packOrd(phase, alphaIdx)
-	sc.ordSeq = 0
-}
-
-// newComp hands out a recycled (or fresh) comp struct with the next
-// unique id and the current task's next creation rank.
-func (sc *scratch) newComp() *comp {
-	id := sc.e.nextComp.Add(1) - 1
-	var c *comp
-	if n := len(sc.free); n > 0 {
-		c = sc.free[n-1]
-		sc.free = sc.free[:n-1]
-		c.anchors = c.anchors[:0]
-	} else {
-		if len(sc.slab) == 0 {
-			sc.slab = make([]comp, 256)
-		}
-		c = &sc.slab[0]
-		sc.slab = sc.slab[1:]
-	}
-	c.id = id
-	c.ord = sc.ordBase + sc.ordSeq
-	sc.ordSeq++
-	c.size = 0
-	c.alive = true
-	return c
-}
-
-// drainGraveyard recycles the killed comps.  Only called between tasks:
-// within a task, callers may still read fields of comps they just killed
-// (split updates its running totals from c.size after moveCompWhole).
-func (sc *scratch) drainGraveyard() {
-	sc.free = append(sc.free, sc.graveyard...)
-	for i := range sc.graveyard {
-		sc.graveyard[i] = nil
-	}
-	sc.graveyard = sc.graveyard[:0]
 }
 
 type embedder struct {
@@ -146,7 +38,7 @@ type embedder struct {
 	loads  []int16 // indexed by host vertex id
 
 	compOf   []int32 // guest node -> comp id, -1 when laid
-	nextComp atomic.Int32
+	nextComp int32   // the next comp's id: ids rise in creation order
 
 	// attachIdx maps host vertex id -> components attached there, kept
 	// eagerly exact: registerComp appends, detach removes in place, so a
@@ -156,16 +48,12 @@ type embedder struct {
 	attachIdx  [][]*comp
 	attachLoad []int64
 
-	scr []*scratch // scr[0] doubles as the serial-phase arena
-
 	// Budget table of ADJUST, dense by vertex id with generation tags:
 	// bumping budgetCur at the start of each round resets every budget
 	// to the default 4 without touching the arrays.
 	budgetVal []int32
 	budgetGen []uint32
 	budgetCur uint32
-
-	phase int64 // runLevel counter feeding comp.ord
 
 	wbuf        []int64 // computeWeights buffer
 	perLevelBuf []int64 // recordImbalance buffer
@@ -176,7 +64,32 @@ type embedder struct {
 	finalQ     []*comp
 	collecting bool
 
-	// findSlotFor scratch (the final pass is serial).
+	// pref1/pref2 are the host vertices the current action lays nodes
+	// on; floodNewComp prefers them on depth ties when picking a
+	// stretched remnant's characteristic address.
+	pref1, pref2 bitstr.Addr
+
+	// The per-action buffers, reused across every round so a warm
+	// embedder allocates (almost) nothing per round.
+	nbuf    []int32 // guest adjacency
+	snap    []*comp // attachedAt snapshot
+	assign  []*comp // split's sorted assignment list
+	laidBuf []int32 // nodes laid by the current action
+	starts  []int32 // rebuild's remnant seeds
+	flood   []int32 // floodNewComp's DFS stack
+	charSet []bitstr.Addr
+
+	// Killed comps wait in the graveyard until drainGraveyard moves
+	// them to spare.
+	spare     []*comp // recycled comp structs
+	graveyard []*comp // killed comps awaiting recycling
+	slab      []comp  // block-allocated backing for fresh comps
+
+	sep      separator.Builder
+	memberID int32            // component filter for memberFn
+	memberFn func(int32) bool // preallocated closure over memberID
+
+	// findSlotFor buffers (final pass).
 	hostsBuf, candBuf, bfsQueue, xnbuf []bitstr.Addr
 	bfsSeen                            []uint32
 	bfsSeenCur                         uint32
@@ -211,19 +124,42 @@ func newEmbedder(t *bintree.Tree, x *xtree.XTree, r int, opts Options) *embedder
 	for i := range e.compOf {
 		e.compOf[i] = -1
 	}
-	p := opts.Parallel
-	if p < 1 {
-		p = 1
-	}
-	e.scr = make([]*scratch, p)
-	for i := range e.scr {
-		sc := &scratch{e: e}
-		sc.memberFn = func(v int32) bool {
-			return !e.laid[v] && e.compOf[v] == sc.memberID
-		}
-		e.scr[i] = sc
+	e.memberFn = func(v int32) bool {
+		return !e.laid[v] && e.compOf[v] == e.memberID
 	}
 	return e
+}
+
+// newComp hands out a recycled (or fresh) comp struct with the next id.
+func (e *embedder) newComp() *comp {
+	var c *comp
+	if n := len(e.spare); n > 0 {
+		c = e.spare[n-1]
+		e.spare = e.spare[:n-1]
+		c.anchors = c.anchors[:0]
+	} else {
+		if len(e.slab) == 0 {
+			e.slab = make([]comp, 256)
+		}
+		c = &e.slab[0]
+		e.slab = e.slab[1:]
+	}
+	c.id = e.nextComp
+	e.nextComp++
+	c.size = 0
+	c.alive = true
+	return c
+}
+
+// drainGraveyard recycles the killed comps.  Only called between tasks:
+// within a task, callers may still read fields of comps they just killed
+// (split updates its running totals from c.size after moveCompWhole).
+func (e *embedder) drainGraveyard() {
+	e.spare = append(e.spare, e.graveyard...)
+	for i := range e.graveyard {
+		e.graveyard[i] = nil
+	}
+	e.graveyard = e.graveyard[:0]
 }
 
 // budgetAt reads the ADJUST placement budget of a host vertex for the
@@ -251,15 +187,14 @@ func (e *embedder) cond3OK(a, b bitstr.Addr) bool {
 
 // layNode places guest node v on host vertex h, updating loads and
 // validating condition (3′) against every laid neighbor.
-func (sc *scratch) layNode(v int32, h bitstr.Addr) error {
-	e := sc.e
+func (e *embedder) layNode(v int32, h bitstr.Addr) error {
 	if e.laid[v] {
 		return fmt.Errorf("core: node %d laid twice", v)
 	}
-	sc.nbuf = e.t.Neighbors(v, sc.nbuf[:0])
-	for _, u := range sc.nbuf {
+	e.nbuf = e.t.Neighbors(v, e.nbuf[:0])
+	for _, u := range e.nbuf {
 		if e.laid[u] && !e.cond3OK(e.hostOf[u], h) {
-			sc.stats.Cond3Violations++
+			e.stats.Cond3Violations++
 			if e.opts.Strict {
 				return fmt.Errorf("core: condition (3') violated laying %d at %v (neighbor %d at %v)",
 					v, h, u, e.hostOf[u])
@@ -272,7 +207,7 @@ func (sc *scratch) layNode(v int32, h bitstr.Addr) error {
 	id := h.ID()
 	e.loads[id]++
 	if int(e.loads[id]) > LoadTarget {
-		sc.stats.Overflows++
+		e.stats.Overflows++
 	}
 	return nil
 }
@@ -321,23 +256,23 @@ func (e *embedder) detach(c *comp) {
 }
 
 // killComp removes a component from the registry.  The struct stays
-// readable until the owning task's drainGraveyard.
-func (sc *scratch) killComp(c *comp) {
+// readable until the next drainGraveyard, at the end of the task.
+func (e *embedder) killComp(c *comp) {
 	if !c.alive {
 		return
 	}
-	sc.e.detach(c)
+	e.detach(c)
 	c.alive = false
-	sc.graveyard = append(sc.graveyard, c)
+	e.graveyard = append(e.graveyard, c)
 }
 
 // attachedAt snapshots the components currently attached to addr.  The
-// returned slice is the scratch's reusable buffer — it is invalidated by
-// the next attachedAt on the same scratch, and a copy is required
-// because the callers mutate the underlying index while iterating.
-func (sc *scratch) attachedAt(addr bitstr.Addr) []*comp {
-	sc.snap = append(sc.snap[:0], sc.e.attachIdx[addr.ID()]...)
-	return sc.snap
+// returned slice is the embedder's reusable buffer — it is invalidated by
+// the next attachedAt, and a copy is required because the callers mutate
+// the underlying index while iterating.
+func (e *embedder) attachedAt(addr bitstr.Addr) []*comp {
+	e.snap = append(e.snap[:0], e.attachIdx[addr.ID()]...)
+	return e.snap
 }
 
 // reattach moves a surviving component to a new attachment leaf.
@@ -351,44 +286,42 @@ func (e *embedder) reattach(c *comp, addr bitstr.Addr) {
 // creating one new component per connected remnant.  Each remnant's
 // anchors and characteristic address are recomputed from its laid
 // neighbors; new components attach at their characteristic address.
-func (sc *scratch) rebuild(old *comp, newlyLaid []int32) {
-	e := sc.e
+func (e *embedder) rebuild(old *comp, newlyLaid []int32) {
 	oldID := old.id
-	sc.killComp(old)
-	starts := sc.starts[:0]
+	e.killComp(old)
+	starts := e.starts[:0]
 	for _, x := range newlyLaid {
-		sc.nbuf = e.t.Neighbors(x, sc.nbuf[:0])
-		for _, y := range sc.nbuf {
+		e.nbuf = e.t.Neighbors(x, e.nbuf[:0])
+		for _, y := range e.nbuf {
 			if !e.laid[y] && e.compOf[y] == oldID {
 				starts = append(starts, y)
 			}
 		}
 	}
-	sc.starts = starts
+	e.starts = starts
 	for _, s := range starts {
 		if e.compOf[s] != oldID {
 			continue // already flooded into a new component
 		}
-		sc.floodNewComp(s, oldID)
+		e.floodNewComp(s, oldID)
 	}
 }
 
 // floodNewComp builds a new component from start over the unlaid nodes
 // still carrying oldID, computing anchors and the characteristic address.
-func (sc *scratch) floodNewComp(start int32, oldID int32) *comp {
-	e := sc.e
-	c := sc.newComp()
+func (e *embedder) floodNewComp(start int32, oldID int32) *comp {
+	c := e.newComp()
 	id := c.id
-	queue := append(sc.flood[:0], start)
+	queue := append(e.flood[:0], start)
 	e.compOf[start] = id
-	charSet := sc.charSet[:0]
+	charSet := e.charSet[:0]
 	for len(queue) > 0 {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		c.size++
 		isAnchor := false
-		sc.nbuf = e.t.Neighbors(v, sc.nbuf[:0])
-		for _, w := range sc.nbuf {
+		e.nbuf = e.t.Neighbors(v, e.nbuf[:0])
+		for _, w := range e.nbuf {
 			if e.laid[w] {
 				isAnchor = true
 				h := e.hostOf[w]
@@ -413,7 +346,7 @@ func (sc *scratch) floodNewComp(start int32, oldID int32) *comp {
 			c.anchors = append(c.anchors, v)
 		}
 	}
-	sc.flood = queue[:0]
+	e.flood = queue[:0]
 	var char bitstr.Addr
 	switch {
 	case len(charSet) == 0:
@@ -423,23 +356,25 @@ func (sc *scratch) floodNewComp(start int32, oldID int32) *comp {
 	case len(charSet) == 1:
 		char = charSet[0]
 	default:
-		sc.stats.StretchedComps++
+		e.stats.StretchedComps++
 		// Keep the deepest address: its anchors come due soonest.  On
-		// depth ties prefer the vertex the current action laid on —
-		// that one is always inside the task's subtree, so a parallel
-		// phase never registers a comp into another task's territory.
+		// depth ties prefer the vertex the current action laid on, so
+		// the remnant attaches where the action just worked rather than
+		// wherever the flood first met a laid neighbor.  The tie-break
+		// decides where a stretched remnant attaches and so every later
+		// placement below it: the embeddings depend on it.
 		char = charSet[0]
 		for _, cs := range charSet[1:] {
 			if cs.Level > char.Level ||
-				(cs.Level == char.Level && char != sc.pref1 && char != sc.pref2 &&
-					(cs == sc.pref1 || cs == sc.pref2)) {
+				(cs.Level == char.Level && char != e.pref1 && char != e.pref2 &&
+					(cs == e.pref1 || cs == e.pref2)) {
 				char = cs
 			}
 		}
 	}
 	c.char = char
 	c.attach = char
-	sc.charSet = charSet[:0]
+	e.charSet = charSet[:0]
 	e.registerComp(c)
 	return c
 }
@@ -447,37 +382,36 @@ func (sc *scratch) floodNewComp(start int32, oldID int32) *comp {
 // rootedFor builds the separator view of a component, rooted at its first
 // anchor.  The second return value is the guest id handed to the lemmas as
 // the second designated node r2 (the other anchor, or the root itself).
-// The Rooted lives in the scratch's Builder and is invalidated by the
-// next rootedFor on the same scratch.
-func (sc *scratch) rootedFor(c *comp) (*separator.Rooted, int32) {
+// The Rooted lives in the embedder's Builder and is invalidated by the
+// next rootedFor.
+func (e *embedder) rootedFor(c *comp) (*separator.Rooted, int32) {
 	root := c.anchors[0]
 	r2 := root
 	if len(c.anchors) > 1 {
 		r2 = c.anchors[1]
 	}
-	sc.memberID = c.id
-	rt := sc.sep.Build(sc.e.t.Neighbors, root, sc.memberFn, int(c.size))
+	e.memberID = c.id
+	rt := e.sep.Build(e.t.Neighbors, root, e.memberFn, int(c.size))
 	return rt, r2
 }
 
 // moveCompWhole lays every anchor of c on target and re-anchors the
 // remnants there.  Returns the number of nodes newly laid.
-func (sc *scratch) moveCompWhole(c *comp, target bitstr.Addr) (int, error) {
-	e := sc.e
-	sc.pref1, sc.pref2 = target, target
-	laidNow := sc.laidBuf[:0]
+func (e *embedder) moveCompWhole(c *comp, target bitstr.Addr) (int, error) {
+	e.pref1, e.pref2 = target, target
+	laidNow := e.laidBuf[:0]
 	for _, a := range c.anchors {
 		if e.laid[a] {
 			continue
 		}
-		if err := sc.layNode(a, target); err != nil {
-			sc.laidBuf = laidNow
+		if err := e.layNode(a, target); err != nil {
+			e.laidBuf = laidNow
 			return len(laidNow), err
 		}
 		laidNow = append(laidNow, a)
 	}
-	sc.laidBuf = laidNow
-	sc.rebuild(c, laidNow)
+	e.laidBuf = laidNow
+	e.rebuild(c, laidNow)
 	return len(laidNow), nil
 }
 
@@ -487,8 +421,8 @@ func (sc *scratch) moveCompWhole(c *comp, target bitstr.Addr) (int, error) {
 // (target), the component size, and — set by the caller once the split
 // is known — the achieved slack |n2 − A|, which Lemma 2 bounds by
 // (A+4)/9.
-func (sc *scratch) sepSpan(depth, target int, size int32) *trace.Span {
-	sp := sc.span.Child("embed.separator")
+func (e *embedder) sepSpan(depth, target int, size int32) *trace.Span {
+	sp := e.span.Child("embed.separator")
 	sp.SetAttr("depth", int64(depth)).SetAttr("target", int64(target)).SetAttr("size", int64(size))
 	return sp
 }
@@ -513,44 +447,31 @@ func endSepSpan(sp *trace.Span, split separator.Split, target int, err error) {
 // splitSizes pre-computes the separator sets of a Lemma 2 split without
 // applying it, so callers can check placement budgets first.  depth is
 // the host level the split serves, recorded on the separator span.
-func (sc *scratch) splitSizes(c *comp, target, depth int) (sp separator.Split, err error) {
-	span := sc.sepSpan(depth, target, c.size)
-	rt, r2 := sc.rootedFor(c)
+func (e *embedder) splitSizes(c *comp, target, depth int) (sp separator.Split, err error) {
+	span := e.sepSpan(depth, target, c.size)
+	rt, r2 := e.rootedFor(c)
 	sp, err = separator.Lemma2(rt, r2, target)
 	endSepSpan(span, sp, target, err)
 	return sp, err
 }
 
 // applySplit lays a precomputed split.
-func (sc *scratch) applySplit(c *comp, sp separator.Split, hStay, hMove bitstr.Addr) error {
-	sc.pref1, sc.pref2 = hStay, hMove
-	laidNow := sc.laidBuf[:0]
+func (e *embedder) applySplit(c *comp, sp separator.Split, hStay, hMove bitstr.Addr) error {
+	e.pref1, e.pref2 = hStay, hMove
+	laidNow := e.laidBuf[:0]
 	for _, g := range sp.S1 {
-		if err := sc.layNode(g, hStay); err != nil {
+		if err := e.layNode(g, hStay); err != nil {
 			return err
 		}
 		laidNow = append(laidNow, g)
 	}
 	for _, g := range sp.S2 {
-		if err := sc.layNode(g, hMove); err != nil {
+		if err := e.layNode(g, hMove); err != nil {
 			return err
 		}
 		laidNow = append(laidNow, g)
 	}
-	sc.laidBuf = laidNow
-	sc.rebuild(c, laidNow)
+	e.laidBuf = laidNow
+	e.rebuild(c, laidNow)
 	return nil
-}
-
-// mergeStats folds the per-scratch counters into the embedder's Stats.
-func (e *embedder) mergeStats() {
-	for _, sc := range e.scr {
-		e.stats.Overflows += sc.stats.Overflows
-		e.stats.Cond3Violations += sc.stats.Cond3Violations
-		e.stats.StretchedComps += sc.stats.StretchedComps
-		e.stats.AdjustResidual += sc.stats.AdjustResidual
-		e.stats.FillDeficits += sc.stats.FillDeficits
-		e.stats.FinalFallbacks += sc.stats.FinalFallbacks
-		sc.stats = Stats{}
-	}
 }

@@ -14,6 +14,9 @@ func FuzzReadResult(f *testing.F) {
 	f.Add("xtreesim-embedding v1\nheight 2\n")
 	f.Add("garbage")
 	f.Add("xtreesim-embedding v1\nheight 1\nnode 0 0 0\n")
+	// Heights past bitstr.MaxLevel name no X-tree and must be errors.
+	f.Add("xtreesim-embedding v1\nheight 99\nnode 0 -1 0\nassign 0 ε\n")
+	f.Add("xtreesim-embedding v1\nheight 63\nnode 0 -1 0\nassign 0 ε\n")
 	f.Fuzz(func(t *testing.T, s string) {
 		res, err := ReadResult(strings.NewReader(s))
 		if err != nil {

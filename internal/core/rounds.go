@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"sync"
 
 	"xtreesim/internal/bitstr"
 	"xtreesim/internal/separator"
@@ -17,7 +16,6 @@ const (
 // run executes algorithm X-TREE: the initial 16-node seed at the root,
 // r rounds of ADJUST+SPLIT, and the final redistribution.
 func (e *embedder) run() error {
-	e.scr[0].span = e.span
 	if err := e.init16(); err != nil {
 		return err
 	}
@@ -47,7 +45,6 @@ func (e *embedder) run() error {
 	}
 	fsp := e.span.Child("embed.final-pass")
 	err := e.finalPass()
-	e.mergeStats()
 	fsp.SetAttr("fallbacks", int64(e.stats.FinalFallbacks)).End()
 	if err != nil {
 		return err
@@ -56,90 +53,30 @@ func (e *embedder) run() error {
 }
 
 // runLevel runs one phase — ADJUST at level `level` of round i, or SPLIT
-// of the leaves at level i−1 — over every alpha of that level.  The
-// alphas of one level own disjoint subtrees of both the host and the
-// attachment index (ADJUST at alpha only touches vertices and comps
-// strictly below alpha; SPLIT at alpha only those at alpha and its
-// children), so they can run data-parallel across the scratch arenas.
-// Determinism does not depend on the interleaving: every ordering
-// decision reads comp.ord, which is fixed by (phase, alpha, creation
-// seq) alone, and chunk errors are surfaced lowest-alpha first.
+// of the leaves at level i−1 — over every alpha of that level in index
+// order.  Each alpha is one task; the comps a task killed are recycled
+// once it is done.
 func (e *embedder) runLevel(kind, level, round int, w []int64) error {
-	e.phase++
-	count := int64(1) << uint(level)
-	p := int64(len(e.scr))
-	if p > count {
-		p = count
-	}
-	if p <= 1 {
-		sc := e.scr[0]
-		for idx := int64(0); idx < count; idx++ {
-			sc.beginTask(e.phase, uint64(idx))
-			if err := sc.runTask(kind, level, round, idx, w); err != nil {
-				return err
-			}
+	for idx := uint64(0); idx < uint64(1)<<uint(level); idx++ {
+		alpha := bitstr.Addr{Level: level, Index: idx}
+		var err error
+		if kind == phaseAdjust {
+			err = e.adjustPair(alpha, round, w)
+		} else {
+			err = e.split(alpha, round)
 		}
-		return nil
-	}
-	// The tracer is not safe for concurrent children of one span; the
-	// parallel path trades the per-separator spans for throughput.
-	span0 := e.scr[0].span
-	e.scr[0].span = nil
-	chunk := (count + p - 1) / p
-	var wg sync.WaitGroup
-	for k := int64(0); k < p; k++ {
-		lo, hi := k*chunk, (k+1)*chunk
-		if hi > count {
-			hi = count
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(sc *scratch, lo, hi int64) {
-			defer wg.Done()
-			for idx := lo; idx < hi; idx++ {
-				sc.beginTask(e.phase, uint64(idx))
-				if err := sc.runTask(kind, level, round, idx, w); err != nil {
-					sc.err = err
-					return
-				}
-			}
-		}(e.scr[k], lo, hi)
-	}
-	wg.Wait()
-	e.scr[0].span = span0
-	for _, sc := range e.scr {
-		if sc.err != nil {
-			err := sc.err
-			for _, s := range e.scr {
-				s.err = nil
-			}
+		e.drainGraveyard()
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// runTask executes one alpha of a phase and recycles the comps it killed.
-func (sc *scratch) runTask(kind, level, round int, idx int64, w []int64) error {
-	alpha := bitstr.Addr{Level: level, Index: uint64(idx)}
-	var err error
-	if kind == phaseAdjust {
-		err = sc.adjustPair(alpha, round, w)
-	} else {
-		err = sc.split(alpha, round)
-	}
-	sc.drainGraveyard()
-	return err
-}
-
 // init16 lays the first 16 guest nodes (a connected subtree found by BFS
 // from the guest root) onto the X-tree root ε, then registers the hanging
 // subtrees as components anchored at ε.  This is the embedding δ0.
 func (e *embedder) init16() error {
-	sc := e.scr[0]
-	sc.beginTask(0, 0)
 	want := LoadTarget
 	if e.t.N() < want {
 		want = e.t.N()
@@ -163,19 +100,19 @@ func (e *embedder) init16() error {
 	// One pseudo-component covering the whole guest, so rebuild can
 	// flood the remnants.
 	all := &comp{id: 0, alive: true, size: int32(e.t.N()), char: bitstr.Root(), attach: bitstr.Root()}
-	e.nextComp.Store(1)
+	e.nextComp = 1
 	for i := range e.compOf {
 		e.compOf[i] = 0
 	}
 	e.registerComp(all)
 	for _, v := range seed {
-		if err := sc.layNode(v, bitstr.Root()); err != nil {
+		if err := e.layNode(v, bitstr.Root()); err != nil {
 			return err
 		}
 	}
-	sc.pref1, sc.pref2 = bitstr.Root(), bitstr.Root()
-	sc.rebuild(all, seed)
-	sc.drainGraveyard()
+	e.pref1, e.pref2 = bitstr.Root(), bitstr.Root()
+	e.rebuild(all, seed)
+	e.drainGraveyard()
 	return nil
 }
 
@@ -212,8 +149,7 @@ func shiftChain(w []int64, from bitstr.Addr, topLevel int, delta int64) {
 // between the subtrees of α0 and α1 by moving components (or lemma-2
 // pieces of components) attached at the boundary leaf of the heavier side
 // across the horizontal edge between the two new boundary leaves.
-func (sc *scratch) adjustPair(alpha bitstr.Addr, i int, w []int64) error {
-	e := sc.e
+func (e *embedder) adjustPair(alpha bitstr.Addr, i int, w []int64) error {
 	a0, a1 := alpha.Child(0), alpha.Child(1)
 	D := w[a0.ID()] - w[a1.ID()]
 	if D == 0 {
@@ -236,14 +172,14 @@ func (sc *scratch) adjustPair(alpha bitstr.Addr, i int, w []int64) error {
 	delta := int((D + 1) / 2)
 	wDID, wTID := wD.ID(), wT.ID()
 	budD, budT := e.budgetAt(wDID), e.budgetAt(wTID)
-	moved, err := sc.levelPair(uD, delta, wD, wT, &budD, &budT)
+	moved, err := e.levelPair(uD, delta, wD, wT, &budD, &budT)
 	if err != nil {
 		return err
 	}
 	e.setBudget(wDID, budD)
 	e.setBudget(wTID, budT)
 	if left := delta - moved; left > separator.Lemma2Bound(delta) {
-		sc.stats.AdjustResidual += left
+		e.stats.AdjustResidual += left
 	}
 	if moved != 0 {
 		d := int64(moved)
@@ -265,7 +201,7 @@ func (sc *scratch) adjustPair(alpha bitstr.Addr, i int, w []int64) error {
 // otherwise move whole components largest-first and retry.  The donor is
 // re-queried after every action so freshly split remnants can be refined
 // further while the placement budget lasts.
-func (sc *scratch) levelPair(from bitstr.Addr, delta int, wD, wT bitstr.Addr, budD, budT *int) (int, error) {
+func (e *embedder) levelPair(from bitstr.Addr, delta int, wD, wT bitstr.Addr, budD, budT *int) (int, error) {
 	moved := 0
 	for {
 		rem := delta - moved
@@ -273,7 +209,7 @@ func (sc *scratch) levelPair(from bitstr.Addr, delta int, wD, wT bitstr.Addr, bu
 		if rem <= tol {
 			return moved, nil
 		}
-		cands := sc.attachedAt(from)
+		cands := e.attachedAt(from)
 		// (a) a whole component close to the remaining target.
 		var exact *comp
 		bestDev := tol + 1
@@ -290,7 +226,7 @@ func (sc *scratch) levelPair(from bitstr.Addr, delta int, wD, wT bitstr.Addr, bu
 			}
 		}
 		if exact != nil {
-			laid, err := sc.moveCompWhole(exact, wT)
+			laid, err := e.moveCompWhole(exact, wT)
 			if err != nil {
 				return moved, err
 			}
@@ -306,9 +242,9 @@ func (sc *scratch) levelPair(from bitstr.Addr, delta int, wD, wT bitstr.Addr, bu
 			}
 		}
 		if big != nil {
-			sp, err := sc.splitSizes(big, rem, wT.Level)
+			sp, err := e.splitSizes(big, rem, wT.Level)
 			if err == nil && len(sp.S1) <= *budD && len(sp.S2) <= *budT {
-				if err := sc.applySplit(big, sp, wD, wT); err != nil {
+				if err := e.applySplit(big, sp, wD, wT); err != nil {
 					return moved, err
 				}
 				*budD -= len(sp.S1)
@@ -330,7 +266,7 @@ func (sc *scratch) levelPair(from bitstr.Addr, delta int, wD, wT bitstr.Addr, bu
 		if part == nil {
 			return moved, nil // nothing more can move within budget
 		}
-		laid, err := sc.moveCompWhole(part, wT)
+		laid, err := e.moveCompWhole(part, wT)
 		if err != nil {
 			return moved, err
 		}
@@ -344,20 +280,19 @@ func (sc *scratch) levelPair(from bitstr.Addr, delta int, wD, wT bitstr.Addr, bu
 // neighbors sit on level i−2 (they are due now by condition (4)), level the
 // two sides with one more lemma-2 split across the horizontal edge
 // {α0, α1}, and fill both leaves up to 16 nodes.
-func (sc *scratch) split(alpha bitstr.Addr, i int) error {
-	e := sc.e
+func (e *embedder) split(alpha bitstr.Addr, i int) error {
 	w0, w1 := alpha.Child(0), alpha.Child(1)
 	tot0 := int64(e.loads[w0.ID()]) + e.attachLoad[w0.ID()]
 	tot1 := int64(e.loads[w1.ID()]) + e.attachLoad[w1.ID()]
 	// Greedy balanced assignment, big components first (the M0/M1 pairing
 	// of the paper achieves the same Δ ≤ max interval bound).
-	assign := append(sc.assign[:0], e.attachIdx[alpha.ID()]...)
-	sc.assign = assign
+	assign := append(e.assign[:0], e.attachIdx[alpha.ID()]...)
+	e.assign = assign
 	sort.Slice(assign, func(a, b int) bool {
 		if assign[a].size != assign[b].size {
 			return assign[a].size > assign[b].size
 		}
-		return assign[a].ord < assign[b].ord
+		return assign[a].id < assign[b].id
 	})
 	for _, c := range assign {
 		side, other := w0, w1
@@ -370,7 +305,7 @@ func (sc *scratch) split(alpha bitstr.Addr, i int) error {
 			if e.free(side) < len(c.anchors) && e.free(other) >= len(c.anchors) {
 				side, other = other, side
 			}
-			if _, err := sc.moveCompWhole(c, side); err != nil {
+			if _, err := e.moveCompWhole(c, side); err != nil {
 				return err
 			}
 		} else {
@@ -397,14 +332,14 @@ func (sc *scratch) split(alpha bitstr.Addr, i int) error {
 		if budT < 0 {
 			budT = 0
 		}
-		if _, err := sc.levelPair(heavy, delta, heavy, light, &budD, &budT); err != nil {
+		if _, err := e.levelPair(heavy, delta, heavy, light, &budD, &budT); err != nil {
 			return err
 		}
 	}
-	if err := sc.fillUp(w0); err != nil {
+	if err := e.fillUp(w0); err != nil {
 		return err
 	}
-	return sc.fillUp(w1)
+	return e.fillUp(w1)
 }
 
 // fillUp lays nodes on w until it holds 16, taking anchors of components
@@ -413,10 +348,9 @@ func (sc *scratch) split(alpha bitstr.Addr, i int) error {
 // cannot create a component with anchors on two different host vertices
 // are taken; if none remain the deficit is recorded and the final pass
 // resolves it.
-func (sc *scratch) fillUp(w bitstr.Addr) error {
-	e := sc.e
+func (e *embedder) fillUp(w bitstr.Addr) error {
 	for e.free(w) > 0 {
-		cands := sc.attachedAt(w)
+		cands := e.attachedAt(w)
 		var chosen *comp
 		layAll := false
 		for _, c := range cands {
@@ -438,21 +372,21 @@ func (sc *scratch) fillUp(w bitstr.Addr) error {
 			// exact theorem instances a clean run keeps this at 0
 			// for all but the last level (slack instances always
 			// leave some).
-			sc.stats.FillDeficits += e.free(w)
+			e.stats.FillDeficits += e.free(w)
 			return nil
 		}
 		if layAll {
-			if _, err := sc.moveCompWhole(chosen, w); err != nil {
+			if _, err := e.moveCompWhole(chosen, w); err != nil {
 				return err
 			}
 		} else {
 			a := chosen.anchors[0]
-			if err := sc.layNode(a, w); err != nil {
+			if err := e.layNode(a, w); err != nil {
 				return err
 			}
-			sc.pref1, sc.pref2 = w, w
-			sc.laidBuf = append(sc.laidBuf[:0], a)
-			sc.rebuild(chosen, sc.laidBuf)
+			e.pref1, e.pref2 = w, w
+			e.laidBuf = append(e.laidBuf[:0], a)
+			e.rebuild(chosen, e.laidBuf)
 		}
 	}
 	return nil
@@ -501,19 +435,15 @@ func (e *embedder) recordImbalance(i int) {
 // the nodes not laid out so far to free places among the leaves".
 //
 // The worklist is a FIFO seeded with the live components in creation
-// order (exactly the id order the per-sweep collect-and-sort used to
-// produce) and extended by registerComp as rebuilds spawn remnants, so
+// (id) order and extended by registerComp as rebuilds spawn remnants, so
 // the pass runs in one sweep with no per-sweep allocation.  Comp structs
 // are not recycled while the queue holds pointers.
 func (e *embedder) finalPass() error {
-	sc := e.scr[0]
-	e.phase++
-	sc.beginTask(e.phase, 0)
 	q := e.finalQ[:0]
 	for id := range e.attachIdx {
 		q = append(q, e.attachIdx[id]...)
 	}
-	sort.Slice(q, func(a, b int) bool { return q[a].ord < q[b].ord })
+	sort.Slice(q, func(a, b int) bool { return q[a].id < q[b].id })
 	e.finalQ = q
 	e.collecting = true
 	defer func() { e.collecting = false }()
@@ -525,14 +455,14 @@ func (e *embedder) finalPass() error {
 		a := c.anchors[0]
 		target, fallback := e.findSlotFor(a)
 		if fallback {
-			sc.stats.FinalFallbacks++
+			e.stats.FinalFallbacks++
 		}
-		if err := sc.layNode(a, target); err != nil {
+		if err := e.layNode(a, target); err != nil {
 			return err
 		}
-		sc.pref1, sc.pref2 = target, target
-		sc.laidBuf = append(sc.laidBuf[:0], a)
-		sc.rebuild(c, sc.laidBuf)
+		e.pref1, e.pref2 = target, target
+		e.laidBuf = append(e.laidBuf[:0], a)
+		e.rebuild(c, e.laidBuf)
 	}
 	return nil
 }
@@ -542,10 +472,9 @@ func (e *embedder) finalPass() error {
 // neighbor, otherwise (fallback=true) the nearest free vertex.  Serial
 // only (final pass); all buffers live on the embedder.
 func (e *embedder) findSlotFor(v int32) (bitstr.Addr, bool) {
-	sc := e.scr[0]
 	hosts := e.hostsBuf[:0]
-	sc.nbuf = e.t.Neighbors(v, sc.nbuf[:0])
-	for _, u := range sc.nbuf {
+	e.nbuf = e.t.Neighbors(v, e.nbuf[:0])
+	for _, u := range e.nbuf {
 		if e.laid[u] {
 			hosts = append(hosts, e.hostOf[u])
 		}

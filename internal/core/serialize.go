@@ -99,6 +99,9 @@ func ReadResult(r io.Reader) (*Result, error) {
 	if height < 0 || len(nodes) == 0 {
 		return nil, fmt.Errorf("core: incomplete file")
 	}
+	if height > bitstr.MaxLevel {
+		return nil, fmt.Errorf("core: height %d above the largest X-tree height %d", height, bitstr.MaxLevel)
+	}
 	parents := make([]int32, len(nodes))
 	sides := make([]byte, len(nodes))
 	for v, nl := range nodes {

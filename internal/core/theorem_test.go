@@ -218,7 +218,8 @@ func TestImbalanceConverges(t *testing.T) {
 }
 
 // TestStrictMode ensures strict mode succeeds on theorem instances (no
-// condition (3′) violations at all).
+// condition (3′) violations at all) and returns an error where an
+// ablation breaks condition (3′).
 func TestStrictMode(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, f := range bintree.Families {
@@ -229,6 +230,12 @@ func TestStrictMode(t *testing.T) {
 		if _, err := EmbedXTree(tr, Options{Height: -1, Strict: true}); err != nil {
 			t.Errorf("%s: strict embedding failed: %v", f, err)
 		}
+	}
+	// The error path: without SPLIT's leveling cut a path guest breaks
+	// condition (3′), and strict mode must surface that as an error.
+	path := bintree.Path(int(Capacity(7)))
+	if _, err := EmbedXTree(path, Options{Height: -1, Strict: true, DisableLeveling: true}); err == nil {
+		t.Error("strict mode swallowed the leveling ablation's violations on a path guest")
 	}
 }
 

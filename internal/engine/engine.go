@@ -27,9 +27,8 @@
 // deterministic once the guest's shape, the host height and strict mode
 // are fixed, so a job carries a Profile (strict mode, pinned height) and
 // the cache and the coalescer key on the job's effective options plus
-// the canonical code.  Under the engine's configured options the key is
-// the bare canonical code, so the default-profile path builds nothing
-// extra.
+// the canonical code.  Under the zero Profile the key is the bare
+// canonical code, so the default-profile path builds nothing extra.
 //
 // Batch calls take a context.Context: cancelling it stops unstarted work
 // immediately (those items report ctx.Err()); embeddings already on a
@@ -66,8 +65,9 @@ const MaxCacheShards = 256
 var ErrClosed = errors.New("engine: closed")
 
 // Config configures a new Engine.  The zero value is usable: one worker
-// per CPU, a DefaultCacheSize-entry cache striped over an automatic
-// shard count, and the theorem-default embedding options.  Every field
+// per CPU and a DefaultCacheSize-entry cache striped over an automatic
+// shard count.  Embedding options are not configured here: every job
+// embeds with core.DefaultOptions() as varied by its Profile.  Every field
 // is validated and clamped in one place, Config.normalize(), so the
 // engine, the server's owned engine and the xtree-serve flags all
 // resolve identical defaults.
@@ -85,12 +85,6 @@ type Config struct {
 	// 0 means an automatic per-worker default; values are rounded up to
 	// a power of two and clamped to [1, min(CacheSize, MaxCacheShards)].
 	CacheShards int
-	// Options overrides the embedding options (host height, strict
-	// mode, the Parallel fan-out of each embed); nil means
-	// core.DefaultOptions().  These are the options of the zero
-	// Profile; a job's Profile can turn strict mode on or pin the
-	// height on top of them.
-	Options *core.Options
 }
 
 // normalize resolves every default and clamp in one place and returns
@@ -225,9 +219,9 @@ func (s Stats) QueueDepth() int64 {
 }
 
 // Profile names the embedding options one job may vary.  The zero
-// Profile embeds with the engine's configured options; Strict turns
-// strict mode on, and Height > 0 pins the host to X(Height).  Jobs whose
-// effective options differ never share a cache entry or a flight.
+// Profile embeds with core.DefaultOptions(); Strict turns strict mode
+// on, and Height > 0 pins the host to X(Height).  Jobs whose effective
+// options differ never share a cache entry or a flight.
 type Profile struct {
 	Strict bool
 	Height int
@@ -245,7 +239,6 @@ type job struct {
 // Engine is a concurrent batch embedder.  All methods are safe for
 // concurrent use.
 type Engine struct {
-	opts     core.Options
 	workers  int
 	shards   int
 	cacheCap int
@@ -271,12 +264,7 @@ type Engine struct {
 // release the workers.
 func New(cfg Config) *Engine {
 	cfg = cfg.normalize()
-	opts := core.DefaultOptions()
-	if cfg.Options != nil {
-		opts = *cfg.Options
-	}
 	e := &Engine{
-		opts:     opts,
 		workers:  cfg.Workers,
 		shards:   cfg.CacheShards,
 		cacheCap: cfg.CacheSize,
@@ -324,8 +312,8 @@ func (e *Engine) send(ctx context.Context, jb job) error {
 	}
 }
 
-// EmbedBatch embeds every tree with the engine's configured options; it
-// is EmbedBatchProfile with the zero Profile.
+// EmbedBatch embeds every tree with the theorem-default options; it is
+// EmbedBatchProfile with the zero Profile.
 func (e *Engine) EmbedBatch(ctx context.Context, trees []*bintree.Tree) []BatchItem {
 	return e.EmbedBatchProfile(ctx, Profile{}, trees)
 }
@@ -448,12 +436,12 @@ func (e *Engine) process(jb job) BatchItem {
 		return item
 	}
 	parent := trace.FromContext(jb.ctx)
-	opts := e.options(jb.prof)
+	opts := jb.prof.options()
 	// Both the cache and the coalescer key on the canonical code under
 	// the job's options.
 	encStart := time.Now()
 	code, order := jb.tree.CanonicalCode()
-	key := e.cacheKey(opts, code)
+	key := cacheKey(opts, code)
 	hash := bintree.HashCode(key)
 	parent.Record("engine.canonical-encode", encStart, time.Now(),
 		trace.Int("n", int64(jb.tree.N())))
@@ -513,14 +501,12 @@ func (e *Engine) process(jb job) BatchItem {
 	return item
 }
 
-// options returns the embedding options of profile p: the configured
-// options, with strict mode turned on by p.Strict and the host pinned
+// options returns the embedding options of profile p: the theorem
+// defaults, with strict mode turned on by p.Strict and the host pinned
 // by p.Height > 0.
-func (e *Engine) options(p Profile) core.Options {
-	opts := e.opts
-	if p.Strict {
-		opts.Strict = true
-	}
+func (p Profile) options() core.Options {
+	opts := core.DefaultOptions()
+	opts.Strict = p.Strict
 	if p.Height > 0 {
 		opts.Height = p.Height
 	}
@@ -528,13 +514,13 @@ func (e *Engine) options(p Profile) core.Options {
 }
 
 // cacheKey returns the cache and coalescer key of a canonical code
-// embedded under opts.  Under the engine's configured options it is
-// the bare code, so the default-profile path builds no string; any
-// other options put a "strict/height|" prefix in front.  Canonical
-// codes hold only '(', ')' and '.', so a prefixed key never equals a
-// bare one and codeOf recovers the code from either.
-func (e *Engine) cacheKey(opts core.Options, code string) string {
-	if opts.Strict == e.opts.Strict && opts.Height == e.opts.Height {
+// embedded under opts.  Under the zero Profile's options it is the bare
+// code, so the default-profile path builds no string; any other options
+// put a "strict/height|" prefix in front.  Canonical codes hold only
+// '(', ')' and '.', so a prefixed key never equals a bare one and codeOf
+// recovers the code from either.
+func cacheKey(opts core.Options, code string) string {
+	if opts == core.DefaultOptions() {
 		return code
 	}
 	return strconv.FormatBool(opts.Strict) + "/" + strconv.Itoa(opts.Height) + "|" + code

@@ -338,18 +338,15 @@ func TestEmbedBatchAfterClose(t *testing.T) {
 func TestEmbedErrorReported(t *testing.T) {
 	e := New(Config{})
 	defer e.Close()
-	// X(0) holds at most 16 nodes: forcing height 0 must fail for 100.
-	opts := core.Options{Height: 0}
-	small := New(Config{Options: &opts})
-	defer small.Close()
-	items := small.EmbedBatch(context.Background(), []*bintree.Tree{bintree.Path(100), nil})
+	// X(1) holds at most 48 nodes: pinning height 1 must fail for 100.
+	items := e.EmbedBatchProfile(context.Background(), Profile{Height: 1}, []*bintree.Tree{bintree.Path(100), nil})
 	if items[0].Err == nil {
 		t.Error("overfull host accepted")
 	}
 	if items[1].Err == nil {
 		t.Error("nil tree accepted")
 	}
-	if s := small.Stats(); s.Errors != 2 {
+	if s := e.Stats(); s.Errors != 2 {
 		t.Errorf("errors = %d, want 2", s.Errors)
 	}
 }

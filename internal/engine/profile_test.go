@@ -58,7 +58,7 @@ func TestProfilesKeySeparately(t *testing.T) {
 		if st := e.Stats(); st.CacheLen != i+1 || st.Misses != int64(i+1) {
 			t.Fatalf("after %d profiles: cache_len=%d misses=%d", i+1, st.CacheLen, st.Misses)
 		}
-		want, err := core.EmbedXTreeContext(ctx, base, e.options(p))
+		want, err := core.EmbedXTreeContext(ctx, base, p.options())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestProfilesKeySeparately(t *testing.T) {
 			t.Errorf("%+v: engine result differs from a direct embed with the same options", p)
 		}
 	}
-	if h := e.options(Profile{Height: 5}).Height; h != 5 {
+	if h := (Profile{Height: 5}).options().Height; h != 5 {
 		t.Fatalf("height profile resolved to height %d", h)
 	}
 	for _, p := range profiles {
@@ -84,25 +84,18 @@ func TestProfilesKeySeparately(t *testing.T) {
 }
 
 // TestProfileMatchingConfigUsesBareKey: a profile whose effective
-// options equal the engine's configured ones is the default profile —
-// it shares the default entry instead of caching a second copy.
+// options are the theorem defaults keys on the bare canonical code, and
+// any other profile on a prefixed key that strips back to the code.
 func TestProfileMatchingConfigUsesBareKey(t *testing.T) {
-	opts := core.DefaultOptions()
-	opts.Height = 4
-	e := New(Config{Workers: 1, CacheSize: 8, Options: &opts})
-	defer e.Close()
-	ctx := context.Background()
-	tr := bintree.Path(40)
-	e.EmbedBatch(ctx, []*bintree.Tree{tr})
-	it := e.EmbedBatchProfile(ctx, Profile{Height: 4}, []*bintree.Tree{tr})[0]
-	if it.Err != nil || !it.CacheHit {
-		t.Fatalf("Height=4 on an X(4) engine: hit=%v err=%v, want the default entry", it.CacheHit, it.Err)
+	code, _ := bintree.Path(40).CanonicalCode()
+	for _, p := range []Profile{{}, {Height: -3}} {
+		if key := cacheKey(p.options(), code); key != code {
+			t.Errorf("%+v keyed as %q, want the bare code", p, key)
+		}
 	}
-	code, _ := tr.CanonicalCode()
-	if key := e.cacheKey(e.options(Profile{Height: 4}), code); key != code {
-		t.Errorf("configured options keyed as %q, want the bare code", key)
-	}
-	if key := e.cacheKey(e.options(Profile{Strict: true}), code); key == code || codeOf(key) != code {
-		t.Errorf("strict key %q must differ from the code and strip back to it", key)
+	for _, p := range []Profile{{Strict: true}, {Height: 4}} {
+		if key := cacheKey(p.options(), code); key == code || codeOf(key) != code {
+			t.Errorf("%+v key %q must differ from the code and strip back to it", p, key)
+		}
 	}
 }

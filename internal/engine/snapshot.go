@@ -29,12 +29,13 @@ package engine
 //
 // Warm trusts nothing: a record whose embedding fails core.ReadResult's
 // re-validation, whose guest no longer canonicalizes to the recorded
-// code, or whose host height contradicts its section's pinned height is
-// counted in WarmStats.Skipped and dropped — never fatal, because a
-// stale or truncated snapshot must degrade to a cold start, not a
-// crashed boot.  A section with no profile line, or with one naming
-// options no Profile of this engine produces, skips all its records: a
-// cached result is only sound under the options it was computed with.
+// code, or whose host is not the one its section's profile embeds into
+// (the pinned height, or the optimal height when unpinned) is counted in
+// WarmStats.Skipped and dropped — never fatal, because a stale or
+// truncated snapshot must degrade to a cold start, not a crashed boot.
+// A section with no profile line, or with one naming options no Profile
+// produces, skips all its records: a cached result is only sound under
+// the options it was computed with.
 import (
 	"bufio"
 	"fmt"
@@ -85,7 +86,8 @@ func (e *Engine) Snapshot(w io.Writer) (int, error) {
 	}
 	entries := e.cache.snapshotEntries()
 	if len(entries) == 0 {
-		section(profileLine(e.opts.Strict, e.opts.Height))
+		opts := Profile{}.options()
+		section(profileLine(opts.Strict, opts.Height))
 	}
 	for n, se := range entries {
 		if prof := profileLine(se.ent.strict, se.ent.height); prof != cur {
@@ -148,7 +150,7 @@ func (e *Engine) Warm(r io.Reader) (WarmStats, error) {
 		line := sc.Text()
 		if header {
 			header = false
-			if opts, usable = e.sectionOptions(line); usable {
+			if opts, usable = sectionOptions(line); usable {
 				continue
 			}
 		}
@@ -194,17 +196,18 @@ func (e *Engine) Warm(r io.Reader) (WarmStats, error) {
 
 // sectionOptions parses a section's profile line into the options its
 // records were embedded with.  It reports false when the line is not
-// exactly a profile line, or names options that no Profile of this
-// engine resolves to: those records could never answer a lookup.
-func (e *Engine) sectionOptions(line string) (core.Options, bool) {
+// exactly a profile line, or names a height no Profile resolves to
+// (only -1, unpinned, and pinned heights above 0 exist): those records
+// could never answer a lookup.
+func sectionOptions(line string) (core.Options, bool) {
 	var strict bool
 	var height int
 	if _, err := fmt.Sscanf(line, "profile strict=%t height=%d", &strict, &height); err != nil ||
 		line != profileLine(strict, height) {
 		return core.Options{}, false
 	}
-	opts := e.options(Profile{Strict: strict, Height: height})
-	return opts, opts.Strict == strict && opts.Height == height
+	opts := Profile{Strict: strict, Height: height}.options()
+	return opts, opts.Height == height
 }
 
 // warmRecord validates one snapshot record embedded under opts and,
@@ -227,11 +230,16 @@ func (e *Engine) warmRecord(opts core.Options, code, body string) bool {
 	if gotCode != code {
 		return false
 	}
-	// A height-pinned profile only caches embeddings into that host.
-	if opts.Height > 0 && res.Host.Height() != opts.Height {
+	// A record answers only on the host its profile embeds into: the
+	// pinned height, or the optimal height of the guest when unpinned.
+	want := opts.Height
+	if want < 0 {
+		want = core.OptimalHeight(res.Guest.N())
+	}
+	if res.Host.Height() != want {
 		return false
 	}
-	key := e.cacheKey(opts, code)
+	key := cacheKey(opts, code)
 	e.cache.put(bintree.HashCode(key), key, newCacheEntry(res, order, opts))
 	return true
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"xtreesim/internal/bintree"
+	"xtreesim/internal/core"
 	"xtreesim/internal/distsim"
 	"xtreesim/internal/engine"
 	"xtreesim/internal/netsim"
@@ -161,7 +162,9 @@ type EmbedRequest struct {
 	// "hypercube" (Theorem 3) or "universal" (Theorem 4).
 	Host string `json:"host,omitempty"`
 	// Height forces the X-tree host height (façade WithHeight); 0 means
-	// the optimal height.  Only valid for the xtree host.
+	// the optimal height.  Only valid for the xtree host, and at most
+	// OptimalHeight(max-tree) + 4: Theorem 2's X(r+4) for the largest
+	// tree the server admits.
 	Height int `json:"height,omitempty"`
 	// Strict turns condition-(3′) accounting into hard errors (façade
 	// WithStrict).  Only valid for the xtree host.
@@ -184,7 +187,10 @@ func (req *EmbedRequest) specs(maxBatch int) ([]TreeSpec, error) {
 	return req.Trees, nil
 }
 
-func (req *EmbedRequest) validate() error {
+// validate checks the request's host options.  maxTreeNodes is the
+// server's per-tree cap, which bounds the height a request may pin: an
+// embedder's host arrays grow as 2^height, whatever the guest's size.
+func (req *EmbedRequest) validate(maxTreeNodes int) error {
 	switch req.Host {
 	case "", HostXTree:
 	case HostHypercube, HostUniversal:
@@ -196,6 +202,9 @@ func (req *EmbedRequest) validate() error {
 	}
 	if req.Height < 0 {
 		return badRequest("negative height %d", req.Height)
+	}
+	if limit := core.OptimalHeight(maxTreeNodes) + 4; req.Height > limit {
+		return badRequest("height %d above the limit %d for trees of at most %d nodes", req.Height, limit, maxTreeNodes)
 	}
 	return nil
 }

@@ -60,7 +60,7 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, err)
 		return
 	}
-	if err := req.validate(); err != nil {
+	if err := req.validate(s.maxTreeNodes); err != nil {
 		writeAPIError(w, err)
 		return
 	}

@@ -175,7 +175,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	if _, ok := familyByName(family); !ok {
 		return nil, fmt.Errorf("loadgen: unknown family %q", family)
 	}
-	if err := (&EmbedRequest{Host: cfg.Host}).validate(); err != nil {
+	if err := (&EmbedRequest{Host: cfg.Host}).validate(DefaultMaxTreeNodes); err != nil {
 		return nil, fmt.Errorf("loadgen: %w", err)
 	}
 	if cfg.StreamFrac < 0 || cfg.StreamFrac > 1 {

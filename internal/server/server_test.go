@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"xtreesim/internal/bintree"
+	"xtreesim/internal/core"
 	"xtreesim/internal/engine"
 )
 
@@ -259,6 +260,47 @@ func TestEmbedValidation4xx(t *testing.T) {
 				t.Errorf("code %q, want %q (%s)", eb.Error.Code, tc.code, eb.Error.Message)
 			}
 		})
+	}
+}
+
+// TestEmbedHeightBounded: a pinned host height is bounded by the tree
+// cap.  The embedder's host arrays grow as 2^height whatever the guest's
+// size, and they are allocated on an engine worker, where no recover
+// runs, so an unbounded height would crash the server.  The limit is
+// OptimalHeight(max-tree) + 4 and moves with the cap.
+func TestEmbedHeightBounded(t *testing.T) {
+	for _, maxTree := range []int{0, 1000} {
+		_, ts := newTestServer(t, Config{MaxTreeNodes: maxTree})
+		if maxTree == 0 {
+			maxTree = DefaultMaxTreeNodes
+		}
+		limit := core.OptimalHeight(maxTree) + 4
+		for _, height := range []int{58, limit + 1, limit} {
+			resp, data := postJSON(t, ts.URL+"/v1/embed", EmbedRequest{
+				Tree: &TreeSpec{Family: "path", N: 10}, Height: height,
+			})
+			if height > limit {
+				var eb ErrorBody
+				if resp.StatusCode != 400 || json.Unmarshal(data, &eb) != nil || eb.Error.Code != CodeInvalidRequest {
+					t.Errorf("max-tree %d, height %d: status %d %s, want 400 %s", maxTree, height, resp.StatusCode, data, CodeInvalidRequest)
+				}
+				continue
+			}
+			if resp.StatusCode != 200 {
+				t.Fatalf("max-tree %d, height %d (the limit): status %d: %s", maxTree, height, resp.StatusCode, data)
+			}
+			if it := decodeEmbed(t, data).Items[0]; it.Error != "" || it.Height != limit {
+				t.Errorf("max-tree %d: the limit answered %+v, want X(%d)", maxTree, it, limit)
+			}
+		}
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Errorf("max-tree %d: healthz status %d after the height requests", maxTree, resp.StatusCode)
+		}
 	}
 }
 

@@ -7,16 +7,13 @@ package xtreesim
 // One trace covers embed + simulate end to end; per-event simulator
 // detail comes from the observers (WithObserver, WithTrace).
 //
-// Two entry points matter to library callers:
+// Library callers trace an embedding by running it under a root span:
 //
 //	tr := xtreesim.NewTracer(1)                          // sample everything
 //	ctx, root := tr.Root(context.Background(), "job")
 //	res, _ := xtreesim.EmbedContext(ctx, tree)           // phase spans under root
 //	root.End()
 //	xtreesim.TraceExport(os.Stdout, tr, "jsonl")
-//
-// or, without managing contexts, WithTracing hands Embed a tracer that
-// opens one root span per call.
 
 import (
 	"context"
@@ -56,21 +53,13 @@ func NewTracerConfig(cfg TracerConfig) *Tracer { return trace.New(cfg) }
 // opening a simulate span under an embedding trace by hand.
 func SpanFromContext(ctx context.Context) *TraceSpan { return trace.FromContext(ctx) }
 
-// WithTracing hands Embed a tracer: each call opens a root span named
-// "embed" (subject to the tracer's sampling) with the construction's
-// phase spans below it.  Callers who already carry a span in a context
-// should use EmbedContext instead; a context span takes precedence.
-func WithTracing(tr *Tracer) EmbedOption {
-	return func(o *EmbedConfig) { o.Tracer = tr }
-}
-
 // EmbedContext is Embed under the caller's context: when the context
 // carries a sampled span (Tracer.Root, TraceSpan.Child), the embedding
 // records its phase spans — host construction, every Lemma 2 separator
 // call with depth and slack, per-round ADJUST/SPLIT, the final pass —
 // into that trace.
 func EmbedContext(ctx context.Context, t *Tree, opts ...EmbedOption) (*Result, error) {
-	return core.EmbedXTreeContext(ctx, t, *NewEmbedConfig(opts...))
+	return core.EmbedXTreeContext(ctx, t, embedConfig(opts...))
 }
 
 // EmbedInjectiveContext is EmbedInjective recording under the context's

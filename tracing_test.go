@@ -9,18 +9,20 @@ import (
 	"testing"
 )
 
-// TestWithTracingRecordsPhases drives Embed through the option path and
-// asserts the tracer captured the construction's phase spans under one
-// "embed" root, and that both TraceExport formats render them.
-func TestWithTracingRecordsPhases(t *testing.T) {
+// TestEmbedContextRecordsPhases runs EmbedContext under an "embed" root
+// span and asserts the tracer captured the construction's phase spans in
+// that one trace, and that both TraceExport formats render them.
+func TestEmbedContextRecordsPhases(t *testing.T) {
 	tr := NewTracer(1)
 	tree, err := GenerateTree(FamilyRandom, 300, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Embed(tree, WithTracing(tr)); err != nil {
+	ctx, root := tr.Root(context.Background(), "embed")
+	if _, err := EmbedContext(ctx, tree); err != nil {
 		t.Fatal(err)
 	}
+	root.End()
 
 	counts := map[string]int{}
 	var rootTrace string

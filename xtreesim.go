@@ -149,7 +149,7 @@ func Capacity(r int) int64 { return core.Capacity(r) }
 
 // EmbedConfig is the resolved embedding configuration (host height,
 // strict mode, ablation switches).  Most callers never touch it directly:
-// they pass EmbedOptions to Embed or NewEmbedConfig instead.
+// they pass EmbedOptions to Embed instead.
 type EmbedConfig = core.Options
 
 // EmbedOption customizes Embed.  Options compose left to right; the
@@ -169,14 +169,6 @@ func WithStrict() EmbedOption {
 	return func(o *EmbedConfig) { o.Strict = true }
 }
 
-// WithParallel fans the ADJUST and SPLIT phases of each round out over n
-// goroutines (the per-level tasks own disjoint host subtrees).  The
-// embedding produced is byte-identical for every n; values below 2 run
-// serially.
-func WithParallel(n int) EmbedOption {
-	return func(o *EmbedConfig) { o.Parallel = n }
-}
-
 // WithImbalanceStats enables the per-round A(j,i) instrumentation
 // (Stats.MaxImbalance and Stats.ImbalanceMatrix).  Off by default: the
 // matrix costs one extra full weight pass per round, which the serving
@@ -185,14 +177,13 @@ func WithImbalanceStats() EmbedOption {
 	return func(o *EmbedConfig) { o.ImbalanceStats = true }
 }
 
-// NewEmbedConfig resolves functional options into an *EmbedConfig, for
-// APIs that take the resolved form (EngineConfig.Options).
-func NewEmbedConfig(opts ...EmbedOption) *EmbedConfig {
+// embedConfig resolves functional options into an EmbedConfig.
+func embedConfig(opts ...EmbedOption) EmbedConfig {
 	o := core.DefaultOptions()
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return &o
+	return o
 }
 
 // Embed runs algorithm X-TREE: it embeds the guest into its optimal X-tree
@@ -203,7 +194,7 @@ func NewEmbedConfig(opts ...EmbedOption) *EmbedConfig {
 //	res, err := xtreesim.Embed(tree, xtreesim.WithStrict())      // invariants as errors
 //	res, err := xtreesim.Embed(tree, xtreesim.WithHeight(9))     // oversized host
 func Embed(t *Tree, opts ...EmbedOption) (*Result, error) {
-	return core.EmbedXTree(t, *NewEmbedConfig(opts...))
+	return core.EmbedXTree(t, embedConfig(opts...))
 }
 
 // EmbedInjective derives Theorem 2 from a Theorem 1 result: a one-to-one
