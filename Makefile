@@ -57,14 +57,17 @@ fault-sweep:
 # Short fuzz of the netsim fault layer (determinism + counter invariants),
 # the cache-snapshot parser, its record bodies (core.ReadResult), the
 # tree encoding that /v1/embed, /v1/simulate and snapshot codes carry
-# (bintree.Decode), and the stream event encoder (output must equal
-# encoding/json's).
+# (bintree.Decode, held to the recursive parser it replaced), the stream
+# event encoder (output must equal encoding/json's), and the HTTP API's
+# raw /v1/embed and /v1/simulate bodies (no 5xx but 503/504, every 200
+# within its theorem's bounds).
 fuzz:
 	$(GO) test -run Fuzz -fuzz=FuzzNetsimFaults -fuzztime=10s ./internal/netsim
 	$(GO) test -run Fuzz -fuzz=FuzzWarm -fuzztime=10s ./internal/engine
 	$(GO) test -run Fuzz -fuzz=FuzzReadResult -fuzztime=10s ./internal/core
 	$(GO) test -run Fuzz -fuzz=FuzzDecode -fuzztime=10s ./internal/bintree
 	$(GO) test -run Fuzz -fuzz=FuzzEventNDJSON -fuzztime=10s ./internal/telemetry
+	$(GO) test -run Fuzz -fuzz=FuzzAPI -fuzztime=10s ./internal/server
 
 # E1 + the simulator experiments with the LinkAudit invariant checker
 # attached to every run: any model violation aborts with a violation list.
@@ -96,12 +99,15 @@ phase-bench:
 	$(GO) run ./cmd/xtree-bench -exp e19
 
 # E20 + the perf gate (also the CI perf job): the exact AllocsPerRun
-# budget on the default-option embed, then the E20 sweep diffed against
-# the committed BENCH_embed.json — any configuration more than 10% over
-# its baseline allocs/op fails.  Refresh the baseline by running
-# `go run ./cmd/xtree-bench -exp e20` and committing the file.
+# budget on the default-option embed, the cache-hit path's allocation
+# gates (tree decode, the engine's hit, the X-tree wire metrics), then
+# the E20 sweep diffed against the committed BENCH_embed.json — any
+# configuration more than 10% over its baseline allocs/op fails.
+# Refresh the baseline by running `go run ./cmd/xtree-bench -exp e20`
+# and committing the file.
 embed-bench:
 	$(GO) test -run TestEmbedAllocBudget -v ./internal/core
+	$(GO) test -run 'TestDecodeAllocs|TestCacheHitAllocs|TestXTreeWireMetricsAllocs' -v ./internal/bintree ./internal/engine ./internal/core
 	$(GO) run ./cmd/xtree-bench -exp e20 -embed-out '' -embed-baseline BENCH_embed.json
 
 examples:

@@ -57,11 +57,11 @@ func e1Theorem1() {
 			it := items[i**seeds+s]
 			check(it.Err)
 			res := it.Result
-			emb := res.Embedding()
-			if d := emb.DilationParallel(); d > maxDil {
+			d, a := res.Embedding().DilationStats()
+			if d > maxDil {
 				maxDil = d
 			}
-			avg += emb.AverageDilation()
+			avg += a
 			if l := res.MaxLoad(); l > maxLoad {
 				maxLoad = l
 			}

@@ -24,6 +24,10 @@ type Tree struct {
 	left   []int32
 	right  []int32
 	root   int32
+	// parentFirst records that every child's id is larger than its
+	// parent's, as in Decode's pre-order numbering: a descending id scan
+	// then visits every child before its parent.
+	parentFirst bool
 }
 
 // NewFromParents builds a tree from a parent vector (parent[root] = None).
@@ -32,10 +36,11 @@ type Tree struct {
 func NewFromParents(parent []int32, childSide []byte) (*Tree, error) {
 	n := len(parent)
 	t := &Tree{
-		parent: append([]int32(nil), parent...),
-		left:   make([]int32, n),
-		right:  make([]int32, n),
-		root:   None,
+		parent:      append([]int32(nil), parent...),
+		left:        make([]int32, n),
+		right:       make([]int32, n),
+		root:        None,
+		parentFirst: true,
 	}
 	for i := range t.left {
 		t.left[i] = None
@@ -52,6 +57,9 @@ func NewFromParents(parent []int32, childSide []byte) (*Tree, error) {
 		}
 		if p < 0 || int(p) >= n || p == int32(v) {
 			return nil, fmt.Errorf("bintree: node %d has invalid parent %d", v, p)
+		}
+		if p > int32(v) {
+			t.parentFirst = false
 		}
 		side := byte(0)
 		if childSide != nil {
@@ -78,15 +86,15 @@ func NewFromParents(parent []int32, childSide []byte) (*Tree, error) {
 }
 
 // validate checks acyclicity/connectivity by walking up from every node.
+// A second walk from the same node marks the chain done, so the check
+// allocates its state array and nothing per node.
 func (t *Tree) validate() error {
 	n := t.N()
-	state := make([]byte, n) // 0 unseen, 1 on stack, 2 done
+	state := make([]byte, n) // 0 unseen, 1 on the current chain, 2 done
 	for v := 0; v < n; v++ {
-		var chain []int32
 		u := int32(v)
 		for state[u] == 0 {
 			state[u] = 1
-			chain = append(chain, u)
 			p := t.parent[u]
 			if p == None {
 				break
@@ -96,8 +104,11 @@ func (t *Tree) validate() error {
 		if state[u] == 1 && t.parent[u] != None {
 			return fmt.Errorf("bintree: cycle through node %d", u)
 		}
-		for _, c := range chain {
-			state[c] = 2
+		for u = int32(v); state[u] == 1; u = t.parent[u] {
+			state[u] = 2
+			if t.parent[u] == None {
+				break
+			}
 		}
 	}
 	return nil
@@ -279,50 +290,76 @@ func (t *Tree) Encode() string {
 	return sb.String()
 }
 
-// Decode parses the Encode format.  Nodes are numbered in pre-order.
+// Decode parses the Encode format.  Nodes are numbered in pre-order, so
+// every child's id is larger than its parent's.
+//
+// The parse is one iterative pass over s: counting '(' sizes the three
+// arrays, and each ')' climbs back through parent, so deep paths need no
+// stack.  A child slot holding 0 means "not parsed yet" (node 0 is the
+// root and never a child).  The grammar node = "(" node node ")" | "."
+// admits only binary trees, so a successful parse needs no validation.
 func Decode(s string) (*Tree, error) {
-	var parent []int32
-	var side []byte
-	pos := 0
-	var rec func(p int32, sd byte) error
-	rec = func(p int32, sd byte) error {
-		if pos >= len(s) {
-			return fmt.Errorf("bintree: unexpected end of input")
-		}
-		switch s[pos] {
-		case '.':
-			pos++
-			return nil
+	n := strings.Count(s, "(")
+	t := &Tree{
+		parent:      make([]int32, n),
+		left:        make([]int32, n),
+		right:       make([]int32, n),
+		root:        None,
+		parentFirst: true,
+	}
+	if s == "" || s == "." {
+		return t, nil
+	}
+	cur, next := None, int32(0)
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
 		case '(':
-			pos++
-			v := int32(len(parent))
-			parent = append(parent, p)
-			side = append(side, sd)
-			if err := rec(v, 0); err != nil {
-				return err
+			v := next
+			next++
+			t.parent[v] = cur
+			if cur == None {
+				t.root = v
+			} else if !t.fillSlot(cur, v) {
+				return nil, fmt.Errorf("bintree: missing ')' at %d", i)
 			}
-			if err := rec(v, 1); err != nil {
-				return err
+			cur = v
+		case '.':
+			if cur == None {
+				return nil, fmt.Errorf("bintree: trailing input at %d", i+1)
 			}
-			if pos >= len(s) || s[pos] != ')' {
-				return fmt.Errorf("bintree: missing ')' at %d", pos)
+			if !t.fillSlot(cur, None) {
+				return nil, fmt.Errorf("bintree: missing ')' at %d", i)
 			}
-			pos++
-			return nil
+		case ')':
+			if cur == None || t.right[cur] == 0 {
+				return nil, fmt.Errorf("bintree: unexpected ')' at %d", i)
+			}
+			cur = t.parent[cur]
+			if cur == None && i+1 < len(s) {
+				return nil, fmt.Errorf("bintree: trailing input at %d", i+1)
+			}
 		default:
-			return fmt.Errorf("bintree: unexpected %q at %d", s[pos], pos)
+			return nil, fmt.Errorf("bintree: unexpected %q at %d", s[i], i)
 		}
 	}
-	if s == "" {
-		return &Tree{root: None}, nil
+	if cur != None {
+		return nil, fmt.Errorf("bintree: unexpected end of input")
 	}
-	if err := rec(None, 0); err != nil {
-		return nil, err
+	return t, nil
+}
+
+// fillSlot gives the open node v its next child c (None for an absent
+// one) during Decode, and reports false when both slots are taken.
+func (t *Tree) fillSlot(v, c int32) bool {
+	switch {
+	case t.left[v] == 0:
+		t.left[v] = c
+	case t.right[v] == 0:
+		t.right[v] = c
+	default:
+		return false
 	}
-	if pos != len(s) {
-		return nil, fmt.Errorf("bintree: trailing input at %d", pos)
-	}
-	return NewFromParents(parent, side)
+	return true
 }
 
 // Equal reports whether two trees have the same shape and numbering.

@@ -285,4 +285,20 @@ func TestDeepPathIterativeTraversal(t *testing.T) {
 	if p.SubtreeSizes()[0] != int32(n) {
 		t.Fatal("subtree size of root wrong")
 	}
+	// Decode and CanonicalCode must not recurse either, on both of the
+	// latter's branches: the descending scan and the PostOrder walk.
+	dec, err := Decode(p.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dec.Equal(p) {
+		t.Fatal("decoded path differs from the path")
+	}
+	code, order := dec.CanonicalCode()
+	post := *dec
+	post.parentFirst = false
+	if pcode, porder := post.CanonicalCode(); code != pcode || len(order) != n || len(porder) != n {
+		t.Fatalf("canonical code or order of the path differs between branches (%d, %d nodes)",
+			len(order), len(porder))
+	}
 }

@@ -50,15 +50,25 @@ func canonMix(a, b uint64) uint64 {
 // canonAbsent is the hash of a missing child.
 const canonAbsent uint64 = 0x2545f4914f6cdd1d
 
-// canonicalPlan computes, in post-order, the invariant key of every
-// subtree and the canonical child order (first, second; None for absent
-// children).  A node's present child always precedes its absent slot.
+// canonicalPlan computes, children before parents, the invariant key of
+// every subtree and the canonical child order (first, second; None for
+// absent children).  A node's present child always precedes its absent
+// slot.  When every child's id exceeds its parent's (parentFirst), the
+// descending id scan is such an order and no PostOrder walk is needed.
 func (t *Tree) canonicalPlan() (first, second []int32) {
 	n := t.N()
 	first = make([]int32, n)
 	second = make([]int32, n)
 	info := make([]canonInfo, n)
-	for _, v := range t.PostOrder() {
+	var post []int32
+	if !t.parentFirst {
+		post = t.PostOrder()
+	}
+	for k := 0; k < n; k++ {
+		v := int32(n - 1 - k)
+		if post != nil {
+			v = post[k]
+		}
 		l, r := t.left[v], t.right[v]
 		switch {
 		case l == None && r == None:

@@ -42,25 +42,3 @@ func TestStatsCaterpillarAndEmpty(t *testing.T) {
 		t.Errorf("empty stats = %+v", s)
 	}
 }
-
-func FuzzDecode(f *testing.F) {
-	f.Add("(..)")
-	f.Add("((..)(..))")
-	f.Add("((..).)")
-	f.Add(".")
-	f.Add("((")
-	f.Add("x")
-	f.Fuzz(func(t *testing.T, s string) {
-		tr, err := Decode(s)
-		if err != nil {
-			return
-		}
-		// Whatever decodes must re-encode to itself and be a real tree.
-		if tr.N() > 0 && !tr.AsGraph().IsTree() {
-			t.Fatalf("Decode(%q) produced a non-tree", s)
-		}
-		if tr.Encode() != s && !(s == "" && tr.N() == 0) {
-			t.Fatalf("Decode(%q).Encode() = %q", s, tr.Encode())
-		}
-	})
-}

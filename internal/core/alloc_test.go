@@ -54,9 +54,9 @@ func TestEmbedAllocBudget(t *testing.T) {
 }
 
 // TestXTreeWireMetricsAllocs gates the metrics every X-tree response
-// carries (the server's dilation and average dilation) on the 4080-node
-// embedding: the closed-form distance allocates nothing, so the only
-// allocations left are the Embedding and its id map.
+// carries (the server's dilation and average dilation, one DilationStats
+// pass) on the 4080-node embedding: the closed-form distance allocates
+// nothing, so the only allocations left are the Embedding and its id map.
 func TestXTreeWireMetricsAllocs(t *testing.T) {
 	tr := mustRandomTree(t, int(Capacity(7)), 1)
 	res, err := EmbedXTree(tr, DefaultOptions())
@@ -64,14 +64,15 @@ func TestXTreeWireMetricsAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		emb := res.Embedding()
-		if emb.DilationParallel() > 3 || emb.AverageDilation() <= 0 {
+		dil, avg := res.Embedding().DilationStats()
+		if dil > 3 || avg <= 0 {
 			t.Fatal("wire metrics out of Theorem 1's bounds")
 		}
 	})
 	if allocs > 2 {
 		t.Errorf("X-tree wire metrics cost %.0f allocs, want at most 2", allocs)
 	}
+	t.Logf("X-tree wire metrics at n=%d: %.0f allocs", tr.N(), allocs)
 }
 
 func mustBenchTree(b *testing.B, f bintree.Family, n int, seed int64) *bintree.Tree {

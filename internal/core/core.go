@@ -156,9 +156,8 @@ func (res *Result) Embedding() *metrics.Embedding {
 	return metrics.XTreeEmbedding(res.Guest, res.Host, res.Assignment)
 }
 
-// Dilation measures the exact dilation of the result (sharded over the
-// CPUs on large instances).
-func (res *Result) Dilation() int { return res.Embedding().DilationParallel() }
+// Dilation measures the exact dilation of the result.
+func (res *Result) Dilation() int { return res.Embedding().Dilation() }
 
 // MaxLoad returns the measured load factor.
 func (res *Result) MaxLoad() int { return res.Stats.MaxLoad }

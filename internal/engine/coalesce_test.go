@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -142,6 +143,53 @@ func TestCoalescedErrorPropagation(t *testing.T) {
 	}
 	if s := e.Stats(); s.Errors != n || s.CacheLen != 0 {
 		t.Fatalf("stats errors=%d cachelen=%d, want %d and 0", s.Errors, s.CacheLen, n)
+	}
+}
+
+// TestPanickingLeaderFailsItsFlight: a compute that panics fails its job
+// instead of the process.  The leader finishes its flight with the
+// panic's error, so the coalesced waiter gets the same error instead of
+// hanging, and the engine goes on serving.
+func TestPanickingLeaderFailsItsFlight(t *testing.T) {
+	var panicked atomic.Bool
+	gate, calls, restore := gateEmbeds(t, func(ctx context.Context, tr *bintree.Tree, opts core.Options) (*core.Result, error) {
+		if panicked.CompareAndSwap(false, true) {
+			panic("embedder bug")
+		}
+		return core.EmbedXTreeContext(ctx, tr, opts)
+	})
+	defer restore()
+
+	e := New(Config{Workers: 2, CacheSize: 64})
+	defer e.Close()
+	base := mustGen(t, bintree.FamilyRandom, 128, 13)
+	done := make(chan []BatchItem)
+	go func() {
+		done <- e.EmbedBatch(context.Background(), []*bintree.Tree{base, relabel(t, base, 1)})
+	}()
+	waitCounter(t, 1, func() int64 { return e.Stats().Coalesced })
+	close(gate)
+	items := <-done
+	for _, it := range items {
+		if it.Err == nil || !strings.Contains(it.Err.Error(), "embedder bug") {
+			t.Fatalf("item %d: err %v, want the leader's panic", it.Index, it.Err)
+		}
+	}
+	if items[0].Err.Error() != items[1].Err.Error() {
+		t.Errorf("leader and waiter errors differ: %q, %q", items[0].Err, items[1].Err)
+	}
+
+	next := e.EmbedBatch(context.Background(), []*bintree.Tree{relabel(t, base, 2)})[0]
+	if next.Err != nil || next.Result == nil {
+		t.Fatalf("job after the panic: err %v", next.Err)
+	}
+	if got := calls.Load(); got != 2 {
+		t.Fatalf("compute ran %d times, want 2 (the panic and the retry)", got)
+	}
+	s := e.Stats()
+	if s.Completed != 3 || s.Errors != 2 || s.Lookups() != s.Completed || s.Misses != 2 || s.Coalesced != 1 {
+		t.Fatalf("stats completed=%d errors=%d lookups=%d misses=%d coalesced=%d, want 3, 2, 3, 2, 1",
+			s.Completed, s.Errors, s.Lookups(), s.Misses, s.Coalesced)
 	}
 }
 

@@ -422,9 +422,23 @@ var embedXTree = core.EmbedXTreeContext
 
 // process runs one job: context check, canonical encode, sharded cache
 // lookup, then a coalesced wait or the flight's one compute and cache
-// fill.
-func (e *Engine) process(jb job) BatchItem {
-	item := BatchItem{Index: jb.index, Tree: jb.tree}
+// fill.  A panic in the job becomes its error: the worker goroutine is
+// outside any handler's recovery, so it would otherwise end the process.
+func (e *Engine) process(jb job) (item BatchItem) {
+	// owed is the flight this job leads and has not finished yet.  A
+	// panic finishes it with the job's error, or its waiters would hang.
+	var owed *flight
+	var key string
+	defer func() {
+		if r := recover(); r != nil {
+			item = BatchItem{Index: jb.index, Tree: jb.tree,
+				Err: fmt.Errorf("engine: panic in job %d: %v", jb.index, r)}
+			if owed != nil {
+				e.flights.finish(key, owed, nil, item.Err)
+			}
+		}
+	}()
+	item = BatchItem{Index: jb.index, Tree: jb.tree}
 	select {
 	case <-jb.ctx.Done():
 		item.Err = jb.ctx.Err()
@@ -441,7 +455,7 @@ func (e *Engine) process(jb job) BatchItem {
 	// the job's options.
 	encStart := time.Now()
 	code, order := jb.tree.CanonicalCode()
-	key := cacheKey(opts, code)
+	key = cacheKey(opts, code)
 	hash := bintree.HashCode(key)
 	parent.Record("engine.canonical-encode", encStart, time.Now(),
 		trace.Int("n", int64(jb.tree.N())))
@@ -478,8 +492,10 @@ func (e *Engine) process(jb job) BatchItem {
 	}
 	// Leader: double-check the cache — an earlier flight may have
 	// filled it between this job's lookup and winning leadership.
+	owed = fl
 	if e.cache != nil {
 		if ent, ok := e.cache.get(hash, key); ok {
+			owed = nil
 			e.flights.finish(key, fl, ent, nil)
 			e.hits.Add(1)
 			item.Result = remap(jb.tree, order, ent)
@@ -492,6 +508,7 @@ func (e *Engine) process(jb job) BatchItem {
 	// detached from the leader's own cancellation; the leader's trace
 	// span still parents the embed phases (values survive the detach).
 	res, ent, err := e.compute(context.WithoutCancel(jb.ctx), jb.tree, opts, key, hash, order)
+	owed = nil
 	e.flights.finish(key, fl, ent, err)
 	if err != nil {
 		item.Err = err

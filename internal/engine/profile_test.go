@@ -15,9 +15,14 @@ import (
 // may not grow.
 const hitAllocBudget = 23
 
+// decodedHitAllocBudget is the same hit for a tree decoded from the wire,
+// as every server request's is: Decode's pre-order numbering lets
+// CanonicalCode skip its PostOrder walk.
+const decodedHitAllocBudget = 17
+
 // TestCacheHitAllocs pins embed-hot's engine path: a one-tree EmbedBatch
 // answered from the cache allocates no more than it did before profiles
-// shared the engine.
+// shared the engine, and a decoded tree's hit allocates less.
 func TestCacheHitAllocs(t *testing.T) {
 	e := New(Config{})
 	defer e.Close()
@@ -26,14 +31,29 @@ func TestCacheHitAllocs(t *testing.T) {
 	if it := e.EmbedBatch(ctx, []*bintree.Tree{base})[0]; it.Err != nil {
 		t.Fatal(it.Err)
 	}
-	trees := []*bintree.Tree{relabel(t, base, 2)}
-	allocs := testing.AllocsPerRun(100, func() {
-		if it := e.EmbedBatch(ctx, trees)[0]; it.Err != nil || !it.CacheHit {
-			t.Fatalf("hit=%v err=%v, want a cache hit", it.CacheHit, it.Err)
+	decoded, err := bintree.Decode(relabel(t, base, 3).Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		tree   *bintree.Tree
+		budget int
+	}{
+		{"relabelled", relabel(t, base, 2), hitAllocBudget},
+		{"decoded", decoded, decodedHitAllocBudget},
+	} {
+		trees := []*bintree.Tree{c.tree}
+		allocs := testing.AllocsPerRun(100, func() {
+			if it := e.EmbedBatch(ctx, trees)[0]; it.Err != nil || !it.CacheHit {
+				t.Fatalf("%s: hit=%v err=%v, want a cache hit", c.name, it.CacheHit, it.Err)
+			}
+		})
+		if allocs > float64(c.budget) {
+			t.Errorf("default-profile cache hit of a %s tree allocates %.0f times, budget %d",
+				c.name, allocs, c.budget)
 		}
-	})
-	if allocs > hitAllocBudget {
-		t.Fatalf("default-profile cache hit allocates %.0f times, budget %d", allocs, hitAllocBudget)
+		t.Logf("default-profile cache hit of a %s tree at n=%d: %.0f allocs", c.name, c.tree.N(), allocs)
 	}
 }
 

@@ -88,6 +88,34 @@ func (e *Embedding) AverageDilation() float64 {
 	return float64(sum) / float64(cnt)
 }
 
+// DilationStats returns Dilation and AverageDilation together from one
+// serial pass over the guest edges, the pair every wire answer carries.
+func (e *Embedding) DilationStats() (max int, mean float64) {
+	sum, cnt := 0, 0
+	for v := int32(0); v < int32(e.Guest.N()); v++ {
+		p := e.Guest.Parent(v)
+		if p == bintree.None {
+			continue
+		}
+		d := e.Host.Distance(e.Map[v], e.Map[p])
+		if d > max {
+			max = d
+		}
+		sum += d
+		cnt++
+	}
+	if cnt > 0 {
+		mean = float64(sum) / float64(cnt)
+	}
+	return max, mean
+}
+
+// DilationParallel returns Dilation.
+//
+// Deprecated: use Dilation, or DilationStats for both edge metrics.  The
+// benchmark module (xbench) still calls it.
+func (e *Embedding) DilationParallel() int { return e.Dilation() }
+
 func (e *Embedding) eachEdge(f func(dist int)) {
 	for v := int32(0); v < int32(e.Guest.N()); v++ {
 		if p := e.Guest.Parent(v); p != bintree.None {

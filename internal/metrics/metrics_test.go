@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math/rand"
 	"testing"
 
 	"xtreesim/internal/bintree"
@@ -125,5 +126,41 @@ func TestEdgeCongestion(t *testing.T) {
 	}
 	if mean != 6.0/4.0 {
 		t.Errorf("mean congestion = %v", mean)
+	}
+}
+
+// lineHost is a host with O(1) distances (vertices on a line), so the
+// edge passes compared below are not drowned in BFS time.
+type lineHost struct{ n int64 }
+
+func (h lineHost) NumVertices() int64 { return h.n }
+func (h lineHost) Distance(u, v int64) int {
+	if u > v {
+		u, v = v, u
+	}
+	return int(v - u)
+}
+
+// TestDilationStatsMatchesDilation: the one-pass pair equals Dilation and
+// AverageDilation, on a guest above the 16,384 nodes where Dilation used
+// to fan out over goroutines and on small guests.
+func TestDilationStatsMatchesDilation(t *testing.T) {
+	rng := rand.New(rand.NewSource(81))
+	for _, n := range []int{1<<14 + 500, 1000, 4, 1, 0} {
+		guest := bintree.RandomAttachment(n, rng)
+		m := make([]int64, n)
+		for i := range m {
+			m[i] = int64(rng.Intn(n))
+		}
+		e := &Embedding{Guest: guest, Host: lineHost{int64(n)}, Map: m}
+		dil, avg := e.DilationStats()
+		if dil != e.Dilation() || avg != e.AverageDilation() {
+			t.Fatalf("n=%d: DilationStats = (%d, %v), Dilation %d, AverageDilation %v",
+				n, dil, avg, e.Dilation(), e.AverageDilation())
+		}
+	}
+	small := &Embedding{Guest: bintree.Path(4), Host: hostPath(4), Map: []int64{0, 1, 2, 3}}
+	if dil, avg := small.DilationStats(); dil != 1 || avg != 1 {
+		t.Errorf("identity path: DilationStats = (%d, %v), want (1, 1)", dil, avg)
 	}
 }

@@ -128,28 +128,29 @@ func (s *Server) embedItem(ctx context.Context, req *EmbedRequest, bi engine.Bat
 	if req.hostName() == HostHypercube {
 		hr := core.EmbedHypercubeContext(ctx, res)
 		emb := hr.Embedding()
+		dil, avg := emb.DilationStats()
 		return EmbedItem{
 			Index:        bi.Index,
 			N:            res.Guest.N(),
 			Host:         HostHypercube,
 			HostVertices: hr.Host.NumVertices(),
 			Height:       hr.Host.Dim(),
-			Dilation:     emb.DilationParallel(),
-			AvgDilation:  emb.AverageDilation(),
+			Dilation:     dil,
+			AvgDilation:  avg,
 			MaxLoad:      emb.MaxLoad(),
 			Expansion:    emb.Expansion(),
 			CacheHit:     bi.CacheHit,
 		}
 	}
-	emb := res.Embedding()
+	dil, avg := res.Embedding().DilationStats()
 	item = EmbedItem{
 		Index:        bi.Index,
 		N:            res.Guest.N(),
 		Host:         HostXTree,
 		HostVertices: res.Host.NumVertices(),
 		Height:       res.Host.Height(),
-		Dilation:     emb.DilationParallel(),
-		AvgDilation:  emb.AverageDilation(),
+		Dilation:     dil,
+		AvgDilation:  avg,
 		MaxLoad:      res.MaxLoad(),
 		Expansion:    res.Expansion(),
 		CacheHit:     bi.CacheHit,
@@ -161,14 +162,15 @@ func (s *Server) embedItem(ctx context.Context, req *EmbedRequest, bi engine.Bat
 			return item
 		}
 		iemb := inj.Embedding()
+		idil, iavg := iemb.DilationStats()
 		item.Injective = &EmbedItem{
 			Index:        bi.Index,
 			N:            res.Guest.N(),
 			Host:         HostXTree,
 			HostVertices: inj.Host.NumVertices(),
 			Height:       inj.Host.Height(),
-			Dilation:     iemb.DilationParallel(),
-			AvgDilation:  iemb.AverageDilation(),
+			Dilation:     idil,
+			AvgDilation:  iavg,
 			MaxLoad:      iemb.MaxLoad(),
 			Expansion:    iemb.Expansion(),
 		}
