@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short test-race bench embed-bench vet fmt check lint experiments examples cover fault-sweep fuzz audit-smoke serve phase-bench warm-bench dist-bench capacity-bench
+.PHONY: all build test test-short test-race bench embed-bench vet fmt check lint experiments examples cover fault-sweep fuzz audit-smoke serve phase-bench dist-bench
 
 all: vet test
 
@@ -80,19 +80,10 @@ audit-smoke:
 serve:
 	$(GO) run ./cmd/xtree-serve -addr :8080
 
-# E23 only: rps-per-core per host type with and without attached
-# streaming observers; writes BENCH_capacity.json.
-capacity-bench:
-	$(GO) run ./cmd/xtree-bench -exp e23
-
 # E22 only: partition-scaling sweep of the distributed simulator with
 # the per-shard LinkAudit attached; writes BENCH_dist.json.
 dist-bench:
 	$(GO) run ./cmd/xtree-bench -exp e22 -audit
-
-# E21 only: restart-with-snapshot vs cold-restart comparison table.
-warm-bench:
-	$(GO) run ./cmd/xtree-bench -exp e21
 
 # E19 only: traced phase breakdown (separator vs host-build vs simulate).
 phase-bench:

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -178,45 +180,24 @@ func TestPublicSimulateWithObservers(t *testing.T) {
 }
 
 func TestPublicServerRoundTrip(t *testing.T) {
-	// An explicit queue so 2-way client concurrency never sheds, even on
-	// a single-CPU box where the default is one slot and zero queue.
-	srv := xtreesim.NewServer(xtreesim.ServerConfig{MaxConcurrent: 2, MaxQueue: 32})
+	srv := xtreesim.NewServer(xtreesim.ServerConfig{})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := xtreesim.RunLoad(xtreesim.LoadConfig{
-		BaseURL: srv.URL(), Concurrency: 2, Requests: 12,
-		TreeN: 255, DistinctShapes: 3,
-	})
+	resp, err := http.Post(srv.URL()+"/v1/embed", "application/json",
+		strings.NewReader(`{"tree":{"family":"random","n":255,"seed":1}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.OK != 12 || rep.Errors != 0 {
-		t.Errorf("load run: %s", rep)
-	}
-	if rep.Latency.Summary().Count != 12 {
-		t.Errorf("latency histogram saw %d samples", rep.Latency.Summary().Count)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 || !strings.Contains(string(body), `"dilation"`) {
+		t.Errorf("embed round trip: status %d: %s", resp.StatusCode, body)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPublicLatencyHistogram(t *testing.T) {
-	h := xtreesim.NewLatencyHistogram()
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i) / 1000) // 1ms .. 100ms
-	}
-	var s xtreesim.HistogramSummary = h.Summary()
-	if s.Count != 100 || s.P50 <= 0 || s.P99 < s.P50 {
-		t.Errorf("summary %+v", s)
-	}
-	custom := xtreesim.NewHistogram(1e-3, 10, 5)
-	custom.Observe(0.5)
-	if got := custom.Summary().Count; got != 1 {
-		t.Errorf("custom histogram count %d", got)
 	}
 }
 

@@ -27,36 +27,41 @@ var (
 	tracePath = flag.String("trace", "", "write a Chrome trace of the first simulator run to this file")
 )
 
+// experiments lists every runner in its `-exp all` order.  E18, E21 and
+// E23 are retired (see EXPERIMENTS.md).
+var experiments = []struct {
+	id  string
+	run func()
+}{
+	{"e1", e1Theorem1}, {"e2", e2Injective}, {"e3", e3Hypercube},
+	{"e4", e4Universal}, {"e5", e5Lemmas}, {"e6", e6Lemma3},
+	{"e7", e7Figures}, {"e8", e8Imbalance}, {"e9", e9Baselines},
+	{"e10", e10Simulation}, {"e11", e11Ablation}, {"e12", e12Congestion},
+	{"e13", e13Scaling}, {"e14", e14Butterfly}, {"e15", e15Fibonacci},
+	{"e16", e16FaultSweep}, {"e17", e17Observability}, {"e19", e19PhaseBreakdown},
+	{"e20", e20EmbedPerf}, {"e22", e22DistScaling},
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment id (e1..e23; e18 is retired) or 'all'")
+	exp := flag.String("exp", "all", "experiment id (e1..e22; e18, e21 and e23 are retired) or 'all'")
 	version := flag.Bool("version", false, "print build info and exit")
 	flag.Parse()
 	if *version {
 		fmt.Println(buildinfo.Version())
 		return
 	}
-	runners := map[string]func(){
-		"e1": e1Theorem1, "e2": e2Injective, "e3": e3Hypercube,
-		"e4": e4Universal, "e5": e5Lemmas, "e6": e6Lemma3,
-		"e7": e7Figures, "e8": e8Imbalance, "e9": e9Baselines,
-		"e10": e10Simulation, "e11": e11Ablation, "e12": e12Congestion,
-		"e13": e13Scaling, "e14": e14Butterfly, "e15": e15Fibonacci,
-		"e16": e16FaultSweep, "e17": e17Observability, "e19": e19PhaseBreakdown,
-		"e20": e20EmbedPerf, "e21": e21WarmRestart, "e22": e22DistScaling,
-		"e23": e23Capacity,
-	}
-	if *exp == "all" {
-		for _, id := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15", "e16", "e17", "e19", "e20", "e21", "e22", "e23"} {
-			runners[id]()
+	id := strings.ToLower(*exp)
+	ran := false
+	for _, e := range experiments {
+		if id == "all" || id == e.id {
+			e.run()
+			ran = true
 		}
-		return
 	}
-	run, ok := runners[strings.ToLower(*exp)]
-	if !ok {
+	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(2)
 	}
-	run()
 }
 
 func check(err error) {

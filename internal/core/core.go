@@ -107,6 +107,13 @@ func OptimalHeight(n int) int {
 	return r
 }
 
+// maxHeight returns the largest host height EmbedXTree accepts for an
+// n-node guest: OptimalHeight(n)+4, the height of Theorem 2's injective
+// host, but at least 20.  The host arrays grow as 2^height whatever the
+// guest's size, so a higher pin asks for gigabytes (X(20) already takes
+// about 100 MB), and from 58 up the sizes overflow.
+func maxHeight(n int) int { return max(OptimalHeight(n)+4, 20) }
+
 // Capacity returns 16·(2^(r+1)−1), the node capacity of X(r) at load 16.
 func Capacity(r int) int64 { return 16 * (int64(1)<<(uint(r)+1) - 1) }
 
@@ -127,6 +134,9 @@ func EmbedXTreeContext(ctx context.Context, t *bintree.Tree, opts Options) (*Res
 	r := opts.Height
 	if r < 0 {
 		r = OptimalHeight(n)
+	}
+	if limit := maxHeight(n); r > limit {
+		return nil, fmt.Errorf("core: pinned height %d above the limit %d for a %d-node guest", r, limit, n)
 	}
 	if Capacity(r) < int64(n) {
 		return nil, fmt.Errorf("core: X(%d) capacity %d < guest size %d", r, Capacity(r), n)

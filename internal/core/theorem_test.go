@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"xtreesim/internal/bintree"
@@ -255,6 +256,28 @@ func TestForcedHeight(t *testing.T) {
 	}
 	if _, err := EmbedXTree(tr, Options{Height: 1}); err == nil {
 		t.Error("overfull host accepted")
+	}
+}
+
+// TestPinnedHeightBounded: a pin above maxHeight is an error that names
+// the limit, decided before the host is built.  Height 58 used to panic
+// in makeslice and 59-63 overflowed Capacity; never run heights 22-57
+// without the bound, they ask for gigabytes.
+func TestPinnedHeightBounded(t *testing.T) {
+	tr := bintree.Path(10)
+	limit := maxHeight(tr.N())
+	if limit != 20 {
+		t.Fatalf("maxHeight(10) = %d, want 20", limit)
+	}
+	for _, h := range []int{58, 63, limit + 1} {
+		_, err := EmbedXTree(tr, Options{Height: h})
+		if err == nil || !strings.Contains(err.Error(), "limit 20") {
+			t.Errorf("height %d: error %v, want one naming the limit 20", h, err)
+		}
+	}
+	// Theorem 2's host height stays a valid pin.
+	if _, err := EmbedXTree(tr, Options{Height: OptimalHeight(tr.N()) + 4}); err != nil {
+		t.Errorf("X(r+4) pin: %v", err)
 	}
 }
 

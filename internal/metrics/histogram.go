@@ -3,11 +3,10 @@ package metrics
 // histogram.go is the latency-measurement side of the package: a
 // fixed-layout, log-spaced histogram built for serving workloads.  The
 // serving subsystem (internal/server) records one observation per HTTP
-// request and exports the buckets in Prometheus text format; the load
-// generator gives every worker its own histogram and merges them after
-// the run.  Both need the same three properties: cheap concurrent
-// Observe, mergeability (identical layouts add bucket-wise), and
-// quantile extraction (p50/p95/p99) good to one bucket's resolution.
+// request and exports the buckets in Prometheus text format, and the
+// tracer keeps one per span name.  Both need cheap concurrent Observe
+// and quantile extraction (p50/p95/p99) good to one bucket's
+// resolution.
 
 import (
 	"fmt"
@@ -34,13 +33,10 @@ type HistogramSummary struct {
 // Histogram counts float64 observations (typically seconds) in fixed
 // log-spaced buckets: PerDecade buckets per factor of ten between Lo and
 // Hi, plus an underflow bucket below Lo and an overflow bucket above Hi.
-// The layout is fixed at construction, so two histograms built with the
-// same parameters merge exactly.  All methods are safe for concurrent
-// use.
+// The layout is fixed at construction.  All methods are safe for
+// concurrent use.
 type Histogram struct {
-	lo, hi    float64
-	perDecade int
-	bounds    []float64 // upper bounds of all buckets but the overflow
+	bounds []float64 // upper bounds of all buckets but the overflow
 
 	mu       sync.Mutex
 	counts   []int64 // len(bounds)+1; last is overflow
@@ -65,7 +61,6 @@ func NewHistogram(lo, hi float64, perDecade int) *Histogram {
 		}
 	}
 	return &Histogram{
-		lo: lo, hi: hi, perDecade: perDecade,
 		bounds: bounds,
 		counts: make([]int64, len(bounds)+1),
 	}
@@ -106,40 +101,6 @@ func (h *Histogram) Sum() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.sum
-}
-
-// Merge adds o's observations into h.  The layouts must be identical;
-// merging a histogram into itself is a no-op error, not a deadlock.
-func (h *Histogram) Merge(o *Histogram) error {
-	if o == h {
-		return fmt.Errorf("metrics: cannot merge a histogram into itself")
-	}
-	if h.lo != o.lo || h.hi != o.hi || h.perDecade != o.perDecade {
-		return fmt.Errorf("metrics: histogram layout mismatch: [%v,%v]/%d vs [%v,%v]/%d",
-			h.lo, h.hi, h.perDecade, o.lo, o.hi, o.perDecade)
-	}
-	o.mu.Lock()
-	counts := make([]int64, len(o.counts))
-	copy(counts, o.counts)
-	count, sum, min, max := o.count, o.sum, o.min, o.max
-	o.mu.Unlock()
-
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i, c := range counts {
-		h.counts[i] += c
-	}
-	if count > 0 {
-		if h.count == 0 || min < h.min {
-			h.min = min
-		}
-		if h.count == 0 || max > h.max {
-			h.max = max
-		}
-	}
-	h.count += count
-	h.sum += sum
-	return nil
 }
 
 // Quantile returns the q-th quantile (q in [0,1]) by linear interpolation

@@ -112,46 +112,6 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b, both := NewLatencyHistogram(), NewLatencyHistogram(), NewLatencyHistogram()
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 500; i++ {
-		v := rng.Float64() * 2
-		a.Observe(v)
-		both.Observe(v)
-	}
-	for i := 0; i < 300; i++ {
-		v := rng.Float64() * 0.01
-		b.Observe(v)
-		both.Observe(v)
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	sa, sb := a.Summary(), both.Summary()
-	// Sum is compared with a tolerance: merge adds the two partial sums,
-	// the combined histogram added term by term.
-	if sa.Count != sb.Count || math.Abs(sa.Sum-sb.Sum) > 1e-9*sb.Sum || sa.Min != sb.Min || sa.Max != sb.Max {
-		t.Errorf("merged %+v != combined %+v", sa, sb)
-	}
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if a.Quantile(q) != both.Quantile(q) {
-			t.Errorf("Quantile(%v): merged %v != combined %v", q, a.Quantile(q), both.Quantile(q))
-		}
-	}
-}
-
-func TestHistogramMergeLayoutMismatch(t *testing.T) {
-	a := NewHistogram(1e-3, 1, 5)
-	b := NewHistogram(1e-3, 1, 10)
-	if err := a.Merge(b); err == nil {
-		t.Error("mismatched layouts merged silently")
-	}
-	if err := a.Merge(a); err == nil {
-		t.Error("self-merge accepted")
-	}
-}
-
 func TestHistogramConcurrentObserve(t *testing.T) {
 	// Exercised under -race in CI: concurrent Observe/Summary/Buckets.
 	h := NewLatencyHistogram()

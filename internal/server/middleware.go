@@ -20,9 +20,9 @@ import (
 )
 
 // TraceHeader carries the trace ID: set on every traced response, and
-// honored on requests — a client (or the load generator's -trace flag)
-// that sends a valid 16-hex-digit ID forces sampling and joins its span
-// tree to that ID, so one trace can span caller and server.
+// honored on requests — a client that sends a valid 16-hex-digit ID
+// forces sampling and joins its span tree to that ID, so one trace can
+// span caller and server.
 const TraceHeader = "X-Trace-Id"
 
 // statusWriter captures the status code and the bytes written so the

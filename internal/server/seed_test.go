@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"testing"
 )
@@ -72,53 +71,5 @@ func TestResolveOmittedSeedVaries(t *testing.T) {
 	}
 	if encodings[zero.Encode()] && len(encodings) == 1 {
 		t.Fatal("omitted seed replayed the zero-seed tree")
-	}
-}
-
-// TestLoadgenSeedStreams pins the loadgen replay bug: before the Seed
-// knob every run used the fixed shape seeds 1..shapes and worker sources
-// w+1, so two "different" runs replayed byte-identical request streams.
-// Distinct seeds, 0 among them, must produce distinct shape seeds,
-// request bodies and worker streams.
-func TestLoadgenSeedStreams(t *testing.T) {
-	// Distinct masters → distinct derived seeds, same master → same.
-	seen := map[int64]bool{}
-	for _, master := range []int64{0, 1, 2, 77, -5} {
-		if shapeSeed(master, 0) != shapeSeed(master, 0) {
-			t.Fatal("shapeSeed is not a pure function")
-		}
-		for i := 0; i < 8; i++ {
-			s := shapeSeed(master, i)
-			if seen[s] {
-				t.Fatalf("seed collision: shapeSeed(%d, %d) = %d repeats", master, i, s)
-			}
-			seen[s] = true
-		}
-		if workerSeed(master, 0) == shapeSeed(master, 0) {
-			t.Fatalf("worker and shape streams coincide under master %d", master)
-		}
-	}
-
-	// The encoded request mixes differ between masters and reproduce
-	// within one.
-	a1, err := loadBodies("random", 200, 4, 1, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := loadBodies("random", 200, 4, 1, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := loadBodies("random", 200, 4, 2, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a1 {
-		if !bytes.Equal(a1[i], a2[i]) {
-			t.Fatalf("same master seed produced different bodies for shape %d", i)
-		}
-		if bytes.Equal(a1[i], b[i]) {
-			t.Fatalf("masters 1 and 2 produced the same body for shape %d", i)
-		}
 	}
 }

@@ -451,6 +451,5 @@ func (s *Server) closeEngine() {
 	}
 }
 
-// Stats snapshots the engine counters (E21's warm-restart table reads
-// them).
+// Stats snapshots the engine counters.
 func (s *Server) Stats() engine.Stats { return s.eng.Stats() }

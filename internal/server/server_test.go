@@ -895,46 +895,3 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 		t.Errorf("panic body: %s", rec.Body.String())
 	}
 }
-
-func TestLoadGen(t *testing.T) {
-	s := New(Config{MaxConcurrent: 4, MaxQueue: 64})
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Shutdown(context.Background())
-	rep, err := RunLoad(LoadConfig{
-		BaseURL:        s.URL(),
-		Concurrency:    4,
-		Requests:       40,
-		TreeN:          496,
-		DistinctShapes: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OK != 40 || rep.Errors != 0 {
-		t.Fatalf("load report %s", rep)
-	}
-	if rep.Latency.Count() != 40 {
-		t.Errorf("histogram count %d", rep.Latency.Count())
-	}
-	if rep.P50 <= 0 || rep.P99 < rep.P50 || rep.Max < rep.P99 {
-		t.Errorf("percentiles out of order: %s", rep)
-	}
-	if rep.Throughput <= 0 {
-		t.Errorf("throughput %v", rep.Throughput)
-	}
-	// 4 shapes × 40 requests: the cache must have answered most.
-	if rep.CacheHits < 30 {
-		t.Errorf("cache hits %d of 40; want ≥ 30", rep.CacheHits)
-	}
-	if rep.String() == "" {
-		t.Error("empty report string")
-	}
-}
-
-func TestLoadGenValidation(t *testing.T) {
-	if _, err := RunLoad(LoadConfig{BaseURL: "http://127.0.0.1:1", Family: "bamboo"}); err == nil {
-		t.Error("unknown family accepted")
-	}
-}

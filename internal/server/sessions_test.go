@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -44,20 +45,29 @@ func streamSimulate(t *testing.T, url string, req SimulateRequest) (http.Header,
 
 func decodeStream(t *testing.T, r io.Reader) []telemetry.Event {
 	t.Helper()
+	events, err := readEvents(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events
+}
+
+// readEvents decodes NDJSON events up to EOF or the first bad line.
+func readEvents(r io.Reader) ([]telemetry.Event, error) {
 	var events []telemetry.Event
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
 		e, err := telemetry.DecodeEvent(sc.Bytes())
 		if err != nil {
-			t.Fatalf("stream line %q: %v", sc.Text(), err)
+			return events, fmt.Errorf("stream line %q: %w", sc.Text(), err)
 		}
 		events = append(events, e)
 	}
 	if err := sc.Err(); err != nil {
-		t.Fatalf("stream read: %v", err)
+		return events, fmt.Errorf("stream read: %w", err)
 	}
-	return events
+	return events, nil
 }
 
 func countTypes(events []telemetry.Event) map[string]int {
@@ -564,37 +574,50 @@ func TestStreamInvalidRequest(t *testing.T) {
 	}
 }
 
-// TestRunLoadStreamFrac drives the loadgen with streaming workers
-// attached: the stream sessions must drain to a result and be counted
-// apart from the embed traffic, and each worker kind spends exactly its
-// own share of the budget.
-func TestRunLoadStreamFrac(t *testing.T) {
+// TestStreamsAndEmbedsConcurrently runs 5 streaming simulate sessions
+// and 5 hypercube embeds at once: every stream must drain to its result
+// event and every embed must answer 200 beside them.
+func TestStreamsAndEmbedsConcurrently(t *testing.T) {
 	// Streaming sessions hold their admission slot for the whole stream,
-	// so give the gate explicit headroom over the 2 workers.
-	_, ts := newTestServer(t, Config{MaxConcurrent: 8})
-	rep, err := RunLoad(LoadConfig{
-		BaseURL: ts.URL, Concurrency: 2, Requests: 10,
-		TreeN: 200, DistinctShapes: 2, StreamFrac: 0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
+	// so slots plus queue leave room for all ten clients.
+	_, ts := newTestServer(t, Config{MaxConcurrent: 8, MaxQueue: 8})
+	const each = 5
+	errs := make(chan error, 2*each)
+	post := func(path string, req interface{}) (*http.Response, error) {
+		raw, _ := json.Marshal(req)
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(raw))
+		if err == nil && resp.StatusCode != 200 {
+			resp.Body.Close()
+			err = fmt.Errorf("POST %s: status %d", path, resp.StatusCode)
+		}
+		return resp, err
 	}
-	if rep.OK != 10 || rep.Errors != 0 {
-		t.Fatalf("ok=%d errors=%d, want 10/0: %s", rep.OK, rep.Errors, rep)
+	for i := 0; i < each; i++ {
+		tree := &TreeSpec{Family: "random", N: 200, Seed: Seed(int64(i))}
+		go func() {
+			resp, err := post("/v1/simulate?stream=1", SimulateRequest{Tree: tree, Workload: WorkloadDivideConquer})
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer resp.Body.Close()
+			events, err := readEvents(resp.Body)
+			if err == nil && (len(events) == 0 || events[len(events)-1].Type != telemetry.EventResult) {
+				err = fmt.Errorf("stream of %d events does not end in a result", len(events))
+			}
+			errs <- err
+		}()
+		go func() {
+			resp, err := post("/v1/embed", EmbedRequest{Tree: tree, Host: HostHypercube})
+			if err == nil {
+				resp.Body.Close()
+			}
+			errs <- err
+		}()
 	}
-	if rep.StreamSessions != 5 || rep.OK-rep.StreamSessions != 5 || rep.StreamEvents == 0 {
-		t.Fatalf("want 5 streams and 5 embeds at frac 0.5 on 2 workers: %s", rep)
-	}
-
-	// Host validation and the per-host mix.
-	if _, err := RunLoad(LoadConfig{BaseURL: ts.URL, Host: "torus"}); err == nil {
-		t.Fatal("unknown host accepted")
-	}
-	rep, err = RunLoad(LoadConfig{
-		BaseURL: ts.URL, Concurrency: 2, Requests: 4,
-		TreeN: 200, DistinctShapes: 2, Host: HostHypercube,
-	})
-	if err != nil || rep.OK != 4 {
-		t.Fatalf("hypercube load: %v %s", err, rep)
+	for i := 0; i < 2*each; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }

@@ -7,10 +7,7 @@ package xtreesim
 // production binary; this façade is for embedding the server in another
 // process (or an httptest harness).
 
-import (
-	"xtreesim/internal/metrics"
-	"xtreesim/internal/server"
-)
+import "xtreesim/internal/server"
 
 type (
 	// Server is one serving process over the JSON API
@@ -22,17 +19,6 @@ type (
 	// wait queue, so it sheds whenever every slot is busy (set MaxQueue
 	// to queue; −1 means 4× the slots).
 	ServerConfig = server.Config
-	// LoadConfig configures RunLoad.
-	LoadConfig = server.LoadConfig
-	// LoadReport is RunLoad's client-side measurement: throughput,
-	// latency percentiles, shed counts.
-	LoadReport = server.LoadReport
-	// LatencyHistogram is a mergeable log-spaced histogram with
-	// p50/p95/p99 extraction, shared by /metrics and the load
-	// generator.
-	LatencyHistogram = metrics.Histogram
-	// HistogramSummary is a point-in-time digest of a LatencyHistogram.
-	HistogramSummary = metrics.HistogramSummary
 )
 
 // NewServer builds a server (not yet listening):
@@ -41,16 +27,3 @@ type (
 //	if err := srv.Start(); err != nil { ... }
 //	defer srv.Shutdown(ctx)
 func NewServer(cfg ServerConfig) *Server { return server.New(cfg) }
-
-// RunLoad drives a running server with the closed-loop load generator
-// and reports what the clients measured.
-func RunLoad(cfg LoadConfig) (*LoadReport, error) { return server.RunLoad(cfg) }
-
-// NewLatencyHistogram returns the serving-default latency histogram
-// (log-spaced buckets from 100µs to 100s, 10 per decade).
-func NewLatencyHistogram() *LatencyHistogram { return metrics.NewLatencyHistogram() }
-
-// NewHistogram returns a histogram with a custom log-spaced layout.
-func NewHistogram(lo, hi float64, perDecade int) *LatencyHistogram {
-	return metrics.NewHistogram(lo, hi, perDecade)
-}

@@ -158,7 +158,8 @@ type EmbedConfig = core.Options
 type EmbedOption func(*EmbedConfig)
 
 // WithHeight forces the host X-tree height (which may be larger than
-// optimal).  Embed fails if X(height) cannot hold the guest at load 16.
+// optimal).  Embed fails if X(height) cannot hold the guest at load 16,
+// or if height exceeds max(OptimalHeight(n)+4, 20).
 func WithHeight(height int) EmbedOption {
 	return func(o *EmbedConfig) { o.Height = height }
 }
