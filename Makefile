@@ -91,14 +91,16 @@ phase-bench:
 
 # E20 + the perf gate (also the CI perf job): the exact AllocsPerRun
 # budget on the default-option embed, the cache-hit path's allocation
-# gates (tree decode, the engine's hit, the X-tree wire metrics), then
-# the E20 sweep diffed against the committed BENCH_embed.json — any
-# configuration more than 10% over its baseline allocs/op fails.
+# gates (tree decode, the engine's hit, the X-tree wire metrics), the
+# universal host's byte budget (universal.Place at n=4080, which must not
+# build G_n), then the E20 sweep diffed against the committed
+# BENCH_embed.json — any configuration more than 10% over its baseline
+# allocs/op fails.
 # Refresh the baseline by running `go run ./cmd/xtree-bench -exp e20`
 # and committing the file.
 embed-bench:
 	$(GO) test -run TestEmbedAllocBudget -v ./internal/core
-	$(GO) test -run 'TestDecodeAllocs|TestCacheHitAllocs|TestXTreeWireMetricsAllocs' -v ./internal/bintree ./internal/engine ./internal/core
+	$(GO) test -run 'TestDecodeAllocs|TestCacheHitAllocs|TestXTreeWireMetricsAllocs|TestPlaceAllocBytes' -v ./internal/bintree ./internal/engine ./internal/core ./internal/universal
 	$(GO) run ./cmd/xtree-bench -exp e20 -embed-out '' -embed-baseline BENCH_embed.json
 
 examples:

@@ -180,31 +180,34 @@ func (s *Server) embedItem(ctx context.Context, req *EmbedRequest, bi engine.Bat
 
 // embedUniversal answers the universal host: every guest is a subgraph
 // of Theorem 4's G_n, so the placement is injective with dilation 1 by
-// construction (verified per item).
+// construction.  universal.Place checks every item's guest edges by the
+// X-tree rule that defines G_n's edges, so G_n itself is never built.
+// Each placement runs under a universal.place span, with the embedder's
+// phase spans beneath it.
 func (s *Server) embedUniversal(ctx context.Context, trees []*bintree.Tree) ([]EmbedItem, error) {
 	items := make([]EmbedItem, len(trees))
 	for i, t := range trees {
 		if err := ctx.Err(); err != nil {
 			return nil, ctxError(err)
 		}
-		u := universal.NewForAtLeast(t.N())
-		assign, err := u.EmbedAny(t)
-		if err == nil {
-			err = u.IsSubgraph(t, assign)
-		}
+		pctx, span := trace.Start(ctx, "universal.place")
+		_, size, err := universal.Place(pctx, t)
+		span.SetAttr("n", int64(t.N())).SetAttr("size", int64(size))
 		if err != nil {
+			span.SetAttr("error", 1).End()
 			items[i] = EmbedItem{Index: i, Error: err.Error()}
 			continue
 		}
+		span.End()
 		items[i] = EmbedItem{
 			Index:        i,
 			N:            t.N(),
 			Host:         HostUniversal,
-			HostVertices: int64(u.N()),
+			HostVertices: int64(size),
 			Dilation:     1,
 			AvgDilation:  1,
 			MaxLoad:      1,
-			Expansion:    float64(u.N()) / float64(t.N()),
+			Expansion:    float64(size) / float64(t.N()),
 		}
 	}
 	return items, nil

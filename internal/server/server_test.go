@@ -154,15 +154,21 @@ func TestEmbedHostsHypercubeUniversalInjective(t *testing.T) {
 		t.Errorf("hypercube item %+v", hc)
 	}
 
-	resp, data = postJSON(t, ts.URL+"/v1/embed", EmbedRequest{
-		Tree: &TreeSpec{Family: "random", N: 300, Seed: Seed(3)}, Host: HostUniversal,
-	})
-	if resp.StatusCode != 200 {
-		t.Fatalf("universal status %d: %s", resp.StatusCode, data)
-	}
-	un := decodeEmbed(t, data).Items[0]
-	if un.Host != HostUniversal || un.Dilation != 1 || un.MaxLoad != 1 || un.HostVertices < 300 {
-		t.Errorf("universal item %+v", un)
+	// The universal host is the smallest G_n with room for the guest:
+	// 1008 fills X(5)'s 1008 slots exactly, 1009 needs X(6)'s 2032.
+	for _, n := range []int{300, 1008, 1009} {
+		resp, data = postJSON(t, ts.URL+"/v1/embed", EmbedRequest{
+			Tree: &TreeSpec{Family: "random", N: n, Seed: Seed(3)}, Host: HostUniversal,
+		})
+		if resp.StatusCode != 200 {
+			t.Fatalf("universal n=%d status %d: %s", n, resp.StatusCode, data)
+		}
+		un := decodeEmbed(t, data).Items[0]
+		size := core.Capacity(core.OptimalHeight(n))
+		if un.Error != "" || un.Host != HostUniversal || un.N != n || un.Dilation != 1 || un.AvgDilation != 1 ||
+			un.MaxLoad != 1 || un.HostVertices != size || un.Expansion != float64(size)/float64(n) {
+			t.Errorf("universal n=%d: item %+v, want %d host vertices", n, un, size)
+		}
 	}
 
 	resp, data = postJSON(t, ts.URL+"/v1/embed", EmbedRequest{

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
+	"xtreesim/internal/core"
 	"xtreesim/internal/trace"
 )
 
@@ -185,6 +187,59 @@ func TestTraceHeaderJoinsCallerTrace(t *testing.T) {
 	})
 	if got := resp2.Header.Get(TraceHeader); got != "" {
 		t.Fatalf("unsampled response still carries %s=%q", TraceHeader, got)
+	}
+}
+
+// TestUniversalPlaceSpan: a sampled universal request records one
+// universal.place span per tree under the request root, carrying the
+// guest size n and G_n's slot count, with the embedder's phase spans
+// beneath it.
+func TestUniversalPlaceSpan(t *testing.T) {
+	tr := trace.New(trace.Config{SampleRate: 1})
+	_, ts := newTestServer(t, Config{Tracer: tr})
+	resp, data := postJSON(t, ts.URL+"/v1/embed", EmbedRequest{
+		Tree: &TreeSpec{Family: "random", N: 300, Seed: Seed(3)}, Host: HostUniversal,
+	})
+	if resp.StatusCode != 200 {
+		t.Fatalf("universal status %d: %s", resp.StatusCode, data)
+	}
+	traceID := resp.Header.Get(TraceHeader)
+	var root, place *trace.SpanData
+	var phases []trace.SpanData
+	for _, sd := range tr.Spans() {
+		if sd.Trace != traceID {
+			continue
+		}
+		switch sd.Name {
+		case "/v1/embed":
+			root = &sd
+		case "universal.place":
+			if place != nil {
+				t.Fatal("one tree recorded two universal.place spans")
+			}
+			place = &sd
+		default:
+			phases = append(phases, sd)
+		}
+	}
+	if root == nil || place == nil {
+		t.Fatalf("trace %s lacks the request root or a universal.place span", traceID)
+	}
+	if place.Parent != root.Span {
+		t.Errorf("universal.place parent %s, want the request root %s", place.Parent, root.Span)
+	}
+	want := trace.Attrs{{Key: "n", Val: 300}, {Key: "size", Val: core.Capacity(core.OptimalHeight(300))}}
+	if !slices.Equal(place.Attrs, want) {
+		t.Errorf("universal.place attrs %v, want %v", place.Attrs, want)
+	}
+	var hostBuild bool
+	for _, sd := range phases {
+		if sd.Name == "embed.host-build" && sd.Parent == place.Span {
+			hostBuild = true
+		}
+	}
+	if !hostBuild {
+		t.Errorf("no embed.host-build span beneath universal.place (have %v)", phases)
 	}
 }
 

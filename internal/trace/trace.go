@@ -349,13 +349,22 @@ func (s *Span) Name() string {
 }
 
 // SetAttr attaches an int64 attribute and returns the span for chaining.
+// Setting a key again replaces its value, so the exported object never
+// repeats a key (core.EmbedXTreeContext stamps "n" on its caller's span,
+// which the caller may restate).
 func (s *Span) SetAttr(key string, v int64) *Span {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range s.attrs {
+		if s.attrs[i].Key == key {
+			s.attrs[i].Val = v
+			return s
+		}
+	}
 	s.attrs = append(s.attrs, Attr{Key: key, Val: v})
-	s.mu.Unlock()
 	return s
 }
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -124,6 +125,18 @@ func TestParentingAndContextPropagation(t *testing.T) {
 	}
 	if v, ok := byName["sub"].Attrs.Get("depth"); !ok || v != 2 {
 		t.Fatalf("sub attrs = %v, want depth=2", byName["sub"].Attrs)
+	}
+}
+
+// TestSetAttrReplacesKey: a key set twice keeps its last value at its
+// first position, so the exported object never repeats a key.
+func TestSetAttrReplacesKey(t *testing.T) {
+	tr := New(Config{SampleRate: 1})
+	_, sp := tr.Root(context.Background(), "s")
+	sp.SetAttr("n", 496).SetAttr("size", 496).SetAttr("n", 300).End()
+	got := tr.Spans()[0].Attrs
+	if want := (Attrs{{Key: "n", Val: 300}, {Key: "size", Val: 496}}); !slices.Equal(got, want) {
+		t.Fatalf("attrs %v, want %v", got, want)
 	}
 }
 

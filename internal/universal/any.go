@@ -1,7 +1,7 @@
 package universal
 
 import (
-	"fmt"
+	"context"
 
 	"xtreesim/internal/bintree"
 	"xtreesim/internal/core"
@@ -11,7 +11,8 @@ import (
 // slot-vertices.  Together with EmbedAny this realizes the generalization
 // the paper leaves as a remark ("We have no doubt that one could
 // generalize this result to hold also for arbitrary n"): every binary
-// tree with at most N() nodes is a subgraph of the fixed graph.
+// tree with at most N() nodes is a subgraph of the fixed graph.  Place
+// answers the same question without building the graph.
 func NewForAtLeast(n int) *Graph {
 	return NewForHeight(core.OptimalHeight(n))
 }
@@ -22,79 +23,12 @@ func NewForAtLeast(n int) *Graph {
 // is dropped.  The returned assignment covers only the original nodes and
 // is injective.
 func (u *Graph) EmbedAny(t *bintree.Tree) ([]int, error) {
-	n := t.N()
-	if n == 0 {
-		return nil, fmt.Errorf("universal: empty guest")
-	}
-	if n > u.N() {
-		return nil, fmt.Errorf("universal: guest has %d nodes, G has only %d", n, u.N())
-	}
-	if n == u.N() {
-		return u.Embed(t)
-	}
-	// Find a node with a free left-child slot to hang the padding on (a
-	// leaf always qualifies).
-	hook := int32(-1)
-	for v := int32(0); v < int32(n); v++ {
-		if t.Left(v) == bintree.None {
-			hook = v
-			break
-		}
-	}
-	parents := make([]int32, u.N())
-	sides := make([]byte, u.N())
-	for v := int32(0); v < int32(n); v++ {
-		parents[v] = t.Parent(v)
-		if p := t.Parent(v); p != bintree.None && t.Right(p) == v {
-			sides[v] = 1
-		}
-	}
-	for v := n; v < u.N(); v++ {
-		if v == n {
-			parents[v] = hook
-		} else {
-			parents[v] = int32(v - 1)
-		}
-		// Padding continues as left children; the hook's left slot is
-		// free and fresh path nodes have no children yet.
-		sides[v] = 0
-	}
-	padded, err := bintree.NewFromParents(parents, sides)
-	if err != nil {
-		return nil, fmt.Errorf("universal: padding failed: %w", err)
-	}
-	full, err := u.Embed(padded)
-	if err != nil {
-		return nil, err
-	}
-	return full[:n], nil
+	return place(context.Background(), t, u.X.Height())
 }
 
 // IsSubgraph verifies that the assignment realizes the guest as a subgraph
 // of G: injective into the slot-vertices, with every guest edge an edge of
 // G.
 func (u *Graph) IsSubgraph(t *bintree.Tree, assign []int) error {
-	if len(assign) != t.N() {
-		return fmt.Errorf("universal: assignment covers %d of %d nodes", len(assign), t.N())
-	}
-	seen := map[int]bool{}
-	for v, s := range assign {
-		if s < 0 || s >= u.N() {
-			return fmt.Errorf("universal: node %d on invalid slot %d", v, s)
-		}
-		if seen[s] {
-			return fmt.Errorf("universal: slot %d used twice", s)
-		}
-		seen[s] = true
-	}
-	for v := int32(0); v < int32(t.N()); v++ {
-		p := t.Parent(v)
-		if p == bintree.None {
-			continue
-		}
-		if !u.G.HasEdge(assign[v], assign[p]) {
-			return fmt.Errorf("universal: guest edge %d-%d missing from G", v, p)
-		}
-	}
-	return nil
+	return checkSubgraph(t, assign, u.N(), u.G.HasEdge)
 }

@@ -14,14 +14,19 @@
 // Theorem 1 embedding (which fills every vertex with exactly 16 nodes and
 // satisfies condition (3′): adjacent guests map within the N-relation) and
 // then handing the 16 nodes of every vertex the 16 slots injectively.
+//
+// The edges of G_n are a rule on the X-tree, so a placement can be checked
+// without G_n: Place embeds any guest with the same code path as
+// Graph.EmbedAny and checks every guest edge by that rule.  The graph
+// itself serves Theorem 4's degree audit and its tests.
 package universal
 
 import (
+	"context"
 	"fmt"
 
 	"xtreesim/internal/bintree"
 	"xtreesim/internal/bitstr"
-	"xtreesim/internal/core"
 	"xtreesim/internal/graph"
 	"xtreesim/internal/xtree"
 )
@@ -123,25 +128,7 @@ func (u *Graph) Embed(t *bintree.Tree) ([]int, error) {
 	if t.N() != u.N() {
 		return nil, fmt.Errorf("universal: guest has %d nodes, G_n has %d", t.N(), u.N())
 	}
-	res, err := core.EmbedXTree(t, core.Options{Height: u.X.Height(), Strict: true})
-	if err != nil {
-		return nil, err
-	}
-	if res.Stats.Cond3Violations > 0 || res.Stats.FinalFallbacks > 0 {
-		return nil, fmt.Errorf("universal: embedding broke condition (3′)")
-	}
-	next := make([]int, u.X.NumVertices())
-	out := make([]int, t.N())
-	for v, a := range res.Assignment {
-		id := a.ID()
-		slot := next[id]
-		if slot >= SlotsPerVertex {
-			return nil, fmt.Errorf("universal: vertex %v over capacity", a)
-		}
-		next[id]++
-		out[v] = u.VertexID(a, slot)
-	}
-	return out, nil
+	return place(context.Background(), t, u.X.Height())
 }
 
 // IsSpanning verifies that the assignment realizes the guest as a spanning
@@ -151,24 +138,6 @@ func (u *Graph) IsSpanning(t *bintree.Tree, assign []int) error {
 	if len(assign) != u.N() {
 		return fmt.Errorf("universal: assignment covers %d of %d vertices", len(assign), u.N())
 	}
-	seen := make([]bool, u.N())
-	for v, s := range assign {
-		if s < 0 || s >= u.N() {
-			return fmt.Errorf("universal: node %d assigned out-of-range slot %d", v, s)
-		}
-		if seen[s] {
-			return fmt.Errorf("universal: slot %d used twice", s)
-		}
-		seen[s] = true
-	}
-	for v := int32(0); v < int32(t.N()); v++ {
-		p := t.Parent(v)
-		if p == bintree.None {
-			continue
-		}
-		if !u.G.HasEdge(assign[v], assign[p]) {
-			return fmt.Errorf("universal: guest edge %d-%d missing from G_n", v, p)
-		}
-	}
-	return nil
+	// An injective map of N() nodes into N() slots is a bijection.
+	return u.IsSubgraph(t, assign)
 }
