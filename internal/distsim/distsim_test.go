@@ -2,6 +2,7 @@ package distsim
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -15,18 +16,6 @@ import (
 	"xtreesim/internal/telemetry"
 	"xtreesim/internal/xtree"
 )
-
-// stripPrefix normalizes error messages across the two runners: the texts
-// are identical except for the package prefix.
-func stripPrefix(err error) string {
-	if err == nil {
-		return ""
-	}
-	s := err.Error()
-	s = strings.TrimPrefix(s, "netsim: ")
-	s = strings.TrimPrefix(s, "distsim: ")
-	return s
-}
 
 // scatter places guest process i on host vertex (i*7) mod v: co-located
 // pairs, boundary crossings, and non-identity routes all occur.
@@ -60,6 +49,16 @@ func TestDistsimByteIdentical(t *testing.T) {
 		},
 		"probs":    {Seed: 42, DropProb: 0.05, CorruptProb: 0.05},
 		"combined": {Seed: 7, DropProb: 0.03, CorruptProb: 0.04, VertexKills: []netsim.VertexKill{{V: 21, Cycle: 5}}},
+		// Vertex 30 is dead from boot, so its links die before any queue
+		// exists; then the schedule repeats itself: the link 14–30 of the
+		// dead vertex, the link 1–3 listed twice (once reversed), and a
+		// second kill of vertex 30.  Every repeat must fire nothing.
+		"bootdup": {
+			Seed:        13,
+			DropProb:    0.02,
+			VertexKills: []netsim.VertexKill{{V: 30, Cycle: 0}, {V: 30, Cycle: 6}},
+			LinkKills:   []netsim.LinkKill{{U: 1, V: 3, Cycle: 3}, {U: 14, V: 30, Cycle: 4}, {U: 3, V: 1, Cycle: 5}},
+		},
 	}
 
 	for wlName, mkWL := range workloads {
@@ -94,7 +93,7 @@ func TestDistsimByteIdentical(t *testing.T) {
 							})
 						}}, mkWL())
 					hub.Close()
-					if stripPrefix(err) != stripPrefix(refErr) {
+					if fmt.Sprint(err) != fmt.Sprint(refErr) {
 						t.Fatalf("error mismatch:\n dist: %v\n ref:  %v", err, refErr)
 					}
 					if published := hub.Published(); published == 0 {
@@ -127,6 +126,31 @@ func TestDistsimByteIdentical(t *testing.T) {
 	}
 }
 
+// TestCappedRunsMatch holds the runners equal on runs that the cycle cap
+// stops: both queue a cycle's emissions at the start of the next cycle, so
+// a run cut short reports the same backlog peak either way.
+func TestCappedRunsMatch(t *testing.T) {
+	host := xtree.New(6).AsGraph()
+	tr := bintree.CompleteN(63)
+	workloads := map[string]func() netsim.Workload{
+		"divide":    func() netsim.Workload { return netsim.NewDivideConquer(tr, 2) },
+		"broadcast": func() netsim.Workload { return netsim.NewBroadcast(tr) },
+		"exchange":  func() netsim.Workload { return netsim.NewExchange(tr, 3) },
+	}
+	for name, mkWL := range workloads {
+		for capCycles := 1; capCycles <= 16; capCycles++ {
+			cfg := netsim.Config{Host: host, Place: scatter(tr.N(), host.N()), MaxCycles: capCycles}
+			ref, refErr := netsim.Run(cfg, mkWL())
+			for _, parts := range []int{1, 2, 4} {
+				res, err := Run(Config{Sim: cfg, Partitions: parts, Partition: XTreeSubtrees}, mkWL())
+				if res != ref || fmt.Sprint(err) != fmt.Sprint(refErr) {
+					t.Fatalf("%s capped at %d, p=%d:\n dist: %+v %v\n ref:  %+v %v", name, capCycles, parts, res, err, ref, refErr)
+				}
+			}
+		}
+	}
+}
+
 // TestDistsimBlocksOnTreeHost runs the same equivalence on a plain tree
 // host with identity placement and the topology-blind partitioner.
 func TestDistsimBlocksOnTreeHost(t *testing.T) {
@@ -137,7 +161,7 @@ func TestDistsimBlocksOnTreeHost(t *testing.T) {
 	refRes, refErr := netsim.Run(base, netsim.NewDivideConquer(tr, 3))
 	for _, parts := range []int{2, 4, 8} {
 		res, err := Run(Config{Sim: base, Partitions: parts, Audit: true}, netsim.NewDivideConquer(tr, 3))
-		if stripPrefix(err) != stripPrefix(refErr) {
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
 			t.Fatalf("p=%d error mismatch: %v vs %v", parts, err, refErr)
 		}
 		if !reflect.DeepEqual(res, refRes) {
@@ -178,7 +202,7 @@ func TestCrossBoundaryKill(t *testing.T) {
 		refRes, refErr := netsim.Run(base, netsim.NewDivideConquer(tr, 2))
 		res, err := Run(Config{Sim: base, Partitions: parts, Partition: XTreeSubtrees, Audit: true},
 			netsim.NewDivideConquer(tr, 2))
-		if stripPrefix(err) != stripPrefix(refErr) {
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
 			t.Fatalf("p=%d kill=%d error mismatch: %v vs %v", parts, kill, err, refErr)
 		}
 		if !reflect.DeepEqual(res, refRes) {

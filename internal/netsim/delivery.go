@@ -5,16 +5,15 @@ import (
 	"slices"
 )
 
-// DeliveryOrder puts one cycle's arrivals in the Phase-2 delivery order
-// that the single-process loop and the distsim coordinator share:
+// deliveryOrder puts one cycle's arrivals in the Phase-2 delivery order:
 // ascending (To, From, Kind, Payload, sent cycle), with true duplicates
 // kept in arrival order, which is itself deterministic.  Each arrival's
 // position completes the key, so the unstable sort yields exactly that
-// stable order.  The zero value is ready; a runner keeps one for the
-// whole run so its buffers are reused from cycle to cycle.
-type DeliveryOrder struct {
+// stable order.  The zero value is ready; a run keeps one so its buffers
+// are reused from cycle to cycle.
+type deliveryOrder struct {
 	keys []deliveryKey
-	buf  []Message
+	buf  []message
 }
 
 // deliveryKey is one arrival's place in the delivery order.
@@ -25,8 +24,8 @@ type deliveryKey struct {
 	sentAt         int
 }
 
-// Sort reorders arrived in place into delivery order.
-func (o *DeliveryOrder) Sort(arrived []Message) {
+// sort reorders arrived in place into delivery order.
+func (o *deliveryOrder) sort(arrived []message) {
 	if len(arrived) < 2 {
 		return
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // deliveryLess is the comparator the runners sorted with before
-// DeliveryOrder, kept as the oracle: applied with sort.SliceStable it
-// defines the Phase-2 order, and DeliveryOrder must reproduce it exactly.
+// deliveryOrder, kept as the oracle: applied with sort.SliceStable it
+// defines the Phase-2 order, and deliveryOrder must reproduce it exactly.
 func deliveryLess(xe Event, xs int, ye Event, ys int) bool {
 	if xe.To != ye.To {
 		return xe.To < ye.To
@@ -30,10 +30,10 @@ func deliveryLess(xe Event, xs int, ye Event, ys int) bool {
 // most share To, From, Kind, Payload and sentAt with others and differ
 // only by arrival position, which Seq records; at spread 1 every key is
 // equal and delivery order is arrival order.
-func randomArrivals(rng *rand.Rand, n, spread int) []Message {
-	ms := make([]Message, n)
+func randomArrivals(rng *rand.Rand, n, spread int) []message {
+	ms := make([]message, n)
 	for i := range ms {
-		ms[i] = Message{
+		ms[i] = message{
 			Ev: Event{From: int32(rng.Intn(spread)), To: int32(rng.Intn(spread)),
 				Kind: int32(rng.Intn(spread)), Payload: int64(rng.Intn(spread) - spread/2)},
 			Seq: int64(i), SentAt: rng.Intn(spread),
@@ -44,7 +44,7 @@ func randomArrivals(rng *rand.Rand, n, spread int) []Message {
 
 func TestDeliveryOrderMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var order DeliveryOrder
+	var order deliveryOrder
 	for trial := 0; trial < 500; trial++ {
 		n := rng.Intn(300)
 		if trial < 4 {
@@ -58,7 +58,7 @@ func TestDeliveryOrderMatchesStableSort(t *testing.T) {
 			return deliveryLess(want[a].Ev, want[a].SentAt, want[b].Ev, want[b].SentAt)
 		})
 
-		order.Sort(arrived)
+		order.sort(arrived)
 		if !slices.Equal(arrived, want) {
 			t.Fatalf("trial %d (n=%d, spread=%d): delivery order diverges from the stable sort", trial, n, spread)
 		}

@@ -126,6 +126,7 @@ type schedKill struct {
 
 // faultState is the per-run fault machinery.
 type faultState struct {
+	host  *graph.Graph
 	plan  FaultPlan // defaults filled in
 	rng   *rand.Rand
 	deadV []bool
@@ -133,6 +134,7 @@ type faultState struct {
 
 	kills   []schedKill // merged schedule, sorted by cycle
 	killIdx int         // next kill to apply
+	fired   []firedKill // advance's result, reused
 
 	// nh caches per-destination next-hop tables over the alive graph,
 	// built lazily by BFS and invalidated whenever a kill lands.
@@ -156,6 +158,7 @@ func newFaultState(p *FaultPlan, host *graph.Graph) (*faultState, error) {
 		plan.BackoffBase = DefaultBackoffBase
 	}
 	f := &faultState{
+		host:  host,
 		plan:  plan,
 		rng:   rand.New(rand.NewSource(plan.Seed)),
 		deadV: make([]bool, host.N()),
@@ -172,6 +175,9 @@ func newFaultState(p *FaultPlan, host *graph.Graph) (*faultState, error) {
 	return f, nil
 }
 
+// ekey packs a directed link into a deadE key.
+func ekey(u, v int32) int64 { return int64(u)<<32 | int64(v) }
+
 // blocked reports whether the directed hop u→v is unusable.
 func (f *faultState) blocked(u, v int32) bool {
 	return f.deadE[ekey(u, v)] || f.deadV[v] || f.deadV[u]
@@ -180,10 +186,10 @@ func (f *faultState) blocked(u, v int32) bool {
 // next returns the next hop from `at` toward dst over the alive graph, or
 // -1 when dst is unreachable.  Tables are built per destination on first
 // use and reused until the next kill.
-func (f *faultState) next(host *graph.Graph, at, dst int32) int32 {
+func (f *faultState) next(at, dst int32) int32 {
 	tab, ok := f.nh[dst]
 	if !ok {
-		n := host.N()
+		n := f.host.N()
 		tab = make([]int32, n)
 		for i := range tab {
 			tab[i] = -1
@@ -194,7 +200,7 @@ func (f *faultState) next(host *graph.Graph, at, dst int32) int32 {
 			for len(queue) > 0 {
 				u := queue[0]
 				queue = queue[1:]
-				for _, v := range host.Neighbors(int(u)) {
+				for _, v := range f.host.Neighbors(int(u)) {
 					// The message would travel v→u, so that is
 					// the direction that must be alive.
 					if tab[v] >= 0 || f.blocked(v, u) {
@@ -210,69 +216,75 @@ func (f *faultState) next(host *graph.Graph, at, dst int32) int32 {
 	return tab[at]
 }
 
-// applyKills fires every kill scheduled at or before the current cycle.
-// Messages queued on a dying link are lost (and nacked); co-located
-// deliveries pending at a dying vertex are abandoned with it.
-func (s *sim) applyKills() {
-	f := s.faults
-	changed := false
-	for f.killIdx < len(f.kills) && f.kills[f.killIdx].cycle <= s.now {
+// firedKill is one scheduled kill that took effect; a duplicate schedule
+// entry, or a link kill on a link already down, fires nothing.
+type firedKill struct {
+	idx    int // position in the schedule; orders the shards' casualty reports
+	vertex bool
+	u, v   int32 // vertex kill: u == v == the vertex
+	// links are the directed links the kill took down, in the order their
+	// queues flush: both directions of each incident link for a vertex
+	// kill, u→v then v→u for a link kill.
+	links [][2]int32
+}
+
+// info is the kill's observer record at cycle.
+func (k firedKill) info(cycle int) KillInfo {
+	return KillInfo{Cycle: cycle, Vertex: k.vertex, U: k.u, V: k.v}
+}
+
+// advance fires every kill scheduled at or before cycle and returns the
+// ones that took effect, in schedule order.  The run's replica and every
+// shard's walk the one schedule through it, so all agree on which links
+// and vertices are dead; the alive-graph routes go stale with any kill.
+// The returned slice is reused by the next call.
+func (f *faultState) advance(cycle int) []firedKill {
+	f.fired = f.fired[:0]
+	for ; f.killIdx < len(f.kills) && f.kills[f.killIdx].cycle <= cycle; f.killIdx++ {
 		k := f.kills[f.killIdx]
-		f.killIdx++
+		fk := firedKill{idx: f.killIdx, vertex: k.vertex, u: k.u, v: k.v}
 		if k.vertex {
 			if f.deadV[k.u] {
 				continue
 			}
 			f.deadV[k.u] = true
-			if s.obs != nil {
-				s.obs.OnKill(KillInfo{Cycle: s.now, Vertex: true, U: k.u, V: k.u})
-			}
-			for _, nb := range s.host.Neighbors(int(k.u)) {
-				f.deadE[ekey(k.u, nb)] = true
-				f.deadE[ekey(nb, k.u)] = true
-				s.flushEdge(k.u, nb)
-				s.flushEdge(nb, k.u)
-			}
-			if n := len(s.local[k.u]); n > 0 {
-				for _, m := range s.local[k.u] {
-					s.abandon(m)
-				}
-				s.queuedLocal -= n
-				s.local[k.u] = nil
+			for _, nb := range f.host.Neighbors(int(k.u)) {
+				fk.links = append(fk.links, [2]int32{k.u, nb}, [2]int32{nb, k.u})
 			}
 		} else {
 			if f.deadE[ekey(k.u, k.v)] {
-				continue // the link is already down (duplicate schedule entry)
+				continue // already down: a duplicate entry, or its vertex died
 			}
-			f.deadE[ekey(k.u, k.v)] = true
-			f.deadE[ekey(k.v, k.u)] = true
-			if s.obs != nil {
-				s.obs.OnKill(KillInfo{Cycle: s.now, U: k.u, V: k.v})
-			}
-			s.flushEdge(k.u, k.v)
-			s.flushEdge(k.v, k.u)
+			fk.links = [][2]int32{{k.u, k.v}, {k.v, k.u}}
 		}
-		changed = true
+		for _, l := range fk.links {
+			f.deadE[ekey(l[0], l[1])] = true
+		}
+		f.fired = append(f.fired, fk)
 	}
-	if changed {
-		f.nh = make(map[int32][]int32) // alive-graph routes are stale
+	if len(f.fired) > 0 {
+		clear(f.nh)
 	}
+	return f.fired
 }
 
-// flushEdge loses every message queued on the directed edge u→v.
-func (s *sim) flushEdge(u, v int32) {
-	idx, ok := s.edgeIndex[ekey(u, v)]
-	if !ok {
-		return
+// hopDecision is the fault generator's verdict on one hop.
+type hopDecision struct{ drop, corrupt bool }
+
+// draw decides one hop under the plan's probabilities, consuming the
+// generator in the order every run relies on: a drop draw when DropProb >
+// 0, then, for a survivor not yet corrupt, a corruption draw when
+// CorruptProb > 0.
+func (f *faultState) draw(corrupt bool) hopDecision {
+	if f.plan.DropProb > 0 && f.rng.Float64() < f.plan.DropProb {
+		return hopDecision{drop: true}
 	}
-	q := &s.queues[idx]
-	n := q.length()
-	if n == 0 {
-		return
-	}
-	for _, m := range q.live() {
-		s.lose(m, DropKilled)
-	}
-	q.reset()
-	s.queuedLinks -= n
+	return hopDecision{corrupt: !corrupt && f.plan.CorruptProb > 0 && f.rng.Float64() < f.plan.CorruptProb}
+}
+
+// replica returns a fresh kill state on the same schedule for a shard.  It
+// has no generator: only the coordinator draws.
+func (f *faultState) replica() *faultState {
+	return &faultState{host: f.host, plan: f.plan, kills: f.kills, deadV: make([]bool, f.host.N()),
+		deadE: make(map[int64]bool), nh: make(map[int32][]int32)}
 }

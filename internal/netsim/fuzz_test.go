@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -11,8 +13,9 @@ import (
 // FuzzNetsimFaults drives the fault layer with arbitrary seeds, fault
 // probabilities and kill schedules, and checks the properties that must
 // hold for every plan: no panics, identical results on identical inputs
-// (the package's determinism contract), counters that add up, and a
-// success error code exactly when the workload finished.
+// (the package's determinism contract), counters that add up, a success
+// error code exactly when the workload finished, and a sharded run that
+// reproduces the single-process Result, error and event stream.
 func FuzzNetsimFaults(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint8(5), uint8(2), uint8(0))
 	f.Add(int64(42), uint8(0), uint8(0), uint8(0), uint8(1))
@@ -40,7 +43,18 @@ func FuzzNetsimFaults(f *testing.F) {
 			plan.VertexKills = append(plan.VertexKills,
 				VertexKill{V: int32(pick.Intn(host.N())), Cycle: pick.Intn(20)})
 		}
-		cfg := Config{Host: host, Place: IdentityPlacement(tr.N()), MaxCycles: 4000, Faults: plan}
+		// Guest i sits on vertex 7i mod 23, except that every third guest
+		// joins its parent: messages between the others take multi-hop
+		// routes, which Phase 1 forwards, and those between the joined
+		// pairs pass through memory queues.
+		place := make([]int32, tr.N())
+		for i := range place {
+			place[i] = int32(i * 7 % 23)
+			if i > 0 && i%3 == 0 {
+				place[i] = place[(i-1)/2]
+			}
+		}
+		cfg := Config{Host: host, Place: place, MaxCycles: 4000, Faults: plan}
 
 		a, errA := Run(cfg, NewDivideConquer(tr, 1))
 		b, errB := Run(cfg, NewDivideConquer(tr, 1))
@@ -67,6 +81,32 @@ func FuzzNetsimFaults(f *testing.F) {
 		}
 		if res.LatencyP50 > res.LatencyP99 || res.LatencyP99 > res.LatencyMax {
 			t.Fatalf("latency percentiles out of order: %+v", res)
+		}
+
+		ref := NewTraceRecorder()
+		refCfg := cfg
+		refCfg.Observers = []Observer{ref}
+		want, wantErr := Run(refCfg, NewDivideConquer(tr, 1))
+		for _, shards := range []int{2, 3} {
+			owner := make([]int32, host.N()) // contiguous blocks
+			for v := range owner {
+				owner[v] = int32(v * shards / host.N())
+			}
+			trace := NewTraceRecorder()
+			shCfg := cfg
+			shCfg.Observers = []Observer{trace}
+			got, _, err := RunSharded(context.Background(), shCfg, NewDivideConquer(tr, 1),
+				Sharding{Shards: shards, Owner: owner})
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("%d shards: error %v, single-process %v", shards, err, wantErr)
+			}
+			if got != want {
+				t.Fatalf("%d shards: result diverges:\n sharded: %+v\n single:  %+v", shards, got, want)
+			}
+			if !reflect.DeepEqual(trace.Events(), ref.Events()) {
+				t.Fatalf("%d shards: event stream diverges (%d vs %d events)", shards,
+					len(trace.Events()), len(ref.Events()))
+			}
 		}
 	})
 }

@@ -48,7 +48,7 @@ func TestLatencyOrderingAndBounds(t *testing.T) {
 }
 
 func TestLatencyPercentilesOnTinySamples(t *testing.T) {
-	// finishStats indexes len/2 and len*99/100: make the degenerate
+	// finish indexes len/2 and len*99/100: make the degenerate
 	// 1–3-message samples explicit so a refactor can't walk them off
 	// either end of the slice.
 	cases := []struct {
@@ -60,11 +60,11 @@ func TestLatencyPercentilesOnTinySamples(t *testing.T) {
 		{[]int{11, 2, 5}, 5, 11, 11},
 	}
 	for _, c := range cases {
-		s := &sim{latencies: append([]int(nil), c.lats...)}
-		s.finishStats()
-		if s.res.LatencyP50 != c.p50 || s.res.LatencyP99 != c.p99 || s.res.LatencyMax != c.max {
+		r := &run{latencies: append([]int(nil), c.lats...)}
+		r.finish(0)
+		if r.res.LatencyP50 != c.p50 || r.res.LatencyP99 != c.p99 || r.res.LatencyMax != c.max {
 			t.Errorf("latencies %v: got %d/%d/%d, want %d/%d/%d", c.lats,
-				s.res.LatencyP50, s.res.LatencyP99, s.res.LatencyMax, c.p50, c.p99, c.max)
+				r.res.LatencyP50, r.res.LatencyP99, r.res.LatencyMax, c.p50, c.p99, c.max)
 		}
 	}
 }

@@ -20,18 +20,21 @@
 // fiction.  Observer hooks (observer.go) make the discipline checkable —
 // LinkAudit re-verifies it every cycle — and export per-event traces and
 // per-cycle time series without perturbing the simulation.
+//
+// RunContext runs a simulation on one goroutine; RunSharded splits the
+// host's queues across shard goroutines (shard.go) and reproduces the
+// same run bit for bit.  Both share one run state (run.go), so every
+// decision about a guest message has one implementation.
 package netsim
 
 import (
 	"context"
 	"fmt"
-	"slices"
-	"sort"
 
 	"xtreesim/internal/graph"
 )
 
-// MaxHostVertices bounds the V² next-hop tables Router builds for a host
+// MaxHostVertices bounds the V² next-hop tables a run builds for a host
 // that is neither a tree nor given a NextHop router.  Tree hosts route
 // without a table, so the cap does not apply to them.
 const MaxHostVertices = 4096
@@ -62,7 +65,7 @@ type Config struct {
 	// NextHop, when non-nil, replaces the built-in routing: it must
 	// return a neighbor of cur strictly closer to dst.  Without one a
 	// tree host routes table-free and any other host builds V² next-hop
-	// tables, capped at MaxHostVertices (see Router); a table-free router
+	// tables, capped at MaxHostVertices; a table-free router
 	// such as XTree.NextHopID, which computes each hop from the
 	// closed-form X-tree distance, lifts the cap.
 	NextHop func(cur, dst int32) int32
@@ -77,7 +80,8 @@ type Config struct {
 	// Partitions requests a sharded run.  The single-process runner
 	// cannot honor it: Run and RunContext reject any value above 1 so a
 	// partitioned config is never silently simulated on one goroutine.
-	// Use the distsim runner (or xtreesim.WithPartitions) instead.
+	// Use the distsim runner (or xtreesim.WithPartitions) instead, which
+	// picks the shards and calls RunSharded; RunSharded ignores the field.
 	Partitions int
 }
 
@@ -102,10 +106,10 @@ type Result struct {
 	Unreachable int // messages abandoned: retries exhausted, or no alive route
 }
 
-// Message is one in-flight guest message with all of its per-message
-// simulator state.  It holds no pointers, so the distsim shards hand it to
-// each other as a plain value.
-type Message struct {
+// message is one in-flight guest message with all of its per-message
+// simulator state.  It holds no pointers, so shards hand it to each other
+// as a plain value.
+type message struct {
 	Ev      Event
 	Seq     int64 // emission number; identifies the message across hops and retries
 	SrcHost int32 // retransmissions restart here
@@ -123,15 +127,15 @@ type Message struct {
 // the dead prefix dominates, so the backing array is bounded by the peak
 // backlog instead of growing with the link's total lifetime traffic.
 type linkQueue struct {
-	buf  []Message
+	buf  []message
 	head int
 }
 
 func (q *linkQueue) length() int { return len(q.buf) - q.head }
 
-func (q *linkQueue) push(m Message) { q.buf = append(q.buf, m) }
+func (q *linkQueue) push(m message) { q.buf = append(q.buf, m) }
 
-func (q *linkQueue) pop() Message {
+func (q *linkQueue) pop() message {
 	m := q.buf[q.head]
 	q.head++
 	if q.head >= 16 && q.head*2 >= len(q.buf) {
@@ -144,39 +148,23 @@ func (q *linkQueue) pop() Message {
 
 // live returns the queued messages in FIFO order; reset empties the queue
 // keeping the backing array.
-func (q *linkQueue) live() []Message { return q.buf[q.head:] }
+func (q *linkQueue) live() []message { return q.buf[q.head:] }
 
 func (q *linkQueue) reset() {
 	q.buf = q.buf[:0]
 	q.head = 0
 }
 
+// sim is the single-process runner: one goroutine owns every link and
+// memory queue of the host.
 type sim struct {
-	host  *graph.Graph
-	place []int32
-	wl    Workload
-	hopFn func(cur, dst int32) int32 // from Router
-
-	edges     [][2]int32 // directed edges in deterministic order
-	edgeIndex map[int64]int
-	queues    []linkQueue // per directed edge, FIFO
-	active    []int       // scratch: links busy at the start of the cycle
-	traffic   []int       // total messages ever moved per edge
-	local     [][]Message // per-vertex memory queues
-	arrived   []Message   // scratch: this cycle's at-destination deliveries
-	order     DeliveryOrder
-
-	inflight    int
-	emitted     int64 // guest events accepted so far; doubles as the next seq
-	queuedLinks int   // messages sitting on link queues right now
-	queuedLocal int   // messages sitting in memory queues right now
-	now         int   // current cycle
-	latencies   []int // per delivered message, in cycles
-	res         Result
-
-	obs    Observer    // nil when no observers are attached
-	faults *faultState // nil on a fault-free run
-	retx   []retx      // messages parked for retransmission
+	*run
+	queues      []linkQueue // by link rank, FIFO
+	traffic     []int       // messages ever moved per link
+	local       [][]message // per-vertex memory queues
+	active      []int       // scratch: links busy at the start of the cycle
+	queuedLinks int         // messages sitting on link queues right now
+	queuedLocal int         // messages sitting in memory queues right now
 }
 
 // Run simulates the workload on the host with the given placement until
@@ -190,145 +178,95 @@ func Run(cfg Config, wl Workload) (Result, error) {
 // simulated cycle, so a cancelled run stops within one cycle and returns
 // ctx.Err() together with the statistics accumulated so far.
 func RunContext(ctx context.Context, cfg Config, wl Workload) (Result, error) {
-	if cfg.Host == nil || len(cfg.Place) == 0 {
-		return Result{}, fmt.Errorf("netsim: empty host or placement")
-	}
-	for p, h := range cfg.Place {
-		if h < 0 || int(h) >= cfg.Host.N() {
-			return Result{}, fmt.Errorf("netsim: process %d placed on invalid vertex %d", p, h)
-		}
-	}
 	if cfg.Partitions > 1 {
 		return Result{}, fmt.Errorf("netsim: Config.Partitions=%d: the single-process runner cannot shard; use the distsim runner (xtreesim.WithPartitions)", cfg.Partitions)
 	}
-	maxCycles := cfg.MaxCycles
-	if maxCycles <= 0 {
-		maxCycles = 1 << 20
-	}
-	s := &sim{host: cfg.Host, place: cfg.Place, wl: wl,
-		obs: combineObservers(cfg.Observers)}
-	if cfg.Faults != nil {
-		fs, err := newFaultState(cfg.Faults, cfg.Host)
-		if err != nil {
-			return Result{}, err
-		}
-		s.faults = fs // nil when the plan is inert
-	}
-	hop, err := Router(cfg.Host, cfg.NextHop)
+	r, err := newRun(cfg, wl)
 	if err != nil {
 		return Result{}, err
 	}
-	s.hopFn = hop
-	s.buildEdges()
-	s.local = make([][]Message, cfg.Host.N())
+	links := len(r.links.ends)
+	s := &sim{run: r, queues: make([]linkQueue, links), traffic: make([]int, links),
+		local: make([][]message, cfg.Host.N())}
+	return r.cycles(ctx, s)
+}
+
+// begin queues the last cycle's emissions, then fires the cycle's kills,
+// flushing the queues they take down, and the due retransmissions.
+func (s *sim) begin() (int, int, error) {
+	s.queue()
 	if s.faults != nil {
-		s.applyKills() // kills scheduled at cycle ≤ 0 are dead from the start
-	}
-
-	var pending []Event
-	emit := func(ev Event) { pending = append(pending, ev) }
-	wl.Init(emit)
-	if err := s.route(pending); err != nil {
-		return s.res, err
-	}
-
-	for cycle := 1; cycle <= maxCycles; cycle++ {
-		select {
-		case <-ctx.Done():
-			s.res.Cycles = cycle - 1
-			s.finishStats()
-			return s.res, ctx.Err()
-		default:
-		}
-		s.now = cycle
-		if s.faults != nil {
-			s.applyKills()
-			if err := s.releaseRetx(); err != nil {
-				return s.res, err
+		for _, k := range s.faults.advance(s.now) {
+			s.killed(k)
+			for _, l := range k.links {
+				s.flush(l[0], l[1])
 			}
-		}
-		if s.inflight == 0 {
-			s.res.Cycles = cycle - 1
-			s.finishStats()
-			if !s.wl.Done() {
-				if s.res.Unreachable > 0 {
-					return s.res, fmt.Errorf("netsim: quiescent after %d cycles but workload not done (%d messages unreachable under faults)", cycle-1, s.res.Unreachable)
+			// Co-located deliveries pending at a dying vertex die with it.
+			if k.vertex && len(s.local[k.u]) > 0 {
+				for _, m := range s.local[k.u] {
+					s.abandon(m)
 				}
-				return s.res, fmt.Errorf("netsim: quiescent after %d cycles but workload not done", cycle-1)
-			}
-			return s.res, nil
-		}
-		if s.obs != nil {
-			s.obs.OnCycleStart(CycleInfo{
-				Cycle:       cycle,
-				Links:       len(s.edges),
-				Inflight:    s.inflight,
-				Emitted:     s.emitted,
-				Delivered:   s.res.Delivered,
-				Unreachable: s.res.Unreachable,
-				QueuedLinks: s.queuedLinks,
-				QueuedLocal: s.queuedLocal,
-				Parked:      len(s.retx),
-			})
-		}
-		// Phase 1: every link that was busy at the start of the cycle
-		// moves exactly one message — its head as of the cycle start —
-		// and all memory queues drain.  The busy set is snapshotted
-		// first: a message forwarded onto a later-indexed queue this
-		// cycle must NOT move again until the next cycle, or a message
-		// on an ascending route would cross several links per cycle and
-		// dilation would no longer bound the slowdown.
-		s.arrived = s.arrived[:0]
-		s.active = s.active[:0]
-		for i := range s.queues {
-			if s.queues[i].length() > 0 {
-				s.active = append(s.active, i)
+				s.queuedLocal -= len(s.local[k.u])
+				s.local[k.u] = nil
 			}
 		}
-		for _, i := range s.active {
-			if err := s.moveHead(i); err != nil {
-				return s.res, err
-			}
+		if err := s.release(); err != nil {
+			return 0, 0, err
 		}
-		for v := range s.local {
-			if n := len(s.local[v]); n > 0 {
-				s.arrived = append(s.arrived, s.local[v]...)
-				s.queuedLocal -= n
-				s.local[v] = s.local[v][:0]
-			}
-		}
-		// Phase 2: deliver in a deterministic order and route the
-		// responses.  The order must be total over distinct messages:
-		// (To, From, Kind) alone would leave two messages differing only
-		// in Payload in unspecified order, so DeliveryOrder continues
-		// through Payload and SentAt, and true duplicates keep their
-		// arrival order (link arrivals by edge, then memory queues by
-		// vertex).
-		s.order.Sort(s.arrived)
-		pending = pending[:0]
-		for _, m := range s.arrived {
-			if s.faults != nil && s.faults.deadV[m.DstHost] {
-				s.abandon(m) // destination died while the message was in flight
-				continue
-			}
-			s.inflight--
-			s.res.Delivered++
-			lat := cycle - m.SentAt
-			s.latencies = append(s.latencies, lat)
-			if s.obs != nil {
-				s.obs.OnDeliver(DeliverInfo{Cycle: cycle, Host: m.DstHost, Seq: m.Seq,
-					Ev: m.Ev, Latency: lat, Local: m.SrcHost == m.DstHost})
-			}
-			s.wl.OnMessage(m.Ev, emit)
-		}
-		if err := s.route(pending); err != nil {
-			return s.res, err
+		s.queue()
+		s.retransmit()
+	}
+	return s.queuedLinks, s.queuedLocal, nil
+}
+
+// flush loses every message queued on the directed link u→v.
+func (s *sim) flush(u, v int32) {
+	q := &s.queues[s.links.rank(u, v)]
+	n := q.length()
+	if n == 0 {
+		return
+	}
+	for _, m := range q.live() {
+		s.lose(m, DropKilled)
+	}
+	q.reset()
+	s.queuedLinks -= n
+}
+
+func (s *sim) step(CycleInfo) error {
+	// Phase 1: every link that was busy at the start of the cycle moves
+	// exactly one message — its head as of the cycle start — and all
+	// memory queues drain.  The busy set is snapshotted first: a message
+	// forwarded onto a later-indexed queue this cycle must NOT move again
+	// until the next cycle, or a message on an ascending route would
+	// cross several links per cycle and dilation would no longer bound
+	// the slowdown.
+	s.arrived = s.arrived[:0]
+	s.active = s.active[:0]
+	for i := range s.queues {
+		if s.queues[i].length() > 0 {
+			s.active = append(s.active, i)
 		}
 	}
-	// The cap burned every cycle: report them, don't leave Cycles at 0.
-	s.res.Cycles = maxCycles
-	s.finishStats()
-	return s.res, fmt.Errorf("netsim: no quiescence within %d cycles", maxCycles)
+	for _, i := range s.active {
+		if err := s.moveHead(i); err != nil {
+			return err
+		}
+	}
+	for v := range s.local {
+		if n := len(s.local[v]); n > 0 {
+			s.arrived = append(s.arrived, s.local[v]...)
+			s.queuedLocal -= n
+			s.local[v] = s.local[v][:0]
+		}
+	}
+	// Phase 2: deliver in a deterministic order and route the responses.
+	// The order must be total over distinct messages: (To, From, Kind)
+	// alone would leave two messages differing only in Payload in
+	// unspecified order, so deliveryOrder continues through Payload and
+	// SentAt, and true duplicates keep their arrival order (link arrivals
+	// by rank, then memory queues by vertex).
+	return s.deliver()
 }
 
 // moveHead crosses one message over link i: the head of its queue either
@@ -337,19 +275,23 @@ func RunContext(ctx context.Context, cfg Config, wl Workload) (Result, error) {
 func (s *sim) moveHead(i int) error {
 	m := s.queues[i].pop()
 	s.queuedLinks--
-	here := s.edges[i][1]
+	from, here := s.links.ends[i][0], s.links.ends[i][1]
 	s.res.HopsTotal++
 	s.traffic[i]++
+	if s.traffic[i] > s.res.MaxLinkLoad {
+		s.res.MaxLinkLoad = s.traffic[i]
+	}
 	if s.obs != nil {
-		s.obs.OnHop(HopInfo{Cycle: s.now, Edge: i, From: s.edges[i][0], To: here,
+		s.obs.OnHop(HopInfo{Cycle: s.now, Edge: i, From: from, To: here,
 			Seq: m.Seq, Ev: m.Ev, Backlog: s.queues[i].length()})
 	}
-	if f := s.faults; f != nil {
-		if f.plan.DropProb > 0 && f.rng.Float64() < f.plan.DropProb {
+	if s.faults != nil {
+		d := s.faults.draw(m.Corrupt)
+		if d.drop {
 			s.lose(m, DropRandom)
 			return nil
 		}
-		if f.plan.CorruptProb > 0 && !m.Corrupt && f.rng.Float64() < f.plan.CorruptProb {
+		if d.corrupt {
 			m.Corrupt = true
 			s.res.Corruptions++
 		}
@@ -364,117 +306,39 @@ func (s *sim) moveHead(i int) error {
 		s.arrived = append(s.arrived, m)
 		return nil
 	}
-	return s.enqueue(here, m)
-}
-
-// route injects freshly emitted guest messages at their source vertices.
-func (s *sim) route(evs []Event) error {
-	for _, ev := range evs {
-		if int(ev.From) >= len(s.place) || int(ev.To) >= len(s.place) || ev.From < 0 || ev.To < 0 {
-			return fmt.Errorf("netsim: event %v references unknown process", ev)
-		}
-		src, dst := s.place[ev.From], s.place[ev.To]
-		seq := s.emitted
-		s.emitted++
-		if s.faults != nil && (s.faults.deadV[src] || s.faults.deadV[dst]) {
-			// A dead guest neither sends nor receives; kills are
-			// permanent, so retrying cannot help.
-			s.res.Unreachable++
-			if s.obs != nil {
-				s.obs.OnDrop(DropInfo{Cycle: s.now, Seq: seq, Ev: ev, Reason: DropUnreachable})
-			}
-			continue
-		}
-		s.inflight++
-		m := Message{Ev: ev, Seq: seq, SrcHost: src, DstHost: dst, SentAt: s.now}
-		if src == dst {
-			s.local[src] = append(s.local[src], m)
-			s.queuedLocal++
-			continue
-		}
-		if err := s.enqueue(src, m); err != nil {
-			return err
-		}
+	e, err := s.hop.link(here, &m)
+	if err != nil {
+		return err
 	}
+	if e < 0 {
+		s.abandon(m)
+		return nil
+	}
+	s.push(e, m)
 	return nil
 }
 
-// enqueue places m on the outgoing link of `at` toward its destination.
-// Under an active fault plan a preferred next hop that crosses a dead link
-// (or enters a dead vertex) falls back to BFS routing on the alive graph;
-// a message with no alive route left is abandoned, not an error.
-func (s *sim) enqueue(at int32, m Message) error {
-	var nh int32
-	if m.Rerouted {
-		// Once diverted, stay on alive-graph routing: mixing it with
-		// the preferred route could bounce a message between a detour
-		// and a route through the dead link forever.
-		nh = s.faults.next(s.host, at, m.DstHost)
-	} else {
-		nh = s.hopFn(at, m.DstHost)
-	}
-	if s.faults != nil && !m.Rerouted && nh >= 0 && s.faults.blocked(at, nh) {
-		nh = s.faults.next(s.host, at, m.DstHost)
-		if nh >= 0 {
-			s.res.Reroutes++
-			m.Rerouted = true
+// queue puts the messages in r.placed on their queues.
+func (s *sim) queue() {
+	for _, p := range s.placed {
+		if p.edge < 0 {
+			s.local[p.at] = append(s.local[p.at], p.m)
+			s.queuedLocal++
+		} else {
+			s.push(p.edge, p.m)
 		}
 	}
-	if nh < 0 {
-		if s.faults != nil {
-			s.abandon(m)
-			return nil
-		}
-		return fmt.Errorf("netsim: no route from %d to %d", at, m.DstHost)
-	}
-	idx, ok := s.edgeIndex[ekey(at, nh)]
-	if !ok {
-		return fmt.Errorf("netsim: missing edge %d->%d", at, nh)
-	}
-	s.queues[idx].push(m)
+	s.placed = s.placed[:0]
+}
+
+// push queues m on link e.  The true backlog peak happens at enqueue
+// time: sampling once per cycle after routing misses the spikes built
+// during Phase-1 forwarding and the initial emission burst.
+func (s *sim) push(e int, m message) {
+	q := &s.queues[e]
+	q.push(m)
 	s.queuedLinks++
-	// The true backlog peak happens at enqueue time: sampling once per
-	// cycle after routing misses the spikes built during Phase-1
-	// forwarding and the initial emission burst.
-	if l := s.queues[idx].length(); l > s.res.MaxQueue {
+	if l := q.length(); l > s.res.MaxQueue {
 		s.res.MaxQueue = l
 	}
-	return nil
-}
-
-// ekey packs a directed edge into the edgeIndex key.
-func ekey(u, v int32) int64 { return int64(u)<<32 | int64(v) }
-
-// buildEdges enumerates the directed edges deterministically.
-func (s *sim) buildEdges() {
-	s.edgeIndex = make(map[int64]int)
-	var ns []int32
-	for u := 0; u < s.host.N(); u++ {
-		ns = append(ns[:0], s.host.Neighbors(u)...)
-		slices.Sort(ns)
-		for _, v := range ns {
-			s.edgeIndex[ekey(int32(u), v)] = len(s.edges)
-			s.edges = append(s.edges, [2]int32{int32(u), v})
-		}
-	}
-	s.queues = make([]linkQueue, len(s.edges))
-	s.traffic = make([]int, len(s.edges))
-}
-
-// finishStats folds the per-link traffic and the latency percentiles into
-// the result.  RunContext calls it when a run quiesces, is cancelled or
-// hits the cycle cap.
-func (s *sim) finishStats() {
-	for _, t := range s.traffic {
-		if t > s.res.MaxLinkLoad {
-			s.res.MaxLinkLoad = t
-		}
-	}
-	if len(s.latencies) == 0 {
-		return
-	}
-	sort.Ints(s.latencies)
-	s.res.LatencyP50 = s.latencies[len(s.latencies)/2]
-	s.res.LatencyP99 = s.latencies[len(s.latencies)*99/100]
-	s.res.LatencyMax = s.latencies[len(s.latencies)-1]
 }

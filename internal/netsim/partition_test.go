@@ -3,38 +3,7 @@ package netsim
 import (
 	"strings"
 	"testing"
-
-	"xtreesim/internal/bintree"
-	"xtreesim/internal/graph"
 )
-
-// TestEdgeRankerMatchesBuildEdges pins the shared enumeration: the global
-// rank every boundary message is keyed by must agree with the dense edge
-// index the single-process loop builds, or the two runners would disagree
-// about FIFO apply order.
-func TestEdgeRankerMatchesBuildEdges(t *testing.T) {
-	hosts := map[string]*graph.Graph{
-		"tree":  bintree.CompleteN(31).AsGraph(),
-		"cycle": cycleHost(),
-		"path":  pathHost(9),
-	}
-	for name, g := range hosts {
-		s := &sim{host: g}
-		s.buildEdges()
-		r := NewEdgeRanker(g)
-		if r.Count() != len(s.edges) {
-			t.Fatalf("%s: ranker counts %d edges, buildEdges %d", name, r.Count(), len(s.edges))
-		}
-		for idx, e := range s.edges {
-			if got := r.Rank(e[0], e[1]); got != idx {
-				t.Fatalf("%s: edge %d->%d ranked %d, want %d", name, e[0], e[1], got, idx)
-			}
-		}
-		if r.Rank(0, 0) != -1 {
-			t.Fatalf("%s: self-loop ranked", name)
-		}
-	}
-}
 
 // TestOversizedHostError pins the cap: a host over MaxHostVertices that
 // is not a tree, with no NextHop router, must fail with an error naming

@@ -5,7 +5,7 @@ import "testing"
 func TestLinkQueueFIFO(t *testing.T) {
 	var q linkQueue
 	for i := 0; i < 100; i++ {
-		q.push(Message{Seq: int64(i)})
+		q.push(message{Seq: int64(i)})
 	}
 	if q.length() != 100 {
 		t.Fatalf("length %d after 100 pushes", q.length())
@@ -25,7 +25,7 @@ func TestLinkQueueInterleavedFIFO(t *testing.T) {
 	var q linkQueue
 	next, want := int64(0), int64(0)
 	for round := 0; round < 5000; round++ {
-		q.push(Message{Seq: next})
+		q.push(message{Seq: next})
 		next++
 		if q.length() > 7 {
 			if m := q.pop(); m.Seq != want {
@@ -52,7 +52,7 @@ func TestLinkQueueMemoryBounded(t *testing.T) {
 	// backing array proportional to the live count.
 	var q linkQueue
 	for i := 0; i < 200000; i++ {
-		q.push(Message{Seq: int64(i)})
+		q.push(message{Seq: int64(i)})
 		if q.length() > 8 {
 			q.pop()
 		}
@@ -67,12 +67,12 @@ func BenchmarkLinkQueueSteadyState(b *testing.B) {
 	// must not allocate once the queue is warm.
 	var q linkQueue
 	for i := 0; i < 32; i++ {
-		q.push(Message{})
+		q.push(message{})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.push(Message{})
+		q.push(message{})
 		q.pop()
 	}
 }

@@ -2,18 +2,18 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 
 	"xtreesim/internal/graph"
 )
 
-// Router returns the hop function a run on host routes by: next when the
+// router returns the hop function a run on host routes by: next when the
 // caller passes one; a table-free tree router when host is a tree
 // (connected, with N−1 edges); and otherwise a lookup into
 // BuildNextHopTables, the only case MaxHostVertices bounds.  A tree has one
 // path between any two vertices, so the tree router returns exactly the
-// tables' hop and a run routed either way is identical.  Both the
-// single-process runner and the distsim coordinator route through it.
-func Router(host *graph.Graph, next func(cur, dst int32) int32) (func(cur, dst int32) int32, error) {
+// tables' hop and a run routed either way is identical.
+func router(host *graph.Graph, next func(cur, dst int32) int32) (func(cur, dst int32) int32, error) {
 	if next != nil {
 		return next, nil
 	}
@@ -27,11 +27,94 @@ func Router(host *graph.Graph, next func(cur, dst int32) int32) (func(cur, dst i
 	return func(cur, dst int32) int32 { return tables[dst][cur] }, nil
 }
 
+// edgeRanker numbers the host's directed links in one deterministic
+// enumeration: tail vertices ascending, heads ascending within a tail.  A
+// link's rank is its queue index in the single-process runner, the Edge
+// of its HopInfo, and the order key by which a sharded run rebuilds the
+// single-process event order from its shards' reports.
+type edgeRanker struct {
+	base []int      // base[u] = rank of u's first outgoing link
+	adj  [][]int32  // sorted neighbor lists (the host's own when presorted)
+	ends [][2]int32 // tail and head of every link, by rank
+}
+
+func newEdgeRanker(host *graph.Graph) *edgeRanker {
+	n := host.N()
+	r := &edgeRanker{base: make([]int, n), adj: make([][]int32, n), ends: make([][2]int32, 0, 2*host.M())}
+	for u := 0; u < n; u++ {
+		r.base[u] = len(r.ends)
+		ns := host.Neighbors(u)
+		if !slices.IsSorted(ns) {
+			ns = slices.Clone(ns)
+			slices.Sort(ns)
+		}
+		r.adj[u] = ns
+		for _, v := range ns {
+			r.ends = append(r.ends, [2]int32{int32(u), v})
+		}
+	}
+	return r
+}
+
+// rank returns the rank of the link u→v, or -1 when the host has no such
+// link.
+func (r *edgeRanker) rank(u, v int32) int {
+	if i, ok := slices.BinarySearch(r.adj[u], v); ok {
+		return r.base[u] + i
+	}
+	return -1
+}
+
+// hopper picks the link a message leaves a vertex by.  Both runners route
+// every message through one: the run's own for admissions and
+// retransmissions, each shard's for the forwards at its vertices.
+type hopper struct {
+	next     func(cur, dst int32) int32 // from router
+	links    *edgeRanker
+	faults   *faultState // the holder's kill replica; nil on a fault-free run
+	reroutes *int        // counts diversions around dead links or vertices
+}
+
+// link returns the rank of the link m leaves at by.  Under an active fault
+// plan a preferred hop that crosses a dead link (or enters a dead vertex)
+// falls back to routing on the alive graph, which m then keeps, and link
+// returns -1 when no alive route is left; without one, a missing route is
+// an error.
+func (h *hopper) link(at int32, m *message) (int, error) {
+	var nh int32
+	if m.Rerouted {
+		// Once diverted, stay on alive-graph routing: mixing it with
+		// the preferred route could bounce a message between a detour
+		// and a route through the dead link forever.
+		nh = h.faults.next(at, m.DstHost)
+	} else {
+		nh = h.next(at, m.DstHost)
+		if h.faults != nil && nh >= 0 && h.faults.blocked(at, nh) {
+			nh = h.faults.next(at, m.DstHost)
+			if nh >= 0 {
+				*h.reroutes++
+				m.Rerouted = true
+			}
+		}
+	}
+	if nh < 0 {
+		if h.faults != nil {
+			return -1, nil
+		}
+		return -1, fmt.Errorf("netsim: no route from %d to %d", at, m.DstHost)
+	}
+	e := h.links.rank(at, nh)
+	if e < 0 {
+		return -1, fmt.Errorf("netsim: missing edge %d->%d", at, nh)
+	}
+	return e, nil
+}
+
 // BuildNextHopTables precomputes shortest-path routing for the host by one
 // BFS per destination: tables[dst][cur] is the neighbor of cur on a
 // shortest path toward dst, or -1 when unreachable.  The rows share one
-// V×V backing array.  Router builds them once per run for a host that is
-// not a tree and shares them read-only across every distsim shard.
+// V×V backing array.  A run builds them once for a host that is not a
+// tree and shares them read-only across every shard.
 func BuildNextHopTables(host *graph.Graph) [][]int32 {
 	n := host.N()
 	flat := make([]int32, n*n)

@@ -169,7 +169,7 @@ func TestTreeRouterMatchesTables(t *testing.T) {
 
 // TestRouterKeepsTablesOffTrees checks that the tree test admits trees
 // only: each host below fails it (a cycle, or N−1 edges without being
-// connected), so Router falls back to the tables.
+// connected), so router falls back to the tables.
 func TestRouterKeepsTablesOffTrees(t *testing.T) {
 	chord := bintree.CompleteN(31).AsGraph()
 	chord.AddEdge(7, 20)
@@ -191,7 +191,7 @@ func TestRouterKeepsTablesOffTrees(t *testing.T) {
 		if newTreeRouter(g) != nil {
 			t.Errorf("%s: routed as a tree", name)
 		}
-		hop, err := Router(g, nil)
+		hop, err := router(g, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

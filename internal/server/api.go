@@ -425,6 +425,8 @@ type SimulateResponse struct {
 
 // DistInfo describes how a partitioned simulation was sharded.
 type DistInfo struct {
+	// Partitions is the shard count that ran: the request's, capped at
+	// the host's vertex count.
 	Partitions       int             `json:"partitions"`
 	BoundaryMessages int             `json:"boundary_messages"`
 	Shards           []DistShardInfo `json:"shards"`
@@ -441,9 +443,11 @@ type DistShardInfo struct {
 	BoundaryOut int `json:"boundary_out"`
 }
 
-func distInfo(parts int, st distsim.Stats) *DistInfo {
+// distInfo reports the shards that ran, which distsim caps at the host's
+// vertex count, not the count the request asked for.
+func distInfo(st distsim.Stats) *DistInfo {
 	di := &DistInfo{
-		Partitions:       parts,
+		Partitions:       len(st.Partitions),
 		BoundaryMessages: st.BoundaryMessages,
 	}
 	for _, ps := range st.Partitions {

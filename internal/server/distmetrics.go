@@ -30,11 +30,12 @@ func newDistMetrics() *distMetrics {
 	}
 }
 
-// record folds one partitioned run's stats into the counters.
-func (m *distMetrics) record(parts int, st distsim.Stats) {
+// record folds one partitioned run's stats into the counters, labelled
+// by the shard count that ran.
+func (m *distMetrics) record(st distsim.Stats) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.runs[parts]++
+	m.runs[len(st.Partitions)]++
 	m.boundaryMsgs += int64(st.BoundaryMessages)
 	for i, ps := range st.Partitions {
 		m.shardHops[i] += int64(ps.Hops)

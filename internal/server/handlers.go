@@ -308,8 +308,8 @@ func (s *Server) runSimulate(ctx context.Context, req *SimulateRequest, tree *bi
 		var st distsim.Stats
 		simRes, st, err = distsim.RunStats(ctx, dcfg, req.workload(tree))
 		if err == nil {
-			dist = distInfo(req.Partitions, st)
-			s.dist.record(req.Partitions, st)
+			dist = distInfo(st)
+			s.dist.record(st)
 		}
 	} else {
 		simRes, err = netsim.RunContext(ctx, cfg, req.workload(tree))

@@ -476,6 +476,19 @@ func TestSimulatePartitionedMatchesSingle(t *testing.T) {
 		t.Errorf("shard hops sum to %d, result says %d", hops, dist.Sim.HopsTotal)
 	}
 
+	// A host smaller than the request's shard count runs one shard per
+	// vertex, and the response and the metrics report the count that ran:
+	// a 5-node guest fits X(0), a single vertex.
+	resp, data := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{
+		Tree: &TreeSpec{Family: "complete", N: 5}, Workload: WorkloadBroadcast, Partitions: 4})
+	var tiny SimulateResponse
+	if resp.StatusCode != 200 || json.Unmarshal(data, &tiny) != nil {
+		t.Fatalf("5-node guest at 4 partitions: status %d: %s", resp.StatusCode, data)
+	}
+	if di := tiny.Dist; di == nil || di.Partitions != 1 || len(di.Shards) != 1 {
+		t.Errorf("5-node guest at 4 partitions reports %s, want one shard", data)
+	}
+
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -484,6 +497,7 @@ func TestSimulatePartitionedMatchesSingle(t *testing.T) {
 	resp.Body.Close()
 	for _, want := range []string{
 		`xtreesim_dist_runs_total{partitions="4"} 1`,
+		`xtreesim_dist_runs_total{partitions="1"} 1`,
 		"xtreesim_dist_boundary_messages_total",
 		`xtreesim_dist_partition_hops_total{partition="0"}`,
 		`xtreesim_dist_partition_boundary_out_total{partition="0"}`,

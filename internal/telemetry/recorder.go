@@ -2,8 +2,8 @@ package telemetry
 
 // recorder.go bridges the simulator's Observer callbacks onto a hub.
 // The Recorder runs synchronously on the simulating goroutine (both the
-// single-process netsim loop and the distsim coordinator call observers
-// there), so everything it does must be cheap and non-blocking — one
+// single-process netsim loop and the sharded run's coordinator call
+// observers there), so everything it does must be cheap and non-blocking — one
 // ring append per event, no I/O, no waiting on subscribers.  That is
 // the whole backpressure contract: the simulation's Result is
 // byte-identical with or without a Recorder attached, no matter how
