@@ -1,15 +1,18 @@
 package main
 
 // distbench.go is experiment E22: the partitioned distributed simulator
-// (internal/distsim) against the single-process loop.  One fixed
+// (internal/distsim) against the unpartitioned run.  One fixed
 // fault-injected divide-and-conquer run on the Monien host is executed
-// single-process and then sharded over 1, 2, 4 and 8 epoch-barrier
-// workers; every sharded run must reproduce the single-process Result
-// bit for bit, and the sweep records wall time plus the cross-shard
-// message count to BENCH_dist.json so successive changes compare number
-// against number.  On one or two CPUs the two barriers per cycle cost
-// more than the shards' parallel work saves, which is why equality, not
-// speedup, is the gate.
+// through netsim.Run and then sharded over 1, 2, 4 and 8 epoch-barrier
+// workers; every sharded run must reproduce the reference Result bit for
+// bit, and the sweep records wall time plus the cross-shard message
+// count to BENCH_dist.json so successive changes compare number against
+// number.  netsim has one runner and netsim.Run is its one-shard case,
+// so single_wall_ms and the partitions: 1 row time the same runner: the
+// reference runs first and bare, the row through distsim with the
+// per-shard and global LinkAudits under -audit.  On one or two CPUs the
+// two barriers per cycle cost more than the shards' parallel work saves,
+// which is why equality, not speedup, is the gate.
 
 import (
 	"context"
@@ -60,7 +63,7 @@ func e22DistScaling() {
 		waves = 4
 		drop  = 0.02
 	)
-	header("E22 — partitioned distsim vs single-process (D&C + faults on the Monien host)",
+	header("E22 — partitioned distsim vs one shard (D&C + faults on the Monien host)",
 		"partitions", "wall ms", "cycles", "identical", "boundary msgs", "shard hops min..max")
 
 	n := int(core.Capacity(6))
@@ -118,13 +121,13 @@ func e22DistScaling() {
 			}
 		}
 		if !p.Identical {
-			check(fmt.Errorf("e22: partitions=%d diverged from the single-process result", parts))
+			check(fmt.Errorf("e22: partitions=%d diverged from the one-shard result", parts))
 		}
 		out.Results = append(out.Results, p)
 		row(parts, fmt.Sprintf("%.1f", p.WallMS), p.Cycles, p.Identical,
 			p.BoundaryMessages, fmt.Sprintf("%d..%d", p.MinShardHops, p.MaxShardHops))
 	}
-	fmt.Printf("\nsingle-process reference: %.1f ms over %d cycles (num_cpu=%d)\n",
+	fmt.Printf("\none-shard reference (netsim.Run): %.1f ms over %d cycles (num_cpu=%d)\n",
 		singleMS, ref.Cycles, out.Config.NumCPU)
 
 	if *distBenchOut != "" {

@@ -1,13 +1,13 @@
 // Package distsim runs a netsim simulation partitioned across N shard
 // workers with a two-phase epoch barrier, producing results byte-identical
-// to the single-process netsim.Run.
+// to netsim.Run.
 //
-// The coordinator and its shard workers live in netsim (RunSharded), next
-// to the single-process runner whose bookkeeping they share: the workload,
-// sequence numbers, the fault generator and the retransmission pool stay
-// on the coordinator, and shard reports carry the order keys from which it
-// rebuilds the single-process event order.  This package decides the
-// partition: how many shards, and which shard owns each host vertex.
+// netsim has one runner (RunSharded): a coordinator that keeps the
+// workload, sequence numbers, the fault generator and the retransmission
+// pool, and shards that own the host's link and memory queues and report
+// lists sorted by order keys, which the coordinator merges into one event
+// order.  netsim.Run is that runner with one shard.  This package decides
+// the partition: how many shards, and which shard owns each host vertex.
 package distsim
 
 import (
@@ -17,17 +17,18 @@ import (
 	"xtreesim/internal/netsim"
 )
 
-// MaxPartitions bounds the shard count: every shard is a goroutine, and
-// the exchange matrix holds P² channels.
+// MaxPartitions bounds the shard count: every shard but the first runs
+// on a goroutine of its own, and the exchange matrix holds P(P−1)
+// channels.
 const MaxPartitions = 256
 
 // Config describes one partitioned run.
 type Config struct {
 	// Sim is the underlying simulation config.
 	Sim netsim.Config
-	// Partitions is the number of shards; values ≤ 1 still run the full
-	// coordinator/worker machinery with a single shard.  A host with
-	// fewer vertices than Partitions gets one shard per vertex.
+	// Partitions is the number of shards; values ≤ 1 run one shard, the
+	// run netsim.Run makes.  A host with fewer vertices than Partitions
+	// gets one shard per vertex.
 	Partitions int
 	// Partition picks the vertex-to-shard map; nil means Blocks.
 	Partition Partitioner

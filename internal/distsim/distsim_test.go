@@ -126,9 +126,10 @@ func TestDistsimByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCappedRunsMatch holds the runners equal on runs that the cycle cap
-// stops: both queue a cycle's emissions at the start of the next cycle, so
-// a run cut short reports the same backlog peak either way.
+// TestCappedRunsMatch holds sharded runs equal to netsim.Run's one shard
+// on runs that the cycle cap stops: every shard queues a cycle's emissions
+// at the start of the next cycle, so a run cut short reports the same
+// backlog peak at any shard count.
 func TestCappedRunsMatch(t *testing.T) {
 	host := xtree.New(6).AsGraph()
 	tr := bintree.CompleteN(63)
@@ -171,7 +172,7 @@ func TestDistsimBlocksOnTreeHost(t *testing.T) {
 }
 
 // TestCrossBoundaryKill pins the satellite regression: a vertex kill
-// exactly on a shard boundary must reproduce the single-process Drops,
+// exactly on a shard boundary must reproduce the one-shard run's Drops,
 // Reroutes, Retransmits, and Unreachable counters bit for bit.
 func TestCrossBoundaryKill(t *testing.T) {
 	xt := xtree.New(5) // 63 vertices
@@ -214,11 +215,11 @@ func TestCrossBoundaryKill(t *testing.T) {
 	}
 }
 
-// TestOversizedHostMirrored pins the cap on both runners: a host over
+// TestOversizedHostMirrored pins the cap on both entry points: a host over
 // MaxHostVertices that is not a tree, with no NextHop router, must produce
 // a clear error naming the cap and the escape hatch, not a V² allocation
-// or a panic.  A path of the same size is a tree, which both runners
-// simulate without tables and with identical results.
+// or a panic.  A path of the same size is a tree, which both simulate
+// without tables and with identical results.
 func TestOversizedHostMirrored(t *testing.T) {
 	n := netsim.MaxHostVertices + 10
 	path := graph.New(n)
@@ -259,7 +260,7 @@ func TestOversizedHostMirrored(t *testing.T) {
 	}
 }
 
-// TestNetsimRejectsPartitions pins the guard: the single-process runner
+// TestNetsimRejectsPartitions pins the guard: netsim.Run runs one shard and
 // must refuse a partitioned config rather than silently ignoring it.
 func TestNetsimRejectsPartitions(t *testing.T) {
 	tr := bintree.CompleteN(7)
@@ -337,8 +338,9 @@ func TestXTreeSubtreesPartitioner(t *testing.T) {
 // TestRunAllocBudget reference run (two waves of divide-and-conquer on a
 // random n=2032 guest, seed 1, under the default embed on X(6)) sharded
 // over 8 workers along X-tree subtrees.  Encoding every handoff into a
-// frame and decoding it again cost 21,622 allocations; handing the
-// records over as Go values costs about 14,700.
+// frame and decoding it again cost 21,622 allocations, and handing the
+// records over as Go values 14,688; with reused report buffers and the
+// shards' sorted reports merged, it allocates about 2,100.
 func TestPartitionedRunAllocBudget(t *testing.T) {
 	tr, err := bintree.Generate(bintree.FamilyRandom, 2032, rand.New(rand.NewSource(1)))
 	if err != nil {
@@ -366,8 +368,8 @@ func TestPartitionedRunAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 16500 {
-		t.Errorf("reference run at 8 shards allocates %.0f times, budget 16500", allocs)
+	if allocs > 2600 {
+		t.Errorf("reference run at 8 shards allocates %.0f times, budget 2600", allocs)
 	}
 	t.Logf("reference run at 8 shards: %.0f allocations", allocs)
 }

@@ -58,8 +58,16 @@ func TestDeliveryOrderMatchesStableSort(t *testing.T) {
 			return deliveryLess(want[a].Ev, want[a].SentAt, want[b].Ev, want[b].SentAt)
 		})
 
-		order.sort(arrived)
-		if !slices.Equal(arrived, want) {
+		order.reset()
+		for i := range arrived {
+			order.add(&arrived[i], i)
+		}
+		order.sort()
+		got := make([]message, len(arrived))
+		for i, k := range order.keys {
+			got[i] = order.msgs[k.pos]
+		}
+		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d (n=%d, spread=%d): delivery order diverges from the stable sort", trial, n, spread)
 		}
 	}

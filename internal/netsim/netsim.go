@@ -21,10 +21,12 @@
 // LinkAudit re-verifies it every cycle — and export per-event traces and
 // per-cycle time series without perturbing the simulation.
 //
-// RunContext runs a simulation on one goroutine; RunSharded splits the
-// host's queues across shard goroutines (shard.go) and reproduces the
-// same run bit for bit.  Both share one run state (run.go), so every
-// decision about a guest message has one implementation.
+// There is one runner (shard.go): a coordinator that drives the run's
+// guest-level bookkeeping (run.go) and splits the host's queues across
+// shards.  RunContext runs one shard, on the caller's goroutine;
+// RunSharded runs several, all but the first on goroutines of their own,
+// and reproduces the one-shard run bit for bit.  Every decision about a
+// guest message, and Phase 1 itself, has one implementation.
 package netsim
 
 import (
@@ -77,11 +79,11 @@ type Config struct {
 	// Observers receive per-cycle and per-event callbacks (see
 	// Observer).  An empty list costs nothing on the hot path.
 	Observers []Observer
-	// Partitions requests a sharded run.  The single-process runner
-	// cannot honor it: Run and RunContext reject any value above 1 so a
-	// partitioned config is never silently simulated on one goroutine.
-	// Use the distsim runner (or xtreesim.WithPartitions) instead, which
-	// picks the shards and calls RunSharded; RunSharded ignores the field.
+	// Partitions requests a sharded run.  Run and RunContext run one
+	// shard, the case Partitions ≤ 1, and reject any value above 1 so a
+	// partitioned config is never silently simulated as one shard.  Use
+	// the distsim runner (or xtreesim.WithPartitions) instead, which picks
+	// the shards and calls RunSharded; RunSharded ignores the field.
 	Partitions int
 }
 
@@ -155,18 +157,6 @@ func (q *linkQueue) reset() {
 	q.head = 0
 }
 
-// sim is the single-process runner: one goroutine owns every link and
-// memory queue of the host.
-type sim struct {
-	*run
-	queues      []linkQueue // by link rank, FIFO
-	traffic     []int       // messages ever moved per link
-	local       [][]message // per-vertex memory queues
-	active      []int       // scratch: links busy at the start of the cycle
-	queuedLinks int         // messages sitting on link queues right now
-	queuedLocal int         // messages sitting in memory queues right now
-}
-
 // Run simulates the workload on the host with the given placement until
 // quiescence (no messages in flight) or the cycle cap.  A run that goes
 // quiescent before the workload reports Done is a deadlock and errors.
@@ -179,166 +169,12 @@ func Run(cfg Config, wl Workload) (Result, error) {
 // ctx.Err() together with the statistics accumulated so far.
 func RunContext(ctx context.Context, cfg Config, wl Workload) (Result, error) {
 	if cfg.Partitions > 1 {
-		return Result{}, fmt.Errorf("netsim: Config.Partitions=%d: the single-process runner cannot shard; use the distsim runner (xtreesim.WithPartitions)", cfg.Partitions)
+		return Result{}, fmt.Errorf("netsim: Config.Partitions=%d: RunContext runs one shard; use the distsim runner (xtreesim.WithPartitions)", cfg.Partitions)
 	}
-	r, err := newRun(cfg, wl)
-	if err != nil {
-		return Result{}, err
+	var owner []int32 // every vertex on shard 0
+	if cfg.Host != nil {
+		owner = make([]int32, cfg.Host.N())
 	}
-	links := len(r.links.ends)
-	s := &sim{run: r, queues: make([]linkQueue, links), traffic: make([]int, links),
-		local: make([][]message, cfg.Host.N())}
-	return r.cycles(ctx, s)
-}
-
-// begin queues the last cycle's emissions, then fires the cycle's kills,
-// flushing the queues they take down, and the due retransmissions.
-func (s *sim) begin() (int, int, error) {
-	s.queue()
-	if s.faults != nil {
-		for _, k := range s.faults.advance(s.now) {
-			s.killed(k)
-			for _, l := range k.links {
-				s.flush(l[0], l[1])
-			}
-			// Co-located deliveries pending at a dying vertex die with it.
-			if k.vertex && len(s.local[k.u]) > 0 {
-				for _, m := range s.local[k.u] {
-					s.abandon(m)
-				}
-				s.queuedLocal -= len(s.local[k.u])
-				s.local[k.u] = nil
-			}
-		}
-		if err := s.release(); err != nil {
-			return 0, 0, err
-		}
-		s.queue()
-		s.retransmit()
-	}
-	return s.queuedLinks, s.queuedLocal, nil
-}
-
-// flush loses every message queued on the directed link u→v.
-func (s *sim) flush(u, v int32) {
-	q := &s.queues[s.links.rank(u, v)]
-	n := q.length()
-	if n == 0 {
-		return
-	}
-	for _, m := range q.live() {
-		s.lose(m, DropKilled)
-	}
-	q.reset()
-	s.queuedLinks -= n
-}
-
-func (s *sim) step(CycleInfo) error {
-	// Phase 1: every link that was busy at the start of the cycle moves
-	// exactly one message — its head as of the cycle start — and all
-	// memory queues drain.  The busy set is snapshotted first: a message
-	// forwarded onto a later-indexed queue this cycle must NOT move again
-	// until the next cycle, or a message on an ascending route would
-	// cross several links per cycle and dilation would no longer bound
-	// the slowdown.
-	s.arrived = s.arrived[:0]
-	s.active = s.active[:0]
-	for i := range s.queues {
-		if s.queues[i].length() > 0 {
-			s.active = append(s.active, i)
-		}
-	}
-	for _, i := range s.active {
-		if err := s.moveHead(i); err != nil {
-			return err
-		}
-	}
-	for v := range s.local {
-		if n := len(s.local[v]); n > 0 {
-			s.arrived = append(s.arrived, s.local[v]...)
-			s.queuedLocal -= n
-			s.local[v] = s.local[v][:0]
-		}
-	}
-	// Phase 2: deliver in a deterministic order and route the responses.
-	// The order must be total over distinct messages: (To, From, Kind)
-	// alone would leave two messages differing only in Payload in
-	// unspecified order, so deliveryOrder continues through Payload and
-	// SentAt, and true duplicates keep their arrival order (link arrivals
-	// by rank, then memory queues by vertex).
-	return s.deliver()
-}
-
-// moveHead crosses one message over link i: the head of its queue either
-// arrives (destination reached), is lost to the fault layer, or is
-// forwarded onto the next link of its route.
-func (s *sim) moveHead(i int) error {
-	m := s.queues[i].pop()
-	s.queuedLinks--
-	from, here := s.links.ends[i][0], s.links.ends[i][1]
-	s.res.HopsTotal++
-	s.traffic[i]++
-	if s.traffic[i] > s.res.MaxLinkLoad {
-		s.res.MaxLinkLoad = s.traffic[i]
-	}
-	if s.obs != nil {
-		s.obs.OnHop(HopInfo{Cycle: s.now, Edge: i, From: from, To: here,
-			Seq: m.Seq, Ev: m.Ev, Backlog: s.queues[i].length()})
-	}
-	if s.faults != nil {
-		d := s.faults.draw(m.Corrupt)
-		if d.drop {
-			s.lose(m, DropRandom)
-			return nil
-		}
-		if d.corrupt {
-			m.Corrupt = true
-			s.res.Corruptions++
-		}
-	}
-	if m.DstHost == here {
-		if m.Corrupt {
-			// Checksum failure at delivery: the receiver discards
-			// and nacks; the source retransmits.
-			s.lose(m, DropCorrupt)
-			return nil
-		}
-		s.arrived = append(s.arrived, m)
-		return nil
-	}
-	e, err := s.hop.link(here, &m)
-	if err != nil {
-		return err
-	}
-	if e < 0 {
-		s.abandon(m)
-		return nil
-	}
-	s.push(e, m)
-	return nil
-}
-
-// queue puts the messages in r.placed on their queues.
-func (s *sim) queue() {
-	for _, p := range s.placed {
-		if p.edge < 0 {
-			s.local[p.at] = append(s.local[p.at], p.m)
-			s.queuedLocal++
-		} else {
-			s.push(p.edge, p.m)
-		}
-	}
-	s.placed = s.placed[:0]
-}
-
-// push queues m on link e.  The true backlog peak happens at enqueue
-// time: sampling once per cycle after routing misses the spikes built
-// during Phase-1 forwarding and the initial emission burst.
-func (s *sim) push(e int, m message) {
-	q := &s.queues[e]
-	q.push(m)
-	s.queuedLinks++
-	if l := q.length(); l > s.res.MaxQueue {
-		s.res.MaxQueue = l
-	}
+	res, _, err := RunSharded(ctx, cfg, wl, Sharding{Shards: 1, Owner: owner})
+	return res, err
 }

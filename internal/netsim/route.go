@@ -29,18 +29,18 @@ func router(host *graph.Graph, next func(cur, dst int32) int32) (func(cur, dst i
 
 // edgeRanker numbers the host's directed links in one deterministic
 // enumeration: tail vertices ascending, heads ascending within a tail.  A
-// link's rank is its queue index in the single-process runner, the Edge
-// of its HopInfo, and the order key by which a sharded run rebuilds the
-// single-process event order from its shards' reports.
+// link's rank is the Edge of its HopInfo, the index of its queue and
+// counters, and the order key by which the coordinator merges its shards'
+// reports into the run's event order.
 type edgeRanker struct {
-	base []int      // base[u] = rank of u's first outgoing link
+	base []int      // base[u] = rank of u's first outgoing link; base[N] = link count
 	adj  [][]int32  // sorted neighbor lists (the host's own when presorted)
 	ends [][2]int32 // tail and head of every link, by rank
 }
 
 func newEdgeRanker(host *graph.Graph) *edgeRanker {
 	n := host.N()
-	r := &edgeRanker{base: make([]int, n), adj: make([][]int32, n), ends: make([][2]int32, 0, 2*host.M())}
+	r := &edgeRanker{base: make([]int, n+1), adj: make([][]int32, n), ends: make([][2]int32, 0, 2*host.M())}
 	for u := 0; u < n; u++ {
 		r.base[u] = len(r.ends)
 		ns := host.Neighbors(u)
@@ -53,6 +53,7 @@ func newEdgeRanker(host *graph.Graph) *edgeRanker {
 			r.ends = append(r.ends, [2]int32{int32(u), v})
 		}
 	}
+	r.base[n] = len(r.ends)
 	return r
 }
 
@@ -65,9 +66,9 @@ func (r *edgeRanker) rank(u, v int32) int {
 	return -1
 }
 
-// hopper picks the link a message leaves a vertex by.  Both runners route
-// every message through one: the run's own for admissions and
-// retransmissions, each shard's for the forwards at its vertices.
+// hopper picks the link a message leaves a vertex by.  Every message is
+// routed through one: the run's own for admissions and retransmissions,
+// each shard's for the forwards at its vertices.
 type hopper struct {
 	next     func(cur, dst int32) int32 // from router
 	links    *edgeRanker

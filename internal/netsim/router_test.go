@@ -34,36 +34,40 @@ func xtreeNextHop(x *xtree.XTree) func(cur, dst int32) int32 {
 }
 
 // TestRoutedRunMatchesTableRunDeliveries checks that the topology-aware
-// router produces a complete, correct run: same deliveries and a makespan
-// within the same ballpark (paths are equal length, only tie-breaking can
-// shift queuing by a little).
+// router produces the run the tables produce: XTree.NextHopID picks the
+// tables' hop on every pair (TestNextHopIDMatchesTables), so the two
+// Results are the same.
 func TestRoutedRunMatchesTableRunDeliveries(t *testing.T) {
 	tr := bintree.CompleteN(int(core.Capacity(4)))
 	res, place := xtreePlaceAndHost(t, tr)
 	hostG := res.Host.AsGraph()
-	wlA := NewDivideConquer(tr, 2)
-	tab, err := Run(Config{Host: hostG, Place: place}, wlA)
+	tab, err := Run(Config{Host: hostG, Place: place}, NewDivideConquer(tr, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wlB := NewDivideConquer(tr, 2)
 	routed, err := Run(Config{
 		Host:    hostG,
 		Place:   place,
 		NextHop: xtreeNextHop(res.Host),
-	}, wlB)
+	}, NewDivideConquer(tr, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if routed.Delivered != tab.Delivered {
-		t.Errorf("delivered %d vs %d", routed.Delivered, tab.Delivered)
+	if routed != tab {
+		t.Errorf("routed run diverges from the table run:\n routed: %+v\n tables: %+v", routed, tab)
 	}
-	if routed.HopsTotal != tab.HopsTotal {
-		t.Errorf("hops %d vs %d (both route shortest paths)", routed.HopsTotal, tab.HopsTotal)
+	if tab.Delivered == 0 {
+		t.Errorf("reference run delivered nothing: %+v", tab)
 	}
-	ratio := float64(routed.Cycles) / float64(tab.Cycles)
-	if ratio < 0.5 || ratio > 2 {
-		t.Errorf("makespan diverged: %d vs %d", routed.Cycles, tab.Cycles)
+}
+
+// TestNextHopIDMatchesTables pins the closed-form X-tree router to the BFS
+// tables on every ordered pair of X(r) for r ≤ 8: where two shortest paths
+// tie, both pick the same neighbor.
+func TestNextHopIDMatchesTables(t *testing.T) {
+	for r := 0; r <= 8; r++ {
+		x := xtree.New(r)
+		sameHopsAsTables(t, fmt.Sprintf("X(%d)", r), x.AsGraph(), xtreeNextHop(x))
 	}
 }
 
@@ -285,6 +289,32 @@ func BenchmarkIdealBaseline(b *testing.B) {
 				idealRun(b, tr)
 			}
 		})
+	}
+}
+
+// BenchmarkRunXTree times a run shaped like one simulate request: one wave
+// of divide-and-conquer on a random n=2032 guest (seed 1) under the
+// default embed on X(6), routed by the host's next-hop tables.
+func BenchmarkRunXTree(b *testing.B) {
+	tr, err := bintree.Generate(bintree.FamilyRandom, 2032, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	emb, err := core.EmbedXTree(tr, core.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	place := make([]int32, tr.N())
+	for v, a := range emb.Assignment {
+		place[v] = int32(a.ID())
+	}
+	cfg := Config{Host: emb.Host.AsGraph(), Place: place}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(cfg, NewDivideConquer(tr, 1)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -6,13 +6,12 @@ import (
 	"slices"
 )
 
-// run is the guest-level bookkeeping of one simulation, shared by the
-// single-process runner (sim) and the sharded coordinator (coord): the
-// workload, sequence numbers, the in-flight count, latencies, the
-// retransmission pool, the observers and the run's fault replica.  What
-// happens to a guest message between its emission and its delivery is
-// decided here once; the runners differ only in where the link and memory
-// queues live and how Phase 1 moves them.
+// run is the guest-level bookkeeping of one simulation: the workload,
+// sequence numbers, the in-flight count, latencies, the retransmission
+// pool, the observers and the run's fault replica.  What happens to a
+// guest message between its emission and its delivery is decided here
+// once; the coordinator (shard.go) drives it with one or more shards,
+// which own the link and memory queues and move them in Phase 1.
 type run struct {
 	place     []int32 // guest process -> host vertex
 	wl        Workload
@@ -31,10 +30,11 @@ type run struct {
 
 	emit    func(Event) // appends to pending; handed to the workload
 	pending []Event
-	placed  []placement // routed messages waiting for the runner's next begin
-	resent  []resend    // this cycle's releases, for retransmit
-	arrived []message   // this cycle's arrivals, in arrival order
-	order   deliveryOrder
+	// Routed messages waiting for the next begin, per owning shard: the
+	// admitted ones and the released retransmissions.
+	owner    []int32 // host vertex -> shard
+	inj, rel [][]placement
+	resent   []resend // this cycle's releases, for retransmit
 }
 
 // placement is a routed message waiting for its queue: the link with rank
@@ -90,26 +90,14 @@ func newRun(cfg Config, wl Workload) (*run, error) {
 	return r, nil
 }
 
-// runner owns a run's link and memory queues: the single-process sim, or
-// the coordinator of a sharded run.  run.cycles drives it.
-type runner interface {
-	// begin opens cycle r.now: it queues the messages admitted since the
-	// last begin, fires the kills due by then, releases the due
-	// retransmissions, and reports the messages sitting on link and
-	// memory queues.
-	begin() (queuedLinks, queuedLocal int, err error)
-	// step moves every busy link's head (Phase 1) and hands the cycle's
-	// arrivals to r.deliver.
-	step(CycleInfo) error
-}
-
-// cycles runs x from boot until quiescence, the cycle cap or
+// cycles runs the simulation from boot until quiescence, the cycle cap or
 // cancellation; the context is polled once per simulated cycle.  A run
 // that goes quiescent before the workload reports Done is a deadlock and
 // errors.
-func (r *run) cycles(ctx context.Context, x runner) (Result, error) {
+func (c *coord) cycles(ctx context.Context) (Result, error) {
+	r := c.run
 	// Kills scheduled at or before cycle 0 are dead from the start.
-	if _, _, err := x.begin(); err != nil {
+	if _, _, err := c.begin(); err != nil {
 		return r.res, err
 	}
 	r.wl.Init(r.emit)
@@ -124,7 +112,7 @@ func (r *run) cycles(ctx context.Context, x runner) (Result, error) {
 		default:
 		}
 		r.now = cycle
-		queuedLinks, queuedLocal, err := x.begin()
+		queuedLinks, queuedLocal, err := c.begin()
 		if err != nil {
 			return r.res, err
 		}
@@ -152,7 +140,7 @@ func (r *run) cycles(ctx context.Context, x runner) (Result, error) {
 		if r.obs != nil {
 			r.obs.OnCycleStart(ci)
 		}
-		if err := x.step(ci); err != nil {
+		if err := c.step(ci); err != nil {
 			return r.res, err
 		}
 	}
@@ -162,7 +150,7 @@ func (r *run) cycles(ctx context.Context, x runner) (Result, error) {
 }
 
 // admit assigns the events in r.pending their sequence numbers and routes
-// them into r.placed: a message with a dead endpoint is unreachable at
+// them into r.inj: a message with a dead endpoint is unreachable at
 // once, one between co-located processes goes to the memory queue of
 // their vertex, and any other takes the first link of its route.
 func (r *run) admit() error {
@@ -195,16 +183,17 @@ func (r *run) admit() error {
 				continue
 			}
 		}
-		r.placed = append(r.placed, placement{edge: e, at: src, m: m})
+		inj := &r.inj[r.owner[src]]
+		*inj = append(*inj, placement{edge: e, at: src, m: m})
 	}
 	return nil
 }
 
 // release takes the parked messages whose backoff has elapsed out of the
 // pool, in park order, and routes each one whose source is alive into
-// r.placed.  Their events wait for retransmit: the sharded coordinator
-// must hand the placements to its shards before it learns the cycle's
-// kill casualties, whose events come first.
+// r.rel.  Their events wait for retransmit: the shards queue the
+// placements in the same barrier that reports the cycle's kill
+// casualties, whose events come first.
 func (r *run) release() error {
 	r.resent = r.resent[:0]
 	keep := r.retx[:0]
@@ -224,7 +213,8 @@ func (r *run) release() error {
 		}
 		r.resent = append(r.resent, resend{m: m, lost: e < 0})
 		if e >= 0 {
-			r.placed = append(r.placed, placement{edge: e, at: m.SrcHost, m: m})
+			rel := &r.rel[r.owner[m.SrcHost]]
+			*rel = append(*rel, placement{edge: e, at: m.SrcHost, m: m})
 		}
 	}
 	r.retx = keep
@@ -291,28 +281,23 @@ func (r *run) killed(k firedKill) {
 	}
 }
 
-// deliver is Phase 2: it puts r.arrived in delivery order, hands each
-// message to the workload unless its destination died in flight, and
-// admits the responses.
-func (r *run) deliver() error {
-	r.order.sort(r.arrived)
-	r.pending = r.pending[:0]
-	for _, m := range r.arrived {
-		if r.faults != nil && r.faults.deadV[m.DstHost] {
-			r.abandon(m) // destination died while the message was in flight
-			continue
-		}
-		r.inflight--
-		r.res.Delivered++
-		lat := r.now - m.SentAt
-		r.latencies = append(r.latencies, lat)
-		if r.obs != nil {
-			r.obs.OnDeliver(DeliverInfo{Cycle: r.now, Host: m.DstHost, Seq: m.Seq,
-				Ev: m.Ev, Latency: lat, Local: m.SrcHost == m.DstHost})
-		}
-		r.wl.OnMessage(m.Ev, r.emit)
+// deliver hands one Phase-2 arrival to the workload, unless its
+// destination died while it was in flight; the workload's responses wait
+// in r.pending for admit.
+func (r *run) deliver(m *message) {
+	if r.faults != nil && r.faults.deadV[m.DstHost] {
+		r.abandon(*m)
+		return
 	}
-	return r.admit()
+	r.inflight--
+	r.res.Delivered++
+	lat := r.now - m.SentAt
+	r.latencies = append(r.latencies, lat)
+	if r.obs != nil {
+		r.obs.OnDeliver(DeliverInfo{Cycle: r.now, Host: m.DstHost, Seq: m.Seq,
+			Ev: m.Ev, Latency: lat, Local: m.SrcHost == m.DstHost})
+	}
+	r.wl.OnMessage(m.Ev, r.emit)
 }
 
 // finish stamps the executed cycles and the latency percentiles on the

@@ -1,30 +1,35 @@
 package netsim
 
-// Sharded runs.  A coordinator splits the host across shard goroutines
-// and reproduces the single-process run bit for bit.  Every cycle it
-// (1) routes the due retransmissions, (2) barriers the shards through
-// begin — the last cycle's emissions queued, due kills replayed, the
+// The runner.  A coordinator splits the host's link and memory queues
+// across shards; RunContext runs one shard and RunSharded several, and
+// both produce the same run bit for bit.  Every cycle the coordinator (1)
+// routes the due retransmissions, (2) barriers the shards through begin —
+// the last cycle's emissions queued, due kills replayed, the
 // retransmissions queued, busy links snapshotted —, (3) draws the fault
 // generator over the merged snapshot in global link order, (4) barriers
-// the shards through fire, during which they hand forwards to each other
-// as Go values, and (5) delivers the merged arrivals.  The barriers keep
-// the one-hop-per-cycle invariant global: no shard starts cycle k+1 until
+// the shards through fire (Phase 1), during which they hand forwards to
+// each other as Go values, and (5) delivers the merged arrivals (Phase 2).
+// The coordinator runs shard 0 itself and every other shard runs on its
+// own goroutine, so a one-shard run starts none.  The barriers keep the
+// one-hop-per-cycle invariant global: no shard starts cycle k+1 until
 // every shard has finished the hops of cycle k.
 //
 // Every decision that depends on global order stays on the coordinator,
-// in the run it shares with the single-process runner: the workload,
-// sequence numbers, the fault generator, the retransmission pool and the
-// observers.  A shard owns the link queues whose tail vertex it owns, the
-// memory queues of its owned vertices and the Phase-1 forwarding at them;
-// alive-graph rerouting replays from the shared kill schedule, so shards
-// never draw from the generator.  Shards report what happened with order
-// keys (link ranks, kill-schedule positions, FIFO positions) from which
-// the coordinator rebuilds the single-process event order.
+// in its run (run.go): the workload, sequence numbers, the fault
+// generator, the retransmission pool and the observers.  A shard owns the
+// link queues whose tail vertex it owns, the memory queues of its owned
+// vertices and the Phase-1 forwarding at them; alive-graph rerouting
+// replays from the shared kill schedule, so shards never draw from the
+// generator.  Shards report what happened in lists sorted by order keys
+// (link ranks, kill-schedule positions, FIFO positions), and the
+// coordinator merges them into the run's one event order: links move in
+// rank order, then memory queues drain in vertex order.
 
 import (
 	"cmp"
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"time"
@@ -69,9 +74,9 @@ type ShardStats struct {
 }
 
 // RunSharded runs cfg like RunContext with the host's queues split across
-// sh.Shards goroutines, and returns each shard's statistics too.  The
-// Result, the error and the observer event stream are those of RunContext
-// on the same config; cfg.Partitions is not consulted.
+// sh.Shards shards, and returns each shard's statistics too.  The Result,
+// the error and the observer event stream are those of RunContext on the
+// same config; cfg.Partitions is not consulted.
 func RunSharded(ctx context.Context, cfg Config, wl Workload, sh Sharding) (Result, []ShardStats, error) {
 	var audit *LinkAudit
 	if sh.Audit {
@@ -92,11 +97,11 @@ func RunSharded(ctx context.Context, cfg Config, wl Workload, sh Sharding) (Resu
 	}
 	c := newCoord(r, sh)
 	defer c.stop()
-	res, err := r.cycles(ctx, c)
+	res, err := c.cycles(ctx)
 	c.stop() // the shards' totals are final once their goroutines exit
 	stats := make([]ShardStats, len(c.shards))
 	for k, s := range c.shards {
-		stats[k] = ShardStats{Vertices: len(s.verts), Links: len(s.edges), Hops: s.hopsTotal, BoundaryOut: s.shippedTotal}
+		stats[k] = ShardStats{Vertices: s.nVerts, Links: s.nLinks, Hops: s.hopsTotal, BoundaryOut: s.shippedTotal}
 	}
 	if err == nil && sh.Audit {
 		for k, s := range c.shards {
@@ -111,31 +116,33 @@ func RunSharded(ctx context.Context, cfg Config, wl Workload, sh Sharding) (Resu
 	return res, stats, err
 }
 
-// coord drives a sharded run: the run's bookkeeping plus the shards.
+// coord drives a run: the run's bookkeeping plus the shards.
 type coord struct {
 	*run
-	owner   []int32
 	shards  []*shard
 	sampler func(ShardSample)
-	draws   bool // the plan has drop or corruption probabilities
+	queues  []linkQueue   // the shards' link queues, by rank
+	dec     []hopDecision // the generator's verdict per busy link, by rank; nil unless the plan draws
 	wg      sync.WaitGroup
 	stopped bool
 
-	inj, rel [][]placement   // per shard, for the next begin barrier
-	decs     [][]hopDecision // per shard, aligned with its busy links
-
-	// Merge buffers, reused from cycle to cycle.
-	losses   []lossRecord
-	drawn    []drawSlot
-	hops     []HopInfo
-	arrivals []arrival
+	heap []cursor  // merge scratch
+	hops []HopInfo // a cycle's hops in rank order, when observed
 }
 
 func newCoord(r *run, sh Sharding) *coord {
-	c := &coord{run: r, owner: sh.Owner, sampler: sh.Sampler,
-		draws: r.faults != nil && (r.faults.plan.DropProb > 0 || r.faults.plan.CorruptProb > 0),
-		inj:   make([][]placement, sh.Shards), rel: make([][]placement, sh.Shards),
-		decs: make([][]hopDecision, sh.Shards)}
+	c := &coord{run: r, sampler: sh.Sampler}
+	if r.faults != nil && (r.faults.plan.DropProb > 0 || r.faults.plan.CorruptProb > 0) {
+		c.dec = make([]hopDecision, len(r.links.ends))
+	}
+	r.owner = sh.Owner
+	r.inj, r.rel = make([][]placement, sh.Shards), make([][]placement, sh.Shards)
+	// The queues and counters are indexed by link rank and vertex, and a
+	// shard touches only the entries it owns.
+	nLinks := len(r.links.ends)
+	queues, traffic, busyPos := make([]linkQueue, nLinks), make([]int, nLinks), make([]int32, nLinks)
+	local := make([][]message, len(sh.Owner))
+	c.queues = queues
 	// xch[i][j] carries forwards from shard i to shard j.  Every shard
 	// sends to all its peers — empty handoffs included — before receiving
 	// any, and each directed pair has one buffer slot, so the exchange
@@ -144,13 +151,16 @@ func newCoord(r *run, sh Sharding) *coord {
 	for i := range xch {
 		xch[i] = make([]chan []boundary, sh.Shards)
 		for j := range xch[i] {
-			xch[i][j] = make(chan []boundary, 1)
+			if i != j {
+				xch[i][j] = make(chan []boundary, 1)
+			}
 		}
 	}
 	for k := 0; k < sh.Shards; k++ {
-		s := &shard{self: int32(k), owner: sh.Owner, links: r.links, recordHops: r.obs != nil,
-			in: make(chan shardCmd, 1), done: make(chan error, 1), xch: xch,
-			out: make([][]boundary, sh.Shards)}
+		s := &shard{self: int32(k), order: deliveryOrder{shard: int32(k)}, owner: sh.Owner, links: r.links,
+			dec: c.dec, recordHops: r.obs != nil, stamp: sh.Sampler != nil, queues: queues, traffic: traffic,
+			busyPos: busyPos, local: local, linked: newBitset(nLinks), waiting: newBitset(len(sh.Owner)), xch: xch,
+			out: make([][]boundary, sh.Shards), inbox: make([][]boundary, sh.Shards)}
 		s.hop = hopper{next: r.hop.next, links: r.links, reroutes: &s.reroutes}
 		if r.faults != nil {
 			s.hop.faults = r.faults.replica()
@@ -158,23 +168,15 @@ func newCoord(r *run, sh Sharding) *coord {
 		if sh.Audit {
 			s.audit = NewLinkAudit()
 		}
-		for e, l := range r.links.ends {
-			if sh.Owner[l[0]] == s.self {
-				s.edges = append(s.edges, e)
-			}
-		}
-		for v, o := range sh.Owner {
-			if o == s.self {
-				s.verts = append(s.verts, int32(v))
-			}
-		}
-		s.queues = make([]linkQueue, len(s.edges))
-		s.traffic = make([]int, len(s.edges))
-		s.busyAt = make([]int, len(s.edges))
-		s.local = make([][]message, len(s.verts))
 		c.shards = append(c.shards, s)
 	}
-	for _, s := range c.shards {
+	for v, k := range sh.Owner {
+		s := c.shards[k]
+		s.nVerts++
+		s.nLinks += r.links.base[v+1] - r.links.base[v]
+	}
+	for _, s := range c.shards[1:] {
+		s.cmds, s.done = make(chan shardCmd, 1), make(chan error, 1)
 		c.wg.Add(1)
 		go s.serve(&c.wg)
 	}
@@ -187,19 +189,23 @@ func (c *coord) stop() {
 		return
 	}
 	c.stopped = true
-	for _, s := range c.shards {
-		close(s.in)
+	for _, s := range c.shards[1:] {
+		close(s.cmds)
 	}
 	c.wg.Wait()
 }
 
-// barrier sends every shard its command and waits for all of them.
-func (c *coord) barrier(cmd func(k int) shardCmd) error {
-	for k, s := range c.shards {
-		s.in <- cmd(k)
+// barrier runs one command on every shard: shard 0 on the coordinator's
+// goroutine, the others on theirs.  It returns the lowest shard's error.
+func (c *coord) barrier(fire bool, ci CycleInfo) error {
+	cmd := func(k int) shardCmd {
+		return shardCmd{fire: fire, now: c.now, ci: ci, inj: c.inj[k], rel: c.rel[k]}
 	}
-	var first error
-	for _, s := range c.shards {
+	for k, s := range c.shards[1:] {
+		s.cmds <- cmd(k + 1)
+	}
+	first := c.shards[0].exec(cmd(0))
+	for _, s := range c.shards[1:] {
 		if err := <-s.done; err != nil && first == nil {
 			first = err
 		}
@@ -207,59 +213,40 @@ func (c *coord) barrier(cmd func(k int) shardCmd) error {
 	return first
 }
 
-// hand moves the routed messages in r.placed to their owners' lists.
-func (c *coord) hand(dst [][]placement) {
-	for _, p := range c.placed {
-		k := c.owner[p.at]
-		dst[k] = append(dst[k], p)
-	}
-	c.placed = c.placed[:0]
-}
-
-// begin replays the single-process cycle start: the coordinator's replica
-// fires the cycle's kills first, because the retransmissions it routes
-// next must see post-kill liveness; the shards then queue the last
-// cycle's emissions, flush what the kills took down and queue the
-// releases; and the events follow in the single-process order — each
-// kill with its casualties, then the releases.
-func (c *coord) begin() (int, int, error) {
-	c.hand(c.inj)
+// begin opens cycle c.now: the coordinator's replica fires the cycle's
+// kills first, because the retransmissions it routes next must see
+// post-kill liveness; the shards then queue the last cycle's emissions,
+// flush what the kills took down and queue the releases; and the events
+// follow in schedule order — each kill with its casualties — and then
+// the releases.  It reports the messages sitting on link and memory
+// queues.
+func (c *coord) begin() (queuedLinks, queuedLocal int, err error) {
 	var fired []firedKill
 	if c.faults != nil {
 		fired = c.faults.advance(c.now)
 		if err := c.release(); err != nil {
 			return 0, 0, err
 		}
-		c.hand(c.rel)
 	}
-	err := c.barrier(func(k int) shardCmd { return shardCmd{now: c.now, inj: c.inj[k], rel: c.rel[k]} })
-	if err != nil {
+	if err := c.barrier(false, CycleInfo{}); err != nil {
 		return 0, 0, err
 	}
-	queuedLinks, queuedLocal := 0, 0
-	c.losses = c.losses[:0]
 	for k, s := range c.shards {
 		c.inj[k], c.rel[k] = c.inj[k][:0], c.rel[k][:0]
-		c.losses = append(c.losses, s.killed...)
 		queuedLinks += s.queuedLinks
 		queuedLocal += s.queuedLocal
 		c.res.MaxQueue = max(c.res.MaxQueue, s.maxQueue)
 	}
-	slices.SortFunc(c.losses, func(x, y lossRecord) int {
-		if x.kill != y.kill {
-			return cmp.Compare(x.kill, y.kill)
-		}
-		if x.step != y.step {
-			return cmp.Compare(x.step, y.step)
-		}
-		return cmp.Compare(x.pos, y.pos)
-	})
 	i := 0
-	for _, k := range fired {
-		c.killed(k)
-		for ; i < len(c.losses) && c.losses[i].kill == k.idx; i++ {
-			c.settle(c.losses[i])
+	killed := func(k int) []lossRecord { return c.shards[k].killed }
+	merge(len(c.shards), killed, &c.heap, compareLoss, func(l *lossRecord) {
+		for ; i < len(fired) && fired[i].idx <= l.kill; i++ {
+			c.killed(fired[i])
 		}
+		c.settle(l)
+	})
+	for ; i < len(fired); i++ {
+		c.killed(fired[i])
 	}
 	c.retransmit()
 	return queuedLinks, queuedLocal, nil
@@ -269,16 +256,11 @@ func (c *coord) begin() (int, int, error) {
 // replays its events in global link order and delivers the arrivals.
 func (c *coord) step(ci CycleInfo) error {
 	c.draw()
-	err := c.barrier(func(k int) shardCmd { return shardCmd{fire: true, now: c.now, dec: c.decs[k], ci: ci} })
-	if err != nil {
+	if err := c.barrier(true, ci); err != nil {
 		return err
 	}
-	c.losses, c.hops, c.arrivals = c.losses[:0], c.hops[:0], c.arrivals[:0]
 	var last time.Time
 	for _, s := range c.shards {
-		c.losses = append(c.losses, s.lost...)
-		c.hops = append(c.hops, s.hops...)
-		c.arrivals = append(c.arrivals, s.arrivals...)
 		c.res.HopsTotal += len(s.busy)
 		c.res.Reroutes += s.reroutes
 		c.res.MaxQueue = max(c.res.MaxQueue, s.maxQueue)
@@ -290,26 +272,34 @@ func (c *coord) step(ci CycleInfo) error {
 	// Each hop's events follow it: its drop or corrupt discard, or the
 	// abandon of a forward with no alive route left.  A link moves one
 	// message per cycle, so it loses at most one.
-	slices.SortFunc(c.hops, func(a, b HopInfo) int { return cmp.Compare(a.Edge, b.Edge) })
-	slices.SortFunc(c.losses, func(a, b lossRecord) int { return cmp.Compare(a.edge, b.edge) })
+	c.hops = c.hops[:0]
+	hops := func(k int) []HopInfo { return c.shards[k].hops }
+	merge(len(c.shards), hops, &c.heap, compareHop, func(h *HopInfo) { c.hops = append(c.hops, *h) })
 	h := 0
-	for _, l := range c.losses {
+	// Shard k's Phase-1 losses are list 2k, its unrouted forwards 2k+1.
+	losses := func(k int) []lossRecord {
+		if k%2 == 1 {
+			return c.shards[k/2].unrouted
+		}
+		return c.shards[k/2].lost
+	}
+	merge(2*len(c.shards), losses, &c.heap, compareLoss, func(l *lossRecord) {
 		for ; h < len(c.hops) && c.hops[h].Edge <= l.edge; h++ {
 			c.obs.OnHop(c.hops[h])
 		}
 		c.settle(l)
-	}
+	})
 	for ; h < len(c.hops); h++ {
 		c.obs.OnHop(c.hops[h])
 	}
-	// Link arrivals by rank, then memory queues by vertex: the
-	// single-process arrival order.
-	slices.SortStableFunc(c.arrivals, func(a, b arrival) int { return cmp.Compare(a.key, b.key) })
-	c.arrived = c.arrived[:0]
-	for _, a := range c.arrivals {
-		c.arrived = append(c.arrived, a.m)
-	}
-	if err := c.deliver(); err != nil {
+	// Phase 2: every shard sorted its arrivals; deliver them merged, then
+	// admit the responses.
+	c.pending = c.pending[:0]
+	arrivals := func(k int) []deliveryKey { return c.shards[k].order.keys }
+	merge(len(c.shards), arrivals, &c.heap, compareDelivery, func(k *deliveryKey) {
+		c.deliver(&c.shards[k.shard].order.msgs[k.pos])
+	})
+	if err := c.admit(); err != nil {
 		return err
 	}
 	if c.sampler != nil {
@@ -321,41 +311,24 @@ func (c *coord) step(ci CycleInfo) error {
 	return nil
 }
 
-// drawSlot is one busy link of the merged snapshot: the shard that owns it
-// and its position in that shard's busy list.
-type drawSlot struct {
-	shard, pos, edge int
-	corrupt          bool // the head is already corrupt
-}
-
-// draw consumes the fault generator once per busy link in ascending global
-// rank, the order in which the single-process runner moves them, and
-// leaves each shard its verdicts in c.decs.
+// draw consumes the fault generator once per busy link in ascending rank
+// and leaves its verdicts in c.dec for the shards.
 func (c *coord) draw() {
-	if !c.draws {
+	if c.dec == nil {
 		return
 	}
-	c.drawn = c.drawn[:0]
-	for k, s := range c.shards {
-		c.decs[k] = c.decs[k][:0]
-		for pos, slot := range s.busy {
-			c.decs[k] = append(c.decs[k], hopDecision{})
-			c.drawn = append(c.drawn, drawSlot{shard: k, pos: pos, edge: s.edges[slot],
-				corrupt: s.queues[slot].live()[0].Corrupt})
-		}
-	}
-	slices.SortFunc(c.drawn, func(a, b drawSlot) int { return cmp.Compare(a.edge, b.edge) })
-	for _, d := range c.drawn {
-		v := c.faults.draw(d.corrupt)
+	busy := func(k int) []int { return c.shards[k].busy }
+	merge(len(c.shards), busy, &c.heap, compareRank, func(e *int) {
+		v := c.faults.draw(c.queues[*e].live()[0].Corrupt)
 		if v.corrupt {
 			c.res.Corruptions++
 		}
-		c.decs[d.shard][d.pos] = v
-	}
+		c.dec[*e] = v
+	})
 }
 
-// settle replays the single-process handling of one shard-reported loss.
-func (c *coord) settle(l lossRecord) {
+// settle applies the run's loss policy to one shard-reported loss.
+func (c *coord) settle(l *lossRecord) {
 	if l.abandon {
 		c.abandon(l.m)
 		return
@@ -376,6 +349,26 @@ type lossRecord struct {
 	abandon         bool // no nack and no retry: no alive route, or a dead vertex's memory queue
 }
 
+// compareLoss orders the loss records of one barrier.  A barrier reports
+// one kind — kill casualties, whose edge is 0, or Phase-1 losses, whose
+// kill, step and pos are 0 — so one comparison serves both.
+func compareLoss(a, b *lossRecord) int {
+	if c := cmp.Compare(a.kill, b.kill); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.step, b.step); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.pos, b.pos); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.edge, b.edge)
+}
+
+func compareHop(a, b *HopInfo) int { return cmp.Compare(a.Edge, b.Edge) }
+
+func compareRank(a, b *int) int { return cmp.Compare(*a, *b) }
+
 // boundary is one Phase-1 forward: the head of link src moved to vertex
 // at, whose owner queues it on at's link toward its destination.
 type boundary struct {
@@ -384,96 +377,151 @@ type boundary struct {
 	m   message
 }
 
-// arrival is a message that reached its destination this cycle, keyed by
-// the rank of the link it arrived on or, from a memory queue, by the link
-// count plus its vertex.
-type arrival struct {
-	key int
-	m   message
+func compareSrc(a, b *boundary) int { return cmp.Compare(a.src, b.src) }
+
+// merge visits the elements of n lists, list(k) for k < n, each sorted
+// by compare, in one sorted sequence.  Every key merged here names a link, a vertex or a kill's
+// flush owned by one shard, so no two lists share a key.  heap is reused
+// scratch.
+func merge[T any](n int, list func(k int) []T, heap *[]cursor, compare func(a, b *T) int, visit func(*T)) {
+	h := (*heap)[:0]
+	for k := 0; k < n; k++ {
+		if len(list(k)) > 0 {
+			h = append(h, cursor{k: k})
+		}
+	}
+	*heap = h
+	head := func(i int) *T { return &list(h[i].k)[h[i].pos] }
+	down := func(i int) {
+		for {
+			least, l := i, 2*i+1
+			if l < len(h) && compare(head(l), head(least)) < 0 {
+				least = l
+			}
+			if l+1 < len(h) && compare(head(l+1), head(least)) < 0 {
+				least = l + 1
+			}
+			if least == i {
+				return
+			}
+			h[i], h[least] = h[least], h[i]
+			i = least
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for len(h) > 1 {
+		visit(head(0))
+		if h[0].pos++; h[0].pos == len(list(h[0].k)) {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
+	}
+	if len(h) == 1 {
+		// The last list left needs no comparisons.
+		last := list(h[0].k)
+		for i := h[0].pos; i < len(last); i++ {
+			visit(&last[i])
+		}
+	}
 }
 
+// cursor is a merge's position in one of its lists.
+type cursor struct{ k, pos int }
+
 // shardCmd opens one barrier: begin (the placements) or fire (the
-// generator's verdicts and the cycle-start snapshot).
+// cycle-start snapshot).
 type shardCmd struct {
 	fire     bool
 	now      int
 	inj, rel []placement
-	dec      []hopDecision
 	ci       CycleInfo
 }
 
-// shard is one partition of a sharded run.  Its goroutine (serve) runs the
-// barriers; between them the shard is idle and the coordinator reads its
-// fields, ordered after the shard's writes by the done channel and before
-// its next writes by the in channel.
+// shard is one partition of a run.  Shard 0 runs on the coordinator's
+// goroutine; any other runs the barriers on its own (serve).  Between
+// barriers a shard is idle and the coordinator reads its fields, ordered
+// after the shard's writes by the done channel and before its next writes
+// by the cmds channel.
 type shard struct {
-	self       int32
-	owner      []int32
-	links      *edgeRanker
-	hop        hopper     // over the shard's own kill replica
-	audit      *LinkAudit // the shard's own under Sharding.Audit
-	recordHops bool       // the run has observers: report every hop
+	self           int32
+	owner          []int32
+	nVerts, nLinks int // owned vertices and links
+	links          *edgeRanker
+	hop            hopper        // over the shard's own kill replica
+	dec            []hopDecision // the coordinator's verdicts by rank; nil unless the plan draws
+	audit          *LinkAudit    // the shard's own under Sharding.Audit
+	recordHops     bool          // the run has observers: report every hop
+	stamp          bool          // a sampler reads doneAt
 
-	edges   []int // ranks of the owned links, ascending; a link's slot is its index
+	// The run's queues and counters, shared by every shard: by link rank,
+	// and the memory queues by vertex.  A shard touches only its own.
 	queues  []linkQueue
 	traffic []int
-	busyAt  []int   // cycle at whose start the slot was last busy
-	verts   []int32 // owned vertices, ascending
+	busyPos []int32 // 1 + the link's position in busy while it is busy, else 0
 	local   [][]message
+	// The shard's own marks: its links with a queued message, and its
+	// vertices with a waiting memory queue.
+	linked, waiting bitset
 
 	now, queuedLinks, queuedLocal, maxQueue, maxLinkLoad int
 	hopsTotal, shippedTotal                              int
 
-	// This cycle's report.
+	// This cycle's report, each list sorted by its order key.
 	killed   []lossRecord
-	busy     []int // busy slots at the snapshot, ascending
+	busy     []int // ranks of the links busy at the snapshot
 	hops     []HopInfo
-	lost     []lossRecord // Phase-1 losses
-	arrivals []arrival
+	lost     []lossRecord // Phase-1 losses on owned links, by rank
+	unrouted []lossRecord // forwards left with no alive route, by source rank
+	order    deliveryOrder
 	reroutes int
 	shipped  int // forwards handed to other shards
 	doneAt   time.Time
 
-	out    [][]boundary // outboxes per shard; out[self] holds forwards that stay
-	pushes []boundary
+	out   [][]boundary // outboxes per shard, by source rank; out[self] holds forwards that stay
+	inbox [][]boundary // this cycle's forwards from the other shards, per sender
+	heap  []cursor
 
-	in   chan shardCmd
+	cmds chan shardCmd // nil for shard 0
 	done chan error
 	xch  [][]chan []boundary
 }
 
+// bitset marks link ranks or vertices; iterating its words visits the
+// marks in ascending order.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+func (b bitset) set(i int)   { b[i>>6] |= 1 << (i & 63) }
+func (b bitset) clear(i int) { b[i>>6] &^= 1 << (i & 63) }
+
 func (sh *shard) serve(wg *sync.WaitGroup) {
 	defer wg.Done()
-	for cmd := range sh.in {
-		sh.now = cmd.now
-		var err error
-		if cmd.fire {
-			err = sh.fire(cmd.dec, cmd.ci)
-			// Stamped here, not at the coordinator's sequential reads:
-			// the spread of these stamps is the true straggler skew.
-			sh.doneAt = time.Now()
-		} else {
-			sh.begin(cmd.inj, cmd.rel)
-		}
-		sh.done <- err
+	for cmd := range sh.cmds {
+		sh.done <- sh.exec(cmd)
 	}
 }
 
-// slot returns the index of owned link e in edges and queues.
-func (sh *shard) slot(e int) int {
-	i, _ := slices.BinarySearch(sh.edges, e)
-	return i
-}
-
-// vslot returns the index of owned vertex v in verts and local.
-func (sh *shard) vslot(v int32) int {
-	i, _ := slices.BinarySearch(sh.verts, v)
-	return i
+// exec runs one barrier's work.
+func (sh *shard) exec(cmd shardCmd) error {
+	sh.now = cmd.now
+	if !cmd.fire {
+		sh.begin(cmd.inj, cmd.rel)
+		return nil
+	}
+	err := sh.fire(cmd.ci)
+	if sh.stamp {
+		// Stamped here, not at the coordinator's sequential reads: the
+		// spread of these stamps is the true straggler skew.
+		sh.doneAt = time.Now()
+	}
+	return err
 }
 
 // begin queues the last cycle's emissions, replays the cycle's kills,
-// queues the releases — the single-process order — and snapshots the
-// busy links.
+// queues the releases, and snapshots the busy links.
 func (sh *shard) begin(inj, rel []placement) {
 	sh.place(inj)
 	sh.killed = sh.killed[:0]
@@ -481,90 +529,106 @@ func (sh *shard) begin(inj, rel []placement) {
 		for _, k := range f.advance(sh.now) {
 			for step, l := range k.links {
 				if sh.owner[l[0]] == sh.self {
-					sh.flush(sh.slot(sh.links.rank(l[0], l[1])), k.idx, step)
+					sh.flush(sh.links.rank(l[0], l[1]), k.idx, step)
 				}
 			}
+			// Co-located deliveries pending at a dying vertex die with it.
 			if k.vertex && sh.owner[k.u] == sh.self {
-				i := sh.vslot(k.u)
-				for pos, m := range sh.local[i] {
+				for pos, m := range sh.local[k.u] {
 					sh.killed = append(sh.killed, lossRecord{kill: k.idx, step: len(k.links), pos: pos,
 						m: m, reason: DropUnreachable, abandon: true})
 				}
-				sh.queuedLocal -= len(sh.local[i])
-				sh.local[i] = nil
+				sh.queuedLocal -= len(sh.local[k.u])
+				sh.local[k.u] = nil
+				sh.waiting.clear(int(k.u))
 			}
 		}
 	}
 	sh.place(rel)
-	sh.busy = sh.busy[:0]
-	for slot := range sh.queues {
-		if sh.queues[slot].length() > 0 {
-			sh.busyAt[slot] = sh.now
-			sh.busy = append(sh.busy, slot)
+	busy, busyPos := sh.busy[:0], sh.busyPos
+	for _, e := range sh.busy {
+		busyPos[e] = 0
+	}
+	for w, x := range sh.linked {
+		for ; x != 0; x &= x - 1 {
+			e := w<<6 | bits.TrailingZeros64(x)
+			busy = append(busy, e)
+			busyPos[e] = int32(len(busy))
 		}
 	}
+	sh.busy = busy
 }
 
-// place queues coordinator-routed messages.
+// place queues coordinator-routed messages.  The backlog peak is sampled
+// at enqueue time, here and in push: sampling once per cycle would miss
+// the spikes of the emission bursts and of Phase-1 forwarding.
 func (sh *shard) place(ps []placement) {
-	for _, p := range ps {
+	for i := range ps {
+		p := &ps[i]
 		if p.edge < 0 {
-			i := sh.vslot(p.at)
-			sh.local[i] = append(sh.local[i], p.m)
+			sh.local[p.at] = append(sh.local[p.at], p.m)
+			sh.waiting.set(int(p.at))
 			sh.queuedLocal++
 			continue
 		}
-		q := &sh.queues[sh.slot(p.edge)]
+		q := &sh.queues[p.edge]
 		q.push(p.m)
+		sh.linked.set(p.edge)
 		sh.queuedLinks++
 		sh.maxQueue = max(sh.maxQueue, q.length())
 	}
 }
 
-// flush loses every message on the owned link slot, a casualty of the
-// kill at schedule position kill.
-func (sh *shard) flush(slot, kill, step int) {
-	q := &sh.queues[slot]
+// flush loses every message on the owned link e, a casualty of the kill
+// at schedule position kill.
+func (sh *shard) flush(e, kill, step int) {
+	q := &sh.queues[e]
 	for pos, m := range q.live() {
 		sh.killed = append(sh.killed, lossRecord{kill: kill, step: step, pos: pos, m: m, reason: DropKilled})
 	}
 	sh.queuedLinks -= q.length()
 	q.reset()
+	sh.linked.clear(e)
 }
 
 // fire runs the shard's Phase 1: every link busy at the snapshot moves
-// exactly its head, with the coordinator's verdict dec[i] for busy link i
-// when the plan draws; the forwards cross to their vertices' owners; and
-// every forward landing here is queued in ascending source rank — the
-// order the single-process runner produces by moving busy links in rank
-// order — before the memory queues drain.
-func (sh *shard) fire(dec []hopDecision, ci CycleInfo) error {
+// exactly its head, with the coordinator's verdict when the plan draws;
+// the forwards cross to their vertices' owners; every forward landing
+// here is queued in ascending source rank; and the memory queues drain.
+// The busy set is the cycle-start snapshot: a message forwarded onto a
+// link this cycle does not move again until the next cycle, or a message
+// on an ascending route would cross several links per cycle and dilation
+// would no longer bound the slowdown.
+func (sh *shard) fire(ci CycleInfo) error {
 	if sh.audit != nil {
 		sh.audit.OnCycleStart(ci)
 	}
-	sh.hops, sh.lost, sh.arrivals = sh.hops[:0], sh.lost[:0], sh.arrivals[:0]
+	sh.hops, sh.lost, sh.unrouted = sh.hops[:0], sh.lost[:0], sh.unrouted[:0]
+	sh.order.reset()
 	sh.reroutes = 0
 	for j := range sh.out {
 		sh.out[j] = sh.out[j][:0]
 	}
-	for i, slot := range sh.busy {
-		m := sh.queues[slot].pop()
+	for _, e := range sh.busy {
+		q := &sh.queues[e]
+		m := q.pop()
+		if q.length() == 0 {
+			sh.linked.clear(e)
+		}
 		sh.queuedLinks--
-		e := sh.edges[slot]
 		from, here := sh.links.ends[e][0], sh.links.ends[e][1]
-		sh.hopsTotal++
-		sh.traffic[slot]++
-		sh.maxLinkLoad = max(sh.maxLinkLoad, sh.traffic[slot])
+		sh.traffic[e]++
+		sh.maxLinkLoad = max(sh.maxLinkLoad, sh.traffic[e])
 		if sh.recordHops {
 			sh.hops = append(sh.hops, HopInfo{Cycle: sh.now, Edge: e, From: from, To: here,
-				Seq: m.Seq, Ev: m.Ev, Backlog: sh.queues[slot].length()})
+				Seq: m.Seq, Ev: m.Ev, Backlog: q.length()})
 		}
-		if dec != nil {
-			if dec[i].drop {
+		if sh.dec != nil {
+			if sh.dec[e].drop {
 				sh.lost = append(sh.lost, lossRecord{edge: e, m: m, reason: DropRandom})
 				continue
 			}
-			m.Corrupt = m.Corrupt || dec[i].corrupt
+			m.Corrupt = m.Corrupt || sh.dec[e].corrupt
 		}
 		if m.DstHost == here {
 			if m.Corrupt {
@@ -572,14 +636,17 @@ func (sh *shard) fire(dec []hopDecision, ci CycleInfo) error {
 				sh.lost = append(sh.lost, lossRecord{edge: e, m: m, reason: DropCorrupt})
 				continue
 			}
-			sh.arrivals = append(sh.arrivals, arrival{key: e, m: m})
+			sh.order.add(&m, e)
 			continue
 		}
 		o := sh.owner[here]
 		sh.out[o] = append(sh.out[o], boundary{src: e, at: here, m: m})
 	}
+	sh.hopsTotal += len(sh.busy)
 
-	// Send every handoff before receiving any; the receiver copies.
+	// Send every handoff before receiving any.  The receiver reads the
+	// sender's outbox in place: the sender leaves it alone until its next
+	// fire, which the barrier orders after this one.
 	sh.shipped = 0
 	for j, ch := range sh.xch[sh.self] {
 		if j != int(sh.self) {
@@ -588,59 +655,74 @@ func (sh *shard) fire(dec []hopDecision, ci CycleInfo) error {
 		}
 	}
 	sh.shippedTotal += sh.shipped
-	sh.pushes = append(sh.pushes[:0], sh.out[sh.self]...)
 	for j := range sh.xch {
 		if j != int(sh.self) {
-			sh.pushes = append(sh.pushes, <-sh.xch[j][sh.self]...)
+			sh.inbox[j] = <-sh.xch[j][sh.self]
 		}
 	}
-	slices.SortFunc(sh.pushes, func(a, b boundary) int { return cmp.Compare(a.src, b.src) })
-	for _, b := range sh.pushes {
-		if err := sh.push(b); err != nil {
-			return err
+	var err error
+	merge(len(sh.xch), sh.forwards, &sh.heap, compareSrc, func(b *boundary) {
+		if err == nil {
+			err = sh.push(b)
 		}
+	})
+	if err != nil {
+		return err
 	}
 	if sh.audit != nil {
 		for _, h := range sh.hops {
 			sh.audit.OnHop(h)
 		}
 	}
-	for i, q := range sh.local {
-		for _, m := range q {
-			sh.arrivals = append(sh.arrivals, arrival{key: len(sh.links.ends) + int(sh.verts[i]), m: m})
+	n, local := len(sh.links.ends), sh.local
+	for w, x := range sh.waiting {
+		for ; x != 0; x &= x - 1 {
+			v := w<<6 | bits.TrailingZeros64(x)
+			q := local[v]
+			sh.order.addQueue(q, n+v)
+			sh.queuedLocal -= len(q)
+			local[v] = q[:0]
 		}
-		sh.queuedLocal -= len(q)
-		sh.local[i] = q[:0]
+		sh.waiting[w] = 0
 	}
+	sh.order.sort()
 	return nil
 }
 
+// forwards returns this cycle's forwards to the shard from shard j.
+func (sh *shard) forwards(j int) []boundary {
+	if j == int(sh.self) {
+		return sh.out[j]
+	}
+	return sh.inbox[j]
+}
+
 // push routes one forward at its arrival vertex through the shared next-hop
-// policy.  The shard pops every busy link before it pushes any forward,
-// while the single-process runner pushes each forward when it moves the
-// forward's source link: if the target link is busy this cycle and moves
-// after the source (a higher rank), that runner saw its head still queued,
-// in the backlog peak and in the target's own hop record.
-func (sh *shard) push(b boundary) error {
+// policy.  The run orders a cycle's hops by link rank, as if each link
+// moved in turn and queued its forward at once; a shard pops every busy
+// link before it pushes any forward.  So when the target link is busy this
+// cycle and ranks above the source, the rank order still has its head
+// queued: it counts toward the backlog peak and the target's own hop
+// record.
+func (sh *shard) push(b *boundary) error {
 	m := b.m
 	e, err := sh.hop.link(b.at, &m)
 	if err != nil {
 		return err
 	}
 	if e < 0 {
-		sh.lost = append(sh.lost, lossRecord{edge: b.src, m: b.m, reason: DropUnreachable, abandon: true})
+		sh.unrouted = append(sh.unrouted, lossRecord{edge: b.src, m: b.m, reason: DropUnreachable, abandon: true})
 		return nil
 	}
-	slot := sh.slot(e)
-	q := &sh.queues[slot]
+	q := &sh.queues[e]
 	q.push(m)
+	sh.linked.set(e)
 	sh.queuedLinks++
 	sample := q.length()
-	if sh.busyAt[slot] == sh.now && e > b.src {
+	if p := sh.busyPos[e]; p > 0 && e > b.src {
 		sample++
 		if sh.recordHops {
-			i, _ := slices.BinarySearch(sh.busy, slot)
-			sh.hops[i].Backlog++
+			sh.hops[p-1].Backlog++
 		}
 	}
 	sh.maxQueue = max(sh.maxQueue, sample)

@@ -315,14 +315,14 @@ type SimulateRequest struct {
 	Faults   *FaultSpec `json:"faults,omitempty"`
 	// Partitions shards the simulation across that many epoch-barrier
 	// workers (internal/distsim), partitioned along X-tree subtrees.  The
-	// counters are byte-identical to the single-process run; 0 or 1 runs
-	// single-process.
+	// counters are byte-identical to the unpartitioned run; 0 or 1 runs
+	// unpartitioned.
 	Partitions int `json:"partitions,omitempty"`
 }
 
 // MaxSimPartitions caps SimulateRequest.Partitions well below the
-// distsim limit: each shard is a goroutine holding queue state, and a
-// request should not be able to demand hundreds of them.
+// distsim limit: each shard past the first is a goroutine holding queue
+// state, and a request should not be able to demand hundreds of them.
 const MaxSimPartitions = 64
 
 func (req *SimulateRequest) validate() error {

@@ -17,6 +17,7 @@ import (
 	"xtreesim/internal/core"
 	"xtreesim/internal/distsim"
 	"xtreesim/internal/engine"
+	"xtreesim/internal/graph"
 	"xtreesim/internal/netsim"
 	"xtreesim/internal/telemetry"
 	"xtreesim/internal/trace"
@@ -263,7 +264,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.handleSimulateStream(w, r, &req, tree, cfg, embItem)
 		return
 	}
-	resp, err := s.runSimulate(ctx, &req, tree, cfg, embItem, nil)
+	resp, err := s.runSimulate(ctx, &req, tree, cfg, embItem, nil, nil)
 	if err != nil {
 		writeAPIError(w, err)
 		return
@@ -276,8 +277,11 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // shared between the one-shot JSON response and the streaming session.
 // The returned error is already API-shaped (apiError).  rec, when
 // non-nil, receives per-shard telemetry samples on partitioned runs.
+// started, when non-nil, learns the shard count that runs (0 for an
+// unpartitioned run) before the run's first event: distsim caps the
+// request's count at the host's vertex count when it partitions.
 func (s *Server) runSimulate(ctx context.Context, req *SimulateRequest, tree *bintree.Tree,
-	cfg netsim.Config, embItem EmbedItem, rec *telemetry.Recorder) (SimulateResponse, error) {
+	cfg netsim.Config, embItem EmbedItem, rec *telemetry.Recorder, started func(parts int)) (SimulateResponse, error) {
 	// The simulation runs under its own child span, which closes with
 	// the run's counters; hop-level detail is what the event stream is
 	// for.
@@ -293,6 +297,12 @@ func (s *Server) runSimulate(ctx context.Context, req *SimulateRequest, tree *bi
 			Sim:        cfg,
 			Partitions: req.Partitions,
 			Partition:  distsim.XTreeSubtrees,
+		}
+		if started != nil {
+			dcfg.Partition = func(host *graph.Graph, parts int) []int32 {
+				started(parts)
+				return distsim.XTreeSubtrees(host, parts)
+			}
 		}
 		if rec != nil {
 			dcfg.ShardSampler = func(sm distsim.ShardSample) {
@@ -312,6 +322,9 @@ func (s *Server) runSimulate(ctx context.Context, req *SimulateRequest, tree *bi
 			s.dist.record(st)
 		}
 	} else {
+		if started != nil {
+			started(0)
+		}
 		simRes, err = netsim.RunContext(ctx, cfg, req.workload(tree))
 	}
 	// Close the span either way, but only record the counters when the

@@ -58,8 +58,8 @@ type session struct {
 	started  time.Time
 	workload string
 	treeN    int
-	parts    int
 
+	parts  atomic.Int64 // shards that run; 0 for an unpartitioned run
 	cycles atomic.Int64 // progress: last cycle published
 
 	mu       sync.Mutex
@@ -85,7 +85,7 @@ func (ss *session) info() SessionInfo {
 		State:       state,
 		Workload:    ss.workload,
 		TreeNodes:   ss.treeN,
-		Partitions:  ss.parts,
+		Partitions:  int(ss.parts.Load()),
 		StartedAt:   ss.started.UTC().Format(time.RFC3339Nano),
 		Cycles:      int(ss.cycles.Load()),
 		Events:      ss.hub.Published(),
@@ -129,14 +129,14 @@ func newSessionRegistry() *sessionRegistry {
 	}
 }
 
-func (sr *sessionRegistry) open(workload string, treeN, parts, ring int) *session {
+func (sr *sessionRegistry) open(workload string, treeN, ring int) *session {
 	sr.mu.Lock()
 	sr.nextID++
 	id := fmt.Sprintf("s-%x-%d", sr.salt&0xffffff, sr.nextID)
 	hub := telemetry.NewHub(ring)
 	ss := &session{
 		id: id, hub: hub, rec: telemetry.NewRecorder(hub, id),
-		started: time.Now(), workload: workload, treeN: treeN, parts: parts,
+		started: time.Now(), workload: workload, treeN: treeN,
 		state: SessionRunning,
 	}
 	sr.live[id] = ss
@@ -263,27 +263,31 @@ func (s *Server) handleSimulateStream(w http.ResponseWriter, r *http.Request,
 		return
 	}
 	ctx := r.Context()
-	ss := s.sessions.open(req.Workload, tree.N(), req.Partitions, s.telemetryRing)
+	ss := s.sessions.open(req.Workload, tree.N(), s.telemetryRing)
 	cfg.Observers = append(cfg.Observers, ss.rec, progressObserver{cycles: &ss.cycles})
 
 	// The start event carries everything a late subscriber needs to
 	// interpret the stream: the session, the embedding, and the request
-	// shape.
-	startPayload, _ := json.Marshal(struct {
-		Embed      EmbedItem `json:"embed"`
-		Workload   string    `json:"workload"`
-		TreeNodes  int       `json:"tree_nodes"`
-		Partitions int       `json:"partitions,omitempty"`
-	}{embItem, req.Workload, tree.N(), req.Partitions})
-	ss.rec.Publish(telemetry.Event{
-		TraceEvent: netsim.TraceEvent{Type: telemetry.EventStart},
-		Payload:    startPayload,
-	})
+	// shape with the shard count that runs.  It goes out once the run
+	// knows that count, before the run's first event.
+	start := func(parts int) {
+		ss.parts.Store(int64(parts))
+		payload, _ := json.Marshal(struct {
+			Embed      EmbedItem `json:"embed"`
+			Workload   string    `json:"workload"`
+			TreeNodes  int       `json:"tree_nodes"`
+			Partitions int       `json:"partitions,omitempty"`
+		}{embItem, req.Workload, tree.N(), parts})
+		ss.rec.Publish(telemetry.Event{
+			TraceEvent: netsim.TraceEvent{Type: telemetry.EventStart},
+			Payload:    payload,
+		})
+	}
 
 	// The simulation runs aside so this goroutine can write; the request
 	// context carries both the deadline and client-gone cancellation.
 	go func() {
-		resp, err := s.runSimulate(ctx, req, tree, cfg, embItem, ss.rec)
+		resp, err := s.runSimulate(ctx, req, tree, cfg, embItem, ss.rec, start)
 		if err != nil {
 			ss.rec.Publish(telemetry.Event{
 				TraceEvent: netsim.TraceEvent{Type: telemetry.EventError, Reason: err.Error()},

@@ -208,6 +208,52 @@ func TestSimulateStreamPartitioned(t *testing.T) {
 	}
 }
 
+// TestSimulateStreamReportsShardsThatRan holds the start event and the
+// session listing to the shard count that runs, as the result's dist
+// does.  A 5-node guest fits X(0), a single vertex, so four requested
+// partitions run one shard; one requested partition runs single-process,
+// and both leave the count out.
+func TestSimulateStreamReportsShardsThatRan(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, c := range []struct{ asked, ran int }{{4, 1}, {1, 0}} {
+		header, events := streamSimulate(t, ts.URL, SimulateRequest{
+			Tree: &TreeSpec{Family: "complete", N: 5}, Workload: WorkloadBroadcast, Partitions: c.asked})
+		if len(events) < 2 || events[0].Type != telemetry.EventStart || events[len(events)-1].Type != telemetry.EventResult {
+			t.Fatalf("partitions=%d: stream of %d events is not framed start..result", c.asked, len(events))
+		}
+		var start map[string]json.RawMessage
+		if err := json.Unmarshal(events[0].Payload, &start); err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		if raw, ok := start["partitions"]; ok {
+			if err := json.Unmarshal(raw, &got); err != nil || got == 0 {
+				t.Fatalf("partitions=%d: start event partitions %s", c.asked, raw)
+			}
+		}
+		var result SimulateResponse
+		if err := json.Unmarshal(events[len(events)-1].Payload, &result); err != nil {
+			t.Fatal(err)
+		}
+		dist := 0
+		if result.Dist != nil {
+			dist = result.Dist.Partitions
+		}
+		var list SessionsResponse
+		get(t, ts.URL+"/v1/sessions", &list)
+		listed := -1
+		for _, si := range list.Sessions {
+			if si.ID == header.Get("X-Session-Id") {
+				listed = si.Partitions
+			}
+		}
+		if got != c.ran || dist != c.ran || listed != c.ran {
+			t.Errorf("partitions=%d: start event reports %d, dist %d, session listing %d; want %d",
+				c.asked, got, dist, listed, c.ran)
+		}
+	}
+}
+
 // TestSessionAttachAndResume replays a finished session through the
 // attach endpoint, then resumes mid-stream with Last-Event-ID.
 func TestSessionAttachAndResume(t *testing.T) {
@@ -284,7 +330,7 @@ func TestStreamCapacityGate(t *testing.T) {
 	// Saturate the single slot against a session whose hub stays open:
 	// the attach stream idles on heartbeats and holds its slot for as
 	// long as we leave the connection up.
-	live := s.sessions.open("held-open", 0, 0, 0)
+	live := s.sessions.open("held-open", 0, 0)
 	defer func() {
 		live.hub.Close()
 		s.sessions.finish(live, "")
@@ -355,7 +401,7 @@ func (sw *stallWriter) lines() []byte {
 func TestStreamEventsSlowWriter(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	const ring = 8
-	ss := s.sessions.open("stall", 0, 0, ring)
+	ss := s.sessions.open("stall", 0, ring)
 
 	// One event so the writer has something to block on.
 	ss.rec.Publish(telemetry.Event{TraceEvent: netsim.TraceEvent{Type: telemetry.EventCycle, Cycle: 0}})
@@ -501,7 +547,7 @@ func TestStreamHeartbeat(t *testing.T) {
 		s.heartbeatInterval = 20 * time.Millisecond
 		s.streamTimeout = 250 * time.Millisecond
 	})
-	ss := s.sessions.open("idle", 0, 0, 0)
+	ss := s.sessions.open("idle", 0, 0)
 	defer func() {
 		ss.hub.Close()
 		s.sessions.finish(ss, "")

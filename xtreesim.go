@@ -343,7 +343,8 @@ func WithSimMaxCycles(n int) SimOption {
 // WithPartitions shards the simulation across n parallel workers
 // coordinated by a two-phase epoch barrier (internal/distsim).  The
 // Result and the observer event stream are byte-identical to the
-// single-process run for every n; values ≤ 1 run single-process.
+// unpartitioned run for every n; values ≤ 1 run unpartitioned, as one
+// shard on the caller's goroutine.
 // SimulateOnXTree partitions along X-tree subtrees, every other entry
 // point along contiguous vertex blocks.
 func WithPartitions(n int) SimOption {
@@ -375,9 +376,9 @@ func applySimOptions(cfg SimConfig, opts []SimOption) SimConfig {
 	return cfg
 }
 
-// runSim dispatches a resolved config to the matching runner: the
-// single-process loop, or — when WithPartitions asked for more than one
-// shard — the distributed coordinator with the given partitioner.
+// runSim dispatches a resolved config: netsim's one-shard run, or — when
+// WithPartitions asked for more than one shard — distsim's partition of
+// it with the given partitioner.
 func runSim(ctx context.Context, cfg SimConfig, wl Workload, part distsim.Partitioner) (SimResult, error) {
 	if cfg.Partitions > 1 {
 		return distsim.RunContext(ctx, distsim.Config{Sim: cfg, Partitions: cfg.Partitions, Partition: part}, wl)
