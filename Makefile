@@ -71,10 +71,13 @@ fuzz:
 
 # E1 + the simulator experiments with the LinkAudit invariant checker
 # attached to every run: any model violation aborts with a violation list.
+# E22 runs the sharded X-tree path, every shard routing in closed form
+# under a LinkAudit of its own; it writes no BENCH_dist.json here.
 audit-smoke:
 	$(GO) run ./cmd/xtree-bench -exp e1 -maxr 4 -seeds 2 -audit
 	$(GO) run ./cmd/xtree-bench -exp e10 -maxr 4 -audit
 	$(GO) run ./cmd/xtree-bench -exp e17 -maxr 4 -audit
+	$(GO) run ./cmd/xtree-bench -exp e22 -audit -dist-out ''
 
 # Run the embedding service on :8080 (Ctrl-C for a graceful drain).
 serve:

@@ -98,12 +98,7 @@ func TestPublicBFSPackAndSimulate(t *testing.T) {
 	if base.Embedding().MaxLoad() != xtreesim.LoadTarget {
 		t.Error("bfs-pack load wrong")
 	}
-	place := make([]int32, tree.N())
-	for v, a := range base.Assignment {
-		place[v] = int32(a.ID())
-	}
-	res, err := xtreesim.Simulate(netsim.Config{Host: base.Host.AsGraph(), Place: place},
-		xtreesim.NewBroadcast(tree))
+	res, err := xtreesim.Simulate(netsim.OnXTree(base.Host, base.Assignment), xtreesim.NewBroadcast(tree))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 
 	"xtreesim/internal/baseline"
 	"xtreesim/internal/bintree"
+	"xtreesim/internal/netsim"
 )
 
 func genTree(t testing.TB, f xtreesim.Family, n int, seed int64) *xtreesim.Tree {
@@ -110,12 +111,7 @@ func TestSimulateContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	place := make([]int32, tree.N())
-	for v, a := range res.Assignment {
-		place[v] = int32(a.ID())
-	}
-	_, err = xtreesim.SimulateContext(ctx,
-		xtreesim.SimConfig{Host: res.Host.AsGraph(), Place: place},
+	_, err = xtreesim.SimulateContext(ctx, netsim.OnXTree(res.Host, res.Assignment),
 		xtreesim.NewDivideConquer(tree, 1))
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)

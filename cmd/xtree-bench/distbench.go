@@ -71,15 +71,8 @@ func e22DistScaling() {
 	check(err)
 	res, err := core.EmbedXTree(tr, core.DefaultOptions())
 	check(err)
-	place := make([]int32, n)
-	for v, a := range res.Assignment {
-		place[v] = int32(a.ID())
-	}
-	base := netsim.Config{
-		Host:   res.Host.AsGraph(),
-		Place:  place,
-		Faults: &netsim.FaultPlan{Seed: seed, DropProb: drop, CorruptProb: drop},
-	}
+	base := netsim.OnXTree(res.Host, res.Assignment)
+	base.Faults = &netsim.FaultPlan{Seed: seed, DropProb: drop, CorruptProb: drop}
 
 	singleStart := time.Now()
 	ref, err := netsim.Run(base, netsim.NewDivideConquer(tr, waves))

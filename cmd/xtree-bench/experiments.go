@@ -366,27 +366,18 @@ func e10Simulation() {
 			check(err)
 			res, err := core.EmbedXTree(tr, core.DefaultOptions())
 			check(err)
-			place := make([]int32, n)
-			for v, a := range res.Assignment {
-				place[v] = int32(a.ID())
-			}
-			monien, err := simRun(netsim.Config{Host: res.Host.AsGraph(), Place: place},
-				netsim.NewDivideConquer(tr, 1))
+			onMonien := netsim.OnXTree(res.Host, res.Assignment)
+			monien, err := simRun(onMonien, netsim.NewDivideConquer(tr, 1))
 			check(err)
 			base := baseline.DFSPack(tr)
-			dfsPlace := make([]int32, n)
-			for v, a := range base.Assignment {
-				dfsPlace[v] = int32(a.ID())
-			}
-			dfs, err := simRun(netsim.Config{Host: base.Host.AsGraph(), Place: dfsPlace},
-				netsim.NewDivideConquer(tr, 1))
+			dfs, err := simRun(netsim.OnXTree(base.Host, base.Assignment), netsim.NewDivideConquer(tr, 1))
 			check(err)
 			// Parallel prefix with result verification.
 			scanIdeal, err := simRun(netsim.Config{Host: tr.AsGraph(), Place: netsim.IdentityPlacement(n)},
 				netsim.NewScan(tr))
 			check(err)
 			scanWl := netsim.NewScan(tr)
-			scanHost, err := simRun(netsim.Config{Host: res.Host.AsGraph(), Place: place}, scanWl)
+			scanHost, err := simRun(onMonien, scanWl)
 			check(err)
 			row(f, r, n, ideal.Cycles, monien.Cycles, dfs.Cycles,
 				fmt.Sprintf("%.2f", float64(monien.Cycles)/float64(ideal.Cycles)),

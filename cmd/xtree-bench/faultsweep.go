@@ -32,21 +32,14 @@ func e16FaultSweep() {
 
 	res, err := core.EmbedXTree(tr, core.DefaultOptions())
 	check(err)
-	monienPlace := make([]int32, n)
-	for v, a := range res.Assignment {
-		monienPlace[v] = int32(a.ID())
-	}
+	monienCfg := netsim.OnXTree(res.Host, res.Assignment)
 	base := baseline.DFSPack(tr)
-	dfsPlace := make([]int32, n)
-	for v, a := range base.Assignment {
-		dfsPlace[v] = int32(a.ID())
-	}
-	host := res.Host.AsGraph() // dfs-pack uses the same optimal X(r) host
+	dfsCfg := netsim.OnXTree(base.Host, base.Assignment) // the same optimal X(r) host
 
 	// Three link kills, the same for both embeddings, picked from the
 	// host edge list by a fixed seed so the sweep is reproducible.
 	pick := rng(17)
-	edges := host.Edges()
+	edges := monienCfg.Host.Edges()
 	var kills []netsim.LinkKill
 	for _, cycle := range []int{4, 8, 12} {
 		e := edges[pick.Intn(len(edges))]
@@ -61,10 +54,9 @@ func e16FaultSweep() {
 			LinkKills:   kills,
 			MaxRetries:  16,
 		}
-		wlM := netsim.NewDivideConquer(tr, 1)
-		monien, errM := simRun(netsim.Config{Host: host, Place: monienPlace, Faults: plan}, wlM)
-		wlD := netsim.NewDivideConquer(tr, 1)
-		dfs, errD := simRun(netsim.Config{Host: host, Place: dfsPlace, Faults: plan}, wlD)
+		monienCfg.Faults, dfsCfg.Faults = plan, plan
+		monien, errM := simRun(monienCfg, netsim.NewDivideConquer(tr, 1))
+		dfs, errD := simRun(dfsCfg, netsim.NewDivideConquer(tr, 1))
 		row(fmt.Sprintf("%.1f", rate*100),
 			fmt.Sprintf("%.2f", float64(monien.Cycles)/float64(ideal.Cycles)),
 			fmt.Sprintf("%.2f", float64(dfs.Cycles)/float64(ideal.Cycles)),

@@ -78,17 +78,11 @@ func e17Observability() {
 		check(err)
 		res, err := core.EmbedXTree(tr, core.DefaultOptions())
 		check(err)
-		place := make([]int32, n)
-		for v, a := range res.Assignment {
-			place[v] = int32(a.ID())
-		}
 		audit := netsim.NewLinkAudit()
 		ts := netsim.NewTimeSeries()
-		sim, err := netsim.Run(netsim.Config{
-			Host:      res.Host.AsGraph(),
-			Place:     place,
-			Observers: []netsim.Observer{audit, ts},
-		}, netsim.NewDivideConquer(tr, 1))
+		cfg := netsim.OnXTree(res.Host, res.Assignment)
+		cfg.Observers = []netsim.Observer{audit, ts}
+		sim, err := netsim.Run(cfg, netsim.NewDivideConquer(tr, 1))
 		check(err)
 		peakBacklog, hops := 0, 0
 		for _, smp := range ts.Samples {

@@ -46,12 +46,7 @@ func e19PhaseBreakdown() {
 		check(err)
 
 		sim := trace.FromContext(ctx).Child("simulate")
-		place := make([]int32, tree.N())
-		for v, a := range res.Assignment {
-			place[v] = int32(a.ID())
-		}
-		simRes, err := netsim.Run(netsim.Config{Host: res.Host.AsGraph(), Place: place},
-			netsim.NewBroadcast(tree))
+		simRes, err := netsim.Run(netsim.OnXTree(res.Host, res.Assignment), netsim.NewBroadcast(tree))
 		check(err)
 		sim.SetAttr("cycles", int64(simRes.Cycles)).
 			SetAttr("delivered", int64(simRes.Delivered)).

@@ -97,15 +97,11 @@ func run(w io.Writer, family string, n int, seed int64, workload string, waves i
 		if err != nil {
 			return err
 		}
-		place := make([]int32, tree.N())
-		for v, a := range base.Assignment {
-			place[v] = int32(a.ID())
-		}
 		wl, err := mkWorkload()
 		if err != nil {
 			return err
 		}
-		hostRes, err = xtreesim.Simulate(netsim.Config{Host: base.Host.AsGraph(), Place: place}, wl,
+		hostRes, err = xtreesim.Simulate(netsim.OnXTree(base.Host, base.Assignment), wl,
 			xtreesim.WithPartitions(partitions))
 		if err != nil {
 			return err

@@ -45,14 +45,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		place := make([]int32, tree.N())
-		for v, a := range base.Assignment {
-			place[v] = int32(a.ID())
-		}
-		dfs, err := xtreesim.Simulate(netsim.Config{
-			Host:  base.Host.AsGraph(),
-			Place: place,
-		}, xtreesim.NewDivideConquer(tree, 1))
+		dfs, err := xtreesim.Simulate(netsim.OnXTree(base.Host, base.Assignment),
+			xtreesim.NewDivideConquer(tree, 1))
 		if err != nil {
 			log.Fatal(err)
 		}

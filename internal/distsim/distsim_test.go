@@ -350,12 +350,7 @@ func TestPartitionedRunAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	place := make([]int32, tr.N())
-	for v, a := range res.Assignment {
-		place[v] = int32(a.ID())
-	}
-	cfg := Config{Sim: netsim.Config{Host: res.Host.AsGraph(), Place: place},
-		Partitions: 8, Partition: XTreeSubtrees}
+	cfg := Config{Sim: netsim.OnXTree(res.Host, res.Assignment), Partitions: 8, Partition: XTreeSubtrees}
 	r, err := Run(cfg, netsim.NewDivideConquer(tr, 2))
 	if err != nil {
 		t.Fatal(err)

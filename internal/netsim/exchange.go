@@ -65,51 +65,29 @@ func (e *Exchange) OnMessage(ev Event, emit func(Event)) {
 		// a protocol bug worth failing loudly on.
 		panic("netsim: exchange token from a round out of range")
 	}
-	if e.pending[v] > 0 {
-		return
-	}
-	// Round complete.
-	e.round[v]++
-	if int(e.round[v]) >= e.Rounds {
-		e.finished++
-		if e.finished == e.T.N() {
-			e.done = true
-		}
-		return
-	}
-	var arr [3]int32
-	buf := e.T.Neighbors(v, arr[:0])
-	e.pending[v] = int8(len(buf)) - e.early[v]
-	e.early[v] = 0
-	for _, u := range buf {
-		emit(Event{From: v, To: u, Kind: KindExchange, Payload: int64(e.round[v])})
-	}
-	if e.pending[v] <= 0 {
-		// All tokens for the new round were already here.
-		e.OnMessageRoundComplete(v, emit)
-	}
+	e.advance(v, emit)
 }
 
-// OnMessageRoundComplete advances a node whose next round was already
-// fully received before it finished the previous one.
-func (e *Exchange) OnMessageRoundComplete(v int32, emit func(Event)) {
-	e.round[v]++
-	if int(e.round[v]) >= e.Rounds {
-		e.finished++
-		if e.finished == e.T.N() {
-			e.done = true
+// advance moves v on while every token of its current round is here: it
+// sends the next round's tokens, and a node can already hold all of them
+// (counted in early) when it completes a round.
+func (e *Exchange) advance(v int32, emit func(Event)) {
+	for e.pending[v] <= 0 {
+		e.round[v]++
+		if int(e.round[v]) >= e.Rounds {
+			e.finished++
+			if e.finished == e.T.N() {
+				e.done = true
+			}
+			return
 		}
-		return
-	}
-	var arr [3]int32
-	buf := e.T.Neighbors(v, arr[:0])
-	e.pending[v] = int8(len(buf)) - e.early[v]
-	e.early[v] = 0
-	for _, u := range buf {
-		emit(Event{From: v, To: u, Kind: KindExchange, Payload: int64(e.round[v])})
-	}
-	if e.pending[v] <= 0 {
-		e.OnMessageRoundComplete(v, emit)
+		var arr [3]int32
+		buf := e.T.Neighbors(v, arr[:0])
+		e.pending[v] = int8(len(buf)) - e.early[v]
+		e.early[v] = 0
+		for _, u := range buf {
+			emit(Event{From: v, To: u, Kind: KindExchange, Payload: int64(e.round[v])})
+		}
 	}
 }
 

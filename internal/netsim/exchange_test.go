@@ -51,15 +51,7 @@ func TestExchangeOnXTreeMeasuresDilation(t *testing.T) {
 			t.Fatal(err)
 		}
 		const rounds = 5
-		emb, err := core.EmbedXTree(tr, core.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		place := make([]int32, tr.N())
-		for v, a := range emb.Assignment {
-			place[v] = int32(a.ID())
-		}
-		res, err := Run(Config{Host: emb.Host.AsGraph(), Place: place}, NewExchange(tr, rounds))
+		res, err := Run(embeddedXTreeConfig(t, tr), NewExchange(tr, rounds))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,15 +71,7 @@ func TestExchangeRoundsNeverSkew(t *testing.T) {
 	// invariant; run a bigger randomized instance to exercise it.
 	rng := rand.New(rand.NewSource(72))
 	tr := bintree.RandomAttachment(300, rng)
-	emb, err := core.EmbedXTree(tr, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	place := make([]int32, tr.N())
-	for v, a := range emb.Assignment {
-		place[v] = int32(a.ID())
-	}
-	if _, err := Run(Config{Host: emb.Host.AsGraph(), Place: place}, NewExchange(tr, 10)); err != nil {
+	if _, err := Run(embeddedXTreeConfig(t, tr), NewExchange(tr, 10)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -138,7 +138,8 @@ type faultState struct {
 
 	// nh caches per-destination next-hop tables over the alive graph,
 	// built lazily by BFS and invalidated whenever a kill lands.
-	nh map[int32][]int32
+	nh    map[int32][]int32
+	queue []int32 // nextHopRow's scratch
 }
 
 // newFaultState validates the plan and builds the run state, or returns
@@ -189,27 +190,12 @@ func (f *faultState) blocked(u, v int32) bool {
 func (f *faultState) next(at, dst int32) int32 {
 	tab, ok := f.nh[dst]
 	if !ok {
-		n := f.host.N()
-		tab = make([]int32, n)
-		for i := range tab {
-			tab[i] = -1
-		}
-		if !f.deadV[dst] {
-			tab[dst] = dst
-			queue := []int32{dst}
-			for len(queue) > 0 {
-				u := queue[0]
-				queue = queue[1:]
-				for _, v := range f.host.Neighbors(int(u)) {
-					// The message would travel v→u, so that is
-					// the direction that must be alive.
-					if tab[v] >= 0 || f.blocked(v, u) {
-						continue
-					}
-					tab[v] = u
-					queue = append(queue, v)
-				}
-			}
+		tab = make([]int32, f.host.N())
+		f.queue = nextHopRow(f.host, dst, tab, f.queue, f.blocked)
+		if f.deadV[dst] {
+			// Every hop into a dead vertex is blocked, so the BFS
+			// reached nothing but dst itself, which is no route either.
+			tab[dst] = -1
 		}
 		f.nh[dst] = tab
 	}

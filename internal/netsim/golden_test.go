@@ -147,7 +147,8 @@ func simDigest(res Result, err error, rec *TraceRecorder) string {
 
 // TestSimGolden runs every workload on every golden host, placement and
 // fault plan, uncapped and capped at 7 cycles, and compares the digests
-// line by line against testdata/sim_golden.txt: 768 runs.
+// line by line against testdata/sim_golden.txt: 768 runs.  The 192 runs
+// on X(4) under the tables and under Config.NextHop must also agree.
 func TestSimGolden(t *testing.T) {
 	guest, err := bintree.Generate(bintree.FamilyRandom, 48, rand.New(rand.NewSource(2)))
 	if err != nil {
@@ -179,6 +180,7 @@ func TestSimGolden(t *testing.T) {
 			}
 		}
 	}
+	sameRunsOnXTree(t, goldenLines(got.Bytes()))
 	path := filepath.Join("testdata", simGoldenFile)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -208,6 +210,32 @@ func TestSimGolden(t *testing.T) {
 	}
 	if drift > 10 {
 		t.Errorf("%d of %d cases drifted in total", drift, len(gotLines))
+	}
+}
+
+// sameRunsOnXTree requires the golden's two X(4) hosts to give equal
+// digests case by case: the tables and the closed-form router (OnXTree's)
+// pick the same hop on every pair, so every run is the same.  It stops the
+// test, so -update never writes a golden file in which they differ.
+func sameRunsOnXTree(t *testing.T, lines []string) {
+	t.Helper()
+	tables := map[string]string{}
+	compared := 0
+	for _, line := range lines {
+		name, digest, _ := strings.Cut(line, " ")
+		host, run, _ := strings.Cut(name, "/")
+		switch host {
+		case "xtree":
+			tables[run] = digest
+		case "nexthop":
+			compared++
+			if want, ok := tables[run]; !ok || digest != want {
+				t.Fatalf("%s: closed-form run %s, table run %q", run, digest, want)
+			}
+		}
+	}
+	if compared == 0 || compared != len(tables) {
+		t.Fatalf("compared %d closed-form runs with %d table runs", compared, len(tables))
 	}
 }
 

@@ -19,15 +19,7 @@ func TestLatencyStatsOnIdealMachine(t *testing.T) {
 
 func TestLatencyOrderingAndBounds(t *testing.T) {
 	tr := bintree.CompleteN(int(core.Capacity(4)))
-	emb, err := core.EmbedXTree(tr, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	place := make([]int32, tr.N())
-	for v, a := range emb.Assignment {
-		place[v] = int32(a.ID())
-	}
-	res, err := Run(Config{Host: emb.Host.AsGraph(), Place: place}, NewDivideConquer(tr, 2))
+	res, err := Run(embeddedXTreeConfig(t, tr), NewDivideConquer(tr, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

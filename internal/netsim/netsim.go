@@ -21,6 +21,12 @@
 // LinkAudit re-verifies it every cycle — and export per-event traces and
 // per-cycle time series without perturbing the simulation.
 //
+// Every run on the X-tree machine is built by OnXTree, which numbers the
+// host's vertices by heap id and routes each hop in closed form from the
+// X-tree distance (§2): no routing table, at any height.  Other hosts route
+// by the caller's NextHop, by a table-free walk when the host is a tree,
+// and otherwise by next-hop tables (BuildNextHopTables).
+//
 // There is one runner (shard.go): a coordinator that drives the run's
 // guest-level bookkeeping (run.go) and splits the host's queues across
 // shards.  RunContext runs one shard, on the caller's goroutine;
@@ -37,8 +43,9 @@ import (
 )
 
 // MaxHostVertices bounds the V² next-hop tables a run builds for a host
-// that is neither a tree nor given a NextHop router.  Tree hosts route
-// without a table, so the cap does not apply to them.
+// that is neither a tree nor given a NextHop router.  Tree hosts and
+// X-tree runs built by OnXTree route without a table, so the cap does not
+// apply to them.
 const MaxHostVertices = 4096
 
 // Event is a guest-level message between two guest processes.
@@ -65,11 +72,10 @@ type Config struct {
 	Place     []int32 // guest process -> host vertex
 	MaxCycles int     // safety cap; 0 means 1<<20
 	// NextHop, when non-nil, replaces the built-in routing: it must
-	// return a neighbor of cur strictly closer to dst.  Without one a
-	// tree host routes table-free and any other host builds V² next-hop
-	// tables, capped at MaxHostVertices; a table-free router
-	// such as XTree.NextHopID, which computes each hop from the
-	// closed-form X-tree distance, lifts the cap.
+	// return a neighbor of cur strictly closer to dst.  OnXTree sets it
+	// to the X-tree's closed-form router (XTree.NextHopID).  Without one
+	// a tree host routes table-free and any other host builds V²
+	// next-hop tables, capped at MaxHostVertices.
 	NextHop func(cur, dst int32) int32
 	// Faults, when non-nil and active, injects deterministic failures
 	// (link/vertex kills, drops, corruption) and enables the

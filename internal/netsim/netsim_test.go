@@ -79,11 +79,7 @@ func TestSlowdownBoundedByDilation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		place := make([]int32, tr.N())
-		for v, a := range emb.Assignment {
-			place[v] = int32(a.ID())
-		}
-		hostRes, err := Run(Config{Host: emb.Host.AsGraph(), Place: place}, NewDivideConquer(tr, 1))
+		hostRes, err := Run(OnXTree(emb.Host, emb.Assignment), NewDivideConquer(tr, 1))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,18 +26,14 @@ func (w *sendOne) OnMessage(Event, func(Event)) { w.arrived = true }
 func (w *sendOne) Done() bool                   { return w.arrived }
 
 // embeddedXTreeConfig embeds tr into its optimal X-tree and returns the
-// host/placement config for simulation.
-func embeddedXTreeConfig(t *testing.T, tr *bintree.Tree) Config {
-	t.Helper()
+// run config of the embedding (OnXTree).
+func embeddedXTreeConfig(tb testing.TB, tr *bintree.Tree) Config {
+	tb.Helper()
 	emb, err := core.EmbedXTree(tr, core.DefaultOptions())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	place := make([]int32, tr.N())
-	for v, a := range emb.Assignment {
-		place[v] = int32(a.ID())
-	}
-	return Config{Host: emb.Host.AsGraph(), Place: place}
+	return OnXTree(emb.Host, emb.Assignment)
 }
 
 func TestOneHopPerCyclePathRegression(t *testing.T) {

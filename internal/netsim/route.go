@@ -4,12 +4,32 @@ import (
 	"fmt"
 	"slices"
 
+	"xtreesim/internal/bitstr"
 	"xtreesim/internal/graph"
+	"xtreesim/internal/xtree"
 )
 
+// OnXTree is the run config of a guest placed on the X-tree machine x by
+// assign (guest node -> X-tree address), the shape of core.Result and
+// baseline.Result.  Every X-tree run is built here, so two decisions are
+// made once: the host's vertex ids are the heap ids of x.AsGraph, and
+// messages route by XTree.NextHopID, which computes each hop from the
+// closed-form X-tree distance.  It picks the hop BuildNextHopTables
+// would on every pair, keeps no table and so serves any height.  Callers
+// add MaxCycles, Faults and Observers to the returned Config.
+func OnXTree(x *xtree.XTree, assign []bitstr.Addr) Config {
+	place := make([]int32, len(assign))
+	for i, a := range assign {
+		place[i] = int32(a.ID())
+	}
+	return Config{Host: x.AsGraph(), Place: place, NextHop: func(cur, dst int32) int32 {
+		return int32(x.NextHopID(int64(cur), int64(dst)))
+	}}
+}
+
 // router returns the hop function a run on host routes by: next when the
-// caller passes one; a table-free tree router when host is a tree
-// (connected, with N−1 edges); and otherwise a lookup into
+// caller passes one (OnXTree does); a table-free tree router when host is
+// a tree (connected, with N−1 edges); and otherwise a lookup into
 // BuildNextHopTables, the only case MaxHostVertices bounds.  A tree has one
 // path between any two vertices, so the tree router returns exactly the
 // tables' hop and a run routed either way is identical.
@@ -114,32 +134,43 @@ func (h *hopper) link(at int32, m *message) (int, error) {
 // BuildNextHopTables precomputes shortest-path routing for the host by one
 // BFS per destination: tables[dst][cur] is the neighbor of cur on a
 // shortest path toward dst, or -1 when unreachable.  The rows share one
-// V×V backing array.  A run builds them once for a host that is not a
-// tree and shares them read-only across every shard.
+// V×V backing array.  A run builds them once for a host that is neither a
+// tree nor given a NextHop, and shares them read-only across every shard.
 func BuildNextHopTables(host *graph.Graph) [][]int32 {
 	n := host.N()
 	flat := make([]int32, n*n)
 	tables := make([][]int32, n)
 	queue := make([]int32, 0, n)
 	for dst := 0; dst < n; dst++ {
-		nh := flat[dst*n : (dst+1)*n : (dst+1)*n]
-		for i := range nh {
-			nh[i] = -1
-		}
-		nh[dst] = int32(dst)
-		queue = append(queue[:0], int32(dst))
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			for _, v := range host.Neighbors(int(u)) {
-				if nh[v] < 0 {
-					nh[v] = u // next hop from v toward dst is u
-					queue = append(queue, v)
-				}
-			}
-		}
-		tables[dst] = nh
+		tables[dst] = flat[dst*n : (dst+1)*n : (dst+1)*n]
+		queue = nextHopRow(host, int32(dst), tables[dst], queue, nil)
 	}
 	return tables
+}
+
+// nextHopRow fills row by one BFS from dst: row[v] is the neighbor of v on
+// a shortest path toward dst, or -1 when none is left.  blocked, when
+// non-nil, bars the hops it reports; a message would travel v→u, so that
+// is the direction it is asked about.  Neighbors are visited in the host's
+// order, so a row depends on nothing else.  queue is scratch space,
+// returned for reuse.
+func nextHopRow(host *graph.Graph, dst int32, row, queue []int32, blocked func(v, u int32) bool) []int32 {
+	for i := range row {
+		row[i] = -1
+	}
+	row[dst] = dst
+	queue = append(queue[:0], dst)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, v := range host.Neighbors(int(u)) {
+			if row[v] >= 0 || (blocked != nil && blocked(v, u)) {
+				continue
+			}
+			row[v] = u // next hop from v toward dst is u
+			queue = append(queue, v)
+		}
+	}
+	return queue
 }
 
 // treeRouter routes on a tree in O(V) memory.  Rooted at vertex 0 and

@@ -13,43 +13,25 @@ import (
 	"xtreesim/internal/xtree"
 )
 
-// xtreePlaceAndHost embeds a guest and returns the pieces a routed
-// simulation needs.
-func xtreePlaceAndHost(t *testing.T, tr *bintree.Tree) (*core.Result, []int32) {
-	t.Helper()
-	res, err := core.EmbedXTree(tr, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	place := make([]int32, tr.N())
-	for v, a := range res.Assignment {
-		place[v] = int32(a.ID())
-	}
-	return res, place
-}
-
 // xtreeNextHop routes on the X-tree's closed-form distance, with no tables.
 func xtreeNextHop(x *xtree.XTree) func(cur, dst int32) int32 {
 	return func(cur, dst int32) int32 { return int32(x.NextHopID(int64(cur), int64(dst))) }
 }
 
-// TestRoutedRunMatchesTableRunDeliveries checks that the topology-aware
-// router produces the run the tables produce: XTree.NextHopID picks the
-// tables' hop on every pair (TestNextHopIDMatchesTables), so the two
-// Results are the same.
+// TestRoutedRunMatchesTableRunDeliveries checks that OnXTree's
+// closed-form router produces the run the tables produce: XTree.NextHopID
+// picks the tables' hop on every pair (TestNextHopIDMatchesTables), so the
+// two Results are the same.
 func TestRoutedRunMatchesTableRunDeliveries(t *testing.T) {
 	tr := bintree.CompleteN(int(core.Capacity(4)))
-	res, place := xtreePlaceAndHost(t, tr)
-	hostG := res.Host.AsGraph()
-	tab, err := Run(Config{Host: hostG, Place: place}, NewDivideConquer(tr, 2))
+	cfg := embeddedXTreeConfig(t, tr)
+	tables := cfg
+	tables.NextHop = nil
+	tab, err := Run(tables, NewDivideConquer(tr, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	routed, err := Run(Config{
-		Host:    hostG,
-		Place:   place,
-		NextHop: xtreeNextHop(res.Host),
-	}, NewDivideConquer(tr, 2))
+	routed, err := Run(cfg, NewDivideConquer(tr, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,17 +44,18 @@ func TestRoutedRunMatchesTableRunDeliveries(t *testing.T) {
 }
 
 // TestNextHopIDMatchesTables pins the closed-form X-tree router to the BFS
-// tables on every ordered pair of X(r) for r ≤ 8: where two shortest paths
-// tie, both pick the same neighbor.
+// tables on every ordered pair of X(r) for r ≤ 9: where two shortest paths
+// tie, both pick the same neighbor.  So every X-tree run (OnXTree) is the
+// run the tables would make.
 func TestNextHopIDMatchesTables(t *testing.T) {
-	for r := 0; r <= 8; r++ {
+	for r := 0; r <= 9; r++ {
 		x := xtree.New(r)
 		sameHopsAsTables(t, fmt.Sprintf("X(%d)", r), x.AsGraph(), xtreeNextHop(x))
 	}
 }
 
 // TestRoutedRunBeyondTableCap runs on X(12) — 8191 vertices, beyond the
-// table limit — which only the router makes possible.
+// table limit — which only the closed-form router makes possible.
 func TestRoutedRunBeyondTableCap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large host")
@@ -83,23 +66,17 @@ func TestRoutedRunBeyondTableCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hostG := res.Host.AsGraph()
-	if hostG.N() <= MaxHostVertices {
-		t.Fatalf("host unexpectedly small: %d", hostG.N())
+	cfg := OnXTree(res.Host, res.Assignment)
+	if cfg.Host.N() <= MaxHostVertices {
+		t.Fatalf("host unexpectedly small: %d", cfg.Host.N())
 	}
-	place := make([]int32, tr.N())
-	for v, a := range res.Assignment {
-		place[v] = int32(a.ID())
-	}
-	// Without a router it must refuse.
-	if _, err := Run(Config{Host: hostG, Place: place}, NewBroadcast(tr)); err == nil {
+	// Without the router it must refuse.
+	tables := cfg
+	tables.NextHop = nil
+	if _, err := Run(tables, NewBroadcast(tr)); err == nil {
 		t.Fatal("table-routed run beyond the cap accepted")
 	}
-	resSim, err := Run(Config{
-		Host:    hostG,
-		Place:   place,
-		NextHop: xtreeNextHop(res.Host),
-	}, NewBroadcast(tr))
+	resSim, err := Run(cfg, NewBroadcast(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,29 +269,24 @@ func BenchmarkIdealBaseline(b *testing.B) {
 	}
 }
 
-// BenchmarkRunXTree times a run shaped like one simulate request: one wave
-// of divide-and-conquer on a random n=2032 guest (seed 1) under the
-// default embed on X(6), routed by the host's next-hop tables.
+// BenchmarkRunXTree times runs shaped like simulate requests: one wave of
+// divide-and-conquer on a random guest (seed 1) of n=1008 or n=2032 under
+// the default embed on X(5) or X(6), routed in closed form (OnXTree).
 func BenchmarkRunXTree(b *testing.B) {
-	tr, err := bintree.Generate(bintree.FamilyRandom, 2032, rand.New(rand.NewSource(1)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	emb, err := core.EmbedXTree(tr, core.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	place := make([]int32, tr.N())
-	for v, a := range emb.Assignment {
-		place[v] = int32(a.ID())
-	}
-	cfg := Config{Host: emb.Host.AsGraph(), Place: place}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg, NewDivideConquer(tr, 1)); err != nil {
+	for _, n := range []int{1008, 2032} {
+		tr, err := bintree.Generate(bintree.FamilyRandom, n, rand.New(rand.NewSource(1)))
+		if err != nil {
 			b.Fatal(err)
 		}
+		cfg := embeddedXTreeConfig(b, tr)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(cfg, NewDivideConquer(tr, 1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -338,19 +310,19 @@ func TestIdealBaselineAllocScaling(t *testing.T) {
 	}
 }
 
-// TestRunAllocBudget gates the allocations of one routed run: two waves of
+// TestRunAllocBudget gates the allocations of one X-tree run: two waves of
 // divide-and-conquer on a random n=2032 guest (seed 1) under the default
 // embed on X(6), 122 cycles and 5,748 hops.  It allocated 7,426 times
 // while each cycle sorted its arrivals by reflection into a fresh slice,
 // each next-hop table row was its own allocation and every workload
-// message grew its own child list; it allocates about 1,700 times now.
+// message grew its own child list; it allocates about 1,700 times now,
+// routed in closed form.
 func TestRunAllocBudget(t *testing.T) {
 	tr, err := bintree.Generate(bintree.FamilyRandom, 2032, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, place := xtreePlaceAndHost(t, tr)
-	cfg := Config{Host: res.Host.AsGraph(), Place: place}
+	cfg := embeddedXTreeConfig(t, tr)
 	r, err := Run(cfg, NewDivideConquer(tr, 2))
 	if err != nil {
 		t.Fatal(err)

@@ -66,16 +66,8 @@ func TestScanOnXTreeMachine(t *testing.T) {
 			t.Fatal(err)
 		}
 		ideal := runOnTree(t, tr, NewScan(tr))
-		emb, err := core.EmbedXTree(tr, core.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		place := make([]int32, tr.N())
-		for v, a := range emb.Assignment {
-			place[v] = int32(a.ID())
-		}
 		wl := NewScan(tr)
-		res, err := Run(Config{Host: emb.Host.AsGraph(), Place: place}, wl)
+		res, err := Run(embeddedXTreeConfig(t, tr), wl)
 		if err != nil {
 			t.Fatal(err)
 		}

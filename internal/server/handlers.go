@@ -250,16 +250,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	res := bi.Result
 	embItem := s.embedItem(ctx, &EmbedRequest{}, bi)
 
-	place := make([]int32, tree.N())
-	for v, a := range res.Assignment {
-		place[v] = int32(a.ID())
-	}
-	cfg := netsim.Config{
-		Host:      res.Host.AsGraph(),
-		Place:     place,
-		MaxCycles: req.MaxCycles,
-		Faults:    req.Faults.plan(),
-	}
+	cfg := netsim.OnXTree(res.Host, res.Assignment)
+	cfg.MaxCycles = req.MaxCycles
+	cfg.Faults = req.Faults.plan()
 	if wantsStream(r) {
 		s.handleSimulateStream(w, r, &req, tree, cfg, embItem)
 		return

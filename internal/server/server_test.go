@@ -419,6 +419,27 @@ func TestSimulateBaselineLargeGuest(t *testing.T) {
 	}
 }
 
+// TestSimulateAboveTableCap simulates the smallest complete tree whose
+// optimal host, X(12) with 8,191 vertices, is too large for next-hop
+// tables: the run routes in closed form, so it answers like any other.
+func TestSimulateAboveTableCap(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, data := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{
+		Tree:     &TreeSpec{Family: "complete", N: 65521, Seed: Seed(1)},
+		Workload: WorkloadBroadcast,
+	})
+	if resp.StatusCode != 200 {
+		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	}
+	var sr SimulateResponse
+	if err := json.Unmarshal(data, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if sr.Embed.Height != 12 || sr.Sim.Delivered != 65520 {
+		t.Errorf("host X(%d), broadcast delivered %d of 65520 messages", sr.Embed.Height, sr.Sim.Delivered)
+	}
+}
+
 // TestSimulatePartitionedMatchesSingle runs one fault-injected request
 // single-process and sharded over 4 epoch-barrier workers: the counters
 // must be identical, the sharded response must break the run down by

@@ -407,13 +407,10 @@ func SimulateOnTree(t *Tree, wl Workload, opts ...SimOption) (SimResult, error) 
 }
 
 // SimulateOnXTree runs the workload on the X-tree machine through the
-// given embedding.
+// given embedding, routing in closed form (netsim.OnXTree), so any host
+// the embedder builds runs.
 func SimulateOnXTree(res *Result, wl Workload, opts ...SimOption) (SimResult, error) {
-	place := make([]int32, res.Guest.N())
-	for v, a := range res.Assignment {
-		place[v] = int32(a.ID())
-	}
-	cfg := SimConfig{Host: res.Host.AsGraph(), Place: place}
+	cfg := netsim.OnXTree(res.Host, res.Assignment)
 	return runSim(context.Background(), applySimOptions(cfg, opts), wl, distsim.XTreeSubtrees)
 }
 

@@ -98,6 +98,27 @@ func TestPublicAPISimulation(t *testing.T) {
 	}
 }
 
+// TestSimulateOnXTreeAboveTableCap runs the smallest complete tree whose
+// optimal host, X(12) with 8,191 vertices, is too large for next-hop
+// tables: SimulateOnXTree routes in closed form.
+func TestSimulateOnXTreeAboveTableCap(t *testing.T) {
+	tree, err := xtreesim.GenerateTree(xtreesim.FamilyComplete, 65521, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := xtreesim.Embed(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := xtreesim.SimulateOnXTree(res, xtreesim.NewBroadcast(tree))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Host.Height() != 12 || sim.Delivered != tree.N()-1 {
+		t.Errorf("host X(%d), broadcast delivered %d of %d messages", res.Host.Height(), sim.Delivered, tree.N()-1)
+	}
+}
+
 // TestPublicAPIPartitions pins the façade's distsim routing: every
 // entry point with WithPartitions must reproduce its single-process
 // Result exactly, fault layer included.
