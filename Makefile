@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short test-race bench embed-bench vet fmt check lint experiments examples cover fault-sweep fuzz audit-smoke serve phase-bench dist-bench
+.PHONY: all build test test-short test-race bench embed-bench sim-bench vet fmt check lint experiments examples cover fault-sweep fuzz audit-smoke serve phase-bench dist-bench
 
 all: vet test
 
@@ -105,6 +105,14 @@ embed-bench:
 	$(GO) test -run TestEmbedAllocBudget -v ./internal/core
 	$(GO) test -run 'TestDecodeAllocs|TestCacheHitAllocs|TestXTreeWireMetricsAllocs|TestPlaceAllocBytes' -v ./internal/bintree ./internal/engine ./internal/core ./internal/universal
 	$(GO) run ./cmd/xtree-bench -exp e20 -embed-out '' -embed-baseline BENCH_embed.json
+
+# The simulator's perf gate (also the CI perf job): exact AllocsPerRun
+# budgets on the X-tree reference run (random n=2032 on X(6), two waves),
+# the same run at 8 shards, and the ideal-tree baseline at n=1008 (run
+# with -v, they log their counts), then the run benchmarks with -benchmem.
+sim-bench:
+	$(GO) test -run 'TestRunAllocBudget|TestIdealBaselineAllocBudget|TestPartitionedRunAllocBudget' -v ./internal/netsim ./internal/distsim
+	$(GO) test -run '^$$' -bench 'RunXTree|IdealBaseline' -benchmem ./internal/netsim
 
 examples:
 	$(GO) run ./examples/quickstart

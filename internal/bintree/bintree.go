@@ -255,12 +255,22 @@ func (t *Tree) Height() int {
 	return int(max)
 }
 
-// AsGraph returns the undirected adjacency of the tree.
+// AsGraph returns the undirected adjacency of the tree, each vertex's
+// neighbors ascending.  A node's degree is its child count plus one
+// below the root, so the lists are sized up front and the build
+// allocates a constant number of times.
 func (t *Tree) AsGraph() *graph.Graph {
-	g := graph.New(t.N())
-	for v := 0; v < t.N(); v++ {
-		if p := t.parent[v]; p != None {
-			g.AddEdge(v, int(p))
+	degree := make([]int, t.N())
+	for v, p := range t.parent {
+		if p != None {
+			degree[v]++
+			degree[p]++
+		}
+	}
+	g := graph.NewSized(degree)
+	for v, p := range t.parent {
+		if p != None {
+			g.AddNewEdge(v, int(p))
 		}
 	}
 	g.SortAdjacency()

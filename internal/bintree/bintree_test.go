@@ -2,8 +2,11 @@ package bintree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"xtreesim/internal/graph"
 )
 
 func TestNewFromParentsBasic(t *testing.T) {
@@ -301,4 +304,42 @@ func TestDeepPathIterativeTraversal(t *testing.T) {
 		t.Fatalf("canonical code or order of the path differs between branches (%d, %d nodes)",
 			len(order), len(porder))
 	}
+}
+
+// TestAsGraphMatchesAddEdge holds the sized build to the AddEdge
+// construction it replaced, list for list, and pins its allocations: the
+// same small count at every size.
+func TestAsGraphMatchesAddEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var allocs []float64
+	for _, f := range Families {
+		for _, n := range []int{1, 2, 17, 1008} {
+			tr, err := Generate(f, n, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := graph.New(n)
+			for v := 0; v < n; v++ {
+				if p := tr.Parent(int32(v)); p != None {
+					want.AddEdge(v, int(p))
+				}
+			}
+			want.SortAdjacency()
+			got := tr.AsGraph()
+			if got.N() != n || got.M() != want.M() {
+				t.Fatalf("%s n=%d: %d vertices and %d edges, want %d and %d", f, n, got.N(), got.M(), n, want.M())
+			}
+			for v := 0; v < n; v++ {
+				if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
+					t.Fatalf("%s n=%d: vertex %d has neighbors %v, want %v", f, n, v, got.Neighbors(v), want.Neighbors(v))
+				}
+			}
+			a := testing.AllocsPerRun(5, func() { tr.AsGraph() })
+			if a > 4 {
+				t.Errorf("%s n=%d: AsGraph allocates %.0f times, want at most 4", f, n, a)
+			}
+			allocs = append(allocs, a)
+		}
+	}
+	t.Logf("AsGraph allocations over families and sizes: %v", allocs)
 }

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"xtreesim/internal/bintree"
@@ -40,9 +42,9 @@ func TestLatencyOrderingAndBounds(t *testing.T) {
 }
 
 func TestLatencyPercentilesOnTinySamples(t *testing.T) {
-	// finish indexes len/2 and len*99/100: make the degenerate
-	// 1–3-message samples explicit so a refactor can't walk them off
-	// either end of the slice.
+	// finish reads indexes len/2 and len*99/100 of the sorted latencies:
+	// make the degenerate 1–3-message samples explicit so a refactor
+	// can't walk them off either end.
 	cases := []struct {
 		lats          []int
 		p50, p99, max int
@@ -52,12 +54,42 @@ func TestLatencyPercentilesOnTinySamples(t *testing.T) {
 		{[]int{11, 2, 5}, 5, 11, 11},
 	}
 	for _, c := range cases {
-		r := &run{latencies: append([]int(nil), c.lats...)}
+		r := &run{}
+		for _, l := range c.lats {
+			r.latencies.add(l)
+		}
 		r.finish(0)
 		if r.res.LatencyP50 != c.p50 || r.res.LatencyP99 != c.p99 || r.res.LatencyMax != c.max {
 			t.Errorf("latencies %v: got %d/%d/%d, want %d/%d/%d", c.lats,
 				r.res.LatencyP50, r.res.LatencyP99, r.res.LatencyMax, c.p50, c.p99, c.max)
 		}
+	}
+}
+
+// TestLatencyWalkMatchesSortedSlice holds the counting walk to the rule it
+// replaced, sorted[n/2], sorted[n*99/100] and sorted[n-1], on random
+// multisets, narrow ones full of repeats and wide ones with gaps.
+func TestLatencyWalkMatchesSortedSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 2, 99, 100, 101, 10000} {
+		for _, spread := range []int{1, 3, 50, 5000} {
+			lats := make([]int, n)
+			var h latencies
+			for i := range lats {
+				lats[i] = rng.Intn(spread)
+				h.add(lats[i])
+			}
+			slices.Sort(lats)
+			p50, p99, most := h.percentiles()
+			if p50 != lats[n/2] || p99 != lats[n*99/100] || most != lats[n-1] {
+				t.Errorf("n=%d spread=%d: walk reads %d/%d/%d, sorted slice %d/%d/%d", n, spread,
+					p50, p99, most, lats[n/2], lats[n*99/100], lats[n-1])
+			}
+		}
+	}
+	var empty latencies
+	if p50, p99, most := empty.percentiles(); p50 != 0 || p99 != 0 || most != 0 {
+		t.Errorf("no deliveries read %d/%d/%d, want zeros", p50, p99, most)
 	}
 }
 

@@ -130,37 +130,75 @@ type message struct {
 	Rerouted bool // left its preferred route; stays on alive-graph routing
 }
 
-// linkQueue is a FIFO of messages on one directed link.  Popping advances
-// a head index instead of reslicing, and the live tail is copied down once
-// the dead prefix dominates, so the backing array is bounded by the peak
-// backlog instead of growing with the link's total lifetime traffic.
-type linkQueue struct {
-	buf  []message
-	head int
+// fifo is a queue of messages: a link queue or a vertex's memory queue.
+// Its messages sit in the slots of its shard's arena, each slot naming
+// the next; the queue holds its first and last slot and its length.  The
+// zero value is empty.
+type fifo struct{ head, tail, n int32 }
+
+// arena holds the messages of every queue one shard owns, in one slab of
+// slots with a free list threaded through it.  A popped or flushed
+// message's slot goes back on the free list and a push takes a free slot
+// before it grows the slab, so the slab is as long as the shard's peak of
+// queued messages, however much traffic its queues carry.  A shard
+// touches only its own arena, and an arena lives for one run.
+type arena struct {
+	slots []slot
+	free  int32 // first free slot, or -1
 }
 
-func (q *linkQueue) length() int { return len(q.buf) - q.head }
+// slot is one message of a queue, or a free slot.
+type slot struct {
+	m    message
+	next int32 // the queue's next slot, or the free list's
+}
 
-func (q *linkQueue) push(m message) { q.buf = append(q.buf, m) }
+func newArena() arena { return arena{free: -1} }
 
-func (q *linkQueue) pop() message {
-	m := q.buf[q.head]
-	q.head++
-	if q.head >= 16 && q.head*2 >= len(q.buf) {
-		n := copy(q.buf, q.buf[q.head:])
-		q.buf = q.buf[:n]
-		q.head = 0
+// push appends m to q.
+func (a *arena) push(q *fifo, m *message) {
+	s := a.free
+	if s >= 0 {
+		a.free = a.slots[s].next
+	} else {
+		s = int32(len(a.slots))
+		a.slots = append(a.slots, slot{})
 	}
+	a.slots[s].m = *m // the tail's next is never read
+	if q.n == 0 {
+		q.head = s
+	} else {
+		a.slots[q.tail].next = s
+	}
+	q.tail = s
+	q.n++
+}
+
+// pop removes and returns the head of the non-empty queue q.
+func (a *arena) pop(q *fifo) message {
+	s := q.head
+	m := a.slots[s].m
+	q.head = a.slots[s].next
+	q.n--
+	a.slots[s].next = a.free
+	a.free = s
 	return m
 }
 
-// live returns the queued messages in FIFO order; reset empties the queue
-// keeping the backing array.
-func (q *linkQueue) live() []message { return q.buf[q.head:] }
+// head returns the first message of the non-empty queue q.
+func (a *arena) head(q *fifo) *message { return &a.slots[q.head].m }
 
-func (q *linkQueue) reset() {
-	q.buf = q.buf[:0]
-	q.head = 0
+// drain visits the messages of q in FIFO order with their positions, then
+// frees their slots and empties q.
+func (a *arena) drain(q *fifo, visit func(pos int, m *message)) {
+	for s, pos := q.head, 0; pos < int(q.n); s, pos = a.slots[s].next, pos+1 {
+		visit(pos, &a.slots[s].m)
+	}
+	if q.n > 0 {
+		a.slots[q.tail].next = a.free
+		a.free = q.head
+	}
+	*q = fifo{}
 }
 
 // Run simulates the workload on the host with the given placement until

@@ -2,7 +2,10 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"xtreesim/internal/bitstr"
 	"xtreesim/internal/graph"
@@ -11,20 +14,62 @@ import (
 
 // OnXTree is the run config of a guest placed on the X-tree machine x by
 // assign (guest node -> X-tree address), the shape of core.Result and
-// baseline.Result.  Every X-tree run is built here, so two decisions are
-// made once: the host's vertex ids are the heap ids of x.AsGraph, and
+// baseline.Result.  Every X-tree run is built here, so three decisions
+// are made once: the host's vertex ids are the heap ids of x.AsGraph;
 // messages route by XTree.NextHopID, which computes each hop from the
-// closed-form X-tree distance.  It picks the hop BuildNextHopTables
-// would on every pair, keeps no table and so serves any height.  Callers
-// add MaxCycles, Faults and Observers to the returned Config.
+// closed-form X-tree distance, picks the hop BuildNextHopTables would on
+// every pair, keeps no table and so serves any height; and the Host is
+// built once per process and height, with the link numbering every run
+// on it uses, and shared by every config of that height.  The Host is
+// read-only.  Callers add MaxCycles, Faults and Observers to the returned
+// Config.
 func OnXTree(x *xtree.XTree, assign []bitstr.Addr) Config {
 	place := make([]int32, len(assign))
 	for i, a := range assign {
 		place[i] = int32(a.ID())
 	}
-	return Config{Host: x.AsGraph(), Place: place, NextHop: func(cur, dst int32) int32 {
+	return Config{Host: xtreeHostOf(x.Height()).graph, Place: place, NextHop: func(cur, dst int32) int32 {
 		return int32(x.NextHopID(int64(cur), int64(dst)))
 	}}
+}
+
+// xtreeHost is what every run on one X-tree height shares read-only: the
+// host graph of OnXTree's configs and its edge ranker.
+type xtreeHost struct {
+	graph *graph.Graph
+	links *edgeRanker
+}
+
+// xtreeHosts holds each height's xtreeHost, built on first use and kept
+// for the process.  A server that caps its guests at 131,072 nodes
+// reaches X(13) at most, a few MB over every height.
+var xtreeHosts [bitstr.MaxLevel + 1]struct {
+	once sync.Once
+	host atomic.Pointer[xtreeHost]
+}
+
+// xtreeHostOf returns the shared host state of X(height).
+func xtreeHostOf(height int) *xtreeHost {
+	e := &xtreeHosts[height]
+	e.once.Do(func() {
+		g := xtree.New(height).AsGraph()
+		e.host.Store(&xtreeHost{graph: g, links: newEdgeRanker(g)})
+	})
+	return e.host.Load()
+}
+
+// sharedLinks returns the edge ranker of host when host is the shared
+// graph of an X-tree height, and nil otherwise.
+func sharedLinks(host *graph.Graph) *edgeRanker {
+	size := uint64(host.N()) + 1 // 2^(h+1) on X(h)
+	h := bits.TrailingZeros64(size) - 1
+	if size&(size-1) != 0 || h < 0 {
+		return nil
+	}
+	if x := xtreeHosts[h].host.Load(); x != nil && x.graph == host {
+		return x.links
+	}
+	return nil
 }
 
 // router returns the hop function a run on host routes by: next when the

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"xtreesim/internal/bintree"
@@ -315,8 +316,10 @@ func TestIdealBaselineAllocScaling(t *testing.T) {
 // embed on X(6), 122 cycles and 5,748 hops.  It allocated 7,426 times
 // while each cycle sorted its arrivals by reflection into a fresh slice,
 // each next-hop table row was its own allocation and every workload
-// message grew its own child list; it allocates about 1,700 times now,
-// routed in closed form.
+// message grew its own child list, and 1,697 times while every link and
+// memory queue grew its own slice and every run numbered the host's links
+// afresh; with one queue arena per shard and the X(6) ranker shared, it
+// allocates 94 times.
 func TestRunAllocBudget(t *testing.T) {
 	tr, err := bintree.Generate(bintree.FamilyRandom, 2032, rand.New(rand.NewSource(1)))
 	if err != nil {
@@ -335,8 +338,80 @@ func TestRunAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 2500 {
-		t.Errorf("reference run allocates %.0f times, budget 2500", allocs)
+	if allocs > 115 {
+		t.Errorf("reference run allocates %.0f times, budget 115", allocs)
 	}
 	t.Logf("reference run: %.0f allocations", allocs)
+}
+
+// TestIdealBaselineAllocBudget gates the allocations of the ideal-tree
+// baseline at n=1008 (idealRun): the guest's own tree as the host, routed
+// table-free.  It allocated 5,476 times while the tree's graph grew its
+// adjacency lists edge by edge and every link queue grew its own slice;
+// it allocates 99 times now.
+func TestIdealBaselineAllocBudget(t *testing.T) {
+	tr := randomGuest(t, 1008)
+	allocs := testing.AllocsPerRun(3, func() { idealRun(t, tr) })
+	if allocs > 120 {
+		t.Errorf("baseline run allocates %.0f times, budget 120", allocs)
+	}
+	t.Logf("baseline run at n=1008: %.0f allocations", allocs)
+}
+
+// TestOnXTreeSharesHostPerHeight checks that OnXTree builds each height's
+// host once: configs of one height share one Host, whose runs number
+// their links with the height's shared ranker, while another graph of the
+// same size gets a ranker of its own.
+func TestOnXTreeSharesHostPerHeight(t *testing.T) {
+	tr := bintree.CompleteN(int(core.Capacity(4))) // fills X(4)
+	a, b := embeddedXTreeConfig(t, tr), OnXTree(xtree.New(4), nil)
+	if a.Host != b.Host {
+		t.Fatal("two X(4) configs hold different hosts")
+	}
+	shared := xtreeHostOf(4)
+	r, err := newRun(a, NewBroadcast(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.links != shared.links {
+		t.Error("a run on the shared X(4) host built its own edge ranker")
+	}
+	own := a
+	own.Host = xtree.New(4).AsGraph()
+	r, err = newRun(own, NewBroadcast(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.links == shared.links {
+		t.Error("a run on a fresh X(4) graph borrowed the shared ranker")
+	}
+}
+
+// TestOnXTreeConcurrentFirstCalls has goroutines ask for one height's host
+// at once; under -race this also checks that the build is published
+// safely.  No other test of the package runs on X(10), so in a fresh
+// test process these are the height's first calls.
+func TestOnXTreeConcurrentFirstCalls(t *testing.T) {
+	const height = 10
+	hosts := make([]*graph.Graph, 4)
+	var wg sync.WaitGroup
+	for i := range hosts {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			hosts[i] = OnXTree(xtree.New(height), nil).Host
+		}(i)
+	}
+	wg.Wait()
+	for i, h := range hosts {
+		if h != hosts[0] {
+			t.Fatalf("goroutine %d got its own X(%d) host", i, height)
+		}
+	}
+	if got, want := hosts[0].N(), int(xtree.New(height).NumVertices()); got != want {
+		t.Fatalf("shared X(%d) host has %d vertices, want %d", height, got, want)
+	}
+	if sharedLinks(hosts[0]) != xtreeHostOf(height).links {
+		t.Fatal("the shared host's runs do not find its ranker")
+	}
 }

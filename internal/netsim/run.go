@@ -3,7 +3,6 @@ package netsim
 import (
 	"context"
 	"fmt"
-	"slices"
 )
 
 // run is the guest-level bookkeeping of one simulation: the workload,
@@ -25,7 +24,7 @@ type run struct {
 	now       int // current cycle
 	inflight  int
 	emitted   int64 // guest events accepted so far; doubles as the next seq
-	latencies []int // per delivered message, in cycles
+	latencies latencies
 	retx      []retx
 
 	emit    func(Event) // appends to pending; handed to the workload
@@ -84,7 +83,10 @@ func newRun(cfg Config, wl Workload) (*run, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.links = newEdgeRanker(cfg.Host)
+	// Runs on an X-tree host from OnXTree share its height's ranker.
+	if r.links = sharedLinks(cfg.Host); r.links == nil {
+		r.links = newEdgeRanker(cfg.Host)
+	}
 	r.hop = hopper{next: next, links: r.links, faults: r.faults, reroutes: &r.res.Reroutes}
 	r.emit = func(ev Event) { r.pending = append(r.pending, ev) }
 	return r, nil
@@ -292,7 +294,7 @@ func (r *run) deliver(m *message) {
 	r.inflight--
 	r.res.Delivered++
 	lat := r.now - m.SentAt
-	r.latencies = append(r.latencies, lat)
+	r.latencies.add(lat)
 	if r.obs != nil {
 		r.obs.OnDeliver(DeliverInfo{Cycle: r.now, Host: m.DstHost, Seq: m.Seq,
 			Ev: m.Ev, Latency: lat, Local: m.SrcHost == m.DstHost})
@@ -304,11 +306,39 @@ func (r *run) deliver(m *message) {
 // result when the run quiesces, is cancelled or hits the cycle cap.
 func (r *run) finish(cycles int) {
 	r.res.Cycles = cycles
-	if len(r.latencies) == 0 {
-		return
+	r.res.LatencyP50, r.res.LatencyP99, r.res.LatencyMax = r.latencies.percentiles()
+}
+
+// latencies counts a run's deliveries by latency.  A latency is at most
+// the cycles run, so the counts take less room than one entry per
+// delivery and need no sort.
+type latencies struct {
+	count []int // count[l] is the number of deliveries that took l cycles
+	n     int
+}
+
+func (h *latencies) add(l int) {
+	if l >= len(h.count) {
+		h.count = append(h.count, make([]int, l+1-len(h.count))...)
 	}
-	slices.Sort(r.latencies)
-	r.res.LatencyP50 = r.latencies[len(r.latencies)/2]
-	r.res.LatencyP99 = r.latencies[len(r.latencies)*99/100]
-	r.res.LatencyMax = r.latencies[len(r.latencies)-1]
+	h.count[l]++
+	h.n++
+}
+
+// percentiles returns the entries the sorted latencies would hold at
+// n/2, n·99/100 and n−1, read in one cumulative walk; zeros when nothing
+// was delivered.
+func (h *latencies) percentiles() (p50, p99, most int) {
+	if h.n == 0 {
+		return 0, 0, 0
+	}
+	idx := [3]int{h.n / 2, h.n * 99 / 100, h.n - 1}
+	var at [3]int
+	i, seen := 0, 0
+	for l, c := range h.count {
+		for seen += c; i < len(idx) && idx[i] < seen; i++ {
+			at[i] = l
+		}
+	}
+	return at[0], at[1], at[2]
 }

@@ -18,7 +18,8 @@ package netsim
 // in its run (run.go): the workload, sequence numbers, the fault
 // generator, the retransmission pool and the observers.  A shard owns the
 // link queues whose tail vertex it owns, the memory queues of its owned
-// vertices and the Phase-1 forwarding at them; alive-graph rerouting
+// vertices, the arena that holds their messages, and the Phase-1
+// forwarding at those vertices; alive-graph rerouting
 // replays from the shared kill schedule, so shards never draw from the
 // generator.  Shards report what happened in lists sorted by order keys
 // (link ranks, kill-schedule positions, FIFO positions), and the
@@ -121,7 +122,7 @@ type coord struct {
 	*run
 	shards  []*shard
 	sampler func(ShardSample)
-	queues  []linkQueue   // the shards' link queues, by rank
+	queues  []fifo        // the shards' link queues, by rank
 	dec     []hopDecision // the generator's verdict per busy link, by rank; nil unless the plan draws
 	wg      sync.WaitGroup
 	stopped bool
@@ -140,8 +141,8 @@ func newCoord(r *run, sh Sharding) *coord {
 	// The queues and counters are indexed by link rank and vertex, and a
 	// shard touches only the entries it owns.
 	nLinks := len(r.links.ends)
-	queues, traffic, busyPos := make([]linkQueue, nLinks), make([]int, nLinks), make([]int32, nLinks)
-	local := make([][]message, len(sh.Owner))
+	queues, traffic, busyPos := make([]fifo, nLinks), make([]int, nLinks), make([]int32, nLinks)
+	local := make([]fifo, len(sh.Owner))
 	c.queues = queues
 	// xch[i][j] carries forwards from shard i to shard j.  Every shard
 	// sends to all its peers — empty handoffs included — before receiving
@@ -157,7 +158,7 @@ func newCoord(r *run, sh Sharding) *coord {
 		}
 	}
 	for k := 0; k < sh.Shards; k++ {
-		s := &shard{self: int32(k), order: deliveryOrder{shard: int32(k)}, owner: sh.Owner, links: r.links,
+		s := &shard{self: int32(k), order: deliveryOrder{shard: int32(k)}, slab: newArena(), owner: sh.Owner, links: r.links,
 			dec: c.dec, recordHops: r.obs != nil, stamp: sh.Sampler != nil, queues: queues, traffic: traffic,
 			busyPos: busyPos, local: local, linked: newBitset(nLinks), waiting: newBitset(len(sh.Owner)), xch: xch,
 			out: make([][]boundary, sh.Shards), inbox: make([][]boundary, sh.Shards)}
@@ -319,7 +320,8 @@ func (c *coord) draw() {
 	}
 	busy := func(k int) []int { return c.shards[k].busy }
 	merge(len(c.shards), busy, &c.heap, compareRank, func(e *int) {
-		v := c.faults.draw(c.queues[*e].live()[0].Corrupt)
+		s := c.shards[c.owner[c.links.ends[*e][0]]]
+		v := c.faults.draw(s.slab.head(&c.queues[*e]).Corrupt)
 		if v.corrupt {
 			c.res.Corruptions++
 		}
@@ -457,11 +459,13 @@ type shard struct {
 	stamp          bool          // a sampler reads doneAt
 
 	// The run's queues and counters, shared by every shard: by link rank,
-	// and the memory queues by vertex.  A shard touches only its own.
-	queues  []linkQueue
+	// and the memory queues by vertex.  A shard touches only its own, and
+	// their messages sit in its slab.
+	queues  []fifo
 	traffic []int
 	busyPos []int32 // 1 + the link's position in busy while it is busy, else 0
-	local   [][]message
+	local   []fifo
+	slab    arena
 	// The shard's own marks: its links with a queued message, and its
 	// vertices with a waiting memory queue.
 	linked, waiting bitset
@@ -534,12 +538,12 @@ func (sh *shard) begin(inj, rel []placement) {
 			}
 			// Co-located deliveries pending at a dying vertex die with it.
 			if k.vertex && sh.owner[k.u] == sh.self {
-				for pos, m := range sh.local[k.u] {
+				q := &sh.local[k.u]
+				sh.queuedLocal -= int(q.n)
+				sh.slab.drain(q, func(pos int, m *message) {
 					sh.killed = append(sh.killed, lossRecord{kill: k.idx, step: len(k.links), pos: pos,
-						m: m, reason: DropUnreachable, abandon: true})
-				}
-				sh.queuedLocal -= len(sh.local[k.u])
-				sh.local[k.u] = nil
+						m: *m, reason: DropUnreachable, abandon: true})
+				})
 				sh.waiting.clear(int(k.u))
 			}
 		}
@@ -566,16 +570,16 @@ func (sh *shard) place(ps []placement) {
 	for i := range ps {
 		p := &ps[i]
 		if p.edge < 0 {
-			sh.local[p.at] = append(sh.local[p.at], p.m)
+			sh.slab.push(&sh.local[p.at], &p.m)
 			sh.waiting.set(int(p.at))
 			sh.queuedLocal++
 			continue
 		}
 		q := &sh.queues[p.edge]
-		q.push(p.m)
+		sh.slab.push(q, &p.m)
 		sh.linked.set(p.edge)
 		sh.queuedLinks++
-		sh.maxQueue = max(sh.maxQueue, q.length())
+		sh.maxQueue = max(sh.maxQueue, int(q.n))
 	}
 }
 
@@ -583,11 +587,10 @@ func (sh *shard) place(ps []placement) {
 // at schedule position kill.
 func (sh *shard) flush(e, kill, step int) {
 	q := &sh.queues[e]
-	for pos, m := range q.live() {
-		sh.killed = append(sh.killed, lossRecord{kill: kill, step: step, pos: pos, m: m, reason: DropKilled})
-	}
-	sh.queuedLinks -= q.length()
-	q.reset()
+	sh.queuedLinks -= int(q.n)
+	sh.slab.drain(q, func(pos int, m *message) {
+		sh.killed = append(sh.killed, lossRecord{kill: kill, step: step, pos: pos, m: *m, reason: DropKilled})
+	})
 	sh.linked.clear(e)
 }
 
@@ -611,8 +614,8 @@ func (sh *shard) fire(ci CycleInfo) error {
 	}
 	for _, e := range sh.busy {
 		q := &sh.queues[e]
-		m := q.pop()
-		if q.length() == 0 {
+		m := sh.slab.pop(q)
+		if q.n == 0 {
 			sh.linked.clear(e)
 		}
 		sh.queuedLinks--
@@ -621,7 +624,7 @@ func (sh *shard) fire(ci CycleInfo) error {
 		sh.maxLinkLoad = max(sh.maxLinkLoad, sh.traffic[e])
 		if sh.recordHops {
 			sh.hops = append(sh.hops, HopInfo{Cycle: sh.now, Edge: e, From: from, To: here,
-				Seq: m.Seq, Ev: m.Ev, Backlog: q.length()})
+				Seq: m.Seq, Ev: m.Ev, Backlog: int(q.n)})
 		}
 		if sh.dec != nil {
 			if sh.dec[e].drop {
@@ -674,14 +677,13 @@ func (sh *shard) fire(ci CycleInfo) error {
 			sh.audit.OnHop(h)
 		}
 	}
-	n, local := len(sh.links.ends), sh.local
+	n := len(sh.links.ends)
 	for w, x := range sh.waiting {
 		for ; x != 0; x &= x - 1 {
 			v := w<<6 | bits.TrailingZeros64(x)
-			q := local[v]
-			sh.order.addQueue(q, n+v)
-			sh.queuedLocal -= len(q)
-			local[v] = q[:0]
+			q := &sh.local[v]
+			sh.queuedLocal -= int(q.n)
+			sh.slab.drain(q, func(_ int, m *message) { sh.order.add(m, n+v) })
 		}
 		sh.waiting[w] = 0
 	}
@@ -715,10 +717,10 @@ func (sh *shard) push(b *boundary) error {
 		return nil
 	}
 	q := &sh.queues[e]
-	q.push(m)
+	sh.slab.push(q, &m)
 	sh.linked.set(e)
 	sh.queuedLinks++
-	sample := q.length()
+	sample := int(q.n)
 	if p := sh.busyPos[e]; p > 0 && e > b.src {
 		sample++
 		if sh.recordHops {

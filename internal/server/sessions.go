@@ -159,6 +159,10 @@ func (sr *sessionRegistry) finish(ss *session, errMsg string) {
 	sr.recent = append(sr.recent, ss)
 	for len(sr.recent) > sr.keep {
 		sr.droppedRetired.Add(sr.recent[0].hub.Dropped())
+		// Clear the slot: the backing array's dead prefix would keep the
+		// evicted session, and its hub's ring, reachable until a later
+		// append reallocates it.
+		sr.recent[0] = nil
 		sr.recent = sr.recent[1:]
 	}
 	sr.mu.Unlock()

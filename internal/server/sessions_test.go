@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -666,4 +667,35 @@ func TestStreamsAndEmbedsConcurrently(t *testing.T) {
 			t.Error(err)
 		}
 	}
+}
+
+// TestEvictedSessionIsReleased checks that a session evicted from the
+// recent ring becomes unreachable, its hub and event ring with it.  Ring
+// eviction by reslicing once left the evicted session in the backing
+// array's dead prefix until a later append reallocated it.
+func TestEvictedSessionIsReleased(t *testing.T) {
+	sr := newSessionRegistry()
+	released := make(chan struct{})
+	func() {
+		ss := sr.open("broadcast", 1, 16)
+		runtime.SetFinalizer(ss.hub, func(*telemetry.Hub) { close(released) })
+		sr.finish(ss, "")
+	}()
+	for i := 0; i < sr.keep; i++ {
+		sr.finish(sr.open("broadcast", 1, 16), "")
+	}
+	if len(sr.recent) != sr.keep {
+		t.Fatalf("recent ring holds %d sessions, want %d", len(sr.recent), sr.keep)
+	}
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-released:
+			runtime.KeepAlive(sr) // the registry itself stays reachable
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(sr)
+	t.Fatal("the evicted session's hub is still reachable after 50 collections")
 }
