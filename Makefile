@@ -58,15 +58,17 @@ fault-sweep:
 # the cache-snapshot parser, its record bodies (core.ReadResult), the
 # tree encoding that /v1/embed, /v1/simulate and snapshot codes carry
 # (bintree.Decode, held to the recursive parser it replaced), the stream
-# event encoder (output must equal encoding/json's), and the HTTP API's
-# raw /v1/embed and /v1/simulate bodies (no 5xx but 503/504, every 200
-# within its theorem's bounds).
+# event encoder (output must equal encoding/json's), the session hub's
+# page store (held to a plain slice of lines), and the HTTP API's raw
+# /v1/embed and /v1/simulate bodies (no 5xx but 503/504, every 200 within
+# its theorem's bounds).
 fuzz:
 	$(GO) test -run Fuzz -fuzz=FuzzNetsimFaults -fuzztime=10s ./internal/netsim
 	$(GO) test -run Fuzz -fuzz=FuzzWarm -fuzztime=10s ./internal/engine
 	$(GO) test -run Fuzz -fuzz=FuzzReadResult -fuzztime=10s ./internal/core
 	$(GO) test -run Fuzz -fuzz=FuzzDecode -fuzztime=10s ./internal/bintree
 	$(GO) test -run Fuzz -fuzz=FuzzEventNDJSON -fuzztime=10s ./internal/telemetry
+	$(GO) test -run Fuzz -fuzz=FuzzHub -fuzztime=10s ./internal/telemetry
 	$(GO) test -run Fuzz -fuzz=FuzzAPI -fuzztime=10s ./internal/server
 
 # E1 + the simulator experiments with the LinkAudit invariant checker
@@ -108,11 +110,15 @@ embed-bench:
 
 # The simulator's perf gate (also the CI perf job): exact AllocsPerRun
 # budgets on the X-tree reference run (random n=2032 on X(6), two waves),
-# the same run at 8 shards, and the ideal-tree baseline at n=1008 (run
-# with -v, they log their counts), then the run benchmarks with -benchmem.
+# the same run at 8 shards, and the ideal-tree baseline at n=1008, and the
+# allocation budget of one streamed session (exchange on a random n=2032
+# guest through the recorder, the hub and the writer loop); run with -v,
+# they log their counts.  Then the run benchmarks and the recorder's
+# per-event cost with -benchmem.
 sim-bench:
-	$(GO) test -run 'TestRunAllocBudget|TestIdealBaselineAllocBudget|TestPartitionedRunAllocBudget' -v ./internal/netsim ./internal/distsim
+	$(GO) test -run 'TestRunAllocBudget|TestIdealBaselineAllocBudget|TestPartitionedRunAllocBudget|TestStreamedSessionAllocBudget' -v ./internal/netsim ./internal/distsim ./internal/server
 	$(GO) test -run '^$$' -bench 'RunXTree|IdealBaseline' -benchmem ./internal/netsim
+	$(GO) test -run '^$$' -bench 'RecorderEvent' -benchmem ./internal/telemetry
 
 examples:
 	$(GO) run ./examples/quickstart

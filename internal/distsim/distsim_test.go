@@ -13,6 +13,7 @@ import (
 	"xtreesim/internal/core"
 	"xtreesim/internal/graph"
 	"xtreesim/internal/netsim"
+	"xtreesim/internal/race"
 	"xtreesim/internal/telemetry"
 	"xtreesim/internal/xtree"
 )
@@ -340,8 +341,11 @@ func TestXTreeSubtreesPartitioner(t *testing.T) {
 // over 8 workers along X-tree subtrees.  Encoding every handoff into a
 // frame and decoding it again cost 21,622 allocations, and handing the
 // records over as Go values 14,688; with reused report buffers and the
-// shards' sorted reports merged it allocated 2,102, and with one queue
-// arena per shard and the X(6) ranker shared, 555.
+// shards' sorted reports merged it allocated 2,102, with one queue arena
+// per shard and the X(6) ranker shared 555, and with each shard's growing
+// buffers handed from run to run through netsim's scratch pool, 330.
+// Under the race detector the pool may drop them, and the budget is the
+// 690 that held before.
 func TestPartitionedRunAllocBudget(t *testing.T) {
 	tr, err := bintree.Generate(bintree.FamilyRandom, 2032, rand.New(rand.NewSource(1)))
 	if err != nil {
@@ -364,8 +368,12 @@ func TestPartitionedRunAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 690 {
-		t.Errorf("reference run at 8 shards allocates %.0f times, budget 690", allocs)
+	budget := 412.0
+	if race.Enabled {
+		budget = 690
+	}
+	if allocs > budget {
+		t.Errorf("reference run at 8 shards allocates %.0f times, budget %.0f", allocs, budget)
 	}
 	t.Logf("reference run at 8 shards: %.0f allocations", allocs)
 }

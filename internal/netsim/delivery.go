@@ -19,7 +19,8 @@ import (
 // takes To without comparisons: a stable counting pass per 8-bit digit of
 // To, least significant first, then an insertion sort of each run of
 // equal To on the remaining fields.  A shard keeps one deliveryOrder for
-// the run, so its buffers are reused from cycle to cycle.
+// the run, so its buffers are reused from cycle to cycle, and the next
+// run takes them over through scratchPool.
 type deliveryOrder struct {
 	shard int32
 	keys  []deliveryKey

@@ -141,7 +141,8 @@ type fifo struct{ head, tail, n int32 }
 // message's slot goes back on the free list and a push takes a free slot
 // before it grows the slab, so the slab is as long as the shard's peak of
 // queued messages, however much traffic its queues carry.  A shard
-// touches only its own arena, and an arena lives for one run.
+// touches only its own arena; an arena lives for one run, and its slots
+// go on to the next run through scratchPool.
 type arena struct {
 	slots []slot
 	free  int32 // first free slot, or -1

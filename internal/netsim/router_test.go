@@ -11,6 +11,7 @@ import (
 	"xtreesim/internal/bintree"
 	"xtreesim/internal/core"
 	"xtreesim/internal/graph"
+	"xtreesim/internal/race"
 	"xtreesim/internal/xtree"
 )
 
@@ -319,7 +320,9 @@ func TestIdealBaselineAllocScaling(t *testing.T) {
 // message grew its own child list, and 1,697 times while every link and
 // memory queue grew its own slice and every run numbered the host's links
 // afresh; with one queue arena per shard and the X(6) ranker shared, it
-// allocates 94 times.
+// allocated 94 times, and with each shard's growing buffers handed from
+// run to run through scratchPool, 43.  Under the race detector the pool
+// may drop them, and the budget is the 115 that held before.
 func TestRunAllocBudget(t *testing.T) {
 	tr, err := bintree.Generate(bintree.FamilyRandom, 2032, rand.New(rand.NewSource(1)))
 	if err != nil {
@@ -338,8 +341,12 @@ func TestRunAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 115 {
-		t.Errorf("reference run allocates %.0f times, budget 115", allocs)
+	budget := 53.0
+	if race.Enabled {
+		budget = 115
+	}
+	if allocs > budget {
+		t.Errorf("reference run allocates %.0f times, budget %.0f", allocs, budget)
 	}
 	t.Logf("reference run: %.0f allocations", allocs)
 }
@@ -347,13 +354,18 @@ func TestRunAllocBudget(t *testing.T) {
 // TestIdealBaselineAllocBudget gates the allocations of the ideal-tree
 // baseline at n=1008 (idealRun): the guest's own tree as the host, routed
 // table-free.  It allocated 5,476 times while the tree's graph grew its
-// adjacency lists edge by edge and every link queue grew its own slice;
-// it allocates 99 times now.
+// adjacency lists edge by edge and every link queue grew its own slice,
+// 99 times while every run regrew its buffers, and 50 times now (120
+// under the race detector, as before; see TestRunAllocBudget).
 func TestIdealBaselineAllocBudget(t *testing.T) {
 	tr := randomGuest(t, 1008)
 	allocs := testing.AllocsPerRun(3, func() { idealRun(t, tr) })
-	if allocs > 120 {
-		t.Errorf("baseline run allocates %.0f times, budget 120", allocs)
+	budget := 62.0
+	if race.Enabled {
+		budget = 120
+	}
+	if allocs > budget {
+		t.Errorf("baseline run allocates %.0f times, budget %.0f", allocs, budget)
 	}
 	t.Logf("baseline run at n=1008: %.0f allocations", allocs)
 }

@@ -158,10 +158,17 @@ func newCoord(r *run, sh Sharding) *coord {
 		}
 	}
 	for k := 0; k < sh.Shards; k++ {
-		s := &shard{self: int32(k), order: deliveryOrder{shard: int32(k)}, slab: newArena(), owner: sh.Owner, links: r.links,
+		sc := scratchPool.Get().(*shardScratch)
+		r.inj[k] = sc.inj[:0]
+		if k == 0 {
+			r.pending = sc.pending[:0]
+		}
+		s := &shard{self: int32(k), scratch: sc, owner: sh.Owner, links: r.links,
 			dec: c.dec, recordHops: r.obs != nil, stamp: sh.Sampler != nil, queues: queues, traffic: traffic,
 			busyPos: busyPos, local: local, linked: newBitset(nLinks), waiting: newBitset(len(sh.Owner)), xch: xch,
 			out: make([][]boundary, sh.Shards), inbox: make([][]boundary, sh.Shards)}
+		s.order = deliveryOrder{shard: int32(k), keys: sc.keys[:0], spare: sc.spare[:0], msgs: sc.msgs[:0]}
+		s.slab = arena{slots: sc.slots[:0], free: -1}
 		s.hop = hopper{next: r.hop.next, links: r.links, reroutes: &s.reroutes}
 		if r.faults != nil {
 			s.hop.faults = r.faults.replica()
@@ -184,7 +191,8 @@ func newCoord(r *run, sh Sharding) *coord {
 	return c
 }
 
-// stop ends the shard goroutines and waits for them; idempotent.
+// stop ends the shard goroutines, waits for them and hands the shards'
+// scratch back to the pool; idempotent.
 func (c *coord) stop() {
 	if c.stopped {
 		return
@@ -194,7 +202,33 @@ func (c *coord) stop() {
 		close(s.cmds)
 	}
 	c.wg.Wait()
+	for k, s := range c.shards {
+		sc := s.scratch
+		sc.inj, sc.keys, sc.spare, sc.msgs, sc.slots = c.inj[k], s.order.keys, s.order.spare, s.order.msgs, s.slab.slots
+		if k == 0 {
+			sc.pending = c.pending
+		}
+		s.scratch = nil
+		scratchPool.Put(sc)
+	}
 }
+
+// shardScratch holds the buffers a shard grows during a run: the
+// coordinator's placements for it, its Phase-2 order and its arena's
+// slots, and on shard 0 the run's emissions.  A run takes one per shard
+// from scratchPool, truncated, and hands them back when it stops, so the
+// next run starts with the room the last one grew instead of regrowing
+// it.  The pool lets go of what it holds over two GC cycles, so an idle
+// process keeps none.  Every element is pointer-free.
+type shardScratch struct {
+	inj         []placement
+	keys, spare []deliveryKey
+	msgs        []message
+	slots       []slot
+	pending     []Event
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(shardScratch) }}
 
 // barrier runs one command on every shard: shard 0 on the coordinator's
 // goroutine, the others on theirs.  It returns the lowest shard's error.
@@ -449,6 +483,7 @@ type shardCmd struct {
 // by the cmds channel.
 type shard struct {
 	self           int32
+	scratch        *shardScratch // the pooled buffers behind order, slab and the coordinator's inj
 	owner          []int32
 	nVerts, nLinks int // owned vertices and links
 	links          *edgeRanker

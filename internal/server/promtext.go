@@ -5,13 +5,15 @@ package server
 // per the subsystem's stdlib-only constraint.  Everything a dashboard
 // needs to see the serving story is here: per-route/per-code request
 // counts, the request-latency histogram with interpolated p50/p95/p99,
-// the in-flight and queue gauges, the shed counter, and the shared
-// engine's own counters (cache hit rate, utilization, queue wait).
+// the in-flight and queue gauges, the shed counter, the shared
+// engine's own counters (cache hit rate, utilization, queue wait), and
+// the Go runtime's GC cycles and GC CPU time.
 
 import (
 	"fmt"
 	"math"
 	"net/http"
+	rtmetrics "runtime/metrics"
 	"sort"
 	"strings"
 	"sync"
@@ -207,6 +209,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeHelp(&b, "xtreesim_trace_spans_dropped_total", "counter", "Spans overwritten before export (ring overflow).")
 		fmt.Fprintf(&b, "xtreesim_trace_spans_dropped_total %d\n", s.tracer.Dropped())
 	}
+
+	// The runtime's own GC counters, which tell a change that saves
+	// allocations where the saving shows.  runtime/metrics reads them
+	// without stopping the world, unlike runtime.ReadMemStats.
+	gc := []rtmetrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}, {Name: "/cpu/classes/gc/total:cpu-seconds"}}
+	rtmetrics.Read(gc)
+	writeHelp(&b, "xtreesim_go_gc_cycles_total", "counter", "Garbage collection cycles completed since the process started.")
+	fmt.Fprintf(&b, "xtreesim_go_gc_cycles_total %d\n", gc[0].Value.Uint64())
+	writeHelp(&b, "xtreesim_go_gc_cpu_seconds_total", "counter", "Estimated CPU time the garbage collector has used since the process started.")
+	fmt.Fprintf(&b, "xtreesim_go_gc_cpu_seconds_total %s\n", formatFloat(gc[1].Value.Float64()))
 
 	writeHelp(&b, "xtreesim_uptime_seconds", "gauge", "Seconds since the server started.")
 	fmt.Fprintf(&b, "xtreesim_uptime_seconds %s\n", formatFloat(time.Since(s.started).Seconds()))

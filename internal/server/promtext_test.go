@@ -1,6 +1,9 @@
 package server
 
 import (
+	"io"
+	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -84,4 +87,56 @@ func TestWriteHistogramOrdering(t *testing.T) {
 			t.Fatalf("labels=%q: want _count 5 last, got %q", labels, lines[nb+1])
 		}
 	}
+}
+
+// TestMetricsGCCounters requires the runtime's GC series on /metrics to
+// parse as counters and not to go down: across a forced collection the
+// cycle count rises and the GC CPU time does not fall.
+func TestMetricsGCCounters(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	read := func() (cycles uint64, cpu float64) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := 0
+		for _, line := range strings.Split(string(data), "\n") {
+			name, value, _ := strings.Cut(line, " ")
+			switch name {
+			case "xtreesim_go_gc_cycles_total":
+				cycles, err = strconv.ParseUint(value, 10, 64)
+			case "xtreesim_go_gc_cpu_seconds_total":
+				cpu, err = strconv.ParseFloat(value, 64)
+				if err == nil && cpu < 0 {
+					t.Fatalf("negative GC CPU time %q", line)
+				}
+			default:
+				continue
+			}
+			if err != nil {
+				t.Fatalf("unparsable %q: %v", line, err)
+			}
+			found++
+		}
+		if found != 2 {
+			t.Fatalf("found %d of the 2 GC series", found)
+		}
+		return cycles, cpu
+	}
+	cycles0, cpu0 := read()
+	runtime.GC()
+	cycles1, cpu1 := read()
+	if cycles1 <= cycles0 {
+		t.Errorf("GC cycles %d after a forced collection, %d before", cycles1, cycles0)
+	}
+	if cpu1 < cpu0 {
+		t.Errorf("GC CPU seconds fell from %g to %g", cpu0, cpu1)
+	}
+	t.Logf("GC cycles %d -> %d, GC CPU %gs -> %gs", cycles0, cycles1, cpu0, cpu1)
 }

@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -362,8 +363,8 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	from := uint64(0)
 	if v := r.Header.Get("Last-Event-ID"); v != "" {
 		last, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeInvalidRequest, "Last-Event-ID must be a stream_seq integer")
+		if err != nil || last == math.MaxUint64 { // no seq follows the largest
+			writeError(w, http.StatusBadRequest, CodeInvalidRequest, "Last-Event-ID must be a stream_seq integer below 2^64-1")
 			return
 		}
 		from = last + 1
@@ -388,61 +389,61 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	s.streamEvents(ctx, w, flusher, ss, sub)
 }
 
-// streamEvents is the shared writer loop: drain the subscriber into the
-// connection as NDJSON, one Write and one flush per batch, synthesize
+// streamEvents is the shared writer loop: copy the subscriber's lines
+// into the connection, one Write and one flush per batch, synthesize
 // dropped markers and heartbeats, stop on end-of-stream, client
-// departure, or deadline.
+// departure, or deadline.  The hub stores each event as its NDJSON line,
+// so a batch is a copy into buf, which the loop reuses: it encodes
+// nothing but its own markers.  One timer paces the heartbeats; it
+// restarts after every write.
 func (s *Server) streamEvents(ctx context.Context, w http.ResponseWriter,
 	flusher http.Flusher, ss *session, sub *telemetry.Subscriber) {
-	var buf []byte // one batch of NDJSON lines, reused across batches
+	idle := time.NewTimer(s.heartbeatInterval)
+	defer idle.Stop()
+	var buf, mark []byte // one batch of NDJSON lines, and a marker line with or before it
 	for {
-		waitCtx, cancel := context.WithTimeout(ctx, s.heartbeatInterval)
-		events, dropped, ok, err := sub.Next(waitCtx, 256)
-		cancel()
-		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-				// Only the heartbeat timer fired: the stream is idle but
-				// alive.  Heartbeats are per-connection, not ring events.
-				hb := telemetry.Event{
-					TraceEvent: netsim.TraceEvent{SchemaVersion: telemetry.SchemaVersion,
-						Type: telemetry.EventHeartbeat},
-					Session: ss.id,
-				}
-				buf, _ = hb.AppendJSON(buf[:0]) // no payload: cannot fail
-				if _, err := w.Write(buf); err != nil {
-					return // client gone
-				}
-				flusher.Flush()
-				continue
-			}
-			return // request context done: client left or deadline hit
-		}
-		if !ok {
-			return // stream complete and fully drained
-		}
-		buf = buf[:0]
-		if dropped > 0 {
+		var dropped uint64
+		var err error
+		buf, dropped, err = sub.AppendNext(ctx, idle.C, buf[:0], 256)
+		out := buf
+		switch {
+		case errors.Is(err, telemetry.ErrIdle):
+			// Only the heartbeat timer fired: the stream is idle but
+			// alive.  Heartbeats are per-connection, not ring events.
+			mark = appendMarker(mark[:0], ss.id, telemetry.EventHeartbeat, 0)
+			out = mark
+		case err != nil:
+			return // io.EOF at the end of the stream, or client left or deadline hit
+		case dropped > 0:
 			// Synthesized per-subscriber, deliberately not published to
 			// the ring: other subscribers may not have fallen behind.
-			dm := telemetry.Event{
-				TraceEvent: netsim.TraceEvent{SchemaVersion: telemetry.SchemaVersion,
-					Type: telemetry.EventDropped},
-				Session: ss.id,
-				Dropped: dropped,
-			}
-			buf, _ = dm.AppendJSON(buf) // no payload: cannot fail
+			mark = append(appendMarker(mark[:0], ss.id, telemetry.EventDropped, dropped), buf...)
+			out = mark
 		}
-		var encErr error
-		for i := range events {
-			if buf, encErr = events[i].AppendJSON(buf); encErr != nil {
-				break // an unencodable event ends the stream after the ones before it
-			}
-		}
-		if _, err := w.Write(buf); err != nil || encErr != nil {
-			return
+		if _, err := w.Write(out); err != nil {
+			return // client gone
 		}
 		flusher.Flush()
+		if !idle.Stop() {
+			select { // the timer fired during the write: drop its tick
+			case <-idle.C:
+			default:
+			}
+		}
+		idle.Reset(s.heartbeatInterval)
 	}
+}
+
+// appendMarker appends the writer's own event line: a heartbeat, or a
+// dropped marker carrying its count.
+func appendMarker(dst []byte, session, typ string, dropped uint64) []byte {
+	e := telemetry.Event{
+		TraceEvent: netsim.TraceEvent{SchemaVersion: telemetry.SchemaVersion, Type: typ},
+		Session:    session,
+		Dropped:    dropped,
+	}
+	dst, _ = e.AppendJSON(dst) // no payload: cannot fail
+	return dst
 }
 
 // streamGate is the counting semaphore bounding attached event streams.

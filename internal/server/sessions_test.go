@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -20,7 +21,10 @@ import (
 	"testing"
 	"time"
 
+	"xtreesim/internal/bintree"
+	"xtreesim/internal/core"
 	"xtreesim/internal/netsim"
+	"xtreesim/internal/race"
 	"xtreesim/internal/telemetry"
 )
 
@@ -296,10 +300,19 @@ func TestSessionAttachAndResume(t *testing.T) {
 	if resp, _ := http.Get(ts.URL + "/v1/sessions/nope/events"); resp.StatusCode != 404 {
 		t.Errorf("unknown session status %d", resp.StatusCode)
 	}
-	req, _ = http.NewRequest(http.MethodGet, ts.URL+"/v1/sessions/"+id+"/events", nil)
-	req.Header.Set("Last-Event-ID", "not-a-number")
-	if resp, _ := http.DefaultClient.Do(req); resp.StatusCode != 400 {
-		t.Errorf("bad cursor status %d", resp.StatusCode)
+	// The largest seq has no successor: resuming after it once wrapped
+	// to 0 and replayed the whole session.
+	for _, bad := range []string{"not-a-number", "18446744073709551615"} {
+		req, _ = http.NewRequest(http.MethodGet, ts.URL+"/v1/sessions/"+id+"/events", nil)
+		req.Header.Set("Last-Event-ID", bad)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 400 {
+			t.Errorf("Last-Event-ID %s: status %d, want 400", bad, resp.StatusCode)
+		}
 	}
 }
 
@@ -698,4 +711,81 @@ func TestEvictedSessionIsReleased(t *testing.T) {
 	}
 	runtime.KeepAlive(sr)
 	t.Fatal("the evicted session's hub is still reachable after 50 collections")
+}
+
+// discardStream is a connection that takes every byte at once.
+type discardStream struct{ header http.Header }
+
+func (d *discardStream) Header() http.Header         { return d.header }
+func (d *discardStream) WriteHeader(int)             {}
+func (d *discardStream) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardStream) Flush()                      {}
+
+// TestStreamedSessionAllocBudget gates what one streamed session
+// allocates: one round of exchange on a random n=2032 guest (seed 1)
+// under the default embed on X(6), its 4,077 events published through
+// the session's Recorder and read by one writer loop into a connection
+// that never stalls.  The run, the hub and the writer are all counted, as
+// the server pays for them per streamed request.  The sessions run on one
+// P, so the run's pooled scratch always comes back to the next run (a
+// sync.Pool keeps a private item per P) and the reader takes the whole
+// backlog in batches of 256.  While the hub kept a 4,096-event ring of
+// structs, the writer read each batch as a fresh slice of events, and
+// every run regrew its buffers, a session allocated 6,191,948 bytes in 261
+// allocations; with lines stored once in reused pages, copied into the
+// writer's one buffer, and the run's scratch pooled, 973,904 bytes in
+// 153.  The budgets are those counts plus 25%.
+func TestStreamedSessionAllocBudget(t *testing.T) {
+	tr, err := bintree.Generate(bintree.FamilyRandom, 2032, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.EmbedXTree(tr, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := netsim.OnXTree(res.Host, res.Assignment)
+	s := &Server{heartbeatInterval: DefaultHeartbeatInterval}
+	sr := newSessionRegistry()
+	w := &discardStream{header: http.Header{}}
+	var events uint64
+	session := func() {
+		ss := sr.open(WorkloadExchange, tr.N(), 0)
+		c := cfg
+		c.Observers = []netsim.Observer{ss.rec}
+		sub := ss.hub.Subscribe(0)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s.streamEvents(context.Background(), w, w, ss, sub)
+		}()
+		if _, err := netsim.Run(c, netsim.NewExchange(tr, 1)); err != nil {
+			t.Error(err)
+		}
+		ss.hub.Close()
+		<-done
+		sub.Close()
+		sr.finish(ss, "")
+		events = ss.hub.Published()
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	session() // warm the run's scratch pool and the per-height host
+	const sessions = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < sessions; i++ {
+		session()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := (after.Mallocs - before.Mallocs) / sessions
+	bytes := (after.TotalAlloc - before.TotalAlloc) / sessions
+	maxAllocs, maxBytes := uint64(191), uint64(1_217_000)
+	if race.Enabled { // every run may regrow its scratch: 203 allocations, 2,442,118 bytes
+		maxAllocs, maxBytes = 254, 3_053_000
+	}
+	if allocs > maxAllocs || bytes > maxBytes {
+		t.Errorf("streamed session allocates %d times, %d bytes; budget %d times, %d bytes",
+			allocs, bytes, maxAllocs, maxBytes)
+	}
+	t.Logf("streamed session (%d events): %d allocations, %d bytes", events, allocs, bytes)
 }

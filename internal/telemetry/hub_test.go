@@ -1,7 +1,11 @@
 package telemetry
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -18,8 +22,8 @@ func TestHubOrderAndSeq(t *testing.T) {
 	sub := h.Subscribe(0)
 	defer sub.Close()
 	for i := 1; i <= 5; i++ {
-		if seq := h.Publish(cycleEvent(i)); seq != uint64(i-1) {
-			t.Fatalf("publish %d assigned seq %d", i, seq)
+		if seq, err := h.Publish(cycleEvent(i)); err != nil || seq != uint64(i-1) {
+			t.Fatalf("publish %d assigned seq %d (err %v)", i, seq, err)
 		}
 	}
 	evs, dropped, ok, err := sub.Next(context.Background(), 0)
@@ -263,4 +267,207 @@ func TestHubFutureCursor(t *testing.T) {
 	if h.Dropped() != 0 {
 		t.Fatalf("future cursors charged %d drops", h.Dropped())
 	}
+}
+
+// TestHubRefusesUnencodablePayload: an event whose payload is not JSON
+// is refused with the encoder's error and takes no sequence number.
+func TestHubRefusesUnencodablePayload(t *testing.T) {
+	h := NewHub(4)
+	h.Publish(cycleEvent(1))
+	if _, err := h.Publish(Event{TraceEvent: netsim.TraceEvent{Type: EventResult}, Payload: json.RawMessage(`{"a":`)}); err == nil {
+		t.Fatal("published an event whose payload does not encode")
+	}
+	if seq, err := h.Publish(cycleEvent(2)); err != nil || seq != 1 || h.Published() != 2 {
+		t.Fatalf("after a refused event: seq %d, err %v, published %d; want seq 1 of 2", seq, err, h.Published())
+	}
+}
+
+// hubModel is FuzzHub's reference for the page store: every line ever
+// published in a plain slice, with the ring's bound and each reader's
+// cursor and losses.
+type hubModel struct {
+	size    uint64
+	lines   [][]byte
+	closed  bool
+	dropped uint64
+}
+
+type subModel struct {
+	sub     *Subscriber
+	cursor  uint64
+	dropped uint64
+}
+
+func (m *hubModel) oldest() uint64 {
+	if n := uint64(len(m.lines)); n > m.size {
+		return n - m.size
+	}
+	return 0
+}
+
+// skip moves an overtaken cursor to the oldest retained line and returns
+// the lines it lost.
+func (m *hubModel) skip(s *subModel) uint64 {
+	o := m.oldest()
+	if s.cursor >= o {
+		return 0
+	}
+	d := o - s.cursor
+	s.cursor, s.dropped, m.dropped = o, s.dropped+d, m.dropped+d
+	return d
+}
+
+// publishLine stores a raw line as Publish stores an encoded event.
+func publishLine(h *Hub, line []byte) uint64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.storeLocked(line)
+}
+
+// FuzzHub holds the hub's page store to hubModel over random sequences of
+// publish, subscribe, read and close: ring sizes 1–17, pages of 1–64
+// bytes, lines from 1 byte to twice a page, batch limits 0–5, and every
+// cursor from 0 to past the live tail.  Each read must return exactly the
+// model's bytes and losses, and Published, Dropped and every reader's
+// Dropped must match the model after every step.  While the hub is open
+// its pages must cover exactly the retained lines, and it must have
+// allocated no more pages than it ever held at once.
+func FuzzHub(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for ring := 0; ring < 17; ring++ {
+		ops := make([]byte, 2+400)
+		rng.Read(ops)
+		ops[0], ops[1] = byte(ring), byte(rng.Intn(64))
+		f.Add(ops)
+	}
+	f.Add([]byte{0, 0, 0, 4, 5, 0, 5, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		m := &hubModel{size: uint64(data[0])%17 + 1}
+		page := int(data[1])%64 + 1
+		h := newHub(int(m.size), page)
+		data = data[2:]
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		canceled, cancel := context.WithCancel(context.Background())
+		cancel()
+		fired := make(chan time.Time)
+		close(fired)
+		var subs []*subModel
+		peak := 0
+		for len(data) > 0 {
+			switch op := next() % 8; {
+			case op < 3: // a raw line of 1 to 2·page+1 bytes
+				seq := uint64(len(m.lines))
+				line := make([]byte, next()%(2*page+1)+1)
+				for i := range line {
+					line[i] = byte(int(seq)*7 + i)
+				}
+				if got := publishLine(h, line); got != seq {
+					t.Fatalf("line %d took seq %d", seq, got)
+				}
+				m.lines = append(m.lines, line)
+			case op == 3: // an event through Publish, or one it must refuse
+				e := Event{TraceEvent: netsim.TraceEvent{Type: EventCycle, Cycle: next()}, Session: "s"}
+				if b := next(); b%5 == 0 {
+					e.Payload = json.RawMessage(`{"x":`)
+					if _, err := h.Publish(e); err == nil {
+						t.Fatal("Publish took an event whose payload does not encode")
+					}
+					break
+				} else if b%5 == 1 {
+					e.Payload = json.RawMessage(` { "x" : [1, 2] } `)
+				}
+				seq, err := h.Publish(e)
+				if err != nil || seq != uint64(len(m.lines)) {
+					t.Fatalf("Publish: seq %d err %v, want seq %d", seq, err, len(m.lines))
+				}
+				e.SchemaVersion, e.StreamSeq = SchemaVersion, seq
+				line, err := e.AppendJSON(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.lines = append(m.lines, line)
+			case op == 4: // subscribe at 0, the tail, near it, or far past it
+				n, b := uint64(len(m.lines)), next()
+				var from uint64
+				switch b % 4 {
+				case 1:
+					from = n
+				case 2:
+					from = uint64(b/4) % (n + 4)
+				case 3:
+					from = n + 1<<40
+				}
+				subs = append(subs, &subModel{sub: h.Subscribe(from), cursor: from})
+			case op == 5 || op == 6: // read one batch without blocking
+				if len(subs) == 0 {
+					break
+				}
+				s := subs[next()%len(subs)]
+				batch, prefix := next()%6, []byte("prior")[:next()%6]
+				ctx, idle, wantErr := canceled, (<-chan time.Time)(nil), error(context.Canceled)
+				if op == 6 {
+					ctx, idle, wantErr = context.Background(), fired, ErrIdle
+				}
+				got, dropped, err := s.sub.AppendNext(ctx, idle, append([]byte(nil), prefix...), batch)
+				wantDropped := m.skip(s)
+				want := append([]byte(nil), prefix...)
+				for n := 0; s.cursor < uint64(len(m.lines)) && (batch == 0 || n < batch); n++ {
+					want = append(want, m.lines[s.cursor]...)
+					s.cursor++
+				}
+				switch {
+				case len(want) > len(prefix) || wantDropped > 0:
+					wantErr = nil
+				case m.closed:
+					wantErr = io.EOF
+				}
+				if err != wantErr || dropped != wantDropped || !bytes.Equal(got, want) {
+					t.Fatalf("read (batch %d): %q, dropped %d, err %v; want %q, dropped %d, err %v",
+						batch, got, dropped, err, want, wantDropped, wantErr)
+				}
+			case op == 7: // detach a reader, or complete the stream
+				if b := next(); b%4 == 0 || len(subs) == 0 {
+					h.Close()
+					m.closed = true
+				} else {
+					k := b % len(subs)
+					subs[k].sub.Close()
+					m.skip(subs[k])
+					subs = append(subs[:k], subs[k+1:]...)
+				}
+			}
+
+			if got := h.Published(); got != uint64(len(m.lines)) {
+				t.Fatalf("Published %d, want %d", got, len(m.lines))
+			}
+			if got := h.Dropped(); got != m.dropped {
+				t.Fatalf("hub Dropped %d, want %d", got, m.dropped)
+			}
+			for _, s := range subs {
+				if s.sub.Dropped() != s.dropped {
+					t.Fatalf("subscriber Dropped %d, want %d", s.sub.Dropped(), s.dropped)
+				}
+			}
+			h.mu.Lock()
+			p := uint64(page)
+			if h.first != h.start/p || h.first+uint64(len(h.pages)) != (h.tail+p-1)/p {
+				t.Fatalf("pages %d..%d hold bytes %d..%d", h.first, h.first+uint64(len(h.pages)), h.start, h.tail)
+			}
+			peak = max(peak, len(h.pages))
+			if !m.closed && len(h.pages)+len(h.spare) != peak {
+				t.Fatalf("%d pages allocated, at most %d held at once", len(h.pages)+len(h.spare), peak)
+			}
+			h.mu.Unlock()
+		}
+	})
 }

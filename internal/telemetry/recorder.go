@@ -3,11 +3,11 @@ package telemetry
 // recorder.go bridges the simulator's Observer callbacks onto a hub.
 // The Recorder runs synchronously on the simulating goroutine (both the
 // single-process netsim loop and the sharded run's coordinator call
-// observers there), so everything it does must be cheap and non-blocking — one
-// ring append per event, no I/O, no waiting on subscribers.  That is
-// the whole backpressure contract: the simulation's Result is
-// byte-identical with or without a Recorder attached, no matter how
-// slow or stuck the consumers are.
+// observers there), so everything it does must be cheap and non-blocking
+// — one line encoded into the ring per event, no I/O, no waiting on
+// subscribers.  That is the whole backpressure contract: the simulation's
+// Result is byte-identical with or without a Recorder attached, no matter
+// how slow or stuck the consumers are.
 
 import "xtreesim/internal/netsim"
 
@@ -37,8 +37,10 @@ func NewRecorder(hub *Hub, session string) *Recorder {
 }
 
 // Publish forwards a hand-built event (start/result/shard lifecycle
-// records) through the recorder's hub with its session stamp.
-func (r *Recorder) Publish(e Event) uint64 {
+// records) through the recorder's hub with its session stamp.  Like
+// Hub.Publish, it refuses an event whose Payload does not encode.  The
+// simulator's events carry no Payload, so the callbacks below cannot fail.
+func (r *Recorder) Publish(e Event) (uint64, error) {
 	e.Session = r.session
 	return r.hub.Publish(e)
 }

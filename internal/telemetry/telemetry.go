@@ -4,14 +4,15 @@
 // letting a slow consumer stall the simulation.
 //
 // The design splits the two speeds apart.  The publishing side (the
-// simulating goroutine, via Recorder's netsim.Observer hooks) appends
-// into a fixed-size ring under one short mutex hold and never blocks: if
-// a subscriber has not kept up, the ring simply overwrites the oldest
-// events and the subscriber learns — at its next read — exactly how many
-// events it lost.  The consuming side (NDJSON streamers, xtreectl watch)
-// reads batches at whatever pace the network allows.  Backpressure
-// therefore turns into counted, visible drops instead of simulator
-// stalls, which is the contract the byte-identical-Result tests pin.
+// simulating goroutine, via Recorder's netsim.Observer hooks) encodes each
+// event once, as its NDJSON line, into a ring of the last N lines under
+// one short mutex hold and never blocks: if a subscriber has not kept up,
+// the ring simply overwrites the oldest events and the subscriber learns
+// — at its next read — exactly how many events it lost.  The consuming
+// side (NDJSON streamers, xtreectl watch) copies batches of lines at
+// whatever pace the network allows.  Backpressure therefore turns into
+// counted, visible drops instead of simulator stalls, which is the
+// contract the byte-identical-Result tests pin.
 //
 // The wire schema is the PR-3 TraceRecorder JSONL format extended with
 // stream fields: Event embeds netsim.TraceEvent (same schema_version,
@@ -101,9 +102,10 @@ type Event struct {
 }
 
 // AppendJSON appends e as one NDJSON line: the bytes json.Encoder writes
-// for it with SetEscapeHTML(false), without reflection.  The stream
-// writer encodes every event through it.  An invalid Payload is an
-// error, as it is for json.Encoder, and dst comes back unchanged.
+// for it with SetEscapeHTML(false), without reflection.  Hub.Publish
+// encodes every stream event through it, and the stream writer its
+// heartbeat and dropped markers.  An invalid Payload is an error, as it
+// is for json.Encoder, and dst comes back unchanged.
 func (e *Event) AppendJSON(dst []byte) ([]byte, error) {
 	b := e.TraceEvent.AppendJSONFields(append(dst, '{'))
 	b = strconv.AppendUint(append(b, `,"stream_seq":`...), e.StreamSeq, 10)
