@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short test-race bench embed-bench sim-bench vet fmt check lint experiments examples cover fault-sweep fuzz audit-smoke serve phase-bench dist-bench
+.PHONY: all build test test-short test-race bench embed-bench sim-bench vet fmt check lint experiments examples cover fault-sweep fuzz audit-smoke serve phase-bench dist-bench loc
 
 all: vet test
 
@@ -73,8 +73,9 @@ fuzz:
 
 # E1 + the simulator experiments with the LinkAudit invariant checker
 # attached to every run: any model violation aborts with a violation list.
-# E22 runs the sharded X-tree path, every shard routing in closed form
-# under a LinkAudit of its own; it writes no BENCH_dist.json here.
+# E22 runs the sharded X-tree path, every shard routing in closed form,
+# with the audit observing the merged event stream of all shards; it
+# writes no BENCH_dist.json here.
 audit-smoke:
 	$(GO) run ./cmd/xtree-bench -exp e1 -maxr 4 -seeds 2 -audit
 	$(GO) run ./cmd/xtree-bench -exp e10 -maxr 4 -audit
@@ -85,8 +86,8 @@ audit-smoke:
 serve:
 	$(GO) run ./cmd/xtree-serve -addr :8080
 
-# E22 only: partition-scaling sweep of the distributed simulator with
-# the per-shard LinkAudit attached; writes BENCH_dist.json.
+# E22 only: partition-scaling sweep of the distributed simulator with a
+# LinkAudit attached as an observer; writes BENCH_dist.json.
 dist-bench:
 	$(GO) run ./cmd/xtree-bench -exp e22 -audit
 
@@ -133,3 +134,10 @@ examples:
 
 cover:
 	$(GO) test -coverprofile=cover.out ./... && $(GO) tool cover -func=cover.out | tail -1
+
+# Lines of Go, non-test and test, outside the benchmark module (xbench/)
+# and the benchmark's build cache: the net LOC a change reports.
+LOC_GO = find . \( -path ./xbench -o -path ./.bench_build -o -path ./.git \) -prune -o -name '*.go'
+loc:
+	@echo "non-test Go lines: $$($(LOC_GO) ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
+	@echo "test Go lines:     $$($(LOC_GO) -name '*_test.go' -print0 | xargs -0 cat | wc -l)"

@@ -9,8 +9,8 @@ package main
 // count to BENCH_dist.json so successive changes compare number against
 // number.  netsim has one runner and netsim.Run is its one-shard case,
 // so single_wall_ms and the partitions: 1 row time the same runner: the
-// reference runs first and bare, the row through distsim with the
-// per-shard and global LinkAudits under -audit.  On one or two CPUs the
+// reference runs first and bare, the row through distsim with a LinkAudit
+// attached as an observer under -audit.  On one or two CPUs the
 // two barriers per cycle cost more than the shards' parallel work saves,
 // which is why equality, not speedup, is the gate.
 
@@ -89,15 +89,23 @@ func e22DistScaling() {
 	out.Config.SingleWallMS = singleMS
 
 	for _, parts := range []int{1, 2, 4, 8} {
+		sim := base
+		var audit *netsim.LinkAudit
+		if *auditRuns {
+			audit = netsim.NewLinkAudit()
+			sim.Observers = []netsim.Observer{audit}
+		}
 		start := time.Now()
 		dres, st, err := distsim.RunStats(context.Background(), distsim.Config{
-			Sim:        base,
+			Sim:        sim,
 			Partitions: parts,
 			Partition:  distsim.XTreeSubtrees,
-			Audit:      *auditRuns,
 		}, netsim.NewDivideConquer(tr, waves))
 		check(err)
 		wall := float64(time.Since(start).Microseconds()) / 1000
+		if audit != nil {
+			check(audit.Err())
+		}
 		p := distBenchPoint{
 			Partitions:       parts,
 			WallMS:           wall,

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	xtree-sim -family complete -n 1008 -workload divideconquer -waves 4 -placement monien
+//	xtree-sim -family complete -n 1008 -workload divide-conquer -waves 4 -placement monien
 //	xtree-sim -family random -n 1008 -workload scan -partitions 4
 package main
 
@@ -24,8 +24,8 @@ func main() {
 	family := flag.String("family", "complete", "guest family")
 	n := flag.Int("n", 1008, "guest size")
 	seed := flag.Int64("seed", 1, "generator seed")
-	workload := flag.String("workload", "divideconquer", "divideconquer|broadcast|exchange|scan")
-	waves := flag.Int("waves", 1, "pipelined waves (divideconquer) or rounds (exchange)")
+	workload := flag.String("workload", "divide-conquer", "divide-conquer|broadcast|exchange|scan")
+	waves := flag.Int("waves", 1, "pipelined waves (divide-conquer) or rounds (exchange)")
 	placement := flag.String("placement", "monien", "monien|dfs|bfs|random")
 	partitions := flag.Int("partitions", 0, "shard the host simulation across this many epoch-barrier workers (0/1 = single-process; results are identical)")
 	flag.Parse()
@@ -42,7 +42,7 @@ func run(w io.Writer, family string, n int, seed int64, workload string, waves i
 	}
 	mkWorkload := func() (xtreesim.Workload, error) {
 		switch workload {
-		case "divideconquer":
+		case "divide-conquer":
 			return xtreesim.NewDivideConquer(tree, waves), nil
 		case "broadcast":
 			return xtreesim.NewBroadcast(tree), nil

@@ -6,7 +6,7 @@ import (
 )
 
 func TestRunWorkloadsAndPlacements(t *testing.T) {
-	for _, wl := range []string{"divideconquer", "broadcast", "exchange", "scan"} {
+	for _, wl := range []string{"divide-conquer", "broadcast", "exchange", "scan"} {
 		var sb strings.Builder
 		if err := run(&sb, "random", 240, 1, wl, 2, "monien", 0); err != nil {
 			t.Fatalf("%s: %v", wl, err)
@@ -32,10 +32,10 @@ func TestRunWorkloadsAndPlacements(t *testing.T) {
 // banner.
 func TestRunPartitioned(t *testing.T) {
 	var single, dist strings.Builder
-	if err := run(&single, "random", 240, 1, "divideconquer", 2, "monien", 0); err != nil {
+	if err := run(&single, "random", 240, 1, "divide-conquer", 2, "monien", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(&dist, "random", 240, 1, "divideconquer", 2, "monien", 4); err != nil {
+	if err := run(&dist, "random", 240, 1, "divide-conquer", 2, "monien", 4); err != nil {
 		t.Fatal(err)
 	}
 	do := dist.String()

@@ -7,13 +7,10 @@
 //     unbounded load on skewed trees;
 //   - DFSPack / BFSPack fill the host 16-per-vertex in traversal order:
 //     optimal load and expansion, but dilation grows with the tree size;
-//   - RandomPack is the lower-bound anchor: dilation ≈ host diameter;
-//   - InorderComplete is the classic identity embedding of a complete
-//     binary tree, dilation 1 with load 1 (only for heap-shaped guests).
+//   - RandomPack is the lower-bound anchor: dilation ≈ host diameter.
 package baseline
 
 import (
-	"fmt"
 	"math/rand"
 
 	"xtreesim/internal/bintree"
@@ -108,34 +105,4 @@ func RandomPack(t *bintree.Tree, rng *rand.Rand) *Result {
 		order[i] = int32(v)
 	}
 	return packOrder("random-pack", t, order)
-}
-
-// InorderComplete embeds a heap-shaped guest (node v has children 2v+1,
-// 2v+2) into the X-tree of the same height by the identity on heap ids:
-// dilation 1, load 1, expansion 1.  It errors on any other shape.
-func InorderComplete(t *bintree.Tree) (*Result, error) {
-	n := t.N()
-	for v := int32(0); v < int32(n); v++ {
-		wantL, wantR := 2*v+1, 2*v+2
-		l, r := t.Left(v), t.Right(v)
-		if int(wantL) >= n {
-			wantL = bintree.None
-		}
-		if int(wantR) >= n {
-			wantR = bintree.None
-		}
-		if l != wantL || r != wantR {
-			return nil, fmt.Errorf("baseline: guest is not heap-shaped at node %d", v)
-		}
-	}
-	height := 0
-	for int64(1)<<(uint(height)+1)-1 < int64(n) {
-		height++
-	}
-	x := xtree.New(height)
-	assign := make([]bitstr.Addr, n)
-	for v := 0; v < n; v++ {
-		assign[v] = bitstr.FromID(int64(v))
-	}
-	return &Result{Name: "inorder-complete", Guest: t, Host: x, Assignment: assign}, nil
 }

@@ -69,24 +69,3 @@ func TestRandomPackDilationLarge(t *testing.T) {
 		t.Errorf("random-pack dilation %d suspiciously small", d)
 	}
 }
-
-func TestInorderComplete(t *testing.T) {
-	tr := bintree.Complete(4)
-	res, err := InorderComplete(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	emb := res.Embedding()
-	if d := emb.Dilation(); d != 1 {
-		t.Errorf("inorder dilation = %d", d)
-	}
-	if !emb.IsInjective() {
-		t.Error("inorder not injective")
-	}
-	if x := emb.Expansion(); x != 1 {
-		t.Errorf("inorder expansion = %v", x)
-	}
-	if _, err := InorderComplete(bintree.Path(7)); err == nil {
-		t.Error("path accepted as heap-shaped")
-	}
-}

@@ -164,24 +164,6 @@ func (t *Tree) Degree(v int32) int {
 	return d
 }
 
-// SubtreeSizes returns, for every node, the size of the subtree rooted
-// there (with respect to the tree's own root).
-func (t *Tree) SubtreeSizes() []int32 {
-	n := t.N()
-	size := make([]int32, n)
-	order := t.PostOrder()
-	for _, v := range order {
-		size[v] = 1
-		if l := t.left[v]; l != None {
-			size[v] += size[l]
-		}
-		if r := t.right[v]; r != None {
-			size[v] += size[r]
-		}
-	}
-	return size
-}
-
 // PostOrder returns the nodes in post-order (children before parents),
 // iteratively so deep paths do not overflow the stack.
 func (t *Tree) PostOrder() []int32 {
@@ -383,40 +365,6 @@ func (t *Tree) Equal(u *Tree) bool {
 		}
 	}
 	return true
-}
-
-// Reroot returns a copy of the tree re-rooted at newRoot: the parent
-// pointers along the path from newRoot to the old root are reversed.
-// Child sides are reassigned arbitrarily (left first).  newRoot must have
-// degree at most 2; rerooting at a degree-3 node would give it three
-// children, which is no longer a binary tree.
-func (t *Tree) Reroot(newRoot int32) (*Tree, error) {
-	if t.Degree(newRoot) > 2 {
-		return nil, fmt.Errorf("bintree: cannot reroot at degree-%d node %d", t.Degree(newRoot), newRoot)
-	}
-	n := t.N()
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = None
-	}
-	// BFS from newRoot over the undirected adjacency.
-	visited := make([]bool, n)
-	visited[newRoot] = true
-	queue := []int32{newRoot}
-	var buf []int32
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		buf = t.Neighbors(v, buf[:0])
-		for _, w := range buf {
-			if !visited[w] {
-				visited[w] = true
-				parent[w] = v
-				queue = append(queue, w)
-			}
-		}
-	}
-	return NewFromParents(parent, nil)
 }
 
 // String summarizes the tree.

@@ -147,24 +147,6 @@ func TestGenerateFamilies(t *testing.T) {
 	}
 }
 
-func TestSubtreeSizes(t *testing.T) {
-	tr := Complete(2) // 7 nodes
-	size := tr.SubtreeSizes()
-	want := []int32{7, 3, 3, 1, 1, 1, 1}
-	for v, w := range want {
-		if size[v] != w {
-			t.Errorf("size[%d] = %d, want %d", v, size[v], w)
-		}
-	}
-	p := Path(5)
-	size = p.SubtreeSizes()
-	for v := 0; v < 5; v++ {
-		if size[v] != int32(5-v) {
-			t.Errorf("path size[%d] = %d", v, size[v])
-		}
-	}
-}
-
 func TestTraversalOrders(t *testing.T) {
 	tr := Complete(2)
 	post := tr.PostOrder()
@@ -210,66 +192,15 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReroot(t *testing.T) {
-	tr := Path(6)
-	rr, err := tr.Reroot(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rr.Root() != 5 {
-		t.Fatalf("reroot root = %d", rr.Root())
-	}
-	if !rr.AsGraph().IsTree() {
-		t.Fatal("reroot broke tree")
-	}
-	// Undirected edge sets must be identical.
-	if !tr.AsGraph().IsSubgraphOf(rr.AsGraph()) || !rr.AsGraph().IsSubgraphOf(tr.AsGraph()) {
-		t.Error("reroot changed the edge set")
-	}
-	if rr.Height() != 5 {
-		t.Errorf("rerooted path height = %d", rr.Height())
-	}
-	// Rerooting at a degree-3 node must be rejected.
-	c := Caterpillar(7)
-	if _, err := c.Reroot(2); err == nil {
-		t.Error("reroot at degree-3 node accepted")
-	}
-}
-
 func TestPropertyRandomTreesValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	f := func() bool {
 		n := 1 + rng.Intn(200)
 		tr := RandomAttachment(n, rng)
 		g := tr.AsGraph()
-		if !g.IsTree() || g.MaxDegree() > 3 {
-			return false
-		}
-		// Subtree sizes sum check: root subtree = n.
-		return tr.SubtreeSizes()[tr.Root()] == int32(n)
+		return g.IsTree() && g.MaxDegree() <= 3 && len(tr.PostOrder()) == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropertyRerootPreservesEdges(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	f := func() bool {
-		n := 1 + rng.Intn(100)
-		tr := RandomBSTShape(n, rng)
-		v := int32(rng.Intn(n))
-		rr, err := tr.Reroot(v)
-		if tr.Degree(v) > 2 {
-			return err != nil
-		}
-		if err != nil {
-			return false
-		}
-		return rr.Root() == v && rr.AsGraph().IsSubgraphOf(tr.AsGraph()) &&
-			tr.AsGraph().IsSubgraphOf(rr.AsGraph())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }
@@ -284,9 +215,6 @@ func TestDeepPathIterativeTraversal(t *testing.T) {
 	}
 	if p.Height() != n-1 {
 		t.Fatalf("height = %d", p.Height())
-	}
-	if p.SubtreeSizes()[0] != int32(n) {
-		t.Fatal("subtree size of root wrong")
 	}
 	// Decode and CanonicalCode must not recurse either, on both of the
 	// latter's branches: the descending scan and the PostOrder walk.

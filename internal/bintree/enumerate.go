@@ -45,16 +45,6 @@ func AllShapes(n int) []*Tree {
 	return out
 }
 
-// CountShapes returns the Catalan number C(n), the number of shapes
-// AllShapes(n) produces.
-func CountShapes(n int) int64 {
-	c := int64(1)
-	for i := 0; i < n; i++ {
-		c = c * 2 * int64(2*i+1) / int64(i+2)
-	}
-	return c
-}
-
 // Fibonacci returns the Fibonacci tree of order k: F(0) and F(1) are
 // single nodes, F(k) has F(k−1) as left and F(k−2) as right subtree.
 // These are the maximally height-unbalanced AVL trees, a classic stress

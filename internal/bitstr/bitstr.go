@@ -87,23 +87,6 @@ func (a Addr) Parent() Addr {
 	return Addr{Level: a.Level - 1, Index: a.Index >> 1}
 }
 
-// LastBit returns the final character of the string.  It panics on the root.
-func (a Addr) LastBit() byte {
-	if a.Level == 0 {
-		panic("bitstr: root has no last bit")
-	}
-	return byte(a.Index & 1)
-}
-
-// Sibling returns the string with the last bit flipped.  It panics on the
-// root.
-func (a Addr) Sibling() Addr {
-	if a.Level == 0 {
-		panic("bitstr: root has no sibling")
-	}
-	return Addr{Level: a.Level, Index: a.Index ^ 1}
-}
-
 // IsLast reports whether a is the lexicographically largest string of its
 // level (all ones), i.e. has no successor.
 func (a Addr) IsLast() bool {
@@ -174,15 +157,6 @@ func CommonPrefixLen(a, b Addr) int {
 		return n
 	}
 	return n - (bits.Len64(x))
-}
-
-// TrailingOnes returns the number of trailing '1' characters of a.
-func (a Addr) TrailingOnes() int {
-	n := bits.TrailingZeros64(^a.Index)
-	if n > a.Level {
-		return a.Level
-	}
-	return n
 }
 
 // TrailingZeros returns the number of trailing '0' characters of a.

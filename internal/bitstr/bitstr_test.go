@@ -30,12 +30,6 @@ func TestChildParent(t *testing.T) {
 	if got := a.Parent().String(); got != "011" {
 		t.Errorf("Parent() = %q", got)
 	}
-	if got := a.Sibling().String(); got != "0111" {
-		t.Errorf("Sibling() = %q", got)
-	}
-	if a.LastBit() != 0 {
-		t.Errorf("LastBit() = %d", a.LastBit())
-	}
 }
 
 func TestBits(t *testing.T) {
@@ -129,21 +123,18 @@ func TestCommonPrefixLen(t *testing.T) {
 
 func TestTrailing(t *testing.T) {
 	cases := []struct {
-		s           string
-		ones, zeros int
+		s     string
+		zeros int
 	}{
-		{"10111", 3, 0},
-		{"1000", 0, 3},
-		{"1111", 4, 0},
-		{"0000", 0, 4},
-		{"", 0, 0},
-		{"10", 0, 1},
+		{"10111", 0},
+		{"1000", 3},
+		{"1111", 0},
+		{"0000", 4},
+		{"", 0},
+		{"10", 1},
 	}
 	for _, c := range cases {
 		a := MustParse(c.s)
-		if got := a.TrailingOnes(); got != c.ones {
-			t.Errorf("TrailingOnes(%q) = %d, want %d", c.s, got, c.ones)
-		}
 		if got := a.TrailingZeros(); got != c.zeros {
 			t.Errorf("TrailingZeros(%q) = %d, want %d", c.s, got, c.zeros)
 		}

@@ -21,8 +21,6 @@ func TestPanicGuards(t *testing.T) {
 	mustPanic(t, "Bit negative", func() { MustParse("01").Bit(-1) })
 	mustPanic(t, "Child too deep", func() { deep.Child(0) })
 	mustPanic(t, "Parent of root", func() { root.Parent() })
-	mustPanic(t, "LastBit of root", func() { root.LastBit() })
-	mustPanic(t, "Sibling of root", func() { root.Sibling() })
 	mustPanic(t, "Append too deep", func() { deep.Append(MustParse("1")) })
 	mustPanic(t, "Prefix out of range", func() { MustParse("01").Prefix(3) })
 	mustPanic(t, "Prefix negative", func() { MustParse("01").Prefix(-1) })

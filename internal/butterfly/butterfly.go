@@ -33,9 +33,6 @@ func NewButterfly(k int) *Butterfly {
 	return &Butterfly{k: k}
 }
 
-// Order returns k.
-func (b *Butterfly) Order() int { return b.k }
-
 // NumVertices returns (k+1)·2^k.
 func (b *Butterfly) NumVertices() int64 { return int64(b.k+1) << uint(b.k) }
 
@@ -113,9 +110,6 @@ func NewCCC(k int) *CCC {
 	}
 	return &CCC{k: k}
 }
-
-// Order returns k.
-func (c *CCC) Order() int { return c.k }
 
 // NumVertices returns k·2^k.
 func (c *CCC) NumVertices() int64 { return int64(c.k) << uint(c.k) }

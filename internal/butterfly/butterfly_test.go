@@ -164,9 +164,6 @@ func TestGuards(t *testing.T) {
 	c := NewCCC(3)
 	mustPanic("CCC VertexID pos", func() { c.VertexID(0, 3) })
 	mustPanic("CCC VertexID word", func() { c.VertexID(8, 0) })
-	if c.Order() != 3 || b.Order() != 3 {
-		t.Error("orders wrong")
-	}
 }
 
 func TestXTreeEmbeddingAlias(t *testing.T) {

@@ -1,6 +1,8 @@
 // Package distsim runs a netsim simulation partitioned across N shard
 // workers with a two-phase epoch barrier, producing results byte-identical
-// to netsim.Run.
+// to netsim.Run.  A netsim.LinkAudit attached as an observer audits a
+// partitioned run like any other: every shard's hops reach it on the
+// run's one event stream.
 //
 // netsim has one runner (RunSharded): a coordinator that keeps the
 // workload, sequence numbers, the fault generator and the retransmission
@@ -32,9 +34,6 @@ type Config struct {
 	Partitions int
 	// Partition picks the vertex-to-shard map; nil means Blocks.
 	Partition Partitioner
-	// Audit attaches a per-partition LinkAudit to every shard and a
-	// global one to the merged event stream; any violation fails the run.
-	Audit bool
 	// ShardSampler, when set, receives one ShardSample per shard per
 	// executed cycle.  It is called synchronously on the coordinator
 	// goroutine after the fire barrier, so it must be cheap and
@@ -58,14 +57,9 @@ type Stats struct {
 	BoundaryBytes int64
 }
 
-// Run simulates the workload across partitions until quiescence, exactly
-// like netsim.Run but sharded.
-func Run(cfg Config, wl netsim.Workload) (netsim.Result, error) {
-	res, _, err := RunStats(context.Background(), cfg, wl)
-	return res, err
-}
-
-// RunContext is Run with cancellation, polled once per simulated cycle.
+// RunContext simulates the workload across partitions until quiescence,
+// exactly like netsim.RunContext but sharded; the context is polled once
+// per simulated cycle.
 func RunContext(ctx context.Context, cfg Config, wl netsim.Workload) (netsim.Result, error) {
 	res, _, err := RunStats(ctx, cfg, wl)
 	return res, err
@@ -87,7 +81,7 @@ func RunStats(ctx context.Context, cfg Config, wl netsim.Workload) (netsim.Resul
 		owner = part(host, parts)
 	}
 	res, shards, err := netsim.RunSharded(ctx, cfg.Sim, wl, netsim.Sharding{
-		Shards: parts, Owner: owner, Audit: cfg.Audit, Sampler: cfg.ShardSampler})
+		Shards: parts, Owner: owner, Sampler: cfg.ShardSampler})
 	st := Stats{Partitions: shards}
 	for _, ps := range shards {
 		st.BoundaryMessages += ps.BoundaryOut

@@ -83,8 +83,9 @@ func TestDistsimByteIdentical(t *testing.T) {
 					rec.StreamHops = true
 					stalled := hub.Subscribe(0)
 					var shardSamples atomic.Int64
-					cfg.Observers = []netsim.Observer{trace, rec}
-					res, err := Run(Config{Sim: cfg, Partitions: parts, Partition: XTreeSubtrees, Audit: true,
+					audit := netsim.NewLinkAudit()
+					cfg.Observers = []netsim.Observer{trace, rec, audit}
+					res, err := RunContext(context.Background(), Config{Sim: cfg, Partitions: parts, Partition: XTreeSubtrees,
 						ShardSampler: func(s ShardSample) {
 							shardSamples.Add(1)
 							rec.Publish(telemetry.Event{
@@ -96,6 +97,9 @@ func TestDistsimByteIdentical(t *testing.T) {
 					hub.Close()
 					if fmt.Sprint(err) != fmt.Sprint(refErr) {
 						t.Fatalf("error mismatch:\n dist: %v\n ref:  %v", err, refErr)
+					}
+					if err := audit.Err(); err != nil {
+						t.Fatal(err)
 					}
 					if published := hub.Published(); published == 0 {
 						t.Fatal("telemetry hub saw no events")
@@ -112,7 +116,18 @@ func TestDistsimByteIdentical(t *testing.T) {
 					if !reflect.DeepEqual(res, refRes) {
 						t.Fatalf("result mismatch:\n dist: %+v\n ref:  %+v", res, refRes)
 					}
+					// The audit reads the merged stream, so it checks every
+					// shard's hops only if every one of them reaches it.
 					de, re := trace.Events(), refTrace.Events()
+					hops := 0
+					for i := range de {
+						if de[i].Type == netsim.EventHop {
+							hops++
+						}
+					}
+					if hops != res.HopsTotal {
+						t.Fatalf("trace holds %d hops, HopsTotal %d", hops, res.HopsTotal)
+					}
 					if len(de) != len(re) {
 						t.Fatalf("trace length mismatch: dist %d, ref %d", len(de), len(re))
 					}
@@ -144,7 +159,7 @@ func TestCappedRunsMatch(t *testing.T) {
 			cfg := netsim.Config{Host: host, Place: scatter(tr.N(), host.N()), MaxCycles: capCycles}
 			ref, refErr := netsim.Run(cfg, mkWL())
 			for _, parts := range []int{1, 2, 4} {
-				res, err := Run(Config{Sim: cfg, Partitions: parts, Partition: XTreeSubtrees}, mkWL())
+				res, err := RunContext(context.Background(), Config{Sim: cfg, Partitions: parts, Partition: XTreeSubtrees}, mkWL())
 				if res != ref || fmt.Sprint(err) != fmt.Sprint(refErr) {
 					t.Fatalf("%s capped at %d, p=%d:\n dist: %+v %v\n ref:  %+v %v", name, capCycles, parts, res, err, ref, refErr)
 				}
@@ -162,9 +177,15 @@ func TestDistsimBlocksOnTreeHost(t *testing.T) {
 		Faults: &netsim.FaultPlan{Seed: 3, DropProb: 0.02}, MaxCycles: 4000}
 	refRes, refErr := netsim.Run(base, netsim.NewDivideConquer(tr, 3))
 	for _, parts := range []int{2, 4, 8} {
-		res, err := Run(Config{Sim: base, Partitions: parts, Audit: true}, netsim.NewDivideConquer(tr, 3))
+		audit := netsim.NewLinkAudit()
+		cfg := base
+		cfg.Observers = []netsim.Observer{audit}
+		res, err := RunContext(context.Background(), Config{Sim: cfg, Partitions: parts}, netsim.NewDivideConquer(tr, 3))
 		if fmt.Sprint(err) != fmt.Sprint(refErr) {
 			t.Fatalf("p=%d error mismatch: %v vs %v", parts, err, refErr)
+		}
+		if err := audit.Err(); err != nil {
+			t.Fatalf("p=%d: %v", parts, err)
 		}
 		if !reflect.DeepEqual(res, refRes) {
 			t.Fatalf("p=%d result mismatch:\n dist: %+v\n ref:  %+v", parts, res, refRes)
@@ -202,10 +223,16 @@ func TestCrossBoundaryKill(t *testing.T) {
 		plan := &netsim.FaultPlan{Seed: 5, VertexKills: []netsim.VertexKill{{V: kill, Cycle: 3}}}
 		base := netsim.Config{Host: host, Place: place, Faults: plan, MaxCycles: 4000}
 		refRes, refErr := netsim.Run(base, netsim.NewDivideConquer(tr, 2))
-		res, err := Run(Config{Sim: base, Partitions: parts, Partition: XTreeSubtrees, Audit: true},
+		audit := netsim.NewLinkAudit()
+		cfg := base
+		cfg.Observers = []netsim.Observer{audit}
+		res, err := RunContext(context.Background(), Config{Sim: cfg, Partitions: parts, Partition: XTreeSubtrees},
 			netsim.NewDivideConquer(tr, 2))
 		if fmt.Sprint(err) != fmt.Sprint(refErr) {
 			t.Fatalf("p=%d kill=%d error mismatch: %v vs %v", parts, kill, err, refErr)
+		}
+		if err := audit.Err(); err != nil {
+			t.Fatalf("p=%d kill=%d: %v", parts, kill, err)
 		}
 		if !reflect.DeepEqual(res, refRes) {
 			t.Fatalf("p=%d kill=%d result mismatch:\n dist: %+v\n ref:  %+v", parts, kill, res, refRes)
@@ -232,7 +259,7 @@ func TestOversizedHostMirrored(t *testing.T) {
 	runners := map[string]func(netsim.Config, netsim.Workload) (netsim.Result, error){
 		"netsim": netsim.Run,
 		"distsim": func(cfg netsim.Config, wl netsim.Workload) (netsim.Result, error) {
-			return Run(Config{Sim: cfg, Partitions: 2}, wl)
+			return RunContext(context.Background(), Config{Sim: cfg, Partitions: 2}, wl)
 		},
 	}
 	cfg := netsim.Config{Host: g, Place: []int32{0, int32(n - 1)}}
@@ -258,16 +285,6 @@ func TestOversizedHostMirrored(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res, ref) {
 		t.Fatalf("oversized path diverges:\n dist: %+v\n ref:  %+v", res, ref)
-	}
-}
-
-// TestNetsimRejectsPartitions pins the guard: netsim.Run runs one shard and
-// must refuse a partitioned config rather than silently ignoring it.
-func TestNetsimRejectsPartitions(t *testing.T) {
-	tr := bintree.CompleteN(7)
-	cfg := netsim.Config{Host: tr.AsGraph(), Place: netsim.IdentityPlacement(tr.N()), Partitions: 4}
-	if _, err := netsim.Run(cfg, netsim.NewBroadcast(tr)); err == nil || !strings.Contains(err.Error(), "distsim") {
-		t.Fatalf("want rejection pointing at distsim, got %v", err)
 	}
 }
 
@@ -356,7 +373,7 @@ func TestPartitionedRunAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Sim: netsim.OnXTree(res.Host, res.Assignment), Partitions: 8, Partition: XTreeSubtrees}
-	r, err := Run(cfg, netsim.NewDivideConquer(tr, 2))
+	r, err := RunContext(context.Background(), cfg, netsim.NewDivideConquer(tr, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +381,7 @@ func TestPartitionedRunAllocBudget(t *testing.T) {
 		t.Fatalf("reference run took %d cycles and %d hops, want 122 and 5748", r.Cycles, r.HopsTotal)
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := Run(cfg, netsim.NewDivideConquer(tr, 2)); err != nil {
+		if _, err := RunContext(context.Background(), cfg, netsim.NewDivideConquer(tr, 2)); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -173,36 +173,6 @@ func (g *Graph) Distance(u, v int) int {
 	return -1
 }
 
-// DistanceWithin returns the distance between u and v if it is at most
-// radius, otherwise -1.  Only a ball of the given radius around u is
-// explored, so this stays cheap on huge graphs when radius is a small
-// constant (the dilation checks use radius 3 or 11).
-func (g *Graph) DistanceWithin(u, v, radius int) int {
-	if u == v {
-		return 0
-	}
-	dist := map[int32]int{int32(u): 0}
-	queue := []int32{int32(u)}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		dx := dist[x]
-		if dx >= radius {
-			continue
-		}
-		for _, y := range g.adj[x] {
-			if _, seen := dist[y]; !seen {
-				if int(y) == v {
-					return dx + 1
-				}
-				dist[y] = dx + 1
-				queue = append(queue, y)
-			}
-		}
-	}
-	return -1
-}
-
 // ShortestPath returns one shortest path from u to v inclusive, or nil when
 // disconnected.
 func (g *Graph) ShortestPath(u, v int) []int {
@@ -254,38 +224,6 @@ func (g *Graph) IsTree() bool {
 	return g.N() > 0 && g.m == g.N()-1 && g.Connected()
 }
 
-// Components returns the vertex sets of the connected components.
-func (g *Graph) Components() [][]int {
-	comp := make([]int, g.N())
-	for i := range comp {
-		comp[i] = -1
-	}
-	var out [][]int
-	for s := 0; s < g.N(); s++ {
-		if comp[s] >= 0 {
-			continue
-		}
-		id := len(out)
-		comp[s] = id
-		members := []int{s}
-		queue := []int32{int32(s)}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range g.adj[u] {
-				if comp[v] < 0 {
-					comp[v] = id
-					members = append(members, int(v))
-					queue = append(queue, v)
-				}
-			}
-		}
-		sort.Ints(members)
-		out = append(out, members)
-	}
-	return out
-}
-
 // Diameter returns the largest finite pairwise distance.  It runs a BFS from
 // every vertex, so it is only intended for small graphs (tests, figures).
 // It returns -1 for the empty graph and 0 for a single vertex.
@@ -302,22 +240,6 @@ func (g *Graph) Diameter() int {
 		}
 	}
 	return max
-}
-
-// IsSubgraphOf reports whether every edge of g is an edge of h under the
-// vertex identity mapping.  Both graphs must have the same vertex count.
-func (g *Graph) IsSubgraphOf(h *Graph) bool {
-	if g.N() != h.N() {
-		return false
-	}
-	for u := range g.adj {
-		for _, w := range g.adj[u] {
-			if v := int(w); u < v && !h.HasEdge(u, v) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Clone returns a deep copy of g.

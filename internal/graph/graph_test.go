@@ -91,19 +91,6 @@ func TestBFSAndDistance(t *testing.T) {
 	}
 }
 
-func TestDistanceWithin(t *testing.T) {
-	g := path(10)
-	if d := g.DistanceWithin(0, 3, 3); d != 3 {
-		t.Errorf("DistanceWithin(0,3,3) = %d", d)
-	}
-	if d := g.DistanceWithin(0, 4, 3); d != -1 {
-		t.Errorf("DistanceWithin(0,4,3) = %d, want -1", d)
-	}
-	if d := g.DistanceWithin(5, 5, 0); d != 0 {
-		t.Errorf("DistanceWithin(5,5,0) = %d", d)
-	}
-}
-
 func TestShortestPath(t *testing.T) {
 	g := cycle(6)
 	p := g.ShortestPath(0, 3)
@@ -139,13 +126,6 @@ func TestTreeAndConnectivity(t *testing.T) {
 	g.AddEdge(2, 3)
 	if g.Connected() {
 		t.Error("two components reported connected")
-	}
-	comps := g.Components()
-	if len(comps) != 2 {
-		t.Fatalf("Components = %v", comps)
-	}
-	if comps[0][0] != 0 || comps[1][0] != 2 {
-		t.Errorf("Components = %v", comps)
 	}
 }
 
@@ -184,14 +164,8 @@ func TestEdgesSortedUnique(t *testing.T) {
 func TestSubgraphCloneDegrees(t *testing.T) {
 	g := path(5)
 	h := cycle(5)
-	if !g.IsSubgraphOf(h) {
-		t.Error("path not reported subgraph of cycle")
-	}
-	if h.IsSubgraphOf(g) {
-		t.Error("cycle reported subgraph of path")
-	}
 	c := h.Clone()
-	if c.N() != h.N() || c.M() != h.M() || !h.IsSubgraphOf(c) || !c.IsSubgraphOf(h) {
+	if c.N() != h.N() || c.M() != h.M() || !slices.Equal(c.Edges(), h.Edges()) {
 		t.Error("clone mismatch")
 	}
 	c.AddEdge(0, 2)

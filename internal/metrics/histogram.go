@@ -103,15 +103,9 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// Quantile returns the q-th quantile (q in [0,1]) by linear interpolation
-// inside the covering bucket, clamped to the exact observed [min, max].
-// Returns 0 when the histogram is empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantileLocked(q)
-}
-
+// quantileLocked returns the q-th quantile (q in [0,1]) by linear
+// interpolation inside the covering bucket, clamped to the exact observed
+// [min, max]; 0 when the histogram is empty.  The caller holds h.mu.
 func (h *Histogram) quantileLocked(q float64) float64 {
 	if h.count == 0 {
 		return 0

@@ -12,7 +12,7 @@ func TestHistogramEmpty(t *testing.T) {
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Fatalf("fresh histogram not empty: count=%d sum=%v", h.Count(), h.Sum())
 	}
-	if q := h.Quantile(0.5); q != 0 {
+	if q := h.quantileLocked(0.5); q != 0 {
 		t.Errorf("empty quantile = %v, want 0", q)
 	}
 	s := h.Summary()
@@ -25,8 +25,8 @@ func TestHistogramSingleObservation(t *testing.T) {
 	h := NewLatencyHistogram()
 	h.Observe(0.25)
 	for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
-		if v := h.Quantile(q); v != 0.25 {
-			t.Errorf("Quantile(%v) = %v, want exactly 0.25 (min=max clamp)", q, v)
+		if v := h.quantileLocked(q); v != 0.25 {
+			t.Errorf("quantile(%v) = %v, want exactly 0.25 (min=max clamp)", q, v)
 		}
 	}
 	if s := h.Summary(); s.Min != 0.25 || s.Max != 0.25 || s.Count != 1 {
@@ -50,13 +50,13 @@ func TestHistogramQuantileResolution(t *testing.T) {
 		t.Fatalf("count %d", h.Count())
 	}
 	for _, q := range []float64{0.5, 0.9, 0.95, 0.99} {
-		got := h.Quantile(q)
+		got := h.quantileLocked(q)
 		// Exact empirical quantile.
 		sorted := append([]float64(nil), vals...)
 		sortFloats(sorted)
 		want := sorted[int(q*float64(n))-1]
 		if got < want/1.3 || got > want*1.3 {
-			t.Errorf("Quantile(%v) = %v, want within 1.3x of %v", q, got, want)
+			t.Errorf("quantile(%v) = %v, want within 1.3x of %v", q, got, want)
 		}
 	}
 }
@@ -84,7 +84,7 @@ func TestHistogramUnderOverflow(t *testing.T) {
 		t.Errorf("extremes %+v", s)
 	}
 	// Quantiles stay clamped to the observed range even in edge buckets.
-	if q := h.Quantile(0.99); q > 50 {
+	if q := h.quantileLocked(0.99); q > 50 {
 		t.Errorf("overflow quantile %v exceeds observed max", q)
 	}
 }

@@ -15,7 +15,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 
 	"xtreesim/internal/bintree"
 	"xtreesim/internal/graph"
@@ -68,14 +67,6 @@ func (e *Embedding) Dilation() int {
 		}
 	})
 	return max
-}
-
-// DilationHistogram returns a map from host distance to the number of guest
-// edges realized at that distance.
-func (e *Embedding) DilationHistogram() map[int]int {
-	h := map[int]int{}
-	e.eachEdge(func(d int) { h[d]++ })
-	return h
 }
 
 // AverageDilation returns the mean host distance over guest edges.
@@ -198,7 +189,7 @@ func EdgeCongestion(e *Embedding, host *graph.Graph) (max int, mean float64) {
 		}
 		return edge{a, b}
 	}
-	total, edges := 0, 0
+	total := 0
 	for v := int32(0); v < int32(e.Guest.N()); v++ {
 		p := e.Guest.Parent(v)
 		if p == bintree.None {
@@ -208,7 +199,6 @@ func EdgeCongestion(e *Embedding, host *graph.Graph) (max int, mean float64) {
 		for i := 0; i+1 < len(path); i++ {
 			count[norm(path[i], path[i+1])]++
 		}
-		edges++
 	}
 	for _, c := range count {
 		if c > max {
@@ -219,18 +209,5 @@ func EdgeCongestion(e *Embedding, host *graph.Graph) (max int, mean float64) {
 	if host.M() > 0 {
 		mean = float64(total) / float64(host.M())
 	}
-	_ = edges
 	return max, mean
-}
-
-// LoadHistogram returns the sorted multiset of vertex loads (only vertices
-// with nonzero load).
-func (e *Embedding) LoadHistogram() []int {
-	loads := e.Loads()
-	out := make([]int, 0, len(loads))
-	for _, c := range loads {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
 }

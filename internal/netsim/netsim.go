@@ -37,7 +37,6 @@ package netsim
 
 import (
 	"context"
-	"fmt"
 
 	"xtreesim/internal/graph"
 )
@@ -85,12 +84,6 @@ type Config struct {
 	// Observers receive per-cycle and per-event callbacks (see
 	// Observer).  An empty list costs nothing on the hot path.
 	Observers []Observer
-	// Partitions requests a sharded run.  Run and RunContext run one
-	// shard, the case Partitions ≤ 1, and reject any value above 1 so a
-	// partitioned config is never silently simulated as one shard.  Use
-	// the distsim runner (or xtreesim.WithPartitions) instead, which picks
-	// the shards and calls RunSharded; RunSharded ignores the field.
-	Partitions int
 }
 
 // Result summarizes a run.
@@ -213,9 +206,6 @@ func Run(cfg Config, wl Workload) (Result, error) {
 // simulated cycle, so a cancelled run stops within one cycle and returns
 // ctx.Err() together with the statistics accumulated so far.
 func RunContext(ctx context.Context, cfg Config, wl Workload) (Result, error) {
-	if cfg.Partitions > 1 {
-		return Result{}, fmt.Errorf("netsim: Config.Partitions=%d: RunContext runs one shard; use the distsim runner (xtreesim.WithPartitions)", cfg.Partitions)
-	}
 	var owner []int32 // every vertex on shard 0
 	if cfg.Host != nil {
 		owner = make([]int32, cfg.Host.N())

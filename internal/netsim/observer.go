@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -206,15 +205,10 @@ func (NopObserver) OnKill(KillInfo)             {}
 // it never changes the Result.
 type LinkAudit struct {
 	NopObserver
-	// MaxViolations caps how many violations are recorded (the count is
-	// exact regardless).  0 means 16.
-	MaxViolations int
-
-	cycle      int
-	count      int
-	violations []string
-	linkCycle  []int         // last cycle each directed link moved a message
-	msgHops    map[int64]int // hops per message seq in the current cycle
+	count     int
+	first     string        // the first violation, which Err reports
+	linkCycle []int         // last cycle each directed link moved a message
+	msgHops   map[int64]int // hops per message seq in the current cycle
 }
 
 // NewLinkAudit returns a ready-to-attach audit observer.
@@ -223,18 +217,12 @@ func NewLinkAudit() *LinkAudit {
 }
 
 func (a *LinkAudit) violate(format string, args ...any) {
-	a.count++
-	maxV := a.MaxViolations
-	if maxV <= 0 {
-		maxV = 16
-	}
-	if len(a.violations) < maxV {
-		a.violations = append(a.violations, fmt.Sprintf(format, args...))
+	if a.count++; a.count == 1 {
+		a.first = fmt.Sprintf(format, args...)
 	}
 }
 
 func (a *LinkAudit) OnCycleStart(c CycleInfo) {
-	a.cycle = c.Cycle
 	if a.msgHops == nil {
 		a.msgHops = make(map[int64]int)
 	}
@@ -269,24 +257,20 @@ func (a *LinkAudit) OnHop(h HopInfo) {
 // Count reports the total number of violations observed.
 func (a *LinkAudit) Count() int { return a.count }
 
-// Violations returns the recorded violation descriptions (capped at
-// MaxViolations).
-func (a *LinkAudit) Violations() []string { return a.violations }
-
 // Err returns nil on a clean run, or an error summarizing the violations.
 func (a *LinkAudit) Err() error {
 	if a.count == 0 {
 		return nil
 	}
-	return fmt.Errorf("netsim: audit found %d invariant violation(s), first: %s", a.count, a.violations[0])
+	return fmt.Errorf("netsim: audit found %d invariant violation(s), first: %s", a.count, a.first)
 }
 
 // TraceSchemaVersion is the schema stamped on every exported trace
 // event.  The TraceRecorder JSONL export and the live session stream
 // (internal/telemetry) share this version and the event-type enum below:
 // a consumer that can decode one can decode the other.  Decoders must
-// reject versions they do not know (DecodeTraceEvent does) instead of
-// silently misreading fields.
+// reject versions they do not know (telemetry.DecodeEvent, which reads
+// both, does) instead of silently misreading fields.
 const TraceSchemaVersion = 1
 
 // The event-type enum shared by the TraceRecorder JSONL export and the
@@ -443,22 +427,6 @@ func (t *TraceRecorder) OnKill(k KillInfo)             { t.add(k.Trace()) }
 
 // Events returns the recorded events in simulation order.
 func (t *TraceRecorder) Events() []TraceEvent { return t.events }
-
-// DecodeTraceEvent parses one JSONL line of a TraceRecorder export.  It
-// rejects lines stamped with a schema version this build does not know:
-// a field could have been renamed or re-interpreted between versions,
-// and a silently misread trace is worse than a refused one.
-func DecodeTraceEvent(line []byte) (TraceEvent, error) {
-	var e TraceEvent
-	if err := json.Unmarshal(line, &e); err != nil {
-		return TraceEvent{}, fmt.Errorf("netsim: decode trace event: %w", err)
-	}
-	if e.SchemaVersion != TraceSchemaVersion {
-		return TraceEvent{}, fmt.Errorf("netsim: unsupported trace schema_version %d (this build reads %d)",
-			e.SchemaVersion, TraceSchemaVersion)
-	}
-	return e, nil
-}
 
 // WriteJSONL writes one JSON object per line per event, the bytes
 // json.Encoder writes for them: the recorded events come from the Trace

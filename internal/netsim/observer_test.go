@@ -73,9 +73,8 @@ func TestLinkAuditDetectsLegacyMultiHopScheduler(t *testing.T) {
 		// Link v->v+1 of the path has dense edge index 2v.
 		audit.OnHop(HopInfo{Cycle: 1, Edge: int(2 * v), From: v, To: v + 1, Seq: 0})
 	}
-	if audit.Count() != 1 || !strings.Contains(audit.Violations()[0], "hopped more than once") {
-		t.Fatalf("audit found %d violation(s) %q, want one per-message multi-hop finding",
-			audit.Count(), audit.Violations())
+	if err := audit.Err(); audit.Count() != 1 || err == nil || !strings.Contains(err.Error(), "hopped more than once") {
+		t.Fatalf("audit found %d violation(s) (%v), want one per-message multi-hop finding", audit.Count(), err)
 	}
 }
 
@@ -87,9 +86,8 @@ func TestLinkAuditDetectsDoubleLinkUse(t *testing.T) {
 	audit.OnCycleStart(CycleInfo{Cycle: 1, Links: 4, Inflight: 2, Emitted: 2, QueuedLinks: 2})
 	audit.OnHop(HopInfo{Cycle: 1, Edge: 0, From: 0, To: 1, Seq: 0})
 	audit.OnHop(HopInfo{Cycle: 1, Edge: 0, From: 0, To: 1, Seq: 1})
-	if audit.Count() != 1 || !strings.Contains(audit.Violations()[0], "moved two messages") {
-		t.Fatalf("audit found %d violation(s) %q, want one double-link finding",
-			audit.Count(), audit.Violations())
+	if err := audit.Err(); audit.Count() != 1 || err == nil || !strings.Contains(err.Error(), "moved two messages") {
+		t.Fatalf("audit found %d violation(s) (%v), want one double-link finding", audit.Count(), err)
 	}
 }
 

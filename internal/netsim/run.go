@@ -128,21 +128,20 @@ func (c *coord) cycles(ctx context.Context) (Result, error) {
 			}
 			return r.res, fmt.Errorf("netsim: quiescent after %d cycles but workload not done", cycle-1)
 		}
-		ci := CycleInfo{
-			Cycle:       cycle,
-			Links:       len(r.links.ends),
-			Inflight:    r.inflight,
-			Emitted:     r.emitted,
-			Delivered:   r.res.Delivered,
-			Unreachable: r.res.Unreachable,
-			QueuedLinks: queuedLinks,
-			QueuedLocal: queuedLocal,
-			Parked:      len(r.retx),
-		}
 		if r.obs != nil {
-			r.obs.OnCycleStart(ci)
+			r.obs.OnCycleStart(CycleInfo{
+				Cycle:       cycle,
+				Links:       len(r.links.ends),
+				Inflight:    r.inflight,
+				Emitted:     r.emitted,
+				Delivered:   r.res.Delivered,
+				Unreachable: r.res.Unreachable,
+				QueuedLinks: queuedLinks,
+				QueuedLocal: queuedLocal,
+				Parked:      len(r.retx),
+			})
 		}
-		if err := c.step(ci); err != nil {
+		if err := c.step(); err != nil {
 			return r.res, err
 		}
 	}

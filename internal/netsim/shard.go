@@ -31,7 +31,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync"
 	"time"
 )
@@ -43,9 +42,6 @@ type Sharding struct {
 	// queue.
 	Shards int
 	Owner  []int32
-	// Audit attaches a LinkAudit to every shard and one to the merged
-	// event stream; any violation fails the run.
-	Audit bool
 	// Sampler, when set, receives one ShardSample per shard per executed
 	// cycle.  It is called synchronously on the coordinating goroutine
 	// after the cycle's delivery, so it must be cheap and non-blocking
@@ -77,13 +73,8 @@ type ShardStats struct {
 // RunSharded runs cfg like RunContext with the host's queues split across
 // sh.Shards shards, and returns each shard's statistics too.  The Result,
 // the error and the observer event stream are those of RunContext on the
-// same config; cfg.Partitions is not consulted.
+// same config.
 func RunSharded(ctx context.Context, cfg Config, wl Workload, sh Sharding) (Result, []ShardStats, error) {
-	var audit *LinkAudit
-	if sh.Audit {
-		audit = NewLinkAudit()
-		cfg.Observers = append(slices.Clip(cfg.Observers), audit)
-	}
 	r, err := newRun(cfg, wl)
 	if err != nil {
 		return Result{}, nil, err
@@ -103,16 +94,6 @@ func RunSharded(ctx context.Context, cfg Config, wl Workload, sh Sharding) (Resu
 	stats := make([]ShardStats, len(c.shards))
 	for k, s := range c.shards {
 		stats[k] = ShardStats{Vertices: s.nVerts, Links: s.nLinks, Hops: s.hopsTotal, BoundaryOut: s.shippedTotal}
-	}
-	if err == nil && sh.Audit {
-		for k, s := range c.shards {
-			if err := s.audit.Err(); err != nil {
-				return res, stats, fmt.Errorf("netsim: shard %d audit: %w", k, err)
-			}
-		}
-		if err := audit.Err(); err != nil {
-			return res, stats, fmt.Errorf("netsim: global audit: %w", err)
-		}
 	}
 	return res, stats, err
 }
@@ -173,9 +154,6 @@ func newCoord(r *run, sh Sharding) *coord {
 		if r.faults != nil {
 			s.hop.faults = r.faults.replica()
 		}
-		if sh.Audit {
-			s.audit = NewLinkAudit()
-		}
 		c.shards = append(c.shards, s)
 	}
 	for v, k := range sh.Owner {
@@ -232,9 +210,9 @@ var scratchPool = sync.Pool{New: func() any { return new(shardScratch) }}
 
 // barrier runs one command on every shard: shard 0 on the coordinator's
 // goroutine, the others on theirs.  It returns the lowest shard's error.
-func (c *coord) barrier(fire bool, ci CycleInfo) error {
+func (c *coord) barrier(fire bool) error {
 	cmd := func(k int) shardCmd {
-		return shardCmd{fire: fire, now: c.now, ci: ci, inj: c.inj[k], rel: c.rel[k]}
+		return shardCmd{fire: fire, now: c.now, inj: c.inj[k], rel: c.rel[k]}
 	}
 	for k, s := range c.shards[1:] {
 		s.cmds <- cmd(k + 1)
@@ -263,7 +241,7 @@ func (c *coord) begin() (queuedLinks, queuedLocal int, err error) {
 			return 0, 0, err
 		}
 	}
-	if err := c.barrier(false, CycleInfo{}); err != nil {
+	if err := c.barrier(false); err != nil {
 		return 0, 0, err
 	}
 	for k, s := range c.shards {
@@ -289,9 +267,9 @@ func (c *coord) begin() (queuedLinks, queuedLocal int, err error) {
 
 // step draws the fault generator, barriers the shards through Phase 1,
 // replays its events in global link order and delivers the arrivals.
-func (c *coord) step(ci CycleInfo) error {
+func (c *coord) step() error {
 	c.draw()
-	if err := c.barrier(true, ci); err != nil {
+	if err := c.barrier(true); err != nil {
 		return err
 	}
 	var last time.Time
@@ -467,13 +445,12 @@ func merge[T any](n int, list func(k int) []T, heap *[]cursor, compare func(a, b
 // cursor is a merge's position in one of its lists.
 type cursor struct{ k, pos int }
 
-// shardCmd opens one barrier: begin (the placements) or fire (the
-// cycle-start snapshot).
+// shardCmd opens one barrier: begin, which queues the placements, or
+// fire, which runs Phase 1.
 type shardCmd struct {
 	fire     bool
 	now      int
 	inj, rel []placement
-	ci       CycleInfo
 }
 
 // shard is one partition of a run.  Shard 0 runs on the coordinator's
@@ -489,7 +466,6 @@ type shard struct {
 	links          *edgeRanker
 	hop            hopper        // over the shard's own kill replica
 	dec            []hopDecision // the coordinator's verdicts by rank; nil unless the plan draws
-	audit          *LinkAudit    // the shard's own under Sharding.Audit
 	recordHops     bool          // the run has observers: report every hop
 	stamp          bool          // a sampler reads doneAt
 
@@ -550,7 +526,7 @@ func (sh *shard) exec(cmd shardCmd) error {
 		sh.begin(cmd.inj, cmd.rel)
 		return nil
 	}
-	err := sh.fire(cmd.ci)
+	err := sh.fire()
 	if sh.stamp {
 		// Stamped here, not at the coordinator's sequential reads: the
 		// spread of these stamps is the true straggler skew.
@@ -637,10 +613,7 @@ func (sh *shard) flush(e, kill, step int) {
 // link this cycle does not move again until the next cycle, or a message
 // on an ascending route would cross several links per cycle and dilation
 // would no longer bound the slowdown.
-func (sh *shard) fire(ci CycleInfo) error {
-	if sh.audit != nil {
-		sh.audit.OnCycleStart(ci)
-	}
+func (sh *shard) fire() error {
 	sh.hops, sh.lost, sh.unrouted = sh.hops[:0], sh.lost[:0], sh.unrouted[:0]
 	sh.order.reset()
 	sh.reroutes = 0
@@ -706,11 +679,6 @@ func (sh *shard) fire(ci CycleInfo) error {
 	})
 	if err != nil {
 		return err
-	}
-	if sh.audit != nil {
-		for _, h := range sh.hops {
-			sh.audit.OnHop(h)
-		}
 	}
 	n := len(sh.links.ends)
 	for w, x := range sh.waiting {

@@ -190,9 +190,6 @@ func (r *Rooted) Parent(local int32) int32 { return r.parent[local] }
 // Children returns the local children (owned by the Rooted; do not modify).
 func (r *Rooted) Children(local int32) []int32 { return r.kids[local] }
 
-// Size returns the subtree size of a local node.
-func (r *Rooted) Size(local int32) int32 { return r.size[local] }
-
 // IsAncestor reports whether a is an ancestor of b (a == b counts).
 func (r *Rooted) IsAncestor(a, b int32) bool {
 	return r.tin[a] <= r.tin[b] && r.tout[b] <= r.tout[a]

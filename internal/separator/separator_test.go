@@ -25,15 +25,15 @@ func TestBuildRooted(t *testing.T) {
 	if !ok {
 		t.Fatal("guest 3 missing")
 	}
-	if r.Size(r.Root()) != 7 {
-		t.Errorf("root size = %d", r.Size(r.Root()))
+	if r.size[r.Root()] != 7 {
+		t.Errorf("root size = %d", r.size[r.Root()])
 	}
-	if r.Size(l3) != 1 {
-		t.Errorf("leaf size = %d", r.Size(l3))
+	if r.size[l3] != 1 {
+		t.Errorf("leaf size = %d", r.size[l3])
 	}
 	l1, _ := r.Local(1)
-	if r.Size(l1) != 3 {
-		t.Errorf("size of subtree at guest 1 = %d", r.Size(l1))
+	if r.size[l1] != 3 {
+		t.Errorf("size of subtree at guest 1 = %d", r.size[l1])
 	}
 	if !r.IsAncestor(r.Root(), l3) || !r.IsAncestor(l1, l3) {
 		t.Error("ancestor tests wrong")
@@ -83,7 +83,7 @@ func TestFind1Bound(t *testing.T) {
 		}
 		A := 1 + rng.Intn(maxA)
 		u := find1(r, r.Root(), A, nil)
-		got := int(r.Size(u))
+		got := int(r.size[u])
 		if d := got - A; d > Lemma1Bound(A) || -d > Lemma1Bound(A) {
 			t.Fatalf("find1 error %d for A=%d n=%d (size %d)", d, A, n, got)
 		}

@@ -30,7 +30,6 @@ const (
 	CodeMethodNotAllowed = "method_not_allowed"
 	CodeNotFound         = "not_found"
 	CodeInternal         = "internal"
-	CodeShuttingDown     = "shutting_down"
 )
 
 // ErrorBody is the JSON error envelope: {"error":{"code":...,"message":...}}.

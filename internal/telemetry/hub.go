@@ -183,13 +183,6 @@ func (h *Hub) Published() uint64 {
 	return h.next
 }
 
-// Closed reports whether the stream has been completed.
-func (h *Hub) Closed() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.closed
-}
-
 // Dropped reports the events recognized as lost across all subscribers,
 // current and closed.  Losses are accounted when a subscriber next reads
 // (or closes), so the counter trails a stalled-but-attached subscriber

@@ -76,12 +76,12 @@ func TestGoldenTraceJSONL(t *testing.T) {
 
 	// Every golden line round-trips through the versioned decoder.
 	for i, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
-		e, err := netsim.DecodeTraceEvent(line)
+		e, err := DecodeEvent(line)
 		if err != nil {
 			t.Fatalf("line %d: %v", i, err)
 		}
-		if e != rec.Events()[i] {
-			t.Fatalf("line %d: decoded %+v != recorded %+v", i, e, rec.Events()[i])
+		if e.TraceEvent != rec.Events()[i] {
+			t.Fatalf("line %d: decoded %+v != recorded %+v", i, e.TraceEvent, rec.Events()[i])
 		}
 	}
 }
@@ -135,30 +135,38 @@ func TestGoldenStreamNDJSON(t *testing.T) {
 	}
 }
 
-// TestDecodersShareSchema pins the "one enum, one version" satellite: a
-// simulator event encoded by the stream is decodable by the trace
-// decoder (the stream is a superset of the trace schema), and both
-// decoders refuse versions they do not know.
+// TestDecodersShareSchema pins the "one enum, one version" rule: the
+// stream event and the TraceRecorder line for one simulator event carry
+// the same TraceEvent (the stream is a superset of the trace schema),
+// DecodeEvent reads both, and it refuses versions it does not know.
 func TestDecodersShareSchema(t *testing.T) {
 	if SchemaVersion != netsim.TraceSchemaVersion {
 		t.Fatalf("stream schema %d != trace schema %d", SchemaVersion, netsim.TraceSchemaVersion)
 	}
+	d := netsim.DeliverInfo{Cycle: 2, Host: 1, Seq: 3, Latency: 2}
 	hub := NewHub(8)
-	rec := NewRecorder(hub, "s1")
-	rec.OnDeliver(netsim.DeliverInfo{Cycle: 2, Host: 1, Seq: 3, Latency: 2})
+	NewRecorder(hub, "s1").OnDeliver(d)
 	sub := hub.Subscribe(0)
 	defer sub.Close()
 	evs, _, _, _ := sub.Next(context.Background(), 0)
-	line, err := json.Marshal(&evs[0])
+	trace := netsim.NewTraceRecorder()
+	trace.OnDeliver(d)
+	var jsonl bytes.Buffer
+	if err := trace.WriteJSONL(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	streamLine, err := evs[0].AppendJSON(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	te, err := netsim.DecodeTraceEvent(line)
-	if err != nil {
-		t.Fatalf("trace decoder rejected a stream line: %v", err)
-	}
-	if te != evs[0].TraceEvent {
-		t.Fatalf("trace view drifted: %+v != %+v", te, evs[0].TraceEvent)
+	for name, line := range map[string][]byte{"stream": streamLine, "trace": jsonl.Bytes()} {
+		e, err := DecodeEvent(line)
+		if err != nil {
+			t.Fatalf("%s line rejected: %v", name, err)
+		}
+		if e.TraceEvent != trace.Events()[0] {
+			t.Fatalf("%s line decodes to %+v, want %+v", name, e.TraceEvent, trace.Events()[0])
+		}
 	}
 
 	for _, bad := range []string{
@@ -166,13 +174,9 @@ func TestDecodersShareSchema(t *testing.T) {
 		`{"schema_version":2,"type":"cycle","cycle":1}`,
 		`{"type":"cycle","cycle":1}`,
 	} {
-		if _, err := netsim.DecodeTraceEvent([]byte(bad)); err == nil ||
-			!strings.Contains(err.Error(), "schema_version") {
-			t.Errorf("trace decoder accepted %s (err=%v)", bad, err)
-		}
 		if _, err := DecodeEvent([]byte(bad)); err == nil ||
 			!strings.Contains(err.Error(), "schema_version") {
-			t.Errorf("stream decoder accepted %s (err=%v)", bad, err)
+			t.Errorf("decoder accepted %s (err=%v)", bad, err)
 		}
 	}
 }

@@ -18,8 +18,8 @@
 // stream fields: Event embeds netsim.TraceEvent (same schema_version,
 // same six simulator event types) and adds the session/shard/stream
 // fields plus the stream-lifecycle types (start, shard, heartbeat,
-// dropped, result, error).  DecodeEvent rejects unknown schema versions
-// the same way netsim.DecodeTraceEvent does.
+// dropped, result, error).  DecodeEvent reads the lines of both formats
+// and rejects schema versions this build does not know.
 package telemetry
 
 import (
@@ -129,8 +129,11 @@ func (e *Event) AppendJSON(dst []byte) ([]byte, error) {
 	return append(b, '}', '\n'), nil
 }
 
-// DecodeEvent parses one NDJSON line of a session stream, rejecting
-// unknown schema versions exactly like netsim.DecodeTraceEvent.
+// DecodeEvent parses one NDJSON line of a session stream or one JSONL line
+// of a TraceRecorder export; a trace line leaves the stream fields zero.
+// It rejects lines stamped with a schema version this build does not
+// know: a field could have been renamed or re-interpreted between
+// versions, and a silently misread event is worse than a refused one.
 func DecodeEvent(line []byte) (Event, error) {
 	var e Event
 	if err := json.Unmarshal(line, &e); err != nil {

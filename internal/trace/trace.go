@@ -332,14 +332,6 @@ func (s *Span) TraceID() string {
 	return FormatID(s.traceID)
 }
 
-// SpanID returns the 16-hex-char span ID, or "" on a nil span.
-func (s *Span) SpanID() string {
-	if s == nil {
-		return ""
-	}
-	return FormatID(s.spanID)
-}
-
 // Name returns the span name, or "" on a nil span.
 func (s *Span) Name() string {
 	if s == nil {

@@ -29,13 +29,3 @@ func (x *XTree) NextHop(cur, dst bitstr.Addr) bitstr.Addr {
 func (x *XTree) NextHopID(cur, dst int64) int64 {
 	return x.NextHop(bitstr.FromID(cur), bitstr.FromID(dst)).ID()
 }
-
-// Route returns a shortest path from a to b, inclusive.
-func (x *XTree) Route(a, b bitstr.Addr) []bitstr.Addr {
-	path := []bitstr.Addr{a}
-	for cur := a; cur != b; {
-		cur = x.NextHop(cur, b)
-		path = append(path, cur)
-	}
-	return path
-}

@@ -45,9 +45,6 @@ func (x *XTree) Contains(a bitstr.Addr) bool {
 	return a.Valid() && a.Level <= x.height
 }
 
-// IsLeaf reports whether a lies on the deepest level.
-func (x *XTree) IsLeaf(a bitstr.Addr) bool { return a.Level == x.height }
-
 // Neighbors appends the vertices adjacent to a into buf and returns it.
 // The degree is at most 5: parent, two children, predecessor, successor.
 func (x *XTree) Neighbors(a bitstr.Addr, buf []bitstr.Addr) []bitstr.Addr {

@@ -452,10 +452,4 @@ func TestContains(t *testing.T) {
 	if x.Contains(bitstr.MustParse("01010")) {
 		t.Error("level-5 vertex should not be contained")
 	}
-	if !x.IsLeaf(bitstr.MustParse("1111")) {
-		t.Error("1111 should be a leaf of X(4)")
-	}
-	if x.IsLeaf(bitstr.MustParse("111")) {
-		t.Error("111 should not be a leaf of X(4)")
-	}
 }

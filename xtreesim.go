@@ -325,19 +325,26 @@ func Baseline(t *Tree, m BaselineMethod, opts ...BaselineOption) (*BaselineResul
 }
 
 // SimOption customizes a simulator run on top of the base SimConfig.
-type SimOption func(*SimConfig)
+type SimOption func(*simRun)
+
+// simRun is a run's resolved options: the simulator config and the
+// shard count WithPartitions asked for.
+type simRun struct {
+	cfg   SimConfig
+	parts int
+}
 
 // WithFaults injects a deterministic fault plan into the run: scheduled
 // link/vertex kills, probabilistic drops and corruption, and the
 // ack/retransmission delivery layer with BFS rerouting.  A nil or inert
 // plan leaves the run byte-identical to a fault-free one.
 func WithFaults(p *FaultPlan) SimOption {
-	return func(c *SimConfig) { c.Faults = p }
+	return func(r *simRun) { r.cfg.Faults = p }
 }
 
 // WithSimMaxCycles overrides the simulator's safety cap on cycles.
 func WithSimMaxCycles(n int) SimOption {
-	return func(c *SimConfig) { c.MaxCycles = n }
+	return func(r *simRun) { r.cfg.MaxCycles = n }
 }
 
 // WithPartitions shards the simulation across n parallel workers
@@ -348,43 +355,36 @@ func WithSimMaxCycles(n int) SimOption {
 // SimulateOnXTree partitions along X-tree subtrees, every other entry
 // point along contiguous vertex blocks.
 func WithPartitions(n int) SimOption {
-	return func(c *SimConfig) { c.Partitions = n }
+	return func(r *simRun) { r.parts = n }
 }
 
 // WithObserver attaches one or more observers to the run.  Observers are
 // read-only — the Result is byte-identical with or without them — and can
 // be combined freely across calls; nil entries are ignored.
 func WithObserver(obs ...Observer) SimOption {
-	return func(c *SimConfig) { c.Observers = append(c.Observers, obs...) }
+	return func(r *simRun) { r.cfg.Observers = append(r.cfg.Observers, obs...) }
 }
 
 // WithTrace attaches the given TraceRecorder to the run; after the run,
 // export with rec.WriteJSONL or rec.WriteChromeTrace.  Shorthand for
 // WithObserver(rec) that keeps call sites self-documenting.
 func WithTrace(rec *TraceRecorder) SimOption {
-	return func(c *SimConfig) {
+	return func(r *simRun) {
 		if rec != nil {
-			c.Observers = append(c.Observers, rec)
+			r.cfg.Observers = append(r.cfg.Observers, rec)
 		}
 	}
 }
 
-func applySimOptions(cfg SimConfig, opts []SimOption) SimConfig {
+// runSim applies the options to cfg and runs it through distsim, which
+// partitions the host with part; a shard count of 1 or less is the
+// one-shard run.
+func runSim(ctx context.Context, cfg SimConfig, wl Workload, part distsim.Partitioner, opts []SimOption) (SimResult, error) {
+	r := simRun{cfg: cfg}
 	for _, opt := range opts {
-		opt(&cfg)
+		opt(&r)
 	}
-	return cfg
-}
-
-// runSim dispatches a resolved config: netsim's one-shard run, or — when
-// WithPartitions asked for more than one shard — distsim's partition of
-// it with the given partitioner.
-func runSim(ctx context.Context, cfg SimConfig, wl Workload, part distsim.Partitioner) (SimResult, error) {
-	if cfg.Partitions > 1 {
-		return distsim.RunContext(ctx, distsim.Config{Sim: cfg, Partitions: cfg.Partitions, Partition: part}, wl)
-	}
-	cfg.Partitions = 0
-	return netsim.RunContext(ctx, cfg, wl)
+	return distsim.RunContext(ctx, distsim.Config{Sim: r.cfg, Partitions: r.parts, Partition: part}, wl)
 }
 
 // Simulate runs a guest workload on a host with a placement.
@@ -396,14 +396,14 @@ func Simulate(cfg SimConfig, wl Workload, opts ...SimOption) (SimResult, error) 
 // the context once per simulated cycle and return ctx.Err() when it
 // fires, together with the statistics accumulated so far.
 func SimulateContext(ctx context.Context, cfg SimConfig, wl Workload, opts ...SimOption) (SimResult, error) {
-	return runSim(ctx, applySimOptions(cfg, opts), wl, nil)
+	return runSim(ctx, cfg, wl, nil, opts)
 }
 
 // SimulateOnTree runs the workload on the guest's own topology — the
 // ideal binary-tree machine the X-tree is simulating.
 func SimulateOnTree(t *Tree, wl Workload, opts ...SimOption) (SimResult, error) {
 	cfg := SimConfig{Host: t.AsGraph(), Place: netsim.IdentityPlacement(t.N())}
-	return runSim(context.Background(), applySimOptions(cfg, opts), wl, nil)
+	return runSim(context.Background(), cfg, wl, nil, opts)
 }
 
 // SimulateOnXTree runs the workload on the X-tree machine through the
@@ -411,7 +411,7 @@ func SimulateOnTree(t *Tree, wl Workload, opts ...SimOption) (SimResult, error) 
 // the embedder builds runs.
 func SimulateOnXTree(res *Result, wl Workload, opts ...SimOption) (SimResult, error) {
 	cfg := netsim.OnXTree(res.Host, res.Assignment)
-	return runSim(context.Background(), applySimOptions(cfg, opts), wl, distsim.XTreeSubtrees)
+	return runSim(context.Background(), cfg, wl, distsim.XTreeSubtrees, opts)
 }
 
 // NewDivideConquer builds the divide-and-conquer workload (waves ≥ 1).
