@@ -55,6 +55,7 @@ fault-sweep:
 	$(GO) run ./cmd/xtree-bench -exp e16
 
 # Short fuzz of the netsim fault layer (determinism + counter invariants),
+# the embedder (a guest of Capacity(r) nodes, r ≤ 4, held to Theorems 1–3),
 # the cache-snapshot parser, its record bodies (core.ReadResult), the
 # tree encoding that /v1/embed, /v1/simulate and snapshot codes carry
 # (bintree.Decode, held to the recursive parser it replaced), the stream
@@ -64,6 +65,7 @@ fault-sweep:
 # its theorem's bounds).
 fuzz:
 	$(GO) test -run Fuzz -fuzz=FuzzNetsimFaults -fuzztime=10s ./internal/netsim
+	$(GO) test -run Fuzz -fuzz=FuzzEmbed -fuzztime=10s ./internal/core
 	$(GO) test -run Fuzz -fuzz=FuzzWarm -fuzztime=10s ./internal/engine
 	$(GO) test -run Fuzz -fuzz=FuzzReadResult -fuzztime=10s ./internal/core
 	$(GO) test -run Fuzz -fuzz=FuzzDecode -fuzztime=10s ./internal/bintree
@@ -96,17 +98,19 @@ phase-bench:
 	$(GO) run ./cmd/xtree-bench -exp e19
 
 # E20 + the perf gate (also the CI perf job): the exact AllocsPerRun
-# budget on the default-option embed, the cache-hit path's allocation
-# gates (tree decode, the engine's hit, the X-tree wire metrics), the
-# universal host's byte budget (universal.Place at n=4080, which must not
-# build G_n), then the E20 sweep diffed against the committed
-# BENCH_embed.json — any configuration more than 10% over its baseline
-# allocs/op fails.
+# budgets on the default-option embed of a random and a path guest, the
+# cache-hit path's allocation gates (tree decode, the engine's hit, the
+# X-tree wire metrics), the universal host's byte budget (universal.Place
+# at n=4080, which must not build G_n), the path-scaling gate (a path's
+# embed time per node at X(11) over X(8), at most 1.5), then the E20
+# sweep diffed against the committed BENCH_embed.json — any
+# configuration more than 10% over its baseline allocs/op fails.
 # Refresh the baseline by running `go run ./cmd/xtree-bench -exp e20`
 # and committing the file.
 embed-bench:
 	$(GO) test -run TestEmbedAllocBudget -v ./internal/core
 	$(GO) test -run 'TestDecodeAllocs|TestCacheHitAllocs|TestXTreeWireMetricsAllocs|TestPlaceAllocBytes' -v ./internal/bintree ./internal/engine ./internal/core ./internal/universal
+	$(GO) test -run '^$$' -bench PathScaling -benchtime 1x ./internal/core
 	$(GO) run ./cmd/xtree-bench -exp e20 -embed-out '' -embed-baseline BENCH_embed.json
 
 # The simulator's perf gate (also the CI perf job): exact AllocsPerRun

@@ -64,31 +64,37 @@ func CheckInvariants(res *Result) error {
 }
 
 // checkAttachIdx verifies the attachment index invariant the eager
-// bookkeeping maintains: every indexed comp is alive and attached at the
-// vertex whose list holds it, attachLoad mirrors the attached mass
-// exactly, and — when final is set, i.e. after the final pass — both
-// structures are completely drained.  The old lazily-filtered index let
-// dead ids linger until the next lookup at that address; run() calls
-// this at the end of every embed so a regression fails loudly.
+// bookkeeping maintains: every listed comp is alive, attached at the
+// vertex whose list holds it and linked back to its predecessor,
+// attachLoad mirrors the attached mass exactly, and — when final is set,
+// i.e. after the final pass — both structures are completely drained.
+// run() calls this at the end of every embed so a regression fails
+// loudly.
 func (e *embedder) checkAttachIdx(final bool) error {
-	for id := range e.attachIdx {
+	for id := range e.attachHead {
 		var sum int64
-		for _, c := range e.attachIdx[id] {
-			if c == nil || !c.alive {
+		var prev *comp
+		for c := e.attachHead[id]; c != nil; prev, c = c, c.next {
+			if !c.alive {
 				return fmt.Errorf("core: dead component indexed at vertex id %d", id)
 			}
 			if c.attach.ID() != int64(id) {
 				return fmt.Errorf("core: component %d indexed at vertex id %d but attached at %v",
-					c.id, id, c.attach)
+					c.rank, id, c.attach)
+			}
+			if c.prev != prev {
+				return fmt.Errorf("core: component %d at vertex id %d is mislinked", c.rank, id)
 			}
 			sum += int64(c.size)
+		}
+		if prev != e.attachTail[id] {
+			return fmt.Errorf("core: list at vertex id %d does not end at its tail", id)
 		}
 		if sum != e.attachLoad[id] {
 			return fmt.Errorf("core: attachLoad[%d] = %d, want %d", id, e.attachLoad[id], sum)
 		}
-		if final && len(e.attachIdx[id]) != 0 {
-			return fmt.Errorf("core: %d components still attached at vertex id %d after the final pass",
-				len(e.attachIdx[id]), id)
+		if final && e.attachHead[id] != nil {
+			return fmt.Errorf("core: components still attached at vertex id %d after the final pass", id)
 		}
 	}
 	return nil

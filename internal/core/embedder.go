@@ -18,13 +18,23 @@ import (
 // anchors and all their laid neighbors sit on one host vertex, the
 // characteristic address char.  attach is the leaf of the current X-tree
 // level the component is attached to (ρ_i in the paper).
+//
+// mark is the value compOf holds for the comp's nodes; the largest
+// remnant of a one-node lay inherits the mark of the comp it was cut
+// from, so its nodes are never rewritten.  rank is the creation rank,
+// unique per comp: split and finalPass order comps by it.
 type comp struct {
-	id      int32 // flood marker (the value written into compOf) and creation rank
-	size    int32
-	anchors []int32
-	char    bitstr.Addr
-	attach  bitstr.Addr
-	alive   bool
+	mark      int32
+	rank      int32
+	size      int32
+	alive     bool
+	anchorBuf [2]int32 // inline storage for anchors
+	anchors   []int32
+	char      bitstr.Addr
+	attach    bitstr.Addr
+	// prev and next link the comps attached at attach, in registration
+	// order.
+	prev, next *comp
 }
 
 type embedder struct {
@@ -37,16 +47,20 @@ type embedder struct {
 	hostOf []bitstr.Addr
 	loads  []int16 // indexed by host vertex id
 
-	compOf   []int32 // guest node -> comp id, -1 when laid
-	nextComp int32   // the next comp's id: ids rise in creation order
+	compOf   []int32 // guest node -> comp mark, -1 when laid
+	nextRank int32   // the next comp's rank: ranks rise in creation order
 
-	// attachIdx maps host vertex id -> components attached there, kept
-	// eagerly exact: registerComp appends, detach removes in place, so a
-	// dead or moved comp never lingers in a list.  attachLoad mirrors
-	// the total attached mass per vertex, which turns computeWeights
-	// into a pure array pass.
-	attachIdx  [][]*comp
-	attachLoad []int64
+	// sub and pre are the guest's subtree sizes and preorder ranks,
+	// rooted at t.Root(), which size the remnants of a one-node lay.
+	sub, pre []int32
+
+	// attachHead and attachTail hold, per host vertex id, the ends of
+	// the list of components attached there, kept eagerly exact:
+	// registerComp appends, detach unlinks, so a dead or moved comp never
+	// lingers in a list.  attachLoad mirrors the total attached mass per
+	// vertex, which turns computeWeights into a pure array pass.
+	attachHead, attachTail []*comp
+	attachLoad             []int64
 
 	// Budget table of ADJUST, dense by vertex id with generation tags:
 	// bumping budgetCur at the start of each round resets every budget
@@ -65,19 +79,19 @@ type embedder struct {
 	collecting bool
 
 	// pref1/pref2 are the host vertices the current action lays nodes
-	// on; floodNewComp prefers them on depth ties when picking a
-	// stretched remnant's characteristic address.
+	// on; settle prefers them on depth ties when picking a stretched
+	// remnant's characteristic address.
 	pref1, pref2 bitstr.Addr
 
 	// The per-action buffers, reused across every round so a warm
 	// embedder allocates (almost) nothing per round.
-	nbuf    []int32 // guest adjacency
-	snap    []*comp // attachedAt snapshot
-	assign  []*comp // split's sorted assignment list
-	laidBuf []int32 // nodes laid by the current action
-	starts  []int32 // rebuild's remnant seeds
-	flood   []int32 // floodNewComp's DFS stack
-	charSet []bitstr.Addr
+	nbuf    []int32       // guest adjacency
+	snap    []*comp       // attachedAt snapshot
+	assign  []*comp       // split's sorted assignment list
+	laidBuf []int32       // nodes laid by the current action
+	starts  []int32       // rebuild's remnant seeds
+	flood   []int32       // floodNewComp's DFS stack
+	charSet []bitstr.Addr // characteristic-address candidates
 
 	// Killed comps wait in the graveyard until drainGraveyard moves
 	// them to spare.
@@ -114,7 +128,10 @@ func newEmbedder(t *bintree.Tree, x *xtree.XTree, r int, opts Options) *embedder
 		hostOf:     make([]bitstr.Addr, n),
 		loads:      make([]int16, nv),
 		compOf:     make([]int32, n),
-		attachIdx:  make([][]*comp, nv),
+		sub:        make([]int32, n),
+		pre:        make([]int32, n),
+		attachHead: make([]*comp, nv),
+		attachTail: make([]*comp, nv),
 		attachLoad: make([]int64, nv),
 		budgetVal:  make([]int32, nv),
 		budgetGen:  make([]uint32, nv),
@@ -124,13 +141,52 @@ func newEmbedder(t *bintree.Tree, x *xtree.XTree, r int, opts Options) *embedder
 	for i := range e.compOf {
 		e.compOf[i] = -1
 	}
+	e.guestIntervals()
 	e.memberFn = func(v int32) bool {
 		return !e.laid[v] && e.compOf[v] == e.memberID
 	}
 	return e
 }
 
-// newComp hands out a recycled (or fresh) comp struct with the next id.
+// guestIntervals fills sub and pre by one preorder walk that climbs
+// parent links instead of keeping a stack: a node's subtree is numbered
+// when the walk leaves it upward.
+func (e *embedder) guestIntervals() {
+	t := e.t
+	var next int32
+	for v := t.Root(); ; {
+		e.pre[v] = next
+		next++
+		if c := t.Left(v); c != bintree.None {
+			v = c
+			continue
+		}
+		if c := t.Right(v); c != bintree.None {
+			v = c
+			continue
+		}
+		for {
+			e.sub[v] = next - e.pre[v]
+			p := t.Parent(v)
+			if p == bintree.None {
+				return
+			}
+			if c := t.Right(p); c != bintree.None && c != v {
+				v = c
+				break
+			}
+			v = p
+		}
+	}
+}
+
+// within reports whether guest node u lies in the subtree of v.
+func (e *embedder) within(u, v int32) bool {
+	return e.pre[v] <= e.pre[u] && e.pre[u] < e.pre[v]+e.sub[v]
+}
+
+// newComp hands out a recycled (or fresh) comp struct with the next rank,
+// marked with its rank.
 func (e *embedder) newComp() *comp {
 	var c *comp
 	if n := len(e.spare); n > 0 {
@@ -139,13 +195,17 @@ func (e *embedder) newComp() *comp {
 		c.anchors = c.anchors[:0]
 	} else {
 		if len(e.slab) == 0 {
-			e.slab = make([]comp, 256)
+			// An embed takes about one fresh comp per three guest
+			// nodes, so a small guest gets a smaller block.
+			e.slab = make([]comp, min(256, e.t.N()/2+16))
 		}
 		c = &e.slab[0]
 		e.slab = e.slab[1:]
+		c.anchors = c.anchorBuf[:0]
 	}
-	c.id = e.nextComp
-	e.nextComp++
+	c.rank = e.nextRank
+	c.mark = c.rank
+	e.nextRank++
 	c.size = 0
 	c.alive = true
 	return c
@@ -228,31 +288,49 @@ func (e *embedder) maxLoad() int {
 	return max
 }
 
-// registerComp files a freshly built component under its attach address.
+// registerComp files a freshly built component at the tail of its
+// attach address's list.
 func (e *embedder) registerComp(c *comp) {
 	id := c.attach.ID()
-	e.attachIdx[id] = append(e.attachIdx[id], c)
+	c.prev, c.next = e.attachTail[id], nil
+	if c.prev != nil {
+		c.prev.next = c
+	} else {
+		e.attachHead[id] = c
+	}
+	e.attachTail[id] = c
 	e.attachLoad[id] += int64(c.size)
 	if e.collecting {
 		e.finalQ = append(e.finalQ, c)
 	}
 }
 
-// detach removes a component from the attachment index, preserving the
+// detach unlinks a component from the attachment index, preserving the
 // relative order of the remaining entries (levelPair's first-fit scans
 // depend on it).
 func (e *embedder) detach(c *comp) {
 	id := c.attach.ID()
-	list := e.attachIdx[id]
-	for i, x := range list {
-		if x == c {
-			copy(list[i:], list[i+1:])
-			list[len(list)-1] = nil
-			e.attachIdx[id] = list[:len(list)-1]
-			break
-		}
+	if c.prev != nil {
+		c.prev.next = c.next
+	} else {
+		e.attachHead[id] = c.next
 	}
+	if c.next != nil {
+		c.next.prev = c.prev
+	} else {
+		e.attachTail[id] = c.prev
+	}
+	c.prev, c.next = nil, nil
 	e.attachLoad[id] -= int64(c.size)
+}
+
+// appendAttached appends the components attached at vertex id to buf, in
+// list order.
+func (e *embedder) appendAttached(buf []*comp, id int64) []*comp {
+	for c := e.attachHead[id]; c != nil; c = c.next {
+		buf = append(buf, c)
+	}
+	return buf
 }
 
 // killComp removes a component from the registry.  The struct stays
@@ -271,7 +349,7 @@ func (e *embedder) killComp(c *comp) {
 // the next attachedAt, and a copy is required because the callers mutate
 // the underlying index while iterating.
 func (e *embedder) attachedAt(addr bitstr.Addr) []*comp {
-	e.snap = append(e.snap[:0], e.attachIdx[addr.ID()]...)
+	e.snap = e.appendAttached(e.snap[:0], addr.ID())
 	return e.snap
 }
 
@@ -282,38 +360,136 @@ func (e *embedder) reattach(c *comp, addr bitstr.Addr) {
 	e.registerComp(c)
 }
 
-// rebuild floods the remnants of old after the given nodes were laid,
-// creating one new component per connected remnant.  Each remnant's
-// anchors and characteristic address are recomputed from its laid
-// neighbors; new components attach at their characteristic address.
+// rebuild replaces old, after the given nodes were laid, by one new
+// component per connected remnant.  Each remnant's anchors and
+// characteristic address are recomputed from its laid neighbors; new
+// components attach at their characteristic address.  Remnants take
+// ranks and register in the order of their seeds.
 func (e *embedder) rebuild(old *comp, newlyLaid []int32) {
-	oldID := old.id
+	mark := old.mark
 	e.killComp(old)
 	starts := e.starts[:0]
 	for _, x := range newlyLaid {
 		e.nbuf = e.t.Neighbors(x, e.nbuf[:0])
 		for _, y := range e.nbuf {
-			if !e.laid[y] && e.compOf[y] == oldID {
+			if !e.laid[y] && e.compOf[y] == mark {
 				starts = append(starts, y)
 			}
 		}
 	}
 	e.starts = starts
+	if len(newlyLaid) == 1 && e.keepLargest(old, newlyLaid[0], starts) {
+		return
+	}
 	for _, s := range starts {
-		if e.compOf[s] != oldID {
+		if e.compOf[s] != mark {
 			continue // already flooded into a new component
 		}
-		e.floodNewComp(s, oldID)
+		e.floodNewComp(s, mark)
 	}
 }
 
+// keepLargest rebuilds old after the one node a was laid.  Each of a's
+// unlaid neighbours in starts seeds one remnant, sized from the guest
+// tree: the remnant through a child s is s's subtree less the subtrees of
+// the laid children of old's anchors inside it, and the remnant through
+// a's parent holds the rest.  Every remnant but the largest is flooded;
+// the largest becomes a fresh comp that keeps old's mark, so none of its
+// nodes is touched.  Its anchors are its seed, which the flood would pop
+// first, then the one anchor of old inside it.  When two or more of old's
+// anchors besides the seed lie inside, only the flood knows their order:
+// keepLargest then changes nothing and reports false.
+func (e *embedder) keepLargest(old *comp, a int32, starts []int32) bool {
+	if len(starts) == 0 {
+		return true
+	}
+	var size [3]int32
+	var inner [3]int32 // an anchor of old inside the remnant, not its seed
+	var nInner [3]int
+	up := -1 // the remnant through a's parent
+	for i, s := range starts {
+		inner[i] = -1
+		if s == e.t.Parent(a) {
+			up = i
+			continue
+		}
+		size[i] = e.sub[s]
+	}
+	for _, u := range old.anchors {
+		if u == a {
+			continue
+		}
+		in := up
+		for i, s := range starts {
+			if i != up && e.within(u, s) {
+				in = i
+				for _, h := range [2]int32{e.t.Left(u), e.t.Right(u)} {
+					if h != bintree.None && e.laid[h] {
+						size[i] -= e.sub[h]
+					}
+				}
+				break
+			}
+		}
+		if in < 0 {
+			return false // no remnant holds u: leave it to the flood
+		}
+		if u != starts[in] {
+			inner[in] = u
+			nInner[in]++
+		}
+	}
+	if up >= 0 {
+		size[up] = old.size - 1
+		for i := range starts {
+			if i != up {
+				size[up] -= size[i]
+			}
+		}
+	}
+	largest := 0
+	for i := range starts {
+		if size[i] > size[largest] {
+			largest = i
+		}
+	}
+	if nInner[largest] > 1 {
+		return false
+	}
+	for i, s := range starts {
+		if i != largest {
+			e.floodNewComp(s, old.mark)
+			continue
+		}
+		c := e.newComp()
+		c.mark = old.mark
+		c.size = size[i]
+		c.anchors = append(c.anchors, s)
+		if inner[i] >= 0 {
+			c.anchors = append(c.anchors, inner[i])
+		}
+		// The candidates in the order the flood meets them: anchor by
+		// anchor, each one's neighbours in Neighbors order.
+		charSet := e.charSet[:0]
+		for _, v := range c.anchors {
+			e.nbuf = e.t.Neighbors(v, e.nbuf[:0])
+			for _, w := range e.nbuf {
+				if e.laid[w] {
+					charSet = addHost(charSet, e.hostOf[w])
+				}
+			}
+		}
+		e.settle(c, charSet)
+	}
+	return true
+}
+
 // floodNewComp builds a new component from start over the unlaid nodes
-// still carrying oldID, computing anchors and the characteristic address.
-func (e *embedder) floodNewComp(start int32, oldID int32) *comp {
+// still carrying mark, computing anchors and the characteristic address.
+func (e *embedder) floodNewComp(start int32, mark int32) {
 	c := e.newComp()
-	id := c.id
 	queue := append(e.flood[:0], start)
-	e.compOf[start] = id
+	e.compOf[start] = c.mark
 	charSet := e.charSet[:0]
 	for len(queue) > 0 {
 		v := queue[len(queue)-1]
@@ -324,21 +500,11 @@ func (e *embedder) floodNewComp(start int32, oldID int32) *comp {
 		for _, w := range e.nbuf {
 			if e.laid[w] {
 				isAnchor = true
-				h := e.hostOf[w]
-				found := false
-				for _, cs := range charSet {
-					if cs == h {
-						found = true
-						break
-					}
-				}
-				if !found {
-					charSet = append(charSet, h)
-				}
+				charSet = addHost(charSet, e.hostOf[w])
 				continue
 			}
-			if e.compOf[w] == oldID {
-				e.compOf[w] = id
+			if e.compOf[w] == mark {
+				e.compOf[w] = c.mark
 				queue = append(queue, w)
 			}
 		}
@@ -347,6 +513,23 @@ func (e *embedder) floodNewComp(start int32, oldID int32) *comp {
 		}
 	}
 	e.flood = queue[:0]
+	e.settle(c, charSet)
+}
+
+// addHost appends h to the candidate set unless it is already there.
+func addHost(set []bitstr.Addr, h bitstr.Addr) []bitstr.Addr {
+	for _, cs := range set {
+		if cs == h {
+			return set
+		}
+	}
+	return append(set, h)
+}
+
+// settle picks a new component's characteristic address from the hosts
+// its anchors' laid neighbours sit on, in the order the flood meets them,
+// and registers the component there.
+func (e *embedder) settle(c *comp, charSet []bitstr.Addr) {
 	var char bitstr.Addr
 	switch {
 	case len(charSet) == 0:
@@ -376,7 +559,6 @@ func (e *embedder) floodNewComp(start int32, oldID int32) *comp {
 	c.attach = char
 	e.charSet = charSet[:0]
 	e.registerComp(c)
-	return c
 }
 
 // rootedFor builds the separator view of a component, rooted at its first
@@ -390,7 +572,7 @@ func (e *embedder) rootedFor(c *comp) (*separator.Rooted, int32) {
 	if len(c.anchors) > 1 {
 		r2 = c.anchors[1]
 	}
-	e.memberID = c.id
+	e.memberID = c.mark
 	rt := e.sep.Build(e.t.Neighbors, root, e.memberFn, int(c.size))
 	return rt, r2
 }

@@ -67,12 +67,11 @@ func TestParallelStrictErrorSurfaces(t *testing.T) {
 	}
 }
 
-// TestAttachIdxDrained is the regression test for the lazily-filtered
-// attachment index: a finished embed must leave no component — dead or
-// alive — in the index, and the incremental attachLoad mirror must be
-// fully drained with it.  The second half seeds the two corruptions the
-// old code could silently carry (a dead indexed comp, a stale load sum)
-// and checks the invariant checker reports each.
+// TestAttachIdxDrained is the regression test for the attachment index:
+// a finished embed must leave no component — dead or alive — in any
+// vertex's list, and the incremental attachLoad mirror must be fully
+// drained with it.  The second half seeds the corruptions the checker
+// must report: a dead listed comp, a stale load sum and a broken link.
 func TestAttachIdxDrained(t *testing.T) {
 	tr := mustRandomTree(t, int(Capacity(6)), 1)
 	x := xtree.New(6)
@@ -80,9 +79,9 @@ func TestAttachIdxDrained(t *testing.T) {
 	if err := e.run(); err != nil {
 		t.Fatal(err)
 	}
-	for id := range e.attachIdx {
-		if len(e.attachIdx[id]) != 0 {
-			t.Fatalf("vertex id %d still indexes %d components after the embed", id, len(e.attachIdx[id]))
+	for id := range e.attachHead {
+		if e.attachHead[id] != nil || e.attachTail[id] != nil {
+			t.Fatalf("vertex id %d still lists components after the embed", id)
 		}
 		if e.attachLoad[id] != 0 {
 			t.Fatalf("attachLoad[%d] = %d after the embed", id, e.attachLoad[id])
@@ -93,20 +92,34 @@ func TestAttachIdxDrained(t *testing.T) {
 	}
 
 	// Seeded corruption 1: a dead component left in the index.
-	dead := &comp{id: 999, size: 4}
-	e.attachIdx[0] = append(e.attachIdx[0], dead)
-	e.attachLoad[0] = 4
+	dead := &comp{rank: 999, size: 4, attach: bitstr.Root()} // vertex id 0
+	e.registerComp(dead)
 	if err := e.checkAttachIdx(false); err == nil {
 		t.Error("checker missed a dead component in the index")
 	}
 
 	// Seeded corruption 2: a live component whose load is not mirrored.
 	dead.alive = true
-	dead.attach = bitstr.Root() // vertex id 0
 	e.attachLoad[0] = 1
 	if err := e.checkAttachIdx(false); err == nil {
 		t.Error("checker missed an attachLoad mismatch")
 	}
-	e.attachIdx[0] = e.attachIdx[0][:0]
-	e.attachLoad[0] = 0
+	e.attachLoad[0] = 4
+	if err := e.checkAttachIdx(false); err != nil {
+		t.Fatalf("checker rejected a consistent index: %v", err)
+	}
+
+	// Seeded corruption 3: a second comp whose back link skips the first.
+	other := &comp{rank: 1000, size: 2, attach: bitstr.Root(), alive: true}
+	e.registerComp(other)
+	other.prev = nil
+	if err := e.checkAttachIdx(false); err == nil {
+		t.Error("checker missed a broken back link")
+	}
+	other.prev = dead
+	e.detach(other)
+	e.detach(dead)
+	if err := e.checkAttachIdx(true); err != nil {
+		t.Fatal(err)
+	}
 }

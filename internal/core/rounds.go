@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"xtreesim/internal/bitstr"
 	"xtreesim/internal/separator"
@@ -99,8 +100,8 @@ func (e *embedder) init16() error {
 	}
 	// One pseudo-component covering the whole guest, so rebuild can
 	// flood the remnants.
-	all := &comp{id: 0, alive: true, size: int32(e.t.N()), char: bitstr.Root(), attach: bitstr.Root()}
-	e.nextComp = 1
+	all := &comp{alive: true, size: int32(e.t.N()), char: bitstr.Root(), attach: bitstr.Root()}
+	e.nextRank = 1
 	for i := range e.compOf {
 		e.compOf[i] = 0
 	}
@@ -286,13 +287,13 @@ func (e *embedder) split(alpha bitstr.Addr, i int) error {
 	tot1 := int64(e.loads[w1.ID()]) + e.attachLoad[w1.ID()]
 	// Greedy balanced assignment, big components first (the M0/M1 pairing
 	// of the paper achieves the same Δ ≤ max interval bound).
-	assign := append(e.assign[:0], e.attachIdx[alpha.ID()]...)
+	assign := e.appendAttached(e.assign[:0], alpha.ID())
 	e.assign = assign
-	sort.Slice(assign, func(a, b int) bool {
-		if assign[a].size != assign[b].size {
-			return assign[a].size > assign[b].size
+	slices.SortFunc(assign, func(a, b *comp) int {
+		if a.size != b.size {
+			return cmp.Compare(b.size, a.size)
 		}
-		return assign[a].id < assign[b].id
+		return cmp.Compare(a.rank, b.rank)
 	})
 	for _, c := range assign {
 		side, other := w0, w1
@@ -435,15 +436,15 @@ func (e *embedder) recordImbalance(i int) {
 // the nodes not laid out so far to free places among the leaves".
 //
 // The worklist is a FIFO seeded with the live components in creation
-// (id) order and extended by registerComp as rebuilds spawn remnants, so
-// the pass runs in one sweep with no per-sweep allocation.  Comp structs
-// are not recycled while the queue holds pointers.
+// (rank) order and extended by registerComp as rebuilds spawn remnants,
+// so the pass runs in one sweep with no per-sweep allocation.  Comp
+// structs are not recycled while the queue holds pointers.
 func (e *embedder) finalPass() error {
 	q := e.finalQ[:0]
-	for id := range e.attachIdx {
-		q = append(q, e.attachIdx[id]...)
+	for id := range e.attachHead {
+		q = e.appendAttached(q, int64(id))
 	}
-	sort.Slice(q, func(a, b int) bool { return q[a].id < q[b].id })
+	slices.SortFunc(q, func(a, b *comp) int { return cmp.Compare(a.rank, b.rank) })
 	e.finalQ = q
 	e.collecting = true
 	defer func() { e.collecting = false }()

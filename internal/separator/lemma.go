@@ -1,6 +1,9 @@
 package separator
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Split is the outcome of a separator lemma applied to a rooted component
 // with designated nodes r1 (the root) and r2.
@@ -62,7 +65,7 @@ func find1(r *Rooted, start int32, target int, holes []int32) int32 {
 	for 3*eff(v) > 4*target {
 		best := int32(-1)
 		bestSize := -1
-		for _, c := range r.kids[v] {
+		for c := r.first[v]; c < r.first[v]+r.nkids[v]; c++ {
 			if s := eff(c); s > bestSize {
 				best, bestSize = c, s
 			}
@@ -160,6 +163,7 @@ func carve(r *Rooted, w int32, target int, hole int32) piece {
 
 // guests collects the guest ids of a piece.
 func (p piece) guests(r *Rooted, buf []int32) []int32 {
+	buf = slices.Grow(buf, p.size)
 	skip := p.sub
 	for _, a := range p.add {
 		stack := []int32{a}
@@ -170,7 +174,7 @@ func (p piece) guests(r *Rooted, buf []int32) []int32 {
 				continue
 			}
 			buf = append(buf, r.nodes[v])
-			stack = append(stack, r.kids[v]...)
+			stack = r.Children(v, stack)
 		}
 	}
 	return buf
@@ -291,7 +295,7 @@ func Lemma2(r *Rooted, r2 int32, A int) (Split, error) {
 	v := r.Root()
 	for 3*int(r.size[v]) > 4*A && v != rl2 {
 		next := int32(-1)
-		for _, c := range r.kids[v] {
+		for c := r.first[v]; c < r.first[v]+r.nkids[v]; c++ {
 			if r.IsAncestor(c, rl2) {
 				next = c
 				break

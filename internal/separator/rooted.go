@@ -13,7 +13,7 @@ package separator
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // AdjFunc enumerates the neighbors of a guest node by appending them to buf.
@@ -23,21 +23,22 @@ type AdjFunc func(v int32, buf []int32) []int32
 // Rooted is a rooted view of one tree component of the guest, built by a
 // BFS from a chosen root over the nodes accepted by a membership filter.
 // Locals index into the internal arrays; guests are the original node ids.
+//
+// The BFS hands each node's children consecutive local ids, so a node's
+// children are the locals first[v] .. first[v]+nkids[v]−1, in discovery
+// order.  pos maps a guest id to its local id and is guest-indexed, as a
+// sparse set: pos[g] counts only where it points back at g through nodes,
+// so entries left by an earlier build need no clearing, and a build costs
+// its component, not the guest.
 type Rooted struct {
 	nodes  []int32 // local -> guest, nodes[0] is the root
-	pos    map[int32]int32
+	pos    []int32 // guest -> local, valid where nodes[pos[g]] == g
 	parent []int32 // local -> local, -1 at root
-	kids   [][]int32
+	first  []int32 // local -> local id of the first child
+	nkids  []int32 // local -> number of children
 	size   []int32
 	depth  []int32
-	tin    []int32 // Euler intervals for O(1) ancestor tests
-	tout   []int32
-	stack  []frame // computeOrder scratch, reused across builds
-}
-
-type frame struct {
-	v    int32
-	next int
+	tin    []int32 // preorder rank: T(v) is tin[v] .. tin[v]+size[v]−1
 }
 
 // Builder builds Rooted views into reusable storage, so a hot loop that
@@ -67,7 +68,7 @@ func Build(adj AdjFunc, root int32, member func(int32) bool) *Rooted {
 }
 
 // BuildSized is Build with a capacity hint for the component size, which
-// avoids rehashing and regrowth on the embedder's hot path.
+// sizes the local arrays once instead of regrowing them.
 func BuildSized(adj AdjFunc, root int32, member func(int32) bool, sizeHint int) *Rooted {
 	r := &Rooted{}
 	r.build(adj, root, member, sizeHint, nil)
@@ -80,93 +81,92 @@ func (r *Rooted) build(adj AdjFunc, root int32, member func(int32) bool, sizeHin
 	if sizeHint < 1 {
 		sizeHint = 1
 	}
-	if r.pos == nil {
-		r.pos = make(map[int32]int32, sizeHint)
-	} else {
-		clear(r.pos)
-	}
-	r.nodes = r.nodes[:0]
-	r.parent = r.parent[:0]
-	r.depth = r.depth[:0]
-	r.kids = r.kids[:0]
+	r.nodes = reserve32(r.nodes, sizeHint)
+	r.parent = reserve32(r.parent, sizeHint)
+	r.depth = reserve32(r.depth, sizeHint)
+	r.first = reserve32(r.first, sizeHint)
+	r.nkids = reserve32(r.nkids, sizeHint)
 	r.nodes = append(r.nodes, root)
-	r.pos[root] = 0
 	r.parent = append(r.parent, -1)
 	r.depth = append(r.depth, 0)
-	// BFS; kids recorded in discovery order.
-	r.growKids()
+	r.setPos(root, 0)
+	// BFS; the children of head get the next local ids, in discovery
+	// order.
 	for head := 0; head < len(r.nodes); head++ {
 		v := r.nodes[head]
+		first := int32(len(r.nodes))
 		buf = adj(v, buf[:0])
 		for _, w := range buf {
 			if member != nil && !member(w) {
 				continue
 			}
-			if _, seen := r.pos[w]; seen {
+			if _, seen := r.Local(w); seen {
 				continue
 			}
-			local := int32(len(r.nodes))
+			r.setPos(w, int32(len(r.nodes)))
 			r.nodes = append(r.nodes, w)
-			r.pos[w] = local
 			r.parent = append(r.parent, int32(head))
 			r.depth = append(r.depth, r.depth[head]+1)
-			r.growKids()
-			r.kids[head] = append(r.kids[head], local)
 		}
+		r.first = append(r.first, first)
+		r.nkids = append(r.nkids, int32(len(r.nodes))-first)
 	}
 	r.computeOrder()
 	return buf
 }
 
-// growKids appends one empty child list, keeping the capacity of a
-// previously built inner slice when the outer array is being reused.
-func (r *Rooted) growKids() {
-	if n := len(r.kids); n < cap(r.kids) {
-		r.kids = r.kids[:n+1]
-		r.kids[n] = r.kids[n][:0]
-	} else {
-		r.kids = append(r.kids, nil)
+// setPos records guest g at local id l, growing pos geometrically to
+// cover g.
+func (r *Rooted) setPos(g, l int32) {
+	if int(g) >= len(r.pos) {
+		pos := make([]int32, max(int(g)+1, 2*len(r.pos)))
+		copy(pos, r.pos)
+		r.pos = pos
 	}
+	r.pos[g] = l
 }
 
-// computeOrder fills sizes and Euler intervals iteratively.
+// computeOrder fills subtree sizes and preorder ranks.  Children carry
+// larger local ids than their parent, so one backward pass sums the sizes
+// and one forward pass hands each child its range after its parent and
+// its earlier siblings.
 func (r *Rooted) computeOrder() {
 	n := len(r.nodes)
-	r.size = grow32(r.size, n)
-	r.tin = grow32(r.tin, n)
-	r.tout = grow32(r.tout, n)
-	timer := int32(0)
-	stack := append(r.stack[:0], frame{0, 0})
-	r.tin[0] = timer
-	timer++
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.next < len(r.kids[f.v]) {
-			c := r.kids[f.v][f.next]
-			f.next++
-			r.tin[c] = timer
-			timer++
-			stack = append(stack, frame{c, 0})
-			continue
+	r.size = resize32(r.size, n)
+	r.tin = resize32(r.tin, n)
+	for v := n - 1; v >= 0; v-- {
+		s := int32(1)
+		for c := r.first[v]; c < r.first[v]+r.nkids[v]; c++ {
+			s += r.size[c]
 		}
-		r.tout[f.v] = timer
-		timer++
-		r.size[f.v] = 1
-		for _, c := range r.kids[f.v] {
-			r.size[f.v] += r.size[c]
-		}
-		stack = stack[:len(stack)-1]
+		r.size[v] = s
 	}
-	r.stack = stack
+	r.tin[0] = 0
+	for v := 0; v < n; v++ {
+		next := r.tin[v] + 1
+		for c := r.first[v]; c < r.first[v]+r.nkids[v]; c++ {
+			r.tin[c] = next
+			next += r.size[c]
+		}
+	}
 }
 
-// grow32 resizes s to n entries, reusing its backing array when large
-// enough.  Contents are unspecified; every caller overwrites all n slots.
-func grow32(s []int32, n int) []int32 {
+// reserve32 empties s, growing its capacity to at least n.
+func reserve32(s []int32, n int) []int32 {
+	if cap(s) >= n {
+		return s[:0]
+	}
+	return make([]int32, 0, max(n, 2*cap(s)))
+}
+
+// resize32 resizes s to n entries, growing geometrically when its backing
+// array is too small.  Contents are unspecified; every caller overwrites
+// all n slots.
+func resize32(s []int32, n int) []int32 {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]int32, n)
+	return make([]int32, n, max(n, 2*cap(s)))
 }
 
 // N returns the number of nodes in the component.
@@ -177,8 +177,14 @@ func (r *Rooted) Guest(local int32) int32 { return r.nodes[local] }
 
 // Local returns the local index of a guest node, if present.
 func (r *Rooted) Local(guest int32) (int32, bool) {
-	l, ok := r.pos[guest]
-	return l, ok
+	if guest < 0 || int(guest) >= len(r.pos) {
+		return 0, false
+	}
+	l := r.pos[guest]
+	if int(l) >= len(r.nodes) || r.nodes[l] != guest {
+		return 0, false
+	}
+	return l, true
 }
 
 // Root returns the local index of the root (always 0).
@@ -187,12 +193,18 @@ func (r *Rooted) Root() int32 { return 0 }
 // Parent returns the local parent of a local node, -1 at the root.
 func (r *Rooted) Parent(local int32) int32 { return r.parent[local] }
 
-// Children returns the local children (owned by the Rooted; do not modify).
-func (r *Rooted) Children(local int32) []int32 { return r.kids[local] }
+// Children appends the local children of a local node to buf, in
+// discovery order.
+func (r *Rooted) Children(local int32, buf []int32) []int32 {
+	for c := r.first[local]; c < r.first[local]+r.nkids[local]; c++ {
+		buf = append(buf, c)
+	}
+	return buf
+}
 
 // IsAncestor reports whether a is an ancestor of b (a == b counts).
 func (r *Rooted) IsAncestor(a, b int32) bool {
-	return r.tin[a] <= r.tin[b] && r.tout[b] <= r.tout[a]
+	return r.tin[a] <= r.tin[b] && r.tin[b] < r.tin[a]+r.size[a]
 }
 
 // LCA returns the lowest common ancestor of two local nodes by walking up
@@ -214,12 +226,13 @@ func (r *Rooted) LCA(a, b int32) int32 {
 
 // SubtreeGuests appends the guest ids of the subtree rooted at local to buf.
 func (r *Rooted) SubtreeGuests(local int32, buf []int32) []int32 {
+	buf = slices.Grow(buf, int(r.size[local]))
 	stack := []int32{local}
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		buf = append(buf, r.nodes[v])
-		stack = append(stack, r.kids[v]...)
+		stack = r.Children(v, stack)
 	}
 	return buf
 }
@@ -241,7 +254,7 @@ func (r *Rooted) effSize(v, hole int32) int32 {
 // sortedGuests returns a sorted copy, for deterministic output in tests.
 func sortedGuests(in []int32) []int32 {
 	out := append([]int32(nil), in...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -2,6 +2,7 @@ package separator
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"xtreesim/internal/bintree"
@@ -258,6 +259,48 @@ func TestPart1Of(t *testing.T) {
 	for _, g := range s.Part2 {
 		if seen[g] {
 			t.Fatalf("node %d in both parts", g)
+		}
+	}
+}
+
+// TestBuilderReuseMatchesFreshBuild roots many components, large and
+// small, into one Builder and compares each view with a fresh Build of the
+// same component: a guest of an earlier, larger build must never read as
+// a member through a stale pos entry, and children, sizes and ancestry
+// must not depend on what the storage held before.
+func TestBuilderReuseMatchesFreshBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	tr := bintree.RandomAttachment(600, rng)
+	var b Builder
+	for trial := 0; trial < 200; trial++ {
+		// Components of the forest left after dropping every k-th node.
+		k := int32(2 + rng.Intn(40))
+		member := func(v int32) bool { return v%k != 0 }
+		root := int32(rng.Intn(tr.N()))
+		if !member(root) {
+			root++
+		}
+		got := b.Build(tr.Neighbors, root, member, 0)
+		want := Build(tr.Neighbors, root, member)
+		if got.N() != want.N() {
+			t.Fatalf("trial %d: reused view has %d nodes, fresh view %d", trial, got.N(), want.N())
+		}
+		for g := int32(0); g < int32(tr.N()); g++ {
+			lg, okg := got.Local(g)
+			lw, okw := want.Local(g)
+			if okg != okw || lg != lw {
+				t.Fatalf("trial %d: Local(%d) = %d, %v reused, %d, %v fresh", trial, g, lg, okg, lw, okw)
+			}
+		}
+		for l := int32(0); l < int32(want.N()); l++ {
+			if got.Guest(l) != want.Guest(l) || got.Parent(l) != want.Parent(l) || got.size[l] != want.size[l] ||
+				!slices.Equal(got.Children(l, nil), want.Children(l, nil)) {
+				t.Fatalf("trial %d: local %d differs between the reused and the fresh view", trial, l)
+			}
+			p := got.Parent(l)
+			if p >= 0 && (!got.IsAncestor(p, l) || got.IsAncestor(l, p)) {
+				t.Fatalf("trial %d: ancestry of local %d and its parent %d is wrong", trial, l, p)
+			}
 		}
 	}
 }

@@ -94,7 +94,7 @@ func checkCollinear(r *Rooted, side map[int32]int8, inS map[int32]int8, part int
 			if p := r.Parent(v); p >= 0 {
 				nbrs = append(nbrs, p)
 			}
-			nbrs = append(nbrs, r.Children(v)...)
+			nbrs = r.Children(v, nbrs)
 			for _, w := range nbrs {
 				gw := r.Guest(w)
 				if side[gw] != part {

@@ -130,15 +130,13 @@ func TestPlaceRejectsBrokenPlacements(t *testing.T) {
 }
 
 // TestPlaceAllocBytes gates the memory of one Place call at n = 4080,
-// where G alone would take 4.3 MB of adjacency lists.  A random guest
-// stays under 1 MB.  A path guest makes the embedder root thousands of
-// separator components, and core.EmbedXTree by itself allocates 1.33 MB
-// on it, so its budget is 2 MB: still less than half of G.
+// where G alone would take 4.3 MB of adjacency lists.  A random guest and
+// a path guest each stay under 1 MB.
 func TestPlaceAllocBytes(t *testing.T) {
 	for _, c := range []struct {
 		family bintree.Family
 		budget uint64
-	}{{bintree.FamilyRandom, 1 << 20}, {bintree.FamilyPath, 2 << 20}} {
+	}{{bintree.FamilyRandom, 1 << 20}, {bintree.FamilyPath, 1 << 20}} {
 		tr, err := bintree.Generate(c.family, 4080, rand.New(rand.NewSource(1)))
 		if err != nil {
 			t.Fatal(err)
