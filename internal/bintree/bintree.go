@@ -149,21 +149,6 @@ func (t *Tree) Neighbors(v int32, buf []int32) []int32 {
 	return t.Children(v, buf)
 }
 
-// Degree returns the undirected degree of v (≤ 3).
-func (t *Tree) Degree(v int32) int {
-	d := 0
-	if t.parent[v] != None {
-		d++
-	}
-	if t.left[v] != None {
-		d++
-	}
-	if t.right[v] != None {
-		d++
-	}
-	return d
-}
-
 // PostOrder returns the nodes in post-order (children before parents),
 // iteratively so deep paths do not overflow the stack.
 func (t *Tree) PostOrder() []int32 {
@@ -350,19 +335,6 @@ func (t *Tree) fillSlot(v, c int32) bool {
 		t.right[v] = c
 	default:
 		return false
-	}
-	return true
-}
-
-// Equal reports whether two trees have the same shape and numbering.
-func (t *Tree) Equal(u *Tree) bool {
-	if t.N() != u.N() || t.root != u.root {
-		return false
-	}
-	for v := 0; v < t.N(); v++ {
-		if t.parent[v] != u.parent[v] || t.left[v] != u.left[v] || t.right[v] != u.right[v] {
-			return false
-		}
 	}
 	return true
 }

@@ -25,7 +25,7 @@ func TestNewFromParentsBasic(t *testing.T) {
 	if tr.Left(0) != 1 || tr.Right(0) != 2 || tr.Left(1) != 3 || tr.Right(1) != None {
 		t.Fatalf("children wrong: %v %v %v", tr.Left(0), tr.Right(0), tr.Left(1))
 	}
-	if tr.Degree(0) != 2 || tr.Degree(1) != 2 || tr.Degree(3) != 1 {
+	if len(tr.Neighbors(0, nil)) != 2 || len(tr.Neighbors(3, nil)) != 1 {
 		t.Fatal("degrees wrong")
 	}
 	if got := tr.Neighbors(1, nil); len(got) != 2 || got[0] != 0 || got[1] != 3 {
@@ -128,14 +128,8 @@ func TestGenerateFamilies(t *testing.T) {
 			if !tr.AsGraph().IsTree() {
 				t.Fatalf("Generate(%s,%d) is not a tree", f, n)
 			}
-			maxDeg := 0
-			for v := int32(0); v < int32(n); v++ {
-				if d := tr.Degree(v); d > maxDeg {
-					maxDeg = d
-				}
-			}
-			if maxDeg > 3 {
-				t.Fatalf("Generate(%s,%d) has degree %d > 3", f, n, maxDeg)
+			if d := tr.AsGraph().MaxDegree(); d > 3 {
+				t.Fatalf("Generate(%s,%d) has degree %d > 3", f, n, d)
 			}
 		}
 	}
@@ -222,7 +216,7 @@ func TestDeepPathIterativeTraversal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dec.Equal(p) {
+	if !sameTree(dec, p) {
 		t.Fatal("decoded path differs from the path")
 	}
 	code, order := dec.CanonicalCode()

@@ -36,16 +36,6 @@ type Addr struct {
 // Root returns the empty string ε.
 func Root() Addr { return Addr{} }
 
-// New builds an address, panicking on out-of-range arguments.  It is intended
-// for literals in tests and table-driven code.
-func New(level int, index uint64) Addr {
-	a := Addr{Level: level, Index: index}
-	if !a.Valid() {
-		panic(fmt.Sprintf("bitstr: invalid address level=%d index=%d", level, index))
-	}
-	return a
-}
-
 // Valid reports whether the address denotes a real string: the level is in
 // range and the index fits in Level bits.
 func (a Addr) Valid() bool {
@@ -141,11 +131,6 @@ func (a Addr) Prefix(k int) Addr {
 	return Addr{Level: k, Index: a.Index >> uint(a.Level-k)}
 }
 
-// HasPrefix reports whether p is a (not necessarily proper) prefix of a.
-func (a Addr) HasPrefix(p Addr) bool {
-	return p.Level <= a.Level && a.Prefix(p.Level) == p
-}
-
 // CommonPrefixLen returns the length of the longest common prefix of a and b.
 func CommonPrefixLen(a, b Addr) int {
 	n := a.Level
@@ -157,18 +142,6 @@ func CommonPrefixLen(a, b Addr) int {
 		return n
 	}
 	return n - (bits.Len64(x))
-}
-
-// TrailingZeros returns the number of trailing '0' characters of a.
-func (a Addr) TrailingZeros() int {
-	if a.Level == 0 {
-		return 0
-	}
-	n := bits.TrailingZeros64(a.Index)
-	if n > a.Level {
-		return a.Level
-	}
-	return n
 }
 
 // String renders the binary string; the root renders as "ε".
@@ -244,21 +217,4 @@ func NumVertices(height int) int64 {
 		return 0
 	}
 	return int64(uint64(1)<<uint(height+1)) - 1
-}
-
-// Compare orders addresses by level, then by index.  It returns -1, 0 or +1.
-func Compare(a, b Addr) int {
-	switch {
-	case a.Level != b.Level:
-		if a.Level < b.Level {
-			return -1
-		}
-		return 1
-	case a.Index != b.Index:
-		if a.Index < b.Index {
-			return -1
-		}
-		return 1
-	}
-	return 0
 }

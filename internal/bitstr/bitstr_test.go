@@ -91,15 +91,6 @@ func TestAppendPrefix(t *testing.T) {
 	if got := c.Prefix(3).String(); got != "101" {
 		t.Errorf("Prefix(3) = %q", got)
 	}
-	if !c.HasPrefix(MustParse("1011")) {
-		t.Error("HasPrefix(1011) = false")
-	}
-	if c.HasPrefix(MustParse("11")) {
-		t.Error("HasPrefix(11) = true")
-	}
-	if !c.HasPrefix(Root()) {
-		t.Error("HasPrefix(root) = false")
-	}
 }
 
 func TestCommonPrefixLen(t *testing.T) {
@@ -117,26 +108,6 @@ func TestCommonPrefixLen(t *testing.T) {
 	for _, c := range cases {
 		if got := CommonPrefixLen(MustParse(c.a), MustParse(c.b)); got != c.want {
 			t.Errorf("CommonPrefixLen(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestTrailing(t *testing.T) {
-	cases := []struct {
-		s     string
-		zeros int
-	}{
-		{"10111", 0},
-		{"1000", 3},
-		{"1111", 0},
-		{"0000", 4},
-		{"", 0},
-		{"10", 1},
-	}
-	for _, c := range cases {
-		a := MustParse(c.s)
-		if got := a.TrailingZeros(); got != c.zeros {
-			t.Errorf("TrailingZeros(%q) = %d, want %d", c.s, got, c.zeros)
 		}
 	}
 }
@@ -180,18 +151,6 @@ func TestNumVertices(t *testing.T) {
 		if got := NumVertices(h); got != want {
 			t.Errorf("NumVertices(%d) = %d, want %d", h, got, want)
 		}
-	}
-}
-
-func TestCompare(t *testing.T) {
-	a := MustParse("01")
-	b := MustParse("10")
-	c := MustParse("011")
-	if Compare(a, b) != -1 || Compare(b, a) != 1 || Compare(a, a) != 0 {
-		t.Error("Compare same-level ordering broken")
-	}
-	if Compare(a, c) != -1 || Compare(c, a) != 1 {
-		t.Error("Compare cross-level ordering broken")
 	}
 }
 
@@ -263,7 +222,7 @@ func TestPropertyAppendPrefix(t *testing.T) {
 		a := randomAddr(r, 20)
 		b := randomAddr(r, 20)
 		ab := a.Append(b)
-		return ab.Level == a.Level+b.Level && ab.Prefix(a.Level) == a && ab.HasPrefix(a)
+		return ab.Level == a.Level+b.Level && ab.Prefix(a.Level) == a
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -16,7 +16,6 @@ func mustPanic(t *testing.T, name string, f func()) {
 func TestPanicGuards(t *testing.T) {
 	root := Root()
 	deep := Addr{Level: MaxLevel, Index: 0}
-	mustPanic(t, "New(invalid)", func() { New(3, 8) })
 	mustPanic(t, "Bit out of range", func() { root.Bit(0) })
 	mustPanic(t, "Bit negative", func() { MustParse("01").Bit(-1) })
 	mustPanic(t, "Child too deep", func() { deep.Child(0) })
@@ -26,13 +25,6 @@ func TestPanicGuards(t *testing.T) {
 	mustPanic(t, "Prefix negative", func() { MustParse("01").Prefix(-1) })
 	mustPanic(t, "FromID negative", func() { FromID(-1) })
 	mustPanic(t, "MustParse invalid", func() { MustParse("10x") })
-}
-
-func TestNewValid(t *testing.T) {
-	a := New(3, 5)
-	if a.String() != "101" {
-		t.Errorf("New(3,5) = %q", a.String())
-	}
 }
 
 func TestParseTooLong(t *testing.T) {

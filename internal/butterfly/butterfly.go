@@ -44,11 +44,6 @@ func (b *Butterfly) VertexID(level int, row uint64) int64 {
 	return int64(level)<<uint(b.k) | int64(row)
 }
 
-// Vertex unpacks an id.
-func (b *Butterfly) Vertex(id int64) (level int, row uint64) {
-	return int(id >> uint(b.k)), uint64(id) & (uint64(1)<<uint(b.k) - 1)
-}
-
 // crossBit returns the row-bit mask flipped between levels ℓ and ℓ+1
 // (bit 0 = most significant).
 func (b *Butterfly) crossBit(level int) uint64 {
@@ -74,7 +69,9 @@ func (b *Butterfly) AsGraph() *graph.Graph {
 // binary strings of length ≤ k, in bitstr heap numbering) into BF(k) with
 // dilation 1: tree node α at depth ℓ goes to (ℓ, α·0^{k−ℓ}).  Tree edges
 // α → α·c connect (ℓ, α0…) to (ℓ+1, αc0…), which is a straight (c = 0) or
-// cross (c = 1) butterfly edge.
+// cross (c = 1) butterfly edge.  The same map places the X-tree X(k),
+// whose horizontal edges must detour: their dilation grows with k, as
+// [3]'s Ω(log log n) lower bound requires.
 func (b *Butterfly) CompleteTreeEmbedding() []int64 {
 	n := bitstr.NumVertices(b.k)
 	out := make([]int64, n)
@@ -84,16 +81,6 @@ func (b *Butterfly) CompleteTreeEmbedding() []int64 {
 		out[id] = b.VertexID(a.Level, row)
 	}
 	return out
-}
-
-// XTreeEmbedding maps the X-tree X(k) into BF(k) by the same rule — the
-// tree skeleton keeps dilation 1 but the horizontal edges must detour.
-// The measured dilation of this natural embedding grows with k (the paper
-// cites [3]: no embedding can do better than Ω(log log n), so constant
-// dilation is impossible; this explicit construction gives the natural
-// upper-bound curve).
-func (b *Butterfly) XTreeEmbedding() []int64 {
-	return b.CompleteTreeEmbedding() // same vertex set, X-tree has extra edges
 }
 
 // CCC is the cube-connected-cycles network CCC(k): vertices (w ∈ {0,1}^k,

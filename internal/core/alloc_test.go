@@ -14,17 +14,18 @@ import (
 // (4080 nodes).  The seed implementation of the embedder spent ~49,900
 // allocations per embed on the random guest and the arena rewrite ~3,100.
 // Since the rebuild stopped flooding the largest remnant, the attachment
-// index became linked lists and separator rooting kept guest-indexed
-// arrays, a random guest costs 123 and a path 2,623: the path makes
-// hundreds of Lemma 2 splits, each with its own small sets, and under the
-// race detector more of those sets reach the heap (2,978).  The budgets
-// sit just above those counts, so a regression reintroducing per-round
-// churn fails loudly rather than melting away in benchmark noise.
+// index became linked lists, separator rooting kept guest-indexed arrays
+// and the lemmas built their sets as sorted slices, a random guest costs
+// 118 and a path 1,483: the path makes hundreds of Lemma 2 splits, each
+// with its own small sets, and under the race detector more of those sets
+// reach the heap (random 123, path 1,559).  The budgets sit just above
+// those counts, so a regression reintroducing per-round churn fails
+// loudly rather than melting away in benchmark noise.
 var embedAllocBudgets = []struct {
 	family     bintree.Family
 	budget     float64
 	raceBudget float64
-}{{bintree.FamilyRandom, 150, 150}, {bintree.FamilyPath, 2900, 3300}}
+}{{bintree.FamilyRandom, 130, 135}, {bintree.FamilyPath, 1600, 1700}}
 
 // BenchmarkEmbed is the canonical embedder benchmark the perf CI gate
 // replays (experiment E20 writes its numbers to BENCH_embed.json): one

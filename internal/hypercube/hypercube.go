@@ -10,7 +10,6 @@ import (
 	"math/bits"
 
 	"xtreesim/internal/bitstr"
-	"xtreesim/internal/graph"
 )
 
 // Hypercube is the d-dimensional hypercube Q_d with 2^d vertices, each a
@@ -33,38 +32,9 @@ func (h *Hypercube) Dim() int { return h.dim }
 // NumVertices returns 2^d.
 func (h *Hypercube) NumVertices() int64 { return int64(1) << uint(h.dim) }
 
-// Contains reports whether v is a vertex label of Q_d.
-func (h *Hypercube) Contains(v uint64) bool {
-	return h.dim == 64 || v < uint64(1)<<uint(h.dim)
-}
-
 // Distance returns the Hamming distance between two vertex labels.
 func (h *Hypercube) Distance(u, v uint64) int {
 	return bits.OnesCount64(u ^ v)
-}
-
-// Neighbors appends the d neighbors of v to buf.
-func (h *Hypercube) Neighbors(v uint64, buf []uint64) []uint64 {
-	for i := 0; i < h.dim; i++ {
-		buf = append(buf, v^(uint64(1)<<uint(i)))
-	}
-	return buf
-}
-
-// AsGraph materializes Q_d (for tests, figures, the simulator).
-func (h *Hypercube) AsGraph() *graph.Graph {
-	n := h.NumVertices()
-	if n > 1<<22 {
-		panic("hypercube: AsGraph on too large a cube")
-	}
-	g := graph.New(int(n))
-	for v := int64(0); v < n; v++ {
-		for i := 0; i < h.dim; i++ {
-			g.AddEdge(int(v), int(v^(1<<uint(i))))
-		}
-	}
-	g.SortAdjacency()
-	return g
 }
 
 // Inorder is the classic "inorder embedding" δ_io of the vertices of the

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"xtreesim/internal/bitstr"
+	"xtreesim/internal/graph"
 	"xtreesim/internal/xtree"
 )
 
@@ -16,33 +17,18 @@ func TestBasics(t *testing.T) {
 	if d := h.Distance(0b0000, 0b1011); d != 3 {
 		t.Errorf("Distance = %d", d)
 	}
-	if !h.Contains(15) || h.Contains(16) {
-		t.Error("Contains wrong")
-	}
-	ns := h.Neighbors(0b0101, nil)
-	if len(ns) != 4 {
-		t.Fatalf("neighbors = %v", ns)
-	}
-	for _, n := range ns {
-		if h.Distance(0b0101, n) != 1 {
-			t.Errorf("neighbor %b at distance != 1", n)
-		}
-	}
 }
 
+// TestAsGraph holds Distance to breadth-first distances on Q3 built as a
+// graph: the labels of every edge differ in one bit.
 func TestAsGraph(t *testing.T) {
 	h := New(3)
-	g := h.AsGraph()
-	if g.N() != 8 || g.M() != 12 {
-		t.Fatalf("Q3 graph n=%d m=%d", g.N(), g.M())
+	g := graph.New(8)
+	for v := 0; v < 8; v++ {
+		for i := 0; i < 3; i++ {
+			g.AddEdge(v, v^1<<i)
+		}
 	}
-	if g.MaxDegree() != 3 {
-		t.Errorf("Q3 degree = %d", g.MaxDegree())
-	}
-	if g.Diameter() != 3 {
-		t.Errorf("Q3 diameter = %d", g.Diameter())
-	}
-	// Graph distance must equal Hamming distance.
 	for u := 0; u < 8; u++ {
 		for v := 0; v < 8; v++ {
 			if g.Distance(u, v) != h.Distance(uint64(u), uint64(v)) {
@@ -63,7 +49,7 @@ func TestInorderDilation2(t *testing.T) {
 	for id := int64(0); id < n; id++ {
 		a := bitstr.FromID(id)
 		img := Inorder(a, r)
-		if !h.Contains(img) {
+		if img >= uint64(h.NumVertices()) {
 			t.Fatalf("image %b outside Q%d", img, r+1)
 		}
 		if prev, dup := seen[img]; dup {
@@ -186,7 +172,6 @@ func TestGuards(t *testing.T) {
 	mustPanic("New(63)", func() { New(63) })
 	mustPanic("Inorder too deep", func() { Inorder(bitstr.MustParse("0101"), 2) })
 	mustPanic("Chi too deep", func() { Chi(bitstr.MustParse("0101"), 2) })
-	mustPanic("AsGraph too large", func() { New(30).AsGraph() })
 }
 
 func TestChiInverseRejects(t *testing.T) {

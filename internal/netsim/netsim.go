@@ -147,8 +147,6 @@ type slot struct {
 	next int32 // the queue's next slot, or the free list's
 }
 
-func newArena() arena { return arena{free: -1} }
-
 // push appends m to q.
 func (a *arena) push(q *fifo, m *message) {
 	s := a.free

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 
@@ -395,9 +396,10 @@ func (k KillInfo) Trace() TraceEvent {
 // export as JSONL (one event per line) or as a Chrome-trace file
 // (chrome://tracing / Perfetto "traceEvents" JSON, one track per link).
 type TraceRecorder struct {
-	// MaxEvents bounds memory on long runs; once reached, further
-	// events are counted in Truncated but not stored.  0 means 1<<20.
-	MaxEvents int
+	// maxEvents bounds memory on long runs (0 means 1<<20; only tests
+	// lower it); once reached, further events are counted in Truncated
+	// but not stored.
+	maxEvents int
 
 	events    []TraceEvent
 	Truncated int // events observed but not recorded
@@ -407,11 +409,7 @@ type TraceRecorder struct {
 func NewTraceRecorder() *TraceRecorder { return &TraceRecorder{} }
 
 func (t *TraceRecorder) add(e TraceEvent) {
-	maxE := t.MaxEvents
-	if maxE <= 0 {
-		maxE = 1 << 20
-	}
-	if len(t.events) >= maxE {
+	if len(t.events) >= cmp.Or(t.maxEvents, 1<<20) {
 		t.Truncated++
 		return
 	}

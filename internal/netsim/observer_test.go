@@ -282,7 +282,7 @@ func TestTraceRecorderChromeTrace(t *testing.T) {
 
 func TestTraceRecorderTruncation(t *testing.T) {
 	tr := bintree.Complete(4)
-	rec := &TraceRecorder{MaxEvents: 10}
+	rec := &TraceRecorder{maxEvents: 10}
 	cfg := Config{Host: tr.AsGraph(), Place: IdentityPlacement(tr.N()), Observers: []Observer{rec}}
 	if _, err := Run(cfg, NewDivideConquer(tr, 2)); err != nil {
 		t.Fatal(err)

@@ -6,7 +6,7 @@ import (
 )
 
 func TestLinkQueueFIFO(t *testing.T) {
-	a := newArena()
+	a := arena{free: -1}
 	var q fifo
 	for i := 0; i < 100; i++ {
 		a.push(&q, &message{Seq: int64(i)})
@@ -33,7 +33,7 @@ func TestLinkQueueFIFO(t *testing.T) {
 // slot one queue frees is the next one any queue takes.
 func TestLinkQueueInterleavedFIFO(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	a := newArena()
+	a := arena{free: -1}
 	qs := make([]fifo, 17)
 	model := make([][]int64, len(qs))
 	seq, live, peak := int64(0), 0, 0
@@ -80,7 +80,7 @@ func TestLinkQueueInterleavedFIFO(t *testing.T) {
 // front once kept every one of them reachable; the arena reuses their
 // slots.
 func TestLinkQueueMemoryBounded(t *testing.T) {
-	a := newArena()
+	a := arena{free: -1}
 	var q fifo
 	for i := 0; i < 200000; i++ {
 		a.push(&q, &message{Seq: int64(i)})
@@ -96,7 +96,7 @@ func TestLinkQueueMemoryBounded(t *testing.T) {
 func BenchmarkLinkQueueSteadyState(b *testing.B) {
 	// Guard for the busy-link pattern: one push and one pop per cycle
 	// must not allocate once the queue is warm.
-	a := newArena()
+	a := arena{free: -1}
 	var q fifo
 	for i := 0; i < 32; i++ {
 		a.push(&q, &message{})

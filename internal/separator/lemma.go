@@ -22,17 +22,27 @@ type Split struct {
 
 // Part1Of materializes the complement of Part2 within the component.
 func (s Split) Part1Of(r *Rooted) []int32 {
-	in2 := make(map[int32]bool, len(s.Part2))
+	in2 := make([]bool, r.N()) // by local id
 	for _, g := range s.Part2 {
-		in2[g] = true
+		if l, ok := r.Local(g); ok {
+			in2[l] = true
+		}
 	}
 	out := make([]int32, 0, r.N()-len(s.Part2))
-	for _, g := range r.Guests() {
-		if !in2[g] {
+	for l, g := range r.Guests() {
+		if !in2[l] {
 			out = append(out, g)
 		}
 	}
 	return out
+}
+
+// sorted sorts and deduplicates the separator sets.
+func (s Split) sorted() Split {
+	slices.Sort(s.S1)
+	slices.Sort(s.S2)
+	s.S1, s.S2 = slices.Compact(s.S1), slices.Compact(s.S2)
+	return s
 }
 
 // Lemma1Bound is the balance error guaranteed by Lemma 1: ⌊(A+1)/3⌋.
@@ -180,28 +190,21 @@ func (p piece) guests(r *Rooted, buf []int32) []int32 {
 	return buf
 }
 
-// cutsInto appends the separator contributions of the piece's cut edges:
-// for every added root a, parent(a) lands on the remainder side and a on
-// the piece side; for the subtracted root the orientation flips.
-func (p piece) cutsInto(r *Rooted, sRemain, sPiece map[int32]bool) {
+// cuts appends the separator contributions of the piece's cut edges: for
+// every added root a, parent(a) lands on the remainder side and a on the
+// piece side; for the subtracted root the orientation flips.
+func (p piece) cuts(r *Rooted, sRemain, sPiece []int32) ([]int32, []int32) {
 	for _, a := range p.add {
 		if pa := r.parent[a]; pa >= 0 {
-			sRemain[r.nodes[pa]] = true
+			sRemain = append(sRemain, r.nodes[pa])
 		}
-		sPiece[r.nodes[a]] = true
+		sPiece = append(sPiece, r.nodes[a])
 	}
 	if p.sub >= 0 {
-		sRemain[r.nodes[p.sub]] = true
-		sPiece[r.nodes[r.parent[p.sub]]] = true
+		sRemain = append(sRemain, r.nodes[p.sub])
+		sPiece = append(sPiece, r.nodes[r.parent[p.sub]])
 	}
-}
-
-func setToSlice(m map[int32]bool) []int32 {
-	out := make([]int32, 0, len(m))
-	for g := range m {
-		out = append(out, g)
-	}
-	return sortedGuests(out)
+	return sRemain, sPiece
 }
 
 // Lemma1 splits the component (rooted at its designated node r1) into
@@ -217,45 +220,40 @@ func Lemma1(r *Rooted, r2 int32, A int) (Split, error) {
 	if A < 1 || 3*n <= 4*A {
 		return Split{}, fmt.Errorf("separator: lemma 1 needs 1 ≤ A and 3n > 4A (n=%d A=%d)", n, A)
 	}
-	return lemma1At(r, r.Root(), rl2, A)
+	sp, u, err := lemma1At(r, r.Root(), rl2, A)
+	if err != nil {
+		return Split{}, err
+	}
+	sp.Part2 = r.SubtreeGuests(u, nil)
+	return sp, nil
 }
 
 // lemma1At runs Lemma 1 inside the subtree rooted at top, with designated
 // nodes top and rl2 (a node of that subtree).  Used directly by Lemma 1 and
-// as the inner step of Lemma 2's case 3.
-func lemma1At(r *Rooted, top, rl2 int32, A int) (Split, error) {
+// as the inner step of Lemma 2's case 3.  It returns the separator sets
+// and the root u of the carved part T(u), leaving Part2 to the caller.
+func lemma1At(r *Rooted, top, rl2 int32, A int) (Split, int32, error) {
 	u := find1(r, top, A, nil)
 	if u == top {
-		return Split{}, fmt.Errorf("separator: find1 did not descend (n=%d A=%d)", r.size[top], A)
+		return Split{}, u, fmt.Errorf("separator: find1 did not descend (n=%d A=%d)", r.size[top], A)
 	}
 	x := r.parent[u]
-	s1 := map[int32]bool{}
-	s2 := map[int32]bool{}
-	var cas string
 	if r.IsAncestor(u, rl2) {
 		// Case "sub": r2 lies inside T(u).
-		s1[r.nodes[top]] = true
-		s1[r.nodes[x]] = true
-		s2[r.nodes[u]] = true
-		s2[r.nodes[rl2]] = true
-		cas = "lemma1-sub"
-	} else {
-		// Case "rest": r2 outside T(u); y is where the paths from the
-		// root to u and to r2 part.
-		y := r.LCA(u, rl2)
-		s1[r.nodes[top]] = true
-		s1[r.nodes[rl2]] = true
-		s1[r.nodes[x]] = true
-		s1[r.nodes[y]] = true
-		s2[r.nodes[u]] = true
-		cas = "lemma1-rest"
+		return Split{
+			S1:   []int32{r.nodes[top], r.nodes[x]},
+			S2:   []int32{r.nodes[u], r.nodes[rl2]},
+			Case: "lemma1-sub",
+		}.sorted(), u, nil
 	}
+	// Case "rest": r2 outside T(u); y is where the paths from the root to
+	// u and to r2 part.
+	y := r.LCA(u, rl2)
 	return Split{
-		S1:    setToSlice(s1),
-		S2:    setToSlice(s2),
-		Part2: r.SubtreeGuests(u, nil),
-		Case:  cas,
-	}, nil
+		S1:   []int32{r.nodes[top], r.nodes[rl2], r.nodes[x], r.nodes[y]},
+		S2:   []int32{r.nodes[u]},
+		Case: "lemma1-rest",
+	}.sorted(), u, nil
 }
 
 // Lemma2 splits the component (rooted at its designated node r1) into
@@ -271,10 +269,7 @@ func Lemma2(r *Rooted, r2 int32, A int) (Split, error) {
 		return Split{}, fmt.Errorf("separator: lemma 2 needs 0 ≤ A ≤ n (n=%d A=%d)", n, A)
 	}
 	if A == 0 {
-		return Split{
-			S1:   setToSlice(map[int32]bool{r.nodes[0]: true, r2: true}),
-			Case: "lemma2-empty",
-		}, nil
+		return Split{S1: []int32{r.nodes[0], r2}, Case: "lemma2-empty"}.sorted(), nil
 	}
 	if 3*n <= 4*A {
 		// The target side is almost everything: split off the
@@ -306,22 +301,13 @@ func Lemma2(r *Rooted, r2 int32, A int) (Split, error) {
 		}
 		v = next
 	}
-	s1 := map[int32]bool{}
-	s2 := map[int32]bool{}
 	switch {
 	case v == rl2 && 3*int(r.size[v]) > 4*A:
 		// Case 1: both designated nodes stay on the rest side; carve
 		// ≈A out of T(r2).
 		p := carve(r, v, A, -1)
-		s1[r.nodes[0]] = true
-		s1[r2] = true
-		p.cutsInto(r, s1, s2)
-		return Split{
-			S1:    setToSlice(s1),
-			S2:    setToSlice(s2),
-			Part2: p.guests(r, nil),
-			Case:  "lemma2-case1",
-		}, nil
+		s1, s2 := p.cuts(r, []int32{r.nodes[0], r2}, nil)
+		return Split{S1: s1, S2: s2, Part2: p.guests(r, nil), Case: "lemma2-case1"}.sorted(), nil
 
 	case int(r.size[v]) < A:
 		// Case 2: T(v) (containing r2) is short of A; top it up with a
@@ -329,19 +315,9 @@ func Lemma2(r *Rooted, r2 int32, A int) (Split, error) {
 		x := r.parent[v]
 		e := A - int(r.size[v])
 		p := carve(r, x, e, v)
-		s1[r.nodes[0]] = true
-		s1[r.nodes[x]] = true
-		s2[r2] = true
-		s2[r.nodes[v]] = true
-		p.cutsInto(r, s1, s2)
-		part2 := r.SubtreeGuests(v, nil)
-		part2 = p.guests(r, part2)
-		return Split{
-			S1:    setToSlice(s1),
-			S2:    setToSlice(s2),
-			Part2: part2,
-			Case:  "lemma2-case2",
-		}, nil
+		s1, s2 := p.cuts(r, []int32{r.nodes[0], r.nodes[x]}, []int32{r2, r.nodes[v]})
+		part2 := p.guests(r, r.SubtreeGuests(v, nil))
+		return Split{S1: s1, S2: s2, Part2: part2, Case: "lemma2-case2"}.sorted(), nil
 
 	default:
 		// Case 3: A ≤ |T(v)| ≤ 4A/3.  Shave A' = |T(v)| − A off T(v)
@@ -350,45 +326,24 @@ func Lemma2(r *Rooted, r2 int32, A int) (Split, error) {
 		x := r.parent[v]
 		aPrime := int(r.size[v]) - A
 		if aPrime == 0 {
-			s1[r.nodes[0]] = true
-			s1[r.nodes[x]] = true
-			s2[r.nodes[v]] = true
-			s2[r2] = true
 			return Split{
-				S1:    setToSlice(s1),
-				S2:    setToSlice(s2),
+				S1:    []int32{r.nodes[0], r.nodes[x]},
+				S2:    []int32{r.nodes[v], r2},
 				Part2: r.SubtreeGuests(v, nil),
 				Case:  "lemma2-case3-exact",
-			}, nil
+			}.sorted(), nil
 		}
-		inner, err := lemma1At(r, v, rl2, aPrime)
+		inner, u, err := lemma1At(r, v, rl2, aPrime)
 		if err != nil {
 			return Split{}, fmt.Errorf("separator: lemma 2 case 3: %w", err)
 		}
-		s1[r.nodes[0]] = true
-		s1[r.nodes[x]] = true
-		for _, g := range inner.S2 { // carved-out side joins Part1
-			s1[g] = true
-		}
-		for _, g := range inner.S1 { // remainder of T(v) is Part2
-			s2[g] = true
-		}
-		// Part2 = T(v) − inner.Part2.
-		carved := make(map[int32]bool, len(inner.Part2))
-		for _, g := range inner.Part2 {
-			carved[g] = true
-		}
-		var part2 []int32
-		for _, g := range r.SubtreeGuests(v, nil) {
-			if !carved[g] {
-				part2 = append(part2, g)
-			}
-		}
+		// The carved-out T(u) and its side of the sets join Part1; the
+		// remainder T(v) − T(u) is Part2.
 		return Split{
-			S1:    setToSlice(s1),
-			S2:    setToSlice(s2),
-			Part2: part2,
+			S1:    append([]int32{r.nodes[0], r.nodes[x]}, inner.S2...),
+			S2:    inner.S1,
+			Part2: piece{add: []int32{v}, sub: u}.guests(r, nil),
 			Case:  "lemma2-case3",
-		}, nil
+		}.sorted(), nil
 	}
 }

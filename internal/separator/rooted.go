@@ -53,8 +53,10 @@ type Builder struct {
 	buf []int32
 }
 
-// Build is BuildSized into the Builder's reusable storage.  The returned
-// Rooted is invalidated by the next Build on the same Builder.
+// Build is the package's Build into the Builder's reusable storage, with
+// a capacity hint for the component size that sizes the local arrays once
+// instead of regrowing them.  The returned Rooted is invalidated by the
+// next Build on the same Builder.
 func (b *Builder) Build(adj AdjFunc, root int32, member func(int32) bool, sizeHint int) *Rooted {
 	b.buf = b.r.build(adj, root, member, sizeHint, b.buf)
 	return &b.r
@@ -64,14 +66,8 @@ func (b *Builder) Build(adj AdjFunc, root int32, member func(int32) bool, sizeHi
 // every node reachable through adj.  adj must describe a forest (no cycles);
 // Build does not re-check this.
 func Build(adj AdjFunc, root int32, member func(int32) bool) *Rooted {
-	return BuildSized(adj, root, member, 0)
-}
-
-// BuildSized is Build with a capacity hint for the component size, which
-// sizes the local arrays once instead of regrowing them.
-func BuildSized(adj AdjFunc, root int32, member func(int32) bool, sizeHint int) *Rooted {
 	r := &Rooted{}
-	r.build(adj, root, member, sizeHint, nil)
+	r.build(adj, root, member, 0, nil)
 	return r
 }
 
@@ -240,23 +236,6 @@ func (r *Rooted) SubtreeGuests(local int32, buf []int32) []int32 {
 // Guests returns all guest ids of the component in local order.  The slice
 // is owned by the Rooted and must not be modified.
 func (r *Rooted) Guests() []int32 { return r.nodes }
-
-// effSize returns the subtree size of v with the subtree under hole
-// excluded (hole < 0 means no hole).
-func (r *Rooted) effSize(v, hole int32) int32 {
-	s := r.size[v]
-	if hole >= 0 && r.IsAncestor(v, hole) {
-		s -= r.size[hole]
-	}
-	return s
-}
-
-// sortedGuests returns a sorted copy, for deterministic output in tests.
-func sortedGuests(in []int32) []int32 {
-	out := append([]int32(nil), in...)
-	slices.Sort(out)
-	return out
-}
 
 // String summarizes the component.
 func (r *Rooted) String() string {

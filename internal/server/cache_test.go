@@ -70,7 +70,7 @@ func TestStrictBatchSingleCompute(t *testing.T) {
 			hits++
 		}
 	}
-	st := s.Stats()
+	st := s.eng.Stats()
 	if st.Misses != 1 {
 		t.Errorf("engine ran %d computes for 16 isomorphic strict trees, want exactly 1", st.Misses)
 	}
@@ -131,7 +131,7 @@ func TestProfilesShareOneCache(t *testing.T) {
 				t.Errorf("request %d round %d: wire item %+v, direct embed %+v", i, round, got, want)
 			}
 		}
-		if st := s.Stats(); st.CacheLen != len(reqs) || st.Misses != int64(len(reqs)) {
+		if st := s.eng.Stats(); st.CacheLen != len(reqs) || st.Misses != int64(len(reqs)) {
 			t.Fatalf("round %d: cache_len=%d misses=%d, want one entry and one compute per profile",
 				round, st.CacheLen, st.Misses)
 		}
@@ -183,7 +183,7 @@ func TestPoolSnapshotRoutesProfiles(t *testing.T) {
 			t.Errorf("first %+v request after warm was not a cache hit", req)
 		}
 	}
-	if st := cold.Stats(); st.Misses != 0 {
+	if st := cold.eng.Stats(); st.Misses != 0 {
 		t.Errorf("warmed server ran %d computes, want 0", st.Misses)
 	}
 }
@@ -220,7 +220,7 @@ func TestWarmParentSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Shutdown(context.Background()) })
-	if st := s.Stats(); st.WarmLoaded != 4 || st.WarmSkipped != 0 || st.CacheLen != 4 {
+	if st := s.eng.Stats(); st.WarmLoaded != 4 || st.WarmSkipped != 0 || st.CacheLen != 4 {
 		t.Fatalf("warm loaded=%d skipped=%d cache_len=%d, want 4, 0 and 4", st.WarmLoaded, st.WarmSkipped, st.CacheLen)
 	}
 	for _, req := range parentSnapshotRequests {
@@ -272,7 +272,7 @@ func TestWarmSkippedMetricMatchesLog(t *testing.T) {
 	}
 	var logs bytes.Buffer
 	s := New(Config{SnapshotPath: snap, Logger: log.New(&logs, "", 0)})
-	defer s.closeEngine()
+	defer s.eng.Close()
 	if !strings.Contains(logs.String(), "loaded 4 records, skipped 2") {
 		t.Errorf("warm log %q, want 4 loaded and 2 skipped", logs.String())
 	}
@@ -375,7 +375,7 @@ func TestServerSnapshotRestartWarmHit(t *testing.T) {
 
 	s1 := start()
 	phase(s1)
-	st1 := s1.Stats()
+	st1 := s1.eng.Stats()
 	if st1.Misses == 0 {
 		t.Fatal("phase 1 ran no computes; the load never reached the engine")
 	}
@@ -387,11 +387,11 @@ func TestServerSnapshotRestartWarmHit(t *testing.T) {
 	}
 
 	s2 := start()
-	if st := s2.Stats(); st.WarmLoaded != int64(st1.CacheLen) {
+	if st := s2.eng.Stats(); st.WarmLoaded != int64(st1.CacheLen) {
 		t.Fatalf("restarted server warm_loaded = %d, want %d", st.WarmLoaded, st1.CacheLen)
 	}
 	ok, hits := phase(s2)
-	if st := s2.Stats(); st.Misses != 0 {
+	if st := s2.eng.Stats(); st.Misses != 0 {
 		t.Errorf("warmed server ran %d computes, want 0", st.Misses)
 	}
 	if hits != ok {
@@ -413,7 +413,7 @@ func TestSnapshotPathCorruptFileColdStart(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("server with corrupt snapshot failed to serve: %d %s", resp.StatusCode, data)
 	}
-	if st := s.Stats(); st.WarmLoaded != 0 {
+	if st := s.eng.Stats(); st.WarmLoaded != 0 {
 		t.Errorf("corrupt snapshot loaded %d records", st.WarmLoaded)
 	}
 }

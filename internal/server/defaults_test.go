@@ -25,7 +25,7 @@ func TestServerEngineDefaultsMatchEngineDefaults(t *testing.T) {
 	}
 	defer s.Shutdown(context.Background())
 
-	want, got := direct.Stats(), s.Stats()
+	want, got := direct.Stats(), s.eng.Stats()
 	if got.Workers != want.Workers {
 		t.Errorf("server engine workers %d, direct engine %d", got.Workers, want.Workers)
 	}

@@ -59,7 +59,7 @@ func FuzzAPI(f *testing.F) {
 		f.Add(seed.simulate, seed.body)
 	}
 	s := New(Config{MaxTreeNodes: 512, RequestTimeout: 2 * time.Second})
-	f.Cleanup(s.closeEngine)
+	f.Cleanup(s.eng.Close)
 	h := s.Handler()
 	f.Fuzz(func(t *testing.T, simulate bool, body string) {
 		path := "/v1/embed"

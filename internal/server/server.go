@@ -76,10 +76,8 @@ type Config struct {
 	// port, read back with Addr after Start).
 	Addr string
 
-	// Engine, when non-nil, is a caller-owned engine the server uses
-	// without closing.  When nil the server creates one from
-	// EngineConfig and closes it on Shutdown.
-	Engine       *engine.Engine
+	// EngineConfig configures the engine the server creates and closes
+	// on Shutdown.
 	EngineConfig engine.Config
 
 	// SnapshotPath, when non-empty, persists the canonical-tree cache
@@ -112,13 +110,12 @@ type Config struct {
 	Logger    *log.Logger
 	AccessLog bool
 
-	// Tracer, when non-nil, receives a root span per sampled request and
-	// all the engine/embedder/simulator phase spans below it.  When nil
-	// and TraceSample > 0 the server creates its own tracer (exported at
-	// /debug/trace).  TraceSample is the fraction of requests traced,
-	// 0..1; requests carrying a valid X-Trace-Id header are always
-	// traced, joining the caller's trace ID.
-	Tracer      *trace.Tracer
+	// TraceSample > 0 gives the server a tracer (exported at
+	// /debug/trace) that receives a root span per sampled request and
+	// all the engine/embedder/simulator phase spans below it.
+	// TraceSample is the fraction of requests traced, 0..1; requests
+	// carrying a valid X-Trace-Id header are always traced, joining the
+	// caller's trace ID.
 	TraceSample float64
 
 	// EnablePprof registers net/http/pprof's profile handlers under
@@ -135,7 +132,6 @@ type Config struct {
 // with Shutdown.
 type Server struct {
 	eng          *engine.Engine
-	ownsEng      bool
 	snapshotPath string
 	admit        *admission
 	metrics      *serverMetrics
@@ -186,16 +182,12 @@ func New(cfg Config) *Server {
 	if maxQueue < 0 {
 		maxQueue = 4 * maxConc
 	}
-	eng, ownsEng := cfg.Engine, false
-	if eng == nil {
-		eng, ownsEng = engine.New(cfg.EngineConfig), true
-	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = log.New(os.Stderr, "xtree-serve ", log.LstdFlags|log.Lmsgprefix)
 	}
-	tracer := cfg.Tracer
-	if tracer == nil && cfg.TraceSample > 0 {
+	var tracer *trace.Tracer
+	if cfg.TraceSample > 0 {
 		// A serving ring holds a few thousand requests' worth of spans.
 		tracer = trace.New(trace.Config{SampleRate: cfg.TraceSample, RingSize: 1 << 15})
 	}
@@ -204,8 +196,7 @@ func New(cfg Config) *Server {
 		version = buildinfo.Version()
 	}
 	s := &Server{
-		eng:               eng,
-		ownsEng:           ownsEng,
+		eng:               engine.New(cfg.EngineConfig),
 		snapshotPath:      cfg.SnapshotPath,
 		admit:             newAdmission(maxConc, maxQueue),
 		metrics:           newServerMetrics(),
@@ -331,10 +322,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Tracer returns the server's span tracer (nil when tracing is off),
-// for embedding processes that want to export spans themselves.
-func (s *Server) Tracer() *trace.Tracer { return s.tracer }
-
 // Start listens on the configured address and serves in the background.
 // After Start, Addr reports the bound address.  Serve errors surface
 // from Shutdown.
@@ -381,7 +368,7 @@ func (s *Server) URL() string {
 
 // Shutdown drains the server: it stops accepting connections, waits for
 // every in-flight request to finish (bounded by ctx), and then closes
-// the engine if the server owns it.  Safe to call once after Start.
+// the engine.  Safe to call once after Start.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.running {
@@ -399,7 +386,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.snapshotPath != "" {
 		s.writeSnapshot()
 	}
-	s.closeEngine()
+	s.eng.Close()
 	if err == nil {
 		err = serveErr
 	}
@@ -441,15 +428,3 @@ func (s *Server) retryAfter() string {
 	}
 	return strconv.Itoa(secs)
 }
-
-// closeEngine closes a server-owned engine, returning once its accepted
-// jobs have finished.  A caller-owned engine is left running.  Safe to
-// call more than once.
-func (s *Server) closeEngine() {
-	if s.ownsEng {
-		s.eng.Close()
-	}
-}
-
-// Stats snapshots the engine counters.
-func (s *Server) Stats() engine.Stats { return s.eng.Stats() }

@@ -32,7 +32,7 @@ func newTestServer(t *testing.T, cfg Config, tweaks ...func(*Server)) (*Server, 
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		s.closeEngine()
+		s.eng.Close()
 	})
 	return s, ts
 }
@@ -132,7 +132,7 @@ func TestEmbedBatchCacheHitsAndEncodedTrees(t *testing.T) {
 	// The two complete-255 trees are isomorphic: they cost one compute,
 	// and the other is a cache hit or, when both race onto workers, a
 	// coalesced wait.
-	if st := s.Stats(); st.Misses != 2 || st.Hits+st.Coalesced != 1 {
+	if st := s.eng.Stats(); st.Misses != 2 || st.Hits+st.Coalesced != 1 {
 		t.Errorf("3 items over 2 shapes: misses=%d hits=%d coalesced=%d, want 2 computes and 1 reuse",
 			st.Misses, st.Hits, st.Coalesced)
 	}
@@ -202,7 +202,7 @@ func TestEmbedWithHeightUsesProfileEngine(t *testing.T) {
 	if it.Height != 8 {
 		t.Errorf("forced height not honored: %+v", it)
 	}
-	if st := s.Stats(); st.Submitted != 1 || st.Misses != 1 || st.CacheLen != 1 {
+	if st := s.eng.Stats(); st.Submitted != 1 || st.Misses != 1 || st.CacheLen != 1 {
 		t.Fatalf("height-pinned request bypassed the engine cache: %+v", st)
 	}
 	// An isomorphic repeat is answered from that profile's entry.
@@ -620,7 +620,7 @@ func TestTimeoutAndCancelCarryDistinctCodes(t *testing.T) {
 // not deadline_exceeded.
 func TestQueuedClientGoneCode(t *testing.T) {
 	s := New(Config{MaxConcurrent: 1, MaxQueue: 1, Logger: log.New(io.Discard, "", 0)})
-	defer s.closeEngine()
+	defer s.eng.Close()
 	// Occupy the only slot so the request must queue.
 	if err := s.admit.acquire(context.Background()); err != nil {
 		t.Fatal(err)
@@ -900,29 +900,9 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 }
 
-func TestSharedEngineAcrossServers(t *testing.T) {
-	// A caller-owned engine is used but not closed by Shutdown.
-	eng := engine.New(engine.Config{Workers: 2})
-	defer eng.Close()
-	s := New(Config{Engine: eng})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	resp, data := postJSON(t, ts.URL+"/v1/embed", EmbedRequest{Tree: &TreeSpec{Family: "path", N: 31, Seed: Seed(1)}})
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	if err := s.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// Engine still alive after server shutdown.
-	if it := eng.EmbedBatch(context.Background(), []*bintree.Tree{bintree.Path(3)})[0]; it.Err != nil {
-		t.Errorf("caller-owned engine closed by server shutdown: %v", it.Err)
-	}
-}
-
 func TestPanicRecoveryMiddleware(t *testing.T) {
 	s := New(Config{Logger: log.New(io.Discard, "", 0)})
-	defer s.closeEngine()
+	defer s.eng.Close()
 	h := s.instrument("boom", func(w http.ResponseWriter, r *http.Request) {
 		panic("kaboom")
 	})

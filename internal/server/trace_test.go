@@ -143,11 +143,13 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 }
 
 // TestTraceHeaderJoinsCallerTrace sends a caller-chosen X-Trace-Id and
-// asserts the server joins it (even at sample rate 0 — header presence
-// forces sampling), echoes it back, and exports spans under it.
+// asserts the server joins it (even when the rate samples no root —
+// header presence forces sampling), echoes it back, and exports spans
+// under it.  A TraceSample below 2⁻³² gives the server a tracer whose
+// sampling threshold is 0.
 func TestTraceHeaderJoinsCallerTrace(t *testing.T) {
-	tr := trace.New(trace.Config{SampleRate: 0})
-	_, ts := newTestServer(t, Config{Tracer: tr})
+	s, ts := newTestServer(t, Config{TraceSample: 0x1p-33})
+	tr := s.tracer
 
 	const callerID = "00000000deadbeef"
 	raw, _ := json.Marshal(map[string]interface{}{
@@ -181,7 +183,7 @@ func TestTraceHeaderJoinsCallerTrace(t *testing.T) {
 		t.Fatal("no spans exported under the caller's trace ID")
 	}
 
-	// Without the header, rate 0 means untraced: no response header.
+	// Without the header the request is untraced: no response header.
 	resp2, _ := postJSON(t, ts.URL+"/v1/embed", map[string]interface{}{
 		"tree": map[string]interface{}{"family": "complete", "n": 31},
 	})
@@ -195,8 +197,8 @@ func TestTraceHeaderJoinsCallerTrace(t *testing.T) {
 // guest size n and G_n's slot count, with the embedder's phase spans
 // beneath it.
 func TestUniversalPlaceSpan(t *testing.T) {
-	tr := trace.New(trace.Config{SampleRate: 1})
-	_, ts := newTestServer(t, Config{Tracer: tr})
+	s, ts := newTestServer(t, Config{TraceSample: 1})
+	tr := s.tracer
 	resp, data := postJSON(t, ts.URL+"/v1/embed", EmbedRequest{
 		Tree: &TreeSpec{Family: "random", N: 300, Seed: Seed(3)}, Host: HostUniversal,
 	})
@@ -248,8 +250,8 @@ func TestUniversalPlaceSpan(t *testing.T) {
 // with the error attr — and must NOT stamp the zero-value cycles and
 // delivered counters onto it as if they were measurements.
 func TestSimulateSpanOnError(t *testing.T) {
-	tr := trace.New(trace.Config{SampleRate: 1})
-	_, ts := newTestServer(t, Config{Tracer: tr})
+	s, ts := newTestServer(t, Config{TraceSample: 1})
+	tr := s.tracer
 	resp, data := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{
 		Tree:      &TreeSpec{Family: "random", N: 150, Seed: Seed(11)},
 		Workload:  WorkloadBroadcast,

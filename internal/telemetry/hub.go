@@ -231,11 +231,10 @@ func (h *Hub) Subscribers() int {
 // Subscriber is one read cursor over a hub's ring.  Not safe for
 // concurrent use by multiple goroutines (one reader per subscriber).
 type Subscriber struct {
-	hub     *Hub
-	cursor  uint64
-	dropped uint64
-	notify  chan struct{}
-	closed  bool
+	hub    *Hub
+	cursor uint64
+	notify chan struct{}
+	closed bool
 }
 
 // skipLostLocked moves a cursor the ring has overtaken to the oldest
@@ -248,7 +247,6 @@ func (s *Subscriber) skipLostLocked() uint64 {
 		return 0
 	}
 	d := oldest - s.cursor
-	s.dropped += d
 	h.dropped += d
 	s.cursor = oldest
 	return d
@@ -323,9 +321,6 @@ func (s *Subscriber) Next(ctx context.Context, maxBatch int) (events []Event, dr
 	}
 	return events, dropped, true, nil
 }
-
-// Dropped reports the events this subscriber is known to have lost.
-func (s *Subscriber) Dropped() uint64 { return s.dropped }
 
 // Close detaches the subscriber.  Events it never read but that were
 // already overwritten are accounted as dropped, so a stalled client that

@@ -57,12 +57,11 @@ const (
 	EventError = "error"
 )
 
-// Re-exported simulator event types, so stream consumers can name the
-// whole enum from one package.
+// Re-exported simulator event types that stream consumers name from
+// this package.
 const (
 	EventCycle      = netsim.EventCycle
 	EventHop        = netsim.EventHop
-	EventDeliver    = netsim.EventDeliver
 	EventDrop       = netsim.EventDrop
 	EventRetransmit = netsim.EventRetransmit
 	EventKill       = netsim.EventKill

@@ -52,9 +52,6 @@ type Config struct {
 	// DefaultRingSize.  When full, the oldest span is overwritten and
 	// Dropped() counts it.
 	RingSize int
-	// Seed perturbs the sampling sequence and the ID generator; 0 uses
-	// a fixed default so traces are reproducible by default.
-	Seed uint64
 }
 
 // Attr is one span attribute.  Values are int64 only — depths, sizes,
@@ -96,9 +93,7 @@ type SpanData struct {
 // Tracer samples, collects and exports spans.  All methods are safe for
 // concurrent use; a nil *Tracer is valid and never samples.
 type Tracer struct {
-	rate      float64
 	threshold uint64 // sample when mix(root counter) & 0xffffffff < threshold
-	seed      uint64
 	ringSize  int
 
 	ids   atomic.Uint64 // span/trace ID counter
@@ -126,29 +121,16 @@ func New(cfg Config) *Tracer {
 	if size <= 0 {
 		size = DefaultRingSize
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 0x9e3779b97f4a7c15
-	}
 	return &Tracer{
-		rate:      rate,
 		threshold: uint64(rate * float64(uint64(1)<<32)),
-		seed:      seed,
 		ringSize:  size,
 		phases:    make(map[string]*metrics.Histogram),
 	}
 }
 
-// SampleRate reports the configured sampling rate.
-func (t *Tracer) SampleRate() float64 {
-	if t == nil {
-		return 0
-	}
-	return t.rate
-}
-
-// Enabled reports whether this tracer can ever sample a span.
-func (t *Tracer) Enabled() bool { return t != nil && t.threshold > 0 }
+// seed perturbs the sampling sequence and the ID generator, fixed so
+// that traces are reproducible.
+const seed = 0x9e3779b97f4a7c15
 
 // splitmix64 is the SplitMix64 finalizer: a cheap, well-mixed hash used
 // for both the sampling decision and ID generation.
@@ -161,7 +143,7 @@ func splitmix64(x uint64) uint64 {
 
 // newID returns a fresh nonzero 64-bit identifier.
 func (t *Tracer) newID() uint64 {
-	id := splitmix64(t.seed ^ t.ids.Add(1))
+	id := splitmix64(seed ^ t.ids.Add(1))
 	if id == 0 {
 		id = 1
 	}
@@ -207,7 +189,7 @@ func (t *Tracer) Root(ctx context.Context, name string) (context.Context, *Span)
 		return ctx, nil
 	}
 	n := t.roots.Add(1)
-	if splitmix64(t.seed+n)&0xffffffff >= t.threshold {
+	if splitmix64(seed+n)&0xffffffff >= t.threshold {
 		return ctx, nil
 	}
 	return t.forceRoot(ctx, name, t.newID())
@@ -330,14 +312,6 @@ func (s *Span) TraceID() string {
 		return ""
 	}
 	return FormatID(s.traceID)
-}
-
-// Name returns the span name, or "" on a nil span.
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
 }
 
 // SetAttr attaches an int64 attribute and returns the span for chaining.

@@ -112,11 +112,6 @@ func NewForNodes(n int64) (*Graph, error) {
 // N returns the number of slot-vertices of G_n.
 func (u *Graph) N() int { return u.G.N() }
 
-// VertexID maps an (X-tree vertex, slot) pair to the slot-vertex id.
-func (u *Graph) VertexID(a bitstr.Addr, slot int) int {
-	return int(a.ID())*SlotsPerVertex + slot
-}
-
 // MaxDegree returns the materialized maximum degree (≤ DegreeBound).
 func (u *Graph) MaxDegree() int { return u.G.MaxDegree() }
 

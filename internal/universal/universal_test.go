@@ -90,8 +90,8 @@ func TestIsSpanningRejects(t *testing.T) {
 	// onto the opposite corners of the deepest level, which are not
 	// N-related.
 	bad = append([]int(nil), assign...)
-	far := u.VertexID(bitstr.MustParse("0000"), 0)
-	near := u.VertexID(bitstr.MustParse("1111"), 0)
+	far := int(bitstr.MustParse("0000").ID()) * SlotsPerVertex
+	near := int(bitstr.MustParse("1111").ID()) * SlotsPerVertex
 	bad[0], bad[1] = far, near
 	// Restore the bijection by handing the displaced slots back.
 	for v := range bad {
@@ -104,15 +104,6 @@ func TestIsSpanningRejects(t *testing.T) {
 	}
 	if err := u.IsSpanning(tr, bad); err == nil {
 		t.Error("stretched assignment accepted (0000 and 1111 are not N-related)")
-	}
-}
-
-func TestVertexID(t *testing.T) {
-	u := NewForHeight(2)
-	a := bitstr.MustParse("01")
-	id := u.VertexID(a, 7)
-	if id != int(a.ID())*16+7 {
-		t.Errorf("VertexID = %d", id)
 	}
 }
 

@@ -15,8 +15,7 @@ import (
 type Options struct {
 	Width, RowHeight float64          // canvas geometry (defaults 960, 90)
 	Labels           bool             // print the binary-string labels
-	Loads            map[int64]int    // per-vertex load (fill shading)
-	MaxLoad          int              // load that renders fully saturated
+	Loads            map[int64]int    // per-vertex load (fill shading; 16 is dark)
 	Highlight        map[int64]string // vertex id -> fill color override
 }
 
@@ -73,15 +72,7 @@ func WriteSVG(w io.Writer, x *xtree.XTree, opts Options) error {
 		ax, ay := pos(a)
 		fill := "white"
 		if opts.Loads != nil {
-			max := opts.MaxLoad
-			if max <= 0 {
-				max = 16
-			}
-			l := opts.Loads[a.ID()]
-			shade := 255 - int(float64(l)/float64(max)*160)
-			if shade < 0 {
-				shade = 0
-			}
+			shade := max(255-10*opts.Loads[a.ID()], 0)
 			fill = fmt.Sprintf("rgb(%d,%d,255)", shade, shade)
 		}
 		if c, ok := opts.Highlight[a.ID()]; ok {

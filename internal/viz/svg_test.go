@@ -68,10 +68,10 @@ func TestLoadShading(t *testing.T) {
 	if loads[bitstr.Root().ID()] != 2 || loads[bitstr.MustParse("0").ID()] != 1 {
 		t.Fatalf("loads = %v", loads)
 	}
-	out := render(t, x, Options{Loads: loads, MaxLoad: 2})
+	out := render(t, x, Options{Loads: loads})
 	wellFormed(t, out)
-	if !strings.Contains(out, "rgb(") {
-		t.Error("no shading emitted")
+	if !strings.Contains(out, "rgb(235,235,255)") || !strings.Contains(out, "rgb(245,245,255)") {
+		t.Error("loads 2 and 1 not shaded 10 steps per unit")
 	}
 }
 

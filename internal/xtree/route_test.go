@@ -23,7 +23,7 @@ func TestRouteIsShortest(t *testing.T) {
 				t.Fatalf("NextHop from %v toward %v takes more than the shortest %d steps", a, b, want)
 			}
 			next := x.NextHop(cur, b)
-			if !x.HasEdge(cur, next) {
+			if !g.HasEdge(int(cur.ID()), int(next.ID())) {
 				t.Fatalf("route step %v-%v not an edge", cur, next)
 			}
 			cur = next

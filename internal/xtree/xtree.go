@@ -66,28 +66,6 @@ func (x *XTree) Neighbors(a bitstr.Addr, buf []bitstr.Addr) []bitstr.Addr {
 	return buf
 }
 
-// HasEdge reports whether {a,b} is an edge of the X-tree.
-func (x *XTree) HasEdge(a, b bitstr.Addr) bool {
-	if !x.Contains(a) || !x.Contains(b) || a == b {
-		return false
-	}
-	switch {
-	case a.Level == b.Level:
-		d := int64(a.Index) - int64(b.Index)
-		return d == 1 || d == -1
-	case a.Level == b.Level+1:
-		return a.Parent() == b
-	case b.Level == a.Level+1:
-		return b.Parent() == a
-	}
-	return false
-}
-
-// Degree returns the degree of a in this X-tree.
-func (x *XTree) Degree(a bitstr.Addr) int {
-	return len(x.Neighbors(a, nil))
-}
-
 // Distance returns the exact shortest-path distance between a and b.  It
 // panics if either vertex lies outside the tree.
 //

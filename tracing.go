@@ -25,12 +25,9 @@ import (
 )
 
 type (
-	// Tracer samples, records and exports spans.  Create with NewTracer
-	// or NewTracerConfig; a nil *Tracer is valid and records nothing.
+	// Tracer samples, records and exports spans.  Create with NewTracer;
+	// a nil *Tracer is valid and records nothing.
 	Tracer = trace.Tracer
-	// TracerConfig is the full tracer configuration (sample rate, ring
-	// size, ID seed) for NewTracerConfig.
-	TracerConfig = trace.Config
 	// TraceSpan is one live span; all methods are nil-safe, so unsampled
 	// paths cost nothing.
 	TraceSpan = trace.Span
@@ -45,10 +42,6 @@ func NewTracer(sampleRate float64) *Tracer {
 	return trace.New(trace.Config{SampleRate: sampleRate})
 }
 
-// NewTracerConfig returns a tracer with full control over ring size and
-// ID seed.
-func NewTracerConfig(cfg TracerConfig) *Tracer { return trace.New(cfg) }
-
 // SpanFromContext returns the context's live span, or nil — handy for
 // opening a simulate span under an embedding trace by hand.
 func SpanFromContext(ctx context.Context) *TraceSpan { return trace.FromContext(ctx) }
@@ -60,18 +53,6 @@ func SpanFromContext(ctx context.Context) *TraceSpan { return trace.FromContext(
 // into that trace.
 func EmbedContext(ctx context.Context, t *Tree, opts ...EmbedOption) (*Result, error) {
 	return core.EmbedXTreeContext(ctx, t, embedConfig(opts...))
-}
-
-// EmbedInjectiveContext is EmbedInjective recording under the context's
-// trace span.
-func EmbedInjectiveContext(ctx context.Context, res *Result) (*InjectiveResult, error) {
-	return core.EmbedInjectiveContext(ctx, res)
-}
-
-// EmbedHypercubeContext is EmbedHypercube recording under the context's
-// trace span.
-func EmbedHypercubeContext(ctx context.Context, res *Result) *HypercubeResult {
-	return core.EmbedHypercubeContext(ctx, res)
 }
 
 // TraceExport writes the tracer's recorded spans to w.  Formats:

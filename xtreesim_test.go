@@ -43,6 +43,13 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	if !ihc.Embedding().IsInjective() {
 		t.Error("injective hypercube corollary failed")
 	}
+	direct := xtreesim.InjectiveHypercubeDirect(res)
+	if !direct.Embedding().IsInjective() {
+		t.Error("the paper's direct injective hypercube embedding is not injective")
+	}
+	if d := direct.Embedding().Dilation(); d > 8 {
+		t.Errorf("the paper's direct injective hypercube embedding has dilation %d, want ≤ 8", d)
+	}
 }
 
 func TestPublicAPIUniversal(t *testing.T) {
