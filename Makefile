@@ -99,9 +99,12 @@ phase-bench:
 
 # E20 + the perf gate (also the CI perf job): the exact AllocsPerRun
 # budgets on the default-option embed of a random and a path guest, the
-# cache-hit path's allocation gates (tree decode, the engine's hit, the
-# X-tree wire metrics), the universal host's byte budget (universal.Place
-# at n=4080, which must not build G_n), the path-scaling gate (a path's
+# cache-hit path's allocation gates (tree decode, CanonicalCode of a
+# decoded and a relabelled tree at n=4080, the engine's hit, the X-tree
+# wire metrics a cache entry measures and the hypercube pass, and a hit's
+# X-tree and hypercube answers, which must allocate nothing beyond the
+# engine's remap), the universal host's byte budget (universal.Place at
+# n=4080, which must not build G_n), the path-scaling gate (a path's
 # embed time per node at X(11) over X(8), at most 1.5), then the E20
 # sweep diffed against the committed BENCH_embed.json — any
 # configuration more than 10% over its baseline allocs/op fails.
@@ -109,7 +112,7 @@ phase-bench:
 # and committing the file.
 embed-bench:
 	$(GO) test -run TestEmbedAllocBudget -v ./internal/core
-	$(GO) test -run 'TestDecodeAllocs|TestCacheHitAllocs|TestXTreeWireMetricsAllocs|TestPlaceAllocBytes' -v ./internal/bintree ./internal/engine ./internal/core ./internal/universal
+	$(GO) test -run 'TestDecodeAllocs|TestCanonicalCodeAllocs|TestCacheHitAllocs|TestXTreeWireMetricsAllocs|TestHitAnswerAllocs|TestPlaceAllocBytes' -v ./internal/bintree ./internal/engine ./internal/core ./internal/server ./internal/universal
 	$(GO) test -run '^$$' -bench PathScaling -benchtime 1x ./internal/core
 	$(GO) run ./cmd/xtree-bench -exp e20 -embed-out '' -embed-baseline BENCH_embed.json
 

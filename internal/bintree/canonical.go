@@ -17,6 +17,8 @@ package bintree
 // collisions (a collision can at worst make two isomorphic trees
 // canonicalize differently, never conflate distinct ones).
 
+import "sync"
+
 // canonInfo is the isomorphism-invariant sort key of one subtree.
 type canonInfo struct {
 	size   int32
@@ -51,16 +53,12 @@ func canonMix(a, b uint64) uint64 {
 const canonAbsent uint64 = 0x2545f4914f6cdd1d
 
 // canonicalPlan computes, children before parents, the invariant key of
-// every subtree and the canonical child order (first, second; None for
-// absent children).  A node's present child always precedes its absent
-// slot.  When every child's id exceeds its parent's (parentFirst), the
-// descending id scan is such an order and no PostOrder walk is needed.
-func (t *Tree) canonicalPlan() (first, second []int32) {
+// every subtree into info, which must hold N() entries; it writes every
+// one.  When every child's id exceeds its parent's (parentFirst), the
+// descending id scan is such an order and post is nil; otherwise the plan
+// walks PostOrder and returns it as post.
+func (t *Tree) canonicalPlan(info []canonInfo) (post []int32) {
 	n := t.N()
-	first = make([]int32, n)
-	second = make([]int32, n)
-	info := make([]canonInfo, n)
-	var post []int32
 	if !t.parentFirst {
 		post = t.PostOrder()
 	}
@@ -69,41 +67,52 @@ func (t *Tree) canonicalPlan() (first, second []int32) {
 		if post != nil {
 			v = post[k]
 		}
-		l, r := t.left[v], t.right[v]
-		switch {
-		case l == None && r == None:
-			first[v], second[v] = None, None
+		switch a, b := t.canonChildren(v, info); {
+		case a == None:
 			info[v] = canonInfo{size: 1, height: 0, hash: canonMix(canonAbsent, canonAbsent)}
-		case l == None || r == None:
-			c := l
-			if c == None {
-				c = r
-			}
-			first[v], second[v] = c, None
+		case b == None:
 			info[v] = canonInfo{
-				size:   info[c].size + 1,
-				height: info[c].height + 1,
-				hash:   canonMix(info[c].hash, canonAbsent),
+				size:   info[a].size + 1,
+				height: info[a].height + 1,
+				hash:   canonMix(info[a].hash, canonAbsent),
 			}
 		default:
-			a, b := l, r
-			if canonLess(info[r], info[l]) {
-				a, b = r, l
-			}
-			first[v], second[v] = a, b
-			h := info[a].height
-			if info[b].height > h {
-				h = info[b].height
-			}
 			info[v] = canonInfo{
 				size:   info[a].size + info[b].size + 1,
-				height: h + 1,
+				height: max(info[a].height, info[b].height) + 1,
 				hash:   canonMix(info[a].hash, info[b].hash),
 			}
 		}
 	}
-	return first, second
+	return post
 }
+
+// canonChildren returns v's children in canonical order, a before b: a
+// present child precedes an absent slot (None), and of two children the
+// canonLess one comes first.  info must hold the children's keys.
+func (t *Tree) canonChildren(v int32, info []canonInfo) (a, b int32) {
+	a, b = t.left[v], t.right[v]
+	if a == None || (b != None && canonLess(info[b], info[a])) {
+		a, b = b, a
+	}
+	return a, b
+}
+
+// canonAt is where a node's code starts in the canonical code and the
+// node's position in the canonical pre-order.
+type canonAt struct{ off, pos int32 }
+
+// canonScratch is CanonicalCode's working memory: the subtree keys, the
+// placements and the code's bytes before they become a string.  Every
+// call overwrites all it reads, so canonPool hands the arrays from one
+// call to the next instead of allocating and zeroing 27 bytes per node.
+type canonScratch struct {
+	info []canonInfo
+	at   []canonAt
+	buf  []byte
+}
+
+var canonPool = sync.Pool{New: func() any { return new(canonScratch) }}
 
 // CanonicalCode returns the canonical nested-parenthesis encoding of the
 // tree and the canonical pre-order of its nodes.  Two trees have equal
@@ -112,42 +121,49 @@ func (t *Tree) canonicalPlan() (first, second []int32) {
 // the i-th node of one canonical order to the i-th node of the other is
 // then an isomorphism.  The empty tree encodes as "." with a nil order.
 func (t *Tree) CanonicalCode() (string, []int32) {
-	if t.N() == 0 {
+	n := t.N()
+	if n == 0 {
 		return ".", nil
 	}
-	first, second := t.canonicalPlan()
-	// Iterative emission so path-shaped guests cannot overflow the stack:
-	// '(' on entry, the two canonical children (or '.') in order, ')' on
-	// exit.  The entry sequence is the canonical pre-order.
-	buf := make([]byte, 0, 3*t.N())
-	order := make([]int32, 0, t.N())
-	type frame struct {
-		v     int32
-		stage byte
+	sc := canonPool.Get().(*canonScratch)
+	defer canonPool.Put(sc)
+	if len(sc.info) < n {
+		*sc = canonScratch{info: make([]canonInfo, n), at: make([]canonAt, n), buf: make([]byte, 3*n+1)}
 	}
-	stack := []frame{{t.root, 0}}
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		switch f.stage {
-		case 0:
-			f.stage = 1
-			buf = append(buf, '(')
-			order = append(order, f.v)
-			if c := first[f.v]; c != None {
-				stack = append(stack, frame{c, 0})
-			} else {
-				buf = append(buf, '.')
-			}
-		case 1:
-			f.stage = 2
-			if c := second[f.v]; c != None {
-				stack = append(stack, frame{c, 0})
-			} else {
-				buf = append(buf, '.')
-			}
-		default:
-			buf = append(buf, ')')
-			stack = stack[:len(stack)-1]
+	info, at, buf := sc.info[:n], sc.at[:n], sc.buf[:3*n+1]
+	post := t.canonicalPlan(info)
+	// A subtree of s nodes encodes in 3s+1 bytes: '(', a child's code or
+	// '.' for each of its two slots, ')'.  So where a node's code starts
+	// and its pre-order position fix its children's, and one pass that
+	// visits every parent before its children places every byte: ascending
+	// ids on a parent-first tree (whose root is node 0), the plan's
+	// PostOrder read backwards otherwise.  The root starts at offset 0
+	// and position 0.
+	order := make([]int32, n)
+	at[t.root] = canonAt{}
+	for k := 0; k < n; k++ {
+		v := int32(k)
+		if post != nil {
+			v = post[n-1-k]
+		}
+		off, pos := at[v].off, at[v].pos
+		order[pos] = v
+		buf[off] = '('
+		buf[off+3*info[v].size] = ')'
+		off, pos = off+1, pos+1
+		a, b := t.canonChildren(v, info)
+		if a != None {
+			at[a] = canonAt{off, pos}
+			off += 3*info[a].size + 1
+			pos += info[a].size
+		} else {
+			buf[off] = '.'
+			off++
+		}
+		if b != None {
+			at[b] = canonAt{off, pos}
+		} else {
+			buf[off] = '.'
 		}
 	}
 	return string(buf), order

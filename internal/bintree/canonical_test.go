@@ -2,8 +2,97 @@ package bintree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+	"testing/quick"
+
+	"xtreesim/internal/race"
 )
+
+// canonicalCodeStack is the encoder CanonicalCode replaced, with the
+// plan it read: children before parents (in PostOrder, which gives the
+// same plan as any other such order), each node's subtree key and its
+// canonical child order in first and second; then a frame stack walks
+// that order, appending '(' on entry, each child's code or '.', and ')'
+// on exit, and the entry sequence is the canonical pre-order.  It is kept
+// as the oracle the placing encoder is held to.
+func canonicalCodeStack(t *Tree) (string, []int32) {
+	if t.N() == 0 {
+		return ".", nil
+	}
+	first := make([]int32, t.N())
+	second := make([]int32, t.N())
+	info := make([]canonInfo, t.N())
+	for _, v := range t.PostOrder() {
+		l, r := t.left[v], t.right[v]
+		switch {
+		case l == None && r == None:
+			first[v], second[v] = None, None
+			info[v] = canonInfo{size: 1, height: 0, hash: canonMix(canonAbsent, canonAbsent)}
+		case l == None || r == None:
+			c := l
+			if c == None {
+				c = r
+			}
+			first[v], second[v] = c, None
+			info[v] = canonInfo{size: info[c].size + 1, height: info[c].height + 1, hash: canonMix(info[c].hash, canonAbsent)}
+		default:
+			a, b := l, r
+			if canonLess(info[r], info[l]) {
+				a, b = r, l
+			}
+			first[v], second[v] = a, b
+			info[v] = canonInfo{
+				size:   info[a].size + info[b].size + 1,
+				height: max(info[a].height, info[b].height) + 1,
+				hash:   canonMix(info[a].hash, info[b].hash),
+			}
+		}
+	}
+	buf := make([]byte, 0, 3*t.N())
+	order := make([]int32, 0, t.N())
+	type frame struct {
+		v     int32
+		stage byte
+	}
+	stack := []frame{{t.root, 0}}
+	for len(stack) > 0 {
+		f := &stack[len(stack)-1]
+		switch f.stage {
+		case 0:
+			f.stage = 1
+			buf = append(buf, '(')
+			order = append(order, f.v)
+			if c := first[f.v]; c != None {
+				stack = append(stack, frame{c, 0})
+			} else {
+				buf = append(buf, '.')
+			}
+		case 1:
+			f.stage = 2
+			if c := second[f.v]; c != None {
+				stack = append(stack, frame{c, 0})
+			} else {
+				buf = append(buf, '.')
+			}
+		default:
+			buf = append(buf, ')')
+			stack = stack[:len(stack)-1]
+		}
+	}
+	return string(buf), order
+}
+
+// sameCanonical fails the test when CanonicalCode's code or order
+// differs from the stack oracle's.
+func sameCanonical(t *testing.T, what string, tr *Tree) {
+	t.Helper()
+	code, order := tr.CanonicalCode()
+	wcode, worder := canonicalCodeStack(tr)
+	if code != wcode || !slices.Equal(order, worder) {
+		t.Fatalf("%s: CanonicalCode gives %q %v, the stack oracle %q %v", what, code, order, wcode, worder)
+	}
+}
 
 // relabelTest returns an isomorphic copy of t: node v becomes perm[v] and
 // every node's children are swapped (left/right flipped), so both the
@@ -136,5 +225,87 @@ func TestCanonicalEmptyAndSingle(t *testing.T) {
 	single := Path(1)
 	if code, _ := single.CanonicalCode(); code != "(..)" {
 		t.Errorf("single node: code %q", code)
+	}
+}
+
+// TestCanonicalMatchesStackOracle holds the placing encoder to the stack
+// oracle on every family at sizes around the X-tree capacities, each
+// tree as generated, decoded from its encoding (the parent-first branch)
+// and relabelled with mirrored children (the PostOrder branch).
+func TestCanonicalMatchesStackOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, f := range Families {
+		for _, n := range []int{1, 2, 17, 100, 1008, 1009, 4080} {
+			tr, err := Generate(f, n, rand.New(rand.NewSource(int64(n))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := Decode(tr.Encode())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameCanonical(t, string(f)+" generated", tr)
+			sameCanonical(t, string(f)+" decoded", dec)
+			sameCanonical(t, string(f)+" relabelled", relabelTest(t, tr, randPerm(n, rng), true))
+		}
+	}
+}
+
+// TestCanonicalOracleProperty: on random attachment trees of random size
+// under a random relabelling, with or without mirroring, both encoders
+// agree, and so do the decoded tree's.
+func TestCanonicalOracleProperty(t *testing.T) {
+	prop := func(seed int64, size uint16, mirror bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + int(size)%600
+		tr := relabelTest(t, RandomAttachment(n, rng), randPerm(n, rng), mirror)
+		dec, err := Decode(tr.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range []*Tree{tr, dec} {
+			code, order := u.CanonicalCode()
+			wcode, worder := canonicalCodeStack(u)
+			if code != wcode || !slices.Equal(order, worder) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCanonicalCodeAllocs pins CanonicalCode at n=4080.  The subtree
+// keys, the placements and the code's buffer come from canonPool, so a
+// decoded tree allocates the code's string and the order: 2.  A
+// relabelled tree adds the plan's PostOrder walk, its order and its
+// stack's growth: 8.  Under the race detector the pool may drop the
+// scratch, so the gate allows its three arrays again.
+func TestCanonicalCodeAllocs(t *testing.T) {
+	decodedBudget, relabelledBudget := 2, 8
+	if race.Enabled {
+		decodedBudget, relabelledBudget = 5, 11
+	}
+	rng := rand.New(rand.NewSource(9))
+	base := RandomAttachment(4080, rng)
+	dec, err := Decode(base.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		tree   *Tree
+		budget int
+	}{
+		{"decoded", dec, decodedBudget},
+		{"relabelled", relabelTest(t, base, randPerm(base.N(), rng), true), relabelledBudget},
+	} {
+		allocs := testing.AllocsPerRun(20, func() { c.tree.CanonicalCode() })
+		if allocs > float64(c.budget) {
+			t.Errorf("CanonicalCode of a %s tree at n=4080 allocates %.0f times, budget %d", c.name, allocs, c.budget)
+		}
+		t.Logf("CanonicalCode of a %s tree at n=4080: %.0f allocs", c.name, allocs)
 	}
 }

@@ -64,7 +64,8 @@ func decodeRecursive(s string) (*Tree, error) {
 
 // FuzzDecode holds Decode to the recursive oracle: both accept exactly
 // the same inputs and return equal trees, whose canonical code and order
-// match the PostOrder branch of CanonicalCode.  Whatever decodes must
+// match the PostOrder branch of CanonicalCode and, on both branches, the
+// stack encoder it replaced (canonicalCodeStack).  Whatever decodes must
 // also re-encode to itself and be a real tree.
 func FuzzDecode(f *testing.F) {
 	for _, s := range []string{
@@ -102,6 +103,12 @@ func FuzzDecode(f *testing.F) {
 		if code != wcode || !slices.Equal(order, worder) {
 			t.Fatalf("Decode(%q): canonical code %q order %v, PostOrder branch %q %v",
 				s, code, order, wcode, worder)
+		}
+		for _, u := range []*Tree{tr, &post} {
+			if scode, sorder := canonicalCodeStack(u); code != scode || !slices.Equal(order, sorder) {
+				t.Fatalf("Decode(%q) (parent-first %v): canonical code %q order %v, stack oracle %q %v",
+					s, u.parentFirst, code, order, scode, sorder)
+			}
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"slices"
 	"testing"
 	"time"
@@ -116,10 +117,13 @@ func TestEmbedAllocBudget(t *testing.T) {
 	}
 }
 
-// TestXTreeWireMetricsAllocs gates the metrics every X-tree response
-// carries (the server's dilation and average dilation, one DilationStats
-// pass) on the 4080-node embedding: the closed-form distance allocates
-// nothing, so the only allocations left are the Embedding and its id map.
+// TestXTreeWireMetricsAllocs gates the numbers wire answers carry on the
+// 4080-node embedding: the X-tree metrics (dilation and average dilation,
+// one DilationStats pass, which the engine runs once per cache entry and
+// the injective answer per request), whose closed-form distance allocates
+// nothing, so the only allocations left are the Embedding and its id map;
+// and HypercubeDilationContext, the hypercube answer's one pass over the
+// guest edges, which allocates nothing.
 func TestXTreeWireMetricsAllocs(t *testing.T) {
 	tr := mustRandomTree(t, int(Capacity(7)), 1)
 	res, err := EmbedXTree(tr, DefaultOptions())
@@ -136,6 +140,18 @@ func TestXTreeWireMetricsAllocs(t *testing.T) {
 		t.Errorf("X-tree wire metrics cost %.0f allocs, want at most 2", allocs)
 	}
 	t.Logf("X-tree wire metrics at n=%d: %.0f allocs", tr.N(), allocs)
+
+	ctx := context.Background()
+	allocs = testing.AllocsPerRun(5, func() {
+		dil, avg := HypercubeDilationContext(ctx, res)
+		if dil > 4 || avg <= 0 {
+			t.Fatal("hypercube wire metrics out of Theorem 3's bounds")
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("hypercube wire metrics cost %.0f allocs, want 0", allocs)
+	}
+	t.Logf("hypercube wire metrics at n=%d: %.0f allocs", tr.N(), allocs)
 }
 
 func mustBenchTree(b *testing.B, f bintree.Family, n int, seed int64) *bintree.Tree {

@@ -166,6 +166,16 @@ func (res *Result) Embedding() *metrics.Embedding {
 	return metrics.XTreeEmbedding(res.Guest, res.Host, res.Assignment)
 }
 
+// Quality is what every wire answer reports of an embedding: its
+// dilation, its mean dilation over the guest edges and its max load.
+// All three depend only on the guest's shape and the host, so one
+// measurement holds for every isomorphic copy of the guest.
+type Quality struct {
+	Dilation    int
+	AvgDilation float64
+	MaxLoad     int
+}
+
 // Dilation measures the exact dilation of the result.
 func (res *Result) Dilation() int { return res.Embedding().Dilation() }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -63,6 +64,35 @@ func TestEmbedExactSizes(t *testing.T) {
 			}
 			if rep.MaxLoad > 16 {
 				t.Errorf("%s r=%d: load %d > 16", f, r, rep.MaxLoad)
+			}
+		}
+	}
+}
+
+// TestHypercubeDilationMatchesEmbedding holds the allocation-free
+// hypercube pass to the composed χ∘δ embedding of EmbedHypercube on
+// every family, and checks that its loads are the X-tree's, because χ is
+// one-to-one.
+func TestHypercubeDilationMatchesEmbedding(t *testing.T) {
+	for _, f := range bintree.Families {
+		for _, n := range []int{1, 2, 17, 300, 1009} {
+			tr, err := bintree.Generate(f, n, randSource(int64(n)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := EmbedXTree(tr, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			emb := res.Embedding()
+			hemb := EmbedHypercube(res).Embedding()
+			hdil, havg := hemb.DilationStats()
+			if gd, ga := HypercubeDilationContext(context.Background(), res); gd != hdil || ga != havg {
+				t.Errorf("%s n=%d: hypercube pass %d %v, χ∘δ embedding %d %v", f, n, gd, ga, hdil, havg)
+			}
+			if hemb.MaxLoad() != res.MaxLoad() || len(hemb.Loads()) != len(emb.Loads()) {
+				t.Errorf("%s n=%d: χ∘δ uses %d vertices at load %d, δ %d at %d",
+					f, n, len(hemb.Loads()), hemb.MaxLoad(), len(emb.Loads()), res.MaxLoad())
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"xtreesim/internal/bintree"
@@ -99,6 +100,33 @@ func EmbedHypercubeContext(ctx context.Context, res *Result) *HypercubeResult {
 	out := embedHypercube(res)
 	sp.SetAttr("n", int64(res.Guest.N())).SetAttr("dim", int64(out.Host.Dim())).End()
 	return out
+}
+
+// HypercubeDilationContext returns the dilation and mean dilation of
+// EmbedHypercube(res) without building it: one pass over the guest edges
+// takes the Hamming distance between χ of both ends' X-tree vertices.
+// It allocates nothing, and records as the same "embed.hypercube" span as
+// EmbedHypercubeContext.  The load needs no pass: χ is one-to-one, so
+// the hypercube embedding's load is res's.
+func HypercubeDilationContext(ctx context.Context, res *Result) (dil int, mean float64) {
+	sp := trace.FromContext(ctx).Child("embed.hypercube")
+	r := res.Host.Height()
+	sum, cnt := 0, 0
+	for v := int32(0); v < int32(res.Guest.N()); v++ {
+		p := res.Guest.Parent(v)
+		if p == bintree.None {
+			continue
+		}
+		d := bits.OnesCount64(hypercube.Chi(res.Assignment[v], r) ^ hypercube.Chi(res.Assignment[p], r))
+		dil = max(dil, d)
+		sum += d
+		cnt++
+	}
+	if cnt > 0 {
+		mean = float64(sum) / float64(cnt)
+	}
+	sp.SetAttr("n", int64(res.Guest.N())).SetAttr("dim", int64(r+1)).End()
+	return dil, mean
 }
 
 func embedHypercube(res *Result) *HypercubeResult {

@@ -86,7 +86,6 @@ type embedder struct {
 	// The per-action buffers, reused across every round so a warm
 	// embedder allocates (almost) nothing per round.
 	nbuf    []int32       // guest adjacency
-	snap    []*comp       // attachedAt snapshot
 	assign  []*comp       // split's sorted assignment list
 	laidBuf []int32       // nodes laid by the current action
 	starts  []int32       // rebuild's remnant seeds
@@ -342,15 +341,6 @@ func (e *embedder) killComp(c *comp) {
 	e.detach(c)
 	c.alive = false
 	e.graveyard = append(e.graveyard, c)
-}
-
-// attachedAt snapshots the components currently attached to addr.  The
-// returned slice is the embedder's reusable buffer — it is invalidated by
-// the next attachedAt, and a copy is required because the callers mutate
-// the underlying index while iterating.
-func (e *embedder) attachedAt(addr bitstr.Addr) []*comp {
-	e.snap = e.appendAttached(e.snap[:0], addr.ID())
-	return e.snap
 }
 
 // reattach moves a surviving component to a new attachment leaf.

@@ -201,21 +201,23 @@ func (e *embedder) adjustPair(alpha bitstr.Addr, i int, w []int64) error {
 // smallest sufficiently large component with Lemma 2 (paper case |T| ≥ Δ);
 // otherwise move whole components largest-first and retry.  The donor is
 // re-queried after every action so freshly split remnants can be refined
-// further while the placement budget lasts.
+// further while the placement budget lasts.  Each query walks the donor's
+// attachment list in place: the scans pick a component before any action
+// changes the list.
 func (e *embedder) levelPair(from bitstr.Addr, delta int, wD, wT bitstr.Addr, budD, budT *int) (int, error) {
 	moved := 0
+	id := from.ID()
 	for {
 		rem := delta - moved
 		tol := separator.Lemma2Bound(rem)
 		if rem <= tol {
 			return moved, nil
 		}
-		cands := e.attachedAt(from)
 		// (a) a whole component close to the remaining target.
 		var exact *comp
 		bestDev := tol + 1
-		for _, c := range cands {
-			if !c.alive || len(c.anchors) > *budT {
+		for c := e.attachHead[id]; c != nil; c = c.next {
+			if len(c.anchors) > *budT {
 				continue
 			}
 			dev := int(c.size) - rem
@@ -237,8 +239,8 @@ func (e *embedder) levelPair(from bitstr.Addr, delta int, wD, wT bitstr.Addr, bu
 		}
 		// (b) split the smallest component that can cover the target.
 		var big *comp
-		for _, c := range cands {
-			if c.alive && int(c.size) >= rem && (big == nil || c.size < big.size) {
+		for c := e.attachHead[id]; c != nil; c = c.next {
+			if int(c.size) >= rem && (big == nil || c.size < big.size) {
 				big = c
 			}
 		}
@@ -256,8 +258,8 @@ func (e *embedder) levelPair(from bitstr.Addr, delta int, wD, wT bitstr.Addr, bu
 		}
 		// (c) move the largest smaller component whole and retry.
 		var part *comp
-		for _, c := range cands {
-			if !c.alive || int(c.size) >= rem || len(c.anchors) > *budT {
+		for c := e.attachHead[id]; c != nil; c = c.next {
+			if int(c.size) >= rem || len(c.anchors) > *budT {
 				continue
 			}
 			if part == nil || c.size > part.size {
@@ -348,16 +350,14 @@ func (e *embedder) split(alpha bitstr.Addr, i int) error {
 // have at least one neighbour laid out already").  Only placements that
 // cannot create a component with anchors on two different host vertices
 // are taken; if none remain the deficit is recorded and the final pass
-// resolves it.
+// resolves it.  Each pick walks w's attachment list in place: the list
+// changes only after the pick, and the next pick walks it afresh.
 func (e *embedder) fillUp(w bitstr.Addr) error {
+	id := w.ID()
 	for e.free(w) > 0 {
-		cands := e.attachedAt(w)
 		var chosen *comp
 		layAll := false
-		for _, c := range cands {
-			if !c.alive {
-				continue
-			}
+		for c := e.attachHead[id]; c != nil; c = c.next {
 			safeOne := len(c.anchors) == 1 || c.char == w
 			safeAll := len(c.anchors) <= e.free(w)
 			if !safeOne && !safeAll {

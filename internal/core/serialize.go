@@ -20,7 +20,8 @@ import (
 //
 // The guest is stored as a parent vector rather than a shape encoding so
 // the node numbering — which the assignment refers to — survives the
-// round trip.  Stats are not serialized; every metric is recomputable.
+// round trip.  Stats are not serialized: ReadResult measures MaxLoad
+// from the assignment, and the construction's counters stay zero.
 func WriteResult(w io.Writer, res *Result) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "xtreesim-embedding v1")
@@ -40,7 +41,9 @@ func WriteResult(w io.Writer, res *Result) error {
 }
 
 // ReadResult parses the WriteResult format and re-validates the
-// assignment against the reconstructed guest and host.
+// assignment against the reconstructed guest and host.  The result's
+// Stats.MaxLoad is measured from the assignment, so MaxLoad reads the
+// same as before the round trip.
 func ReadResult(r io.Reader) (*Result, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<26) // tree encodings can be long
@@ -144,5 +147,6 @@ func ReadResult(r io.Reader) (*Result, error) {
 	if err := CheckInvariants(res); err != nil {
 		return nil, fmt.Errorf("core: parsed embedding fails validation: %w", err)
 	}
+	res.Stats.MaxLoad = res.Embedding().MaxLoad()
 	return res, nil
 }

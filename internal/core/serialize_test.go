@@ -41,6 +41,9 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if back.Dilation() != res.Dilation() {
 		t.Errorf("dilation changed after round trip")
 	}
+	if back.MaxLoad() != res.MaxLoad() {
+		t.Errorf("max load %d after the round trip, %d before", back.MaxLoad(), res.MaxLoad())
+	}
 }
 
 func TestReadResultErrors(t *testing.T) {

@@ -84,6 +84,9 @@ func TestThunderingHerd(t *testing.T) {
 		if it.Result == nil || it.Result.Guest != trees[it.Index] {
 			t.Fatalf("item %d: wrong or missing result", it.Index)
 		}
+		if q := measured(it.Result); it.Quality != q {
+			t.Fatalf("item %d (coalesced %v) carries %+v, measured %+v", it.Index, it.Coalesced, it.Quality, q)
+		}
 		switch {
 		case it.Coalesced:
 			coalesced++
@@ -106,6 +109,9 @@ func TestThunderingHerd(t *testing.T) {
 	after := e.EmbedBatch(context.Background(), []*bintree.Tree{relabel(t, base, 99)})
 	if after[0].Err != nil || !after[0].CacheHit {
 		t.Fatalf("post-herd lookup: hit=%v err=%v, want cache hit", after[0].CacheHit, after[0].Err)
+	}
+	if q := measured(after[0].Result); after[0].Quality != q {
+		t.Fatalf("post-herd hit carries %+v, measured %+v", after[0].Quality, q)
 	}
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("post-herd lookup recomputed: %d calls", got)

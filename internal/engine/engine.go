@@ -131,11 +131,16 @@ func (c Config) normalize() Config {
 // Err is set, and Index is the tree's position in the input slice.
 // CacheHit marks results remapped from the canonical-tree cache;
 // Coalesced marks results remapped from a concurrent leader's compute (a
-// singleflight wait, not a cache lookup).
+// singleflight wait, not a cache lookup).  Quality holds Result's
+// dilation, mean dilation and max load, measured once when the embedding
+// entered the cache (or, with caching disabled, when it was computed) and
+// handed out with every item that entry answers, hits and coalesced waits
+// included.
 type BatchItem struct {
 	Index     int
 	Tree      *bintree.Tree
 	Result    *core.Result
+	Quality   core.Quality
 	CacheHit  bool
 	Coalesced bool
 	Err       error
@@ -466,7 +471,7 @@ func (e *Engine) process(jb job) (item BatchItem) {
 			trace.Int("hit", b2i(ok)))
 		if ok {
 			e.hits.Add(1)
-			item.Result = remap(jb.tree, order, ent)
+			item.Result, item.Quality = remap(jb.tree, order, ent), ent.quality
 			item.CacheHit = true
 			return item
 		}
@@ -486,7 +491,7 @@ func (e *Engine) process(jb job) (item BatchItem) {
 			item.Err = fl.err
 			return item
 		}
-		item.Result = remap(jb.tree, order, fl.ent)
+		item.Result, item.Quality = remap(jb.tree, order, fl.ent), fl.ent.quality
 		item.Coalesced = true
 		return item
 	}
@@ -498,7 +503,7 @@ func (e *Engine) process(jb job) (item BatchItem) {
 			owed = nil
 			e.flights.finish(key, fl, ent, nil)
 			e.hits.Add(1)
-			item.Result = remap(jb.tree, order, ent)
+			item.Result, item.Quality = remap(jb.tree, order, ent), ent.quality
 			item.CacheHit = true
 			return item
 		}
@@ -514,7 +519,7 @@ func (e *Engine) process(jb job) (item BatchItem) {
 		item.Err = err
 		return item
 	}
-	item.Result = res
+	item.Result, item.Quality = res, ent.quality
 	return item
 }
 
@@ -548,7 +553,8 @@ func codeOf(key string) string { return key[strings.IndexByte(key, '|')+1:] }
 
 // compute runs the embedder under opts and publishes the result's entry
 // to the cache.  order is the guest's own canonical pre-order, which
-// puts the entry in canonical form for later remapping.
+// puts the entry in canonical form for later remapping.  The entry
+// measures the result's Quality here, once for every item it answers.
 func (e *Engine) compute(ctx context.Context, t *bintree.Tree, opts core.Options, key string, hash uint64, order []int32) (*core.Result, *cacheEntry, error) {
 	parent := trace.FromContext(ctx)
 	start := time.Now()
@@ -577,7 +583,8 @@ func b2i(b bool) int64 {
 // of the newcomer's canonical order corresponds to position i of the
 // cached guest's, so the newcomer's node order[i] inherits the host
 // vertex of the cached node ent.order[i].  Isomorphism preserves
-// adjacency, hence dilation, load and condition (3′) transfer verbatim.
+// adjacency, hence dilation, load and condition (3′) transfer verbatim,
+// and so does the entry's measured Quality.
 // The host and the Stats slices are shared with the cache entry and must
 // be treated as read-only.
 func remap(t *bintree.Tree, order []int32, ent *cacheEntry) *core.Result {

@@ -7,18 +7,18 @@ import (
 
 	"xtreesim/internal/bintree"
 	"xtreesim/internal/core"
+	"xtreesim/internal/race"
 )
 
 // hitAllocBudget is the allocation count of a one-tree default-profile
-// cache hit at n=1008 measured before the profile joined the cache key.
-// The key must stay the bare canonical code on this path, so the count
-// may not grow.
-const hitAllocBudget = 23
+// cache hit at n=1008.  The key must stay the bare canonical code on this
+// path, so the count may not grow.
+const hitAllocBudget = 13
 
 // decodedHitAllocBudget is the same hit for a tree decoded from the wire,
 // as every server request's is: Decode's pre-order numbering lets
 // CanonicalCode skip its PostOrder walk.
-const decodedHitAllocBudget = 17
+const decodedHitAllocBudget = 7
 
 // TestCacheHitAllocs pins embed-hot's engine path: a one-tree EmbedBatch
 // answered from the cache allocates no more than it did before profiles
@@ -49,9 +49,13 @@ func TestCacheHitAllocs(t *testing.T) {
 				t.Fatalf("%s: hit=%v err=%v, want a cache hit", c.name, it.CacheHit, it.Err)
 			}
 		})
-		if allocs > float64(c.budget) {
+		budget := c.budget
+		if race.Enabled { // the pool may drop CanonicalCode's scratch: its three arrays again
+			budget += 3
+		}
+		if allocs > float64(budget) {
 			t.Errorf("default-profile cache hit of a %s tree allocates %.0f times, budget %d",
-				c.name, allocs, c.budget)
+				c.name, allocs, budget)
 		}
 		t.Logf("default-profile cache hit of a %s tree at n=%d: %.0f allocs", c.name, c.tree.N(), allocs)
 	}

@@ -39,23 +39,28 @@ import (
 // cacheEntry memoizes one embedding: the host vertex of each node of the
 // guest it was computed for and that guest's canonical pre-order, which
 // together transfer the assignment onto any isomorphic newcomer (see
-// remap in engine.go), the host and the construction's stats, and the
-// strict mode and height it was embedded with, which Snapshot writes as
-// the record's profile.  The guest itself is not kept: the cache key
+// remap in engine.go), the host, the construction's stats, the measured
+// Quality every answer reports (the same for every isomorphic copy), and
+// the strict mode and height it was embedded with, which Snapshot writes
+// as the record's profile.  The guest itself is not kept: the cache key
 // encodes its shape.
 type cacheEntry struct {
-	host   *xtree.XTree
-	assign []bitstr.Addr // host vertex of guest node v
-	order  []int32       // the guest's canonical pre-order
-	stats  core.Stats
-	strict bool
-	height int
+	host    *xtree.XTree
+	assign  []bitstr.Addr // host vertex of guest node v
+	order   []int32       // the guest's canonical pre-order
+	stats   core.Stats
+	quality core.Quality
+	strict  bool
+	height  int
 }
 
-// newCacheEntry records res, whose guest has canonical pre-order order.
+// newCacheEntry records res, whose guest has canonical pre-order order,
+// and measures its Quality.
 func newCacheEntry(res *core.Result, order []int32, opts core.Options) *cacheEntry {
+	dil, avg := res.Embedding().DilationStats()
+	q := core.Quality{Dilation: dil, AvgDilation: avg, MaxLoad: res.MaxLoad()}
 	return &cacheEntry{host: res.Host, assign: res.Assignment, order: order, stats: res.Stats,
-		strict: opts.Strict, height: opts.Height}
+		quality: q, strict: opts.Strict, height: opts.Height}
 }
 
 // ShardStat is a point-in-time snapshot of one cache shard, surfaced by

@@ -74,6 +74,21 @@ func TestSnapshotWarmRoundTrip(t *testing.T) {
 	if err := core.CheckInvariants(it.Result); err != nil {
 		t.Fatalf("warmed result fails invariants: %v", err)
 	}
+	// The warmed entry measured its Quality from the parsed embedding, the
+	// load included: the same numbers the hot engine's entry hands out.
+	hit := hot.EmbedBatch(context.Background(), []*bintree.Tree{relabel(t, trees[2], 8)})[0]
+	if q := measured(it.Result); it.Quality != q || hit.Quality != q || it.Result.MaxLoad() != q.MaxLoad {
+		t.Fatalf("warmed hit carries %+v (Stats.MaxLoad %d), the hot engine's hit %+v, measured %+v",
+			it.Quality, it.Result.MaxLoad(), hit.Quality, q)
+	}
+}
+
+// measured is res's Quality measured the metrics package's way, from a
+// copy of the assignment: DilationStats and the Loads-based MaxLoad.
+func measured(res *core.Result) core.Quality {
+	emb := res.Embedding()
+	dil, avg := emb.DilationStats()
+	return core.Quality{Dilation: dil, AvgDilation: avg, MaxLoad: emb.MaxLoad()}
 }
 
 // TestWarmSkipsCorruptRecords: a snapshot with a bad record in the middle

@@ -85,8 +85,8 @@ func TestStrictBatchSingleCompute(t *testing.T) {
 // TestProfilesShareOneCache: one shape requested as default, strict and
 // height-pinned makes three cache entries in the one engine; a repeat
 // under each profile hits its own entry; and every wire item equals the
-// item built from a direct embed with that profile's options, apart
-// from cache_hit.
+// item the per-request computation (perRequestItem) builds from a direct
+// embed with that profile's options, apart from cache_hit.
 func TestProfilesShareOneCache(t *testing.T) {
 	s, ts := newTestServer(t, Config{EngineConfig: engine.Config{CacheSize: 64}})
 	spec := TreeSpec{Family: "random", N: 300, Seed: Seed(4)}
@@ -119,7 +119,7 @@ func TestProfilesShareOneCache(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := s.embedItem(context.Background(), &req, engine.BatchItem{Tree: tree, Result: res})
+			want := perRequestItem(t, &req, engine.BatchItem{Tree: tree, Result: res})
 			// Round-trip through JSON so both sides carry the wire's floats.
 			raw, _ := json.Marshal(want)
 			want = EmbedItem{}

@@ -116,43 +116,46 @@ func (s *Server) embedTrees(ctx context.Context, req *EmbedRequest, trees []*bin
 	return items, nil
 }
 
-// embedItem shapes one engine outcome into the wire item.  The derived
-// embeddings (hypercube χ, injective relocation) record phase spans
-// under the context's request span.
+// embedItem shapes one engine outcome into the wire item.  The X-tree
+// numbers are the engine's, measured once per cache entry, so a cache hit
+// copies them.  The hypercube answer (Theorem 3's χ∘δ) takes its load from
+// them too, since Lemma 3's χ is one-to-one, and its dilations from one
+// pass over the guest edges under an embed.hypercube span.  The
+// injective derivation runs per request: Theorem 2's relocation differs
+// between isomorphic copies.
 func (s *Server) embedItem(ctx context.Context, req *EmbedRequest, bi engine.BatchItem) EmbedItem {
 	item := EmbedItem{Index: bi.Index}
 	if bi.Err != nil {
 		item.Error = bi.Err.Error()
 		return item
 	}
-	res := bi.Result
+	res, q := bi.Result, bi.Quality
 	if req.hostName() == HostHypercube {
-		hr := core.EmbedHypercubeContext(ctx, res)
-		emb := hr.Embedding()
-		dil, avg := emb.DilationStats()
+		dil, avg := core.HypercubeDilationContext(ctx, res)
+		dim := res.Host.Height() + 1 // χ maps X(r) into Q_{r+1}
+		vertices := int64(1) << dim
 		return EmbedItem{
 			Index:        bi.Index,
 			N:            res.Guest.N(),
 			Host:         HostHypercube,
-			HostVertices: hr.Host.NumVertices(),
-			Height:       hr.Host.Dim(),
+			HostVertices: vertices,
+			Height:       dim,
 			Dilation:     dil,
 			AvgDilation:  avg,
-			MaxLoad:      emb.MaxLoad(),
-			Expansion:    emb.Expansion(),
+			MaxLoad:      q.MaxLoad,
+			Expansion:    float64(vertices) / float64(res.Guest.N()),
 			CacheHit:     bi.CacheHit,
 		}
 	}
-	dil, avg := res.Embedding().DilationStats()
 	item = EmbedItem{
 		Index:        bi.Index,
 		N:            res.Guest.N(),
 		Host:         HostXTree,
 		HostVertices: res.Host.NumVertices(),
 		Height:       res.Host.Height(),
-		Dilation:     dil,
-		AvgDilation:  avg,
-		MaxLoad:      res.MaxLoad(),
+		Dilation:     q.Dilation,
+		AvgDilation:  q.AvgDilation,
+		MaxLoad:      q.MaxLoad,
 		Expansion:    res.Expansion(),
 		CacheHit:     bi.CacheHit,
 	}

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"slices"
 	"sync"
 	"time"
 )
@@ -57,8 +58,8 @@ type Hub struct {
 	spare   [][]byte // pages the ring has moved past
 	line    []byte   // Publish's encoding scratch
 	closed  bool
-	subs    map[*Subscriber]struct{}
-	dropped uint64 // events recognized as lost by subscribers
+	subs    []*Subscriber // attached readers
+	dropped uint64        // events recognized as lost by subscribers
 }
 
 // NewHub returns a hub retaining the last ringSize events (≤ 0 means
@@ -69,7 +70,7 @@ func newHub(ringSize, page int) *Hub {
 	if ringSize <= 0 {
 		ringSize = DefaultRingSize
 	}
-	return &Hub{size: uint64(ringSize), page: uint64(page), subs: make(map[*Subscriber]struct{})}
+	return &Hub{size: uint64(ringSize), page: uint64(page)}
 }
 
 // Publish stamps the event with the schema version and the next stream
@@ -121,7 +122,7 @@ func (h *Hub) storeLocked(line []byte) uint64 {
 		h.ends[i] = h.tail
 	}
 	h.next++
-	for s := range h.subs {
+	for _, s := range h.subs {
 		select {
 		case s.notify <- struct{}{}:
 		default: // already signaled; the reader will catch up
@@ -166,7 +167,7 @@ func (h *Hub) Close() {
 	h.mu.Lock()
 	h.closed = true
 	h.spare, h.line = nil, nil
-	for s := range h.subs {
+	for _, s := range h.subs {
 		select {
 		case s.notify <- struct{}{}:
 		default:
@@ -217,7 +218,7 @@ func (h *Hub) Subscribe(from uint64) *Subscriber {
 		cursor: from,
 		notify: make(chan struct{}, 1),
 	}
-	h.subs[s] = struct{}{}
+	h.subs = append(h.subs, s)
 	return s
 }
 
@@ -333,6 +334,7 @@ func (s *Subscriber) Close() {
 	h := s.hub
 	h.mu.Lock()
 	s.skipLostLocked()
-	delete(h.subs, s)
+	i := slices.Index(h.subs, s)
+	h.subs = slices.Delete(h.subs, i, i+1)
 	h.mu.Unlock()
 }

@@ -473,3 +473,35 @@ func FuzzHub(f *testing.F) {
 		}
 	})
 }
+
+// TestHubCloseRemovesOneReader: closing a reader takes it, and only it,
+// off the hub's reader list, so every reader still attached is woken by
+// the next publish, and a second Close changes nothing.
+func TestHubCloseRemovesOneReader(t *testing.T) {
+	h := NewHub(16)
+	subs := make([]*Subscriber, 4)
+	for i := range subs {
+		subs[i] = h.Subscribe(0)
+	}
+	subs[2].Close()
+	subs[2].Close()
+	subs[0].Close()
+	if got := h.Subscribers(); got != 2 {
+		t.Fatalf("%d readers attached, want 2", got)
+	}
+	if _, err := h.Publish(cycleEvent(1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Subscriber{subs[1], subs[3]} {
+		select {
+		case <-s.notify:
+		default:
+			t.Fatal("an attached reader was not woken by the publish")
+		}
+	}
+	subs[3].Close()
+	subs[1].Close()
+	if got := h.Subscribers(); got != 0 {
+		t.Fatalf("%d readers attached after closing all, want 0", got)
+	}
+}
