@@ -14,19 +14,20 @@ import (
 // TestEmbedAllocBudget enforces on the default-option hot path, at r = 7
 // (4080 nodes).  The seed implementation of the embedder spent ~49,900
 // allocations per embed on the random guest and the arena rewrite ~3,100.
-// Since the rebuild stopped flooding the largest remnant, the attachment
-// index became linked lists, separator rooting kept guest-indexed arrays
-// and the lemmas built their sets as sorted slices, a random guest costs
-// 118 and a path 1,483: the path makes hundreds of Lemma 2 splits, each
-// with its own small sets, and under the race detector more of those sets
-// reach the heap (random 123, path 1,559).  The budgets sit just above
-// those counts, so a regression reintroducing per-round churn fails
+// Since the attachment index became linked lists, separator rooting kept
+// guest-indexed arrays, the lemmas built their sets as sorted slices, and
+// one-node lays and the initial 16 built their remnants from the guest's
+// subtree intervals instead of flooding them, a random guest costs 93 and
+// a path 1,470: the path makes hundreds of Lemma 2 splits, each with its
+// own small sets and its flood, and under the race detector more of those
+// sets reach the heap (random 98, path 1,546).  The budgets sit just
+// above those counts, so a regression reintroducing per-round churn fails
 // loudly rather than melting away in benchmark noise.
 var embedAllocBudgets = []struct {
 	family     bintree.Family
 	budget     float64
 	raceBudget float64
-}{{bintree.FamilyRandom, 130, 135}, {bintree.FamilyPath, 1600, 1700}}
+}{{bintree.FamilyRandom, 100, 105}, {bintree.FamilyPath, 1600, 1700}}
 
 // BenchmarkEmbed is the canonical embedder benchmark the perf CI gate
 // replays (experiment E20 writes its numbers to BENCH_embed.json): one
@@ -51,12 +52,13 @@ func BenchmarkEmbed(b *testing.B) {
 // volume.  The gate reads the median of the rounds' ratios: the two
 // samples of a round see the same load on a shared host, so their ratio
 // holds steadier than a ratio of two best times taken moments apart.
-// Each round of the embedder floods and roots every component once, so
-// the work per node grows with the height (1.37× from X(8) to X(11)) and
-// the ratio reads about 1.2–1.4 on a 2-CPU host.  A per-action cost that
-// grows with the guest, as the quadratic separator rooting before did
-// (3.7), fails the benchmark above 1.5.  It is a ratio, not a wall-clock bound, so it
-// holds on any machine.  Run it with
+// On a path the Lemma 2 splits of each round root about every component
+// once and flood its remnants, so the work per node grows with the height
+// (1.37× from X(8) to X(11)) and the ratio reads about 1.2–1.4 on a 2-CPU
+// host.  A per-action cost that grows with the guest, as the quadratic
+// separator rooting before did (3.7), fails the benchmark above 1.5.  It
+// is a ratio, not a wall-clock bound, so it holds on any machine.  Run it
+// with
 //
 //	go test -run '^$' -bench PathScaling -benchtime 1x ./internal/core
 func BenchmarkPathScaling(b *testing.B) {

@@ -11,20 +11,17 @@ import (
 )
 
 // comp is one unlaid component of the guest: a tree of the forest F_i
-// induced by the not-yet-embedded nodes.
+// induced by the not-yet-embedded nodes.  The guest is a tree, so the
+// component is exactly the unlaid nodes reachable from its first anchor;
+// no node records which component holds it.
 //
 // anchors are its designated nodes — unlaid nodes adjacent to laid ones.
 // By conditions (5) and (6) of the paper a component has at most two
 // anchors and all their laid neighbors sit on one host vertex, the
 // characteristic address char.  attach is the leaf of the current X-tree
-// level the component is attached to (ρ_i in the paper).
-//
-// mark is the value compOf holds for the comp's nodes; the largest
-// remnant of a one-node lay inherits the mark of the comp it was cut
-// from, so its nodes are never rewritten.  rank is the creation rank,
-// unique per comp: split and finalPass order comps by it.
+// level the component is attached to (ρ_i in the paper).  rank is the
+// creation rank, unique per comp: split and finalPass order comps by it.
 type comp struct {
-	mark      int32
 	rank      int32
 	size      int32
 	alive     bool
@@ -47,12 +44,18 @@ type embedder struct {
 	hostOf []bitstr.Addr
 	loads  []int16 // indexed by host vertex id
 
-	compOf   []int32 // guest node -> comp mark, -1 when laid
-	nextRank int32   // the next comp's rank: ranks rise in creation order
+	nextRank int32 // the next comp's rank: ranks rise in creation order
 
 	// sub and pre are the guest's subtree sizes and preorder ranks,
-	// rooted at t.Root(), which size the remnants of a one-node lay.
+	// rooted at t.Root(), which size the remnants of a one-node lay and
+	// of init16.
 	sub, pre []int32
+
+	// floodSeen stamps, per guest node, the generation of the last
+	// rebuild whose flood visited it; rebuild bumps floodGen, so its
+	// floods skip the seeds an earlier flood of the same rebuild reached.
+	floodSeen []uint32
+	floodGen  uint32
 
 	// attachHead and attachTail hold, per host vertex id, the ends of
 	// the list of components attached there, kept eagerly exact:
@@ -89,7 +92,7 @@ type embedder struct {
 	assign  []*comp       // split's sorted assignment list
 	laidBuf []int32       // nodes laid by the current action
 	starts  []int32       // rebuild's remnant seeds
-	flood   []int32       // floodNewComp's DFS stack
+	flood   []int32       // floodNewComp's DFS stack, init16's BFS queue
 	charSet []bitstr.Addr // characteristic-address candidates
 
 	// Killed comps wait in the graveyard until drainGraveyard moves
@@ -98,9 +101,8 @@ type embedder struct {
 	graveyard []*comp // killed comps awaiting recycling
 	slab      []comp  // block-allocated backing for fresh comps
 
-	sep      separator.Builder
-	memberID int32            // component filter for memberFn
-	memberFn func(int32) bool // preallocated closure over memberID
+	sep    separator.Builder
+	unlaid func(int32) bool // the separator's member filter, preallocated
 
 	// findSlotFor buffers (final pass).
 	hostsBuf, candBuf, bfsQueue, xnbuf []bitstr.Addr
@@ -126,9 +128,9 @@ func newEmbedder(t *bintree.Tree, x *xtree.XTree, r int, opts Options) *embedder
 		laid:       make([]bool, n),
 		hostOf:     make([]bitstr.Addr, n),
 		loads:      make([]int16, nv),
-		compOf:     make([]int32, n),
 		sub:        make([]int32, n),
 		pre:        make([]int32, n),
+		floodSeen:  make([]uint32, n),
 		attachHead: make([]*comp, nv),
 		attachTail: make([]*comp, nv),
 		attachLoad: make([]int64, nv),
@@ -137,13 +139,8 @@ func newEmbedder(t *bintree.Tree, x *xtree.XTree, r int, opts Options) *embedder
 		bfsSeen:    make([]uint32, nv),
 		wbuf:       make([]int64, nv),
 	}
-	for i := range e.compOf {
-		e.compOf[i] = -1
-	}
 	e.guestIntervals()
-	e.memberFn = func(v int32) bool {
-		return !e.laid[v] && e.compOf[v] == e.memberID
-	}
+	e.unlaid = func(v int32) bool { return !e.laid[v] }
 	return e
 }
 
@@ -184,8 +181,7 @@ func (e *embedder) within(u, v int32) bool {
 	return e.pre[v] <= e.pre[u] && e.pre[u] < e.pre[v]+e.sub[v]
 }
 
-// newComp hands out a recycled (or fresh) comp struct with the next rank,
-// marked with its rank.
+// newComp hands out a recycled (or fresh) comp struct with the next rank.
 func (e *embedder) newComp() *comp {
 	var c *comp
 	if n := len(e.spare); n > 0 {
@@ -203,7 +199,6 @@ func (e *embedder) newComp() *comp {
 		c.anchors = c.anchorBuf[:0]
 	}
 	c.rank = e.nextRank
-	c.mark = c.rank
 	e.nextRank++
 	c.size = 0
 	c.alive = true
@@ -262,7 +257,6 @@ func (e *embedder) layNode(v int32, h bitstr.Addr) error {
 	}
 	e.laid[v] = true
 	e.hostOf[v] = h
-	e.compOf[v] = -1
 	id := h.ID()
 	e.loads[id]++
 	if int(e.loads[id]) > LoadTarget {
@@ -351,48 +345,49 @@ func (e *embedder) reattach(c *comp, addr bitstr.Addr) {
 }
 
 // rebuild replaces old, after the given nodes were laid, by one new
-// component per connected remnant.  Each remnant's anchors and
-// characteristic address are recomputed from its laid neighbors; new
+// component per connected remnant: the unlaid nodes reachable from a
+// seed, an unlaid neighbour of a newly laid node.  Each remnant's anchors
+// and characteristic address are recomputed from its laid neighbors; new
 // components attach at their characteristic address.  Remnants take
-// ranks and register in the order of their seeds.
+// ranks and register in the order of their seeds.  After a one-node lay
+// rebuildOne builds the remnants from the guest's subtree intervals;
+// after a multi-node lay each seed that no earlier flood of this rebuild
+// reached floods one.
 func (e *embedder) rebuild(old *comp, newlyLaid []int32) {
-	mark := old.mark
 	e.killComp(old)
+	e.floodGen++
 	starts := e.starts[:0]
 	for _, x := range newlyLaid {
 		e.nbuf = e.t.Neighbors(x, e.nbuf[:0])
 		for _, y := range e.nbuf {
-			if !e.laid[y] && e.compOf[y] == mark {
+			if !e.laid[y] {
 				starts = append(starts, y)
 			}
 		}
 	}
 	e.starts = starts
-	if len(newlyLaid) == 1 && e.keepLargest(old, newlyLaid[0], starts) {
+	if len(newlyLaid) == 1 {
+		e.rebuildOne(old, newlyLaid[0], starts)
 		return
 	}
 	for _, s := range starts {
-		if e.compOf[s] != mark {
-			continue // already flooded into a new component
+		if e.floodSeen[s] != e.floodGen {
+			e.floodNewComp(s)
 		}
-		e.floodNewComp(s, mark)
 	}
 }
 
-// keepLargest rebuilds old after the one node a was laid.  Each of a's
+// rebuildOne rebuilds old after the one node a was laid.  Each of a's
 // unlaid neighbours in starts seeds one remnant, sized from the guest
 // tree: the remnant through a child s is s's subtree less the subtrees of
 // the laid children of old's anchors inside it, and the remnant through
-// a's parent holds the rest.  Every remnant but the largest is flooded;
-// the largest becomes a fresh comp that keeps old's mark, so none of its
-// nodes is touched.  Its anchors are its seed, which the flood would pop
-// first, then the one anchor of old inside it.  When two or more of old's
-// anchors besides the seed lie inside, only the flood knows their order:
-// keepLargest then changes nothing and reports false.
-func (e *embedder) keepLargest(old *comp, a int32, starts []int32) bool {
-	if len(starts) == 0 {
-		return true
-	}
+// a's parent holds the rest.  A remnant's anchors are its seed, which a
+// flood would pop first, then the one anchor of old inside it; its
+// candidate hosts are those anchors' laid neighbours' hosts in the order
+// a flood meets them.  When two or more of old's anchors besides the seed
+// lie inside a remnant, only a flood knows their order, so that remnant
+// alone is flooded.
+func (e *embedder) rebuildOne(old *comp, a int32, starts []int32) {
 	var size [3]int32
 	var inner [3]int32 // an anchor of old inside the remnant, not its seed
 	var nInner [3]int
@@ -405,6 +400,9 @@ func (e *embedder) keepLargest(old *comp, a int32, starts []int32) bool {
 		}
 		size[i] = e.sub[s]
 	}
+	// old is connected through a, so each of its other anchors lies in
+	// the remnant of the child whose subtree holds it, or else in the
+	// parent's.
 	for _, u := range old.anchors {
 		if u == a {
 			continue
@@ -421,9 +419,6 @@ func (e *embedder) keepLargest(old *comp, a int32, starts []int32) bool {
 				break
 			}
 		}
-		if in < 0 {
-			return false // no remnant holds u: leave it to the flood
-		}
 		if u != starts[in] {
 			inner[in] = u
 			nInner[in]++
@@ -437,22 +432,12 @@ func (e *embedder) keepLargest(old *comp, a int32, starts []int32) bool {
 			}
 		}
 	}
-	largest := 0
-	for i := range starts {
-		if size[i] > size[largest] {
-			largest = i
-		}
-	}
-	if nInner[largest] > 1 {
-		return false
-	}
 	for i, s := range starts {
-		if i != largest {
-			e.floodNewComp(s, old.mark)
+		if nInner[i] > 1 {
+			e.floodNewComp(s)
 			continue
 		}
 		c := e.newComp()
-		c.mark = old.mark
 		c.size = size[i]
 		c.anchors = append(c.anchors, s)
 		if inner[i] >= 0 {
@@ -471,15 +456,16 @@ func (e *embedder) keepLargest(old *comp, a int32, starts []int32) bool {
 		}
 		e.settle(c, charSet)
 	}
-	return true
 }
 
 // floodNewComp builds a new component from start over the unlaid nodes
-// still carrying mark, computing anchors and the characteristic address.
-func (e *embedder) floodNewComp(start int32, mark int32) {
+// reachable from it, computing anchors and the characteristic address.
+// It stamps the nodes it visits with the current rebuild's generation.
+func (e *embedder) floodNewComp(start int32) {
 	c := e.newComp()
+	gen := e.floodGen
 	queue := append(e.flood[:0], start)
-	e.compOf[start] = c.mark
+	e.floodSeen[start] = gen
 	charSet := e.charSet[:0]
 	for len(queue) > 0 {
 		v := queue[len(queue)-1]
@@ -493,8 +479,8 @@ func (e *embedder) floodNewComp(start int32, mark int32) {
 				charSet = addHost(charSet, e.hostOf[w])
 				continue
 			}
-			if e.compOf[w] == mark {
-				e.compOf[w] = c.mark
+			if e.floodSeen[w] != gen {
+				e.floodSeen[w] = gen
 				queue = append(queue, w)
 			}
 		}
@@ -562,8 +548,7 @@ func (e *embedder) rootedFor(c *comp) (*separator.Rooted, int32) {
 	if len(c.anchors) > 1 {
 		r2 = c.anchors[1]
 	}
-	e.memberID = c.mark
-	rt := e.sep.Build(e.t.Neighbors, root, e.memberFn, int(c.size))
+	rt := e.sep.Build(e.t.Neighbors, root, e.unlaid, int(c.size))
 	return rt, r2
 }
 

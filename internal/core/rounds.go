@@ -76,44 +76,28 @@ func (e *embedder) runLevel(kind, level, round int, w []int64) error {
 
 // init16 lays the first 16 guest nodes (a connected subtree found by BFS
 // from the guest root) onto the X-tree root ε, then registers the hanging
-// subtrees as components anchored at ε.  This is the embedding δ0.
+// subtrees as components anchored at ε.  This is the embedding δ0.  The
+// BFS walks children only, so its queue ends with the unlaid children of
+// the laid nodes, in the order floods from the laid nodes would meet
+// them; each one's subtree is one component, sized by sub, whose one
+// anchor is that child.
 func (e *embedder) init16() error {
-	want := LoadTarget
-	if e.t.N() < want {
-		want = e.t.N()
-	}
-	seed := make([]int32, 0, want)
-	seen := make(map[int32]bool, want)
-	queue := []int32{e.t.Root()}
-	seen[e.t.Root()] = true
-	var buf []int32
-	for head := 0; head < len(queue) && len(seed) < want; head++ {
+	want := min(LoadTarget, e.t.N())
+	queue := append(e.flood[:0], e.t.Root())
+	for head := 0; head < want; head++ {
 		v := queue[head]
-		seed = append(seed, v)
-		buf = e.t.Neighbors(v, buf[:0])
-		for _, u := range buf {
-			if !seen[u] {
-				seen[u] = true
-				queue = append(queue, u)
-			}
-		}
-	}
-	// One pseudo-component covering the whole guest, so rebuild can
-	// flood the remnants.
-	all := &comp{alive: true, size: int32(e.t.N()), char: bitstr.Root(), attach: bitstr.Root()}
-	e.nextRank = 1
-	for i := range e.compOf {
-		e.compOf[i] = 0
-	}
-	e.registerComp(all)
-	for _, v := range seed {
 		if err := e.layNode(v, bitstr.Root()); err != nil {
 			return err
 		}
+		queue = e.t.Children(v, queue)
 	}
-	e.pref1, e.pref2 = bitstr.Root(), bitstr.Root()
-	e.rebuild(all, seed)
-	e.drainGraveyard()
+	for _, s := range queue[want:] {
+		c := e.newComp()
+		c.size = e.sub[s]
+		c.anchors = append(c.anchors, s)
+		e.settle(c, append(e.charSet[:0], bitstr.Root()))
+	}
+	e.flood = queue[:0]
 	return nil
 }
 

@@ -735,6 +735,14 @@ func (d *discardStream) Flush()                      {}
 // allocations; with lines stored once in reused pages, copied into the
 // writer's one buffer, and the run's scratch pooled, 973,904 bytes in
 // 153.  The budgets are those counts plus 25%.
+//
+// The race detector drops a random quarter of what a sync.Pool is handed,
+// so a session there may or may not get the last run's scratch back, and
+// an average over five sessions read anywhere from 0.97 to 3.9 MB.  Under
+// the detector every session therefore starts from an empty pool, the
+// case no drop pattern can exceed: each run grows its scratch afresh, and
+// a session allocates 4.63–4.65 MB in 255–257 allocations.  The race
+// budgets are those counts plus 25%.
 func TestStreamedSessionAllocBudget(t *testing.T) {
 	tr, err := bintree.Generate(bintree.FamilyRandom, 2032, rand.New(rand.NewSource(1)))
 	if err != nil {
@@ -774,14 +782,18 @@ func TestStreamedSessionAllocBudget(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < sessions; i++ {
+		if race.Enabled { // two collections empty the pool
+			runtime.GC()
+			runtime.GC()
+		}
 		session()
 	}
 	runtime.ReadMemStats(&after)
 	allocs := (after.Mallocs - before.Mallocs) / sessions
 	bytes := (after.TotalAlloc - before.TotalAlloc) / sessions
 	maxAllocs, maxBytes := uint64(191), uint64(1_217_000)
-	if race.Enabled { // every run may regrow its scratch: 203 allocations, 2,442,118 bytes
-		maxAllocs, maxBytes = 254, 3_053_000
+	if race.Enabled {
+		maxAllocs, maxBytes = 321, 5_809_000
 	}
 	if allocs > maxAllocs || bytes > maxBytes {
 		t.Errorf("streamed session allocates %d times, %d bytes; budget %d times, %d bytes",
